@@ -29,7 +29,6 @@ from .detection import (
     snr,
 )
 from .estimation import (
-    SpectroscopyModel,
     UnidentifiableError,
     fit_atom_number,
     fit_entry_time,
@@ -56,7 +55,7 @@ from .experiments import (
     trueness_ledger,
 )
 from .fitting import FitResult, RankDeficiencyError, least_squares_fit, multi_start_fit
-from .kernels import NUMBA_ENABLED, response_filter
+from .kernels import response_filter
 from .params import (
     CavitySpec,
     DispersiveValidityError,

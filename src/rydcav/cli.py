@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, configio, estimation, experiments
+from . import __version__, estimation, experiments
 from .configio import ConfigError, RunManifest, load_scenario, write_csv, write_json
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _trace_columns(tr):
 
 
 def _run_simulate(scenario, out, manifest):
-    stype = scenario.flags.get("_type")
+    stype = scenario.type
     if stype == "flythrough":
         res = experiments.run_flythrough(scenario)
         for tr in res["traces"]:
@@ -147,7 +147,7 @@ def _run_simulate(scenario, out, manifest):
 
 
 def _run_fit(scenario, out, manifest):
-    stype = scenario.flags.get("_type")
+    stype = scenario.type
     if stype == "power":
         res = experiments.run_power_sweep(scenario)
         datasets = [
@@ -268,7 +268,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
-        scenario.flags["_type"] = configio.scenario_type(args.config)
         if args.seed is not None:
             scenario.master_seed = args.seed
         out = _out_dir(args)

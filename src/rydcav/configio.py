@@ -170,16 +170,12 @@ def load_scenario(path) -> Scenario:
             sweep_values=[float(v) for v in sweep],
             master_seed=int(_num(sc, "master_seed", "scenario", default=0, nonneg=True)),
             flags=_build_flags(sc.get("flags", {})),
+            type=stype,
         )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def scenario_type(path) -> str:
-    raw = json.loads(Path(path).read_text())
-    return raw.get("scenario", {}).get("type", "")
 
 
 # ---------------------------------------------------------------------------

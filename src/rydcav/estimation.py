@@ -5,7 +5,7 @@ the spectroscopy population fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,29 +16,6 @@ from .transmission import simulate_flythrough
 
 class UnidentifiableError(ValueError):
     """The data cannot constrain the requested parameters."""
-
-
-@dataclass
-class SpectroscopyModel:
-    """Parameters of the intra-cavity spectroscopy joint model."""
-
-    omega_i_plus: float
-    omega_i_minus: float
-    delta_i_plus: float = 0.0
-    delta_i_minus: float = 0.0
-    dt_i: float = 0.3e-6
-    p_plus: float = 0.61
-    p_minus: float = 0.20
-    prep_rabi: float = 0.0
-    prep_dt: float = 0.4e-6
-
-    def __post_init__(self):
-        if not (0 <= self.p_plus <= 1 and 0 <= self.p_minus <= 1):
-            raise ValueError("sublevel fractions must lie in [0, 1]")
-        if self.p_plus + self.p_minus > 1 + 1e-12:
-            raise ValueError("p_plus + p_minus must not exceed 1")
-        if self.dt_i <= 0 or self.prep_dt <= 0:
-            raise ValueError("pulse durations must be positive")
 
 
 def spectroscopy_transfer(omega_i, delta_i, dt_i):

@@ -49,6 +49,7 @@ class Scenario:
     sweep_values: list = field(default_factory=list)
     master_seed: int = 0
     flags: dict = field(default_factory=dict)
+    type: str | None = None
 
     def __post_init__(self):
         if self.shots < 1:

@@ -1,28 +1,11 @@
-"""Hot numeric kernels with a numba-accelerated and a pure-numpy path.
-
-Set the environment variable ``RYDCAV_DISABLE_NUMBA=1`` to force the numpy
-fallback (useful for debugging and for the benchmark in ``benchmarks/``).
-"""
+"""The response-integral kernel: one per-sample numpy loop."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("RYDCAV_DISABLE_NUMBA", "0") not in ("0", "", "false", "False")
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _DISABLE
-
-
-def _response_filter_py(z, dt, b0):
+def response_filter(z, dt, b0):
     """Recursive update of the input-output response integral.
 
     ``z[n] = i*delta_m - kappa/2 - i*chi[n]`` per sample; ``b0`` is the
@@ -30,9 +13,11 @@ def _response_filter_py(z, dt, b0):
     midpoint value, so the per-step propagator is exact for piecewise
     constant z and second-order accurate for smooth chi(t).
     """
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    dt = float(dt)
     n = z.shape[0]
     out = np.empty(n, dtype=np.complex128)
-    b = b0
+    b = complex(b0)
     out[0] = b
     for k in range(1, n):
         zm = 0.5 * (z[k] + z[k - 1])
@@ -40,19 +25,3 @@ def _response_filter_py(z, dt, b0):
         b = b * d + (d - 1.0) / zm
         out[k] = b
     return out
-
-
-if NUMBA_ENABLED:
-    _response_filter_jit = njit(cache=True)(_response_filter_py)
-
-    def response_filter(z, dt, b0):
-        return _response_filter_jit(
-            np.ascontiguousarray(z, dtype=np.complex128), float(dt), complex(b0)
-        )
-
-else:
-
-    def response_filter(z, dt, b0):
-        return _response_filter_py(
-            np.ascontiguousarray(z, dtype=np.complex128), float(dt), complex(b0)
-        )

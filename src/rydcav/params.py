@@ -7,12 +7,12 @@ files use cyclic frequencies in Hz; the conversion happens once in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as const
 
 TWO_PI = 2.0 * np.pi
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 
 
 class ParameterError(ValueError):
@@ -21,19 +21,6 @@ class ParameterError(ValueError):
 
 class DispersiveValidityError(ValueError):
     """Raised when detunings are too small for the second-order expansion."""
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA values used for dipole-interaction estimates."""
-
-    e: float = const.e
-    a0: float = const.physical_constants["Bohr radius"][0]
-    eps0: float = const.epsilon_0
-    h: float = const.h
-
-
-CODATA = PhysicalConstants()
 
 
 @dataclass
@@ -76,7 +63,7 @@ class CavitySpec:
             raise ParameterError("mode_antinodes must be a positive integer")
         if self.width_x is None:
             # default to a half wavelength at the cavity frequency
-            self.width_x = np.pi * const.c / self.omega_c
+            self.width_x = np.pi * SPEED_OF_LIGHT / self.omega_c
 
     @property
     def tau_c(self) -> float:
@@ -123,7 +110,7 @@ class EnsembleState:
 
 @dataclass
 class TransitionSet:
-    """Piecewise-linear detuning profiles over position and the dipole moment.
+    """Piecewise-linear detuning profiles over position.
 
     The profiles are held at their end values outside the sampled range.
     """
@@ -131,7 +118,6 @@ class TransitionSet:
     z_samples: np.ndarray
     delta_plus_samples: np.ndarray
     delta_minus_samples: np.ndarray
-    dipole_moment: float = 1431.0 * CODATA.e * CODATA.a0
 
     def __post_init__(self):
         self.z_samples = np.atleast_1d(np.asarray(self.z_samples, dtype=float))
@@ -145,8 +131,8 @@ class TransitionSet:
             raise ParameterError("z_samples must be strictly increasing")
 
     @classmethod
-    def constant(cls, delta_plus: float, delta_minus: float, **kw) -> "TransitionSet":
-        return cls(np.array([0.0]), np.array([delta_plus]), np.array([delta_minus]), **kw)
+    def constant(cls, delta_plus: float, delta_minus: float) -> "TransitionSet":
+        return cls(np.array([0.0]), np.array([delta_plus]), np.array([delta_minus]))
 
     def delta_plus(self, z):
         return np.interp(z, self.z_samples, self.delta_plus_samples)
@@ -195,7 +181,6 @@ class NoiseChain:
 
     n_noise: float = 23.0
     digitizer_phase_floor: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_noise <= 0:
