@@ -42,6 +42,7 @@ from .estimation import (
     spectroscopy_transfer,
 )
 from .experiments import (
+    Flags,
     Scenario,
     TruenessReport,
     fourth_order_error,

@@ -167,10 +167,7 @@ def _run_fit(scenario, out, manifest):
         from .detection import snr
         from .transmission import simulate_flythrough
 
-        kw = dict(
-            transit_decay=scenario.flags.get("transit_decay", True),
-            extended_cloud=scenario.flags.get("extended_cloud", False),
-        )
+        kw = scenario.flags.model_kw
         trace, dphi = simulate_flythrough(
             scenario.ensemble, scenario.cavity, scenario.transitions,
             scenario.probe.delta_m, kappa, **kw,
@@ -256,16 +253,21 @@ def _run_trueness(scenario, out, manifest):
         n_atoms=max(scenario.ensemble.n_atoms, 1),
         delta_plus=scenario.transitions.delta_plus(scenario.cavity.length_z / 2),
         delta_minus=scenario.transitions.delta_minus(scenario.cavity.length_z / 2),
-        detuning_rel_uncertainty=flags.get("detuning_rel_uncertainty", 0.007),
-        pointlike_uncertainty=flags.get("pointlike_uncertainty", 0.003),
-        spacing=flags.get("interaction_spacing_m", 75e-6),
+        detuning_rel_uncertainty=flags.detuning_rel_uncertainty,
+        pointlike_uncertainty=flags.pointlike_uncertainty,
+        spacing=flags.interaction_spacing,
     )
     manifest.add(write_json(out / "trueness.json", report.to_dict()), out)
     print(report.table())
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         scenario = load_scenario(args.config)
         if args.seed is not None:
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
         elif args.command == "fit":
             _run_fit(scenario, out, manifest)
         elif args.command == "campaign":
-            _run_campaign(scenario, out, manifest, max(args.threads, 1))
+            _run_campaign(scenario, out, manifest, args.threads)
         elif args.command == "trueness":
             _run_trueness(scenario, out, manifest)
         manifest.write(out)

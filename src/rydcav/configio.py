@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import Scenario
+from .experiments import Flags, Scenario
 from .params import (
     TWO_PI,
     CavitySpec,
@@ -35,107 +37,139 @@ class ConfigError(ValueError):
     """Invalid config field; the message names the offending key path."""
 
 
-def _get(section, key, path, default=None, required=False):
-    if key not in section:
-        if required:
+# The config schema: one table per JSON section, one row per key:
+# (JSON key, field, kind, bound).  Kinds: "num" a finite number, "hz" a
+# frequency in Hz stored as an angular rate (x 2 pi), "int" an integral
+# number, "bool", "str", "nums" a list of finite numbers, or a nested
+# section given as (builder, table).  A bound is ">0", ">=0", "!=0", a
+# tuple of allowed values, or None.  Defaults are those of the builder;
+# a field without one is required.
+SECTIONS = {
+    "cavity": (CavitySpec, (
+        ("frequency_hz", "omega_c", "hz", ">0"),
+        ("kappa_hz", "kappa", "hz", ">0"),
+        ("kappa_out_hz", "kappa_out", "hz", ">0"),
+        ("kappa_in_hz", "kappa_in", "hz", ">=0"),
+        ("length_z_m", "length_z", "num", ">0"),
+        ("g_max_hz", "g_max", "hz", ">0"),
+        ("mode_antinodes", "mode_antinodes", "int", ">0"),
+        ("mode_correction", "mode_correction", "num", ">0"),
+        ("width_x_m", "width_x", "num", ">0"),
+    )),
+    "ensemble": (EnsembleState, (
+        ("n_atoms", "n_atoms", "num", ">=0"),
+        ("p_s", "p_s", "num", ">=0"),
+        ("p_p_plus", "p_p_plus", "num", ">=0"),
+        ("p_p_minus", "p_p_minus", "num", ">=0"),
+        ("p_p_zero", "p_p_zero", "num", ">=0"),
+        ("sigma_z_m", "sigma_z", "num", ">=0"),
+        ("sigma_x_m", "sigma_x", "num", ">=0"),
+        ("velocity_m_s", "velocity", "num", ">0"),
+        ("tau_s_s", "tau_s", "num", ">0"),
+        ("tau_p_s", "tau_p", "num", ">0"),
+        ("entry_time_s", "entry_time", "num", None),
+    )),
+    "transitions": (TransitionSet.constant, (
+        ("delta_plus_hz", "delta_plus", "hz", "!=0"),
+        ("delta_minus_hz", "delta_minus", "hz", "!=0"),
+    )),
+    "probe": (ProbeConfig, (
+        ("delta_m_hz", "delta_m", "hz", None),
+        ("n_c", "n_c", "num", ">0"),
+        ("tau_i_s", "tau_i", "num", ">0"),
+        ("alpha", "alpha", "num", ">0"),
+    )),
+    "noise": (NoiseChain, (
+        ("n_noise", "n_noise", "num", ">0"),
+        ("digitizer_phase_floor_rad", "digitizer_phase_floor", "num", ">=0"),
+    )),
+    "mcp": (McpModel, (
+        ("eta", "eta", "num", ">0"),
+        ("sigma_a_rel", "sigma_a_rel", "num", ">=0"),
+        ("s1_atom_vns", "s1_atom", "num", ">0"),
+        ("alpha_p", "alpha_p", "num", ">0"),
+        ("beta_s", "beta_s", "num", ">0"),
+        ("beta_p", "beta_p", "num", ">0"),
+        ("dt_md_s", "dt_md", "num", ">=0"),
+        ("tau_s_s", "tau_s", "num", ">0"),
+        ("tau_p_s", "tau_p", "num", ">0"),
+    )),
+}
+FLAGS = (
+    ("transit_decay", "transit_decay", "bool", None),
+    ("extended_cloud", "extended_cloud", "bool", None),
+    ("tmax_window", "tmax_window", "num", ">0"),
+    ("systematic_offset", "systematic_offset", "num", None),
+    ("g_eff_hz", "g_eff", "hz", ">0"),
+    ("n_crit", "n_crit", "num", ">0"),
+    ("two_transitions", "two_transitions", "bool", None),
+    ("transition_spacing_hz", "transition_spacing", "hz", None),
+    ("photon_grid", "photon_grid", "nums", ">0"),
+    ("excitation_scale", "excitation_scale", "num", ">=0"),
+    ("p_plus", "p_plus", "num", ">=0"),
+    ("p_minus", "p_minus", "num", ">=0"),
+    ("poisson_preparation", "poisson_preparation", "bool", None),
+    ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num", ">=0"),
+    ("pointlike_uncertainty", "pointlike_uncertainty", "num", ">=0"),
+    ("interaction_spacing_m", "interaction_spacing", "num", ">0"),
+)
+SCENARIO = (
+    ("name", "name", "str", None),
+    ("type", "type", "str", SCENARIO_TYPES),
+    ("shots", "shots", "int", ">0"),
+    ("master_seed", "master_seed", "int", ">=0"),
+    ("sweep_name", "sweep_name", "str", None),
+    ("sweep_values", "sweep_values", "nums", None),
+    ("flags", "flags", (Flags, FLAGS), None),
+)
+
+_BOUNDS = {">0": lambda v: v > 0, ">=0": lambda v: v >= 0, "!=0": lambda v: v != 0}
+_FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
+
+
+def _value(v, kind, bound, path):
+    if isinstance(kind, tuple):
+        return _section(v, path, *kind)
+    if kind == "nums":
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected a list of numbers, got {v!r}")
+        return [_value(x, "num", bound, f"{path}[{i}]") for i, x in enumerate(v)]
+    if kind in ("bool", "str"):
+        if not isinstance(v, bool if kind == "bool" else str):
+            raise ConfigError(f"{path}: expected a {kind}, got {v!r}")
+    elif not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= _FLOAT_MAX:
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    elif kind == "int" and v != int(v):
+        raise ConfigError(f"{path}: expected an integer, got {v!r}")
+    else:
+        v = int(v) if kind == "int" else float(v)
+    if isinstance(bound, tuple) and v not in bound:
+        raise ConfigError(f"{path}: {v!r} not one of {', '.join(bound)}")
+    if isinstance(bound, str) and not _BOUNDS[bound](v):
+        raise ConfigError(f"{path}: must be {bound}, got {v!r}")
+    return TWO_PI * v if kind == "hz" else v
+
+
+def _section(raw, path, build, table):
+    """Check one JSON object against ``table`` and call ``build`` with its
+    converted fields; keys starting with ``_`` are comments."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {raw!r}")
+    known = {row[0] for row in table}
+    for key in raw:
+        if key not in known and not key.startswith("_"):
+            raise ConfigError(f"{path}.{key}: unknown key")
+    params = inspect.signature(build).parameters
+    kw = {}
+    for key, fld, kind, bound in table:
+        if key in raw:
+            kw[fld] = _value(raw[key], kind, bound, f"{path}.{key}")
+        elif params[fld].default is inspect.Parameter.empty:
             raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return section[key]
-
-
-def _num(section, key, path, default=None, required=False, positive=False, nonneg=False):
-    v = _get(section, key, path, default, required)
-    if v is None:
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{path}.{key}: must be > 0, got {v!r}")
-    if nonneg and v < 0:
-        raise ConfigError(f"{path}.{key}: must be >= 0, got {v!r}")
-    return float(v)
-
-
-def _build_cavity(c):
-    return CavitySpec(
-        omega_c=TWO_PI * _num(c, "frequency_hz", "cavity", required=True, positive=True),
-        kappa=TWO_PI * _num(c, "kappa_hz", "cavity", required=True, positive=True),
-        kappa_out=TWO_PI * _num(c, "kappa_out_hz", "cavity", required=True, positive=True),
-        kappa_in=TWO_PI * _num(c, "kappa_in_hz", "cavity", default=0.0, nonneg=True),
-        length_z=_num(c, "length_z_m", "cavity", required=True, positive=True),
-        g_max=TWO_PI * _num(c, "g_max_hz", "cavity", required=True, positive=True),
-        mode_antinodes=int(_num(c, "mode_antinodes", "cavity", default=1, positive=True)),
-        mode_correction=_num(c, "mode_correction", "cavity", default=1.0, positive=True),
-        width_x=_num(c, "width_x_m", "cavity", default=None, positive=True),
-    )
-
-
-def _build_ensemble(e):
-    return EnsembleState(
-        n_atoms=_num(e, "n_atoms", "ensemble", required=True, nonneg=True),
-        p_s=_num(e, "p_s", "ensemble", default=1.0, nonneg=True),
-        p_p_plus=_num(e, "p_p_plus", "ensemble", default=0.0, nonneg=True),
-        p_p_minus=_num(e, "p_p_minus", "ensemble", default=0.0, nonneg=True),
-        p_p_zero=_num(e, "p_p_zero", "ensemble", default=0.0, nonneg=True),
-        sigma_z=_num(e, "sigma_z_m", "ensemble", default=0.0, nonneg=True),
-        sigma_x=_num(e, "sigma_x_m", "ensemble", default=0.0, nonneg=True),
-        velocity=_num(e, "velocity_m_s", "ensemble", default=950.0, positive=True),
-        tau_s=_num(e, "tau_s_s", "ensemble", default=57.2e-6, positive=True),
-        tau_p=_num(e, "tau_p_s", "ensemble", default=102.6e-6, positive=True),
-        entry_time=_num(e, "entry_time_s", "ensemble", default=0.0),
-    )
-
-
-def _build_transitions(t):
-    dp = _num(t, "delta_plus_hz", "transitions", required=True)
-    dm = _num(t, "delta_minus_hz", "transitions", required=True)
-    if dp == 0 or dm == 0:
-        raise ConfigError("transitions.delta_plus_hz/delta_minus_hz: must be nonzero")
-    return TransitionSet.constant(TWO_PI * dp, TWO_PI * dm)
-
-
-def _build_probe(p):
-    return ProbeConfig(
-        delta_m=TWO_PI * _num(p, "delta_m_hz", "probe", default=0.0),
-        n_c=_num(p, "n_c", "probe", default=5.9e4, positive=True),
-        tau_i=_num(p, "tau_i_s", "probe", default=6.2e-6, positive=True),
-        alpha=_num(p, "alpha", "probe", default=4.0, positive=True),
-    )
-
-
-def _build_noise(n):
-    return NoiseChain(
-        n_noise=_num(n, "n_noise", "noise", default=23.0, positive=True),
-        digitizer_phase_floor=_num(n, "digitizer_phase_floor_rad", "noise",
-                                   default=0.0, nonneg=True),
-    )
-
-
-def _build_mcp(m):
-    return McpModel(
-        eta=_num(m, "eta", "mcp", default=0.55, positive=True),
-        sigma_a_rel=_num(m, "sigma_a_rel", "mcp", default=0.38, nonneg=True),
-        s1_atom=_num(m, "s1_atom_vns", "mcp", default=2.07e-2, positive=True),
-        alpha_p=_num(m, "alpha_p", "mcp", default=0.888, positive=True),
-        beta_s=_num(m, "beta_s", "mcp", default=0.439, positive=True),
-        beta_p=_num(m, "beta_p", "mcp", default=0.222, positive=True),
-        dt_md=_num(m, "dt_md_s", "mcp", default=35.5e-6, nonneg=True),
-        tau_s=_num(m, "tau_s_s", "mcp", default=57.2e-6, positive=True),
-        tau_p=_num(m, "tau_p_s", "mcp", default=102.6e-6, positive=True),
-    )
-
-
-_HZ_FLAGS = ("g_eff_hz", "transition_spacing_hz")
-
-
-def _build_flags(f):
-    flags = dict(f)
-    for key in _HZ_FLAGS:
-        if key in flags:
-            v = _num(flags, key, "scenario.flags", required=True)
-            flags[key.removesuffix("_hz")] = TWO_PI * v
-            del flags[key]
-    return flags
+    try:
+        return build(**kw)
+    except ValueError as exc:  # the model's own invariants
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -147,35 +181,15 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    sc = raw.get("scenario", {})
-    stype = _get(sc, "type", "scenario", required=True)
-    if stype not in SCENARIO_TYPES:
-        raise ConfigError(
-            f"scenario.type: {stype!r} not one of {', '.join(SCENARIO_TYPES)}"
-        )
-    sweep = sc.get("sweep_values", [])
-    if not isinstance(sweep, list):
-        raise ConfigError("scenario.sweep_values: expected a list")
-    try:
-        return Scenario(
-            name=str(_get(sc, "name", "scenario", default=path.stem)),
-            cavity=_build_cavity(raw.get("cavity", {})),
-            ensemble=_build_ensemble(raw.get("ensemble", {})),
-            transitions=_build_transitions(raw.get("transitions", {})),
-            probe=_build_probe(raw.get("probe", {})),
-            noise=_build_noise(raw.get("noise", {})),
-            mcp=_build_mcp(raw.get("mcp", {})),
-            shots=int(_num(sc, "shots", "scenario", default=1, positive=True)),
-            sweep_name=_get(sc, "sweep_name", "scenario"),
-            sweep_values=[float(v) for v in sweep],
-            master_seed=int(_num(sc, "master_seed", "scenario", default=0, nonneg=True)),
-            flags=_build_flags(sc.get("flags", {})),
-            type=stype,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key in raw:
+        if key != "scenario" and key not in SECTIONS and not key.startswith("_"):
+            raise ConfigError(f"{key}: unknown section")
+    parts = {name: _section(raw.get(name, {}), name, *spec) for name, spec in SECTIONS.items()}
+    build = partial(Scenario, name=path.stem, **parts)
+    scenario = _section(raw.get("scenario", {}), "scenario", build, SCENARIO)
+    if scenario.type is None:
+        raise ConfigError("scenario.type: missing required field")
+    return scenario
 
 
 # ---------------------------------------------------------------------------

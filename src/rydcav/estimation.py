@@ -321,7 +321,7 @@ def fit_spectroscopy(
     ``spectra`` is a list of P_p arrays over ``freqs``, one per
     preparation amplitude in ``prep_ratios`` (Omega/Omega_pi, must include
     a 0 baseline).  The two intracavity Rabi frequencies are independent
-    parameters.  Multi-start with up to ``seeds`` perturbed inits.
+    parameters.  Multi-start with ``seeds`` perturbed inits.
     """
     prep_ratios = list(prep_ratios)
     if 0.0 not in prep_ratios:

@@ -34,6 +34,33 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
 
 
 @dataclass
+class Flags:
+    """Scenario-type settings read by the runners; rates in rad/s."""
+
+    transit_decay: bool = True
+    extended_cloud: bool = False
+    tmax_window: float = 1e-6
+    systematic_offset: float = 0.0
+    g_eff: float | None = None  # None: cavity.g_max
+    n_crit: float | None = None  # required by power sweeps and campaigns
+    two_transitions: bool = False
+    transition_spacing: float = 2 * np.pi * 18e6
+    photon_grid: list | None = None  # None: each runner's own grid
+    excitation_scale: float = 0.038
+    p_plus: float = 0.61
+    p_minus: float = 0.20
+    poisson_preparation: bool = False
+    detuning_rel_uncertainty: float = 0.007
+    pointlike_uncertainty: float = 0.003
+    interaction_spacing: float = 75e-6
+
+    @property
+    def model_kw(self) -> dict:
+        """Fly-through model switches, as keyword arguments."""
+        return {"transit_decay": self.transit_decay, "extended_cloud": self.extended_cloud}
+
+
+@dataclass
 class Scenario:
     """Full parameter bundle for one named run."""
 
@@ -48,7 +75,7 @@ class Scenario:
     sweep_name: str | None = None
     sweep_values: list = field(default_factory=list)
     master_seed: int = 0
-    flags: dict = field(default_factory=dict)
+    flags: Flags = field(default_factory=Flags)
     type: str | None = None
 
     def __post_init__(self):
@@ -62,7 +89,8 @@ class Scenario:
         return self.cavity.kappa
 
     def flag(self, name, default=None):
-        return self.flags.get(name, default)
+        # Read scenario.flags.<name>; this accessor is kept for perfbench/run.py.
+        return getattr(self.flags, name, default)
 
 
 @dataclass
@@ -200,10 +228,7 @@ def run_flythrough(scenario: Scenario) -> dict:
     alongside the instantaneous-response curves."""
     kappa = scenario.kappa
     out = {"name": scenario.name, "traces": []}
-    model_kw = dict(
-        transit_decay=scenario.flag("transit_decay", True),
-        extended_cloud=scenario.flag("extended_cloud", False),
-    )
+    model_kw = scenario.flags.model_kw
     transit = scenario.cavity.length_z / scenario.ensemble.velocity
     t_cen = scenario.ensemble.entry_time + transit / 2.0
     for delta_m in (0.0, kappa / 2.0):
@@ -249,9 +274,7 @@ def phase_at_tmax(scenario: Scenario, n_atoms: float, window=1e-6, **extra) -> f
     ens = replace(scenario.ensemble, n_atoms=n_atoms)
     trace, dphi = simulate_flythrough(
         ens, scenario.cavity, scenario.transitions, 0.0, kappa,
-        transit_decay=scenario.flag("transit_decay", True),
-        extended_cloud=scenario.flag("extended_cloud", False),
-        **extra,
+        **scenario.flags.model_kw, **extra,
     )
     transit = scenario.cavity.length_z / ens.velocity
     t_max = ens.entry_time + transit / 2.0 + 2.0 / kappa
@@ -268,13 +291,12 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     n_values = np.asarray(
         scenario.sweep_values or np.linspace(50, 600, 12), dtype=float
     )
-    window = scenario.flag("tmax_window", 1e-6)
-    dphi = np.array([phase_at_tmax(scenario, n, window=window) for n in n_values])
+    dphi = np.array([phase_at_tmax(scenario, n, window=scenario.flags.tmax_window)
+                     for n in n_values])
     # expected MCP signal for the same clouds
     s_mcp = scenario.mcp.s1_atom * n_values
     # cavity-extracted atom number carries the systematic offset of the model
-    offset = scenario.flag("systematic_offset", 0.0)
-    n_cavity = n_values * (1.0 + offset)
+    n_cavity = n_values * (1.0 + scenario.flags.systematic_offset)
 
     slope_phase = float(np.polyfit(n_values, dphi, 1)[0])
     mcp_sensitivity = float(np.polyfit(n_cavity, s_mcp, 1)[0])
@@ -297,14 +319,14 @@ def _effective_chi_per_atom(scenario: Scenario):
     Uses the time-averaged coupling and either a single effective
     transition back-solved from n_crit or the two-transition sum.
     """
-    g_eff = scenario.flag("g_eff", scenario.cavity.g_max)
-    n_crit = scenario.flag("n_crit")
+    flags = scenario.flags
+    g_eff = scenario.cavity.g_max if flags.g_eff is None else flags.g_eff
+    n_crit = flags.n_crit
     if n_crit is None:
         raise ValueError("campaign scenarios must set flags.n_crit")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
-    if scenario.flag("two_transitions", False):
-        spacing = scenario.flag("transition_spacing", 2 * np.pi * 18e6)
-        chi1 = g_eff ** 2 * (1.0 / delta_eff + 1.0 / (delta_eff + spacing))
+    if flags.two_transitions:
+        chi1 = g_eff ** 2 * (1.0 / delta_eff + 1.0 / (delta_eff + flags.transition_spacing))
     else:
         chi1 = g_eff ** 2 / delta_eff
     return float(chi1), float(n_crit)
@@ -316,9 +338,8 @@ def run_power_sweep(scenario: Scenario) -> dict:
     kappa = scenario.kappa
     chi1, n_crit = _effective_chi_per_atom(scenario)
     n_atoms_list = scenario.sweep_values or [200, 400, 600]
-    n_c = np.asarray(
-        scenario.flag("photon_grid", np.geomspace(1e3, 1e6, 25)), dtype=float
-    )
+    grid = scenario.flags.photon_grid
+    n_c = np.asarray(np.geomspace(1e3, 1e6, 25) if grid is None else grid, dtype=float)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
     for j, n_at in enumerate(n_atoms_list):
@@ -339,7 +360,7 @@ def run_power_sweep(scenario: Scenario) -> dict:
                 "sigma_deg": np.degrees(sigma_mean),
             }
         )
-    excitation_scale = scenario.flag("excitation_scale", 0.038)
+    excitation_scale = scenario.flags.excitation_scale
     excitation = excitation_scale * core.excited_fraction(n_c, n_crit)
     return {
         "name": scenario.name,
@@ -358,12 +379,7 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     ratios = np.asarray(
         scenario.sweep_values or np.linspace(0.0, 1.3, 14), dtype=float
     )
-    p_plus = scenario.flag("p_plus", 0.61)
-    p_minus = scenario.flag("p_minus", 0.20)
-    kw = dict(
-        transit_decay=scenario.flag("transit_decay", True),
-        extended_cloud=scenario.flag("extended_cloud", False),
-    )
+    kw = scenario.flags.model_kw
     pure = np.array([
         estimation.predict_superposition_phase(
             r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
@@ -374,7 +390,7 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     depol = np.array([
         estimation.predict_superposition_phase(
             r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
-            p_plus=p_plus, p_minus=p_minus, **kw,
+            p_plus=scenario.flags.p_plus, p_minus=scenario.flags.p_minus, **kw,
         )
         for r in ratios
     ])
@@ -396,7 +412,7 @@ def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
     kappa = scenario.kappa
     probe = scenario.probe
     red = np.sqrt(1.0 + probe.n_c / n_crit)
-    if scenario.flag("poisson_preparation", False):
+    if scenario.flags.poisson_preparation:
         n_prep = rng.poisson(mean_n, n_shots).astype(float)
     else:
         n_prep = np.full(n_shots, float(np.rint(mean_n)))
@@ -498,7 +514,8 @@ def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None, n_ref
     if chi1 is None or n_crit is None:
         chi1, n_crit = _effective_chi_per_atom(scenario)
     kappa = scenario.kappa
-    n_c = np.asarray(scenario.flag("photon_grid", np.geomspace(1e3, 1e6, 31)), dtype=float)
+    grid = scenario.flags.photon_grid
+    n_c = np.asarray(np.geomspace(1e3, 1e6, 31) if grid is None else grid, dtype=float)
     r = detection.snr(n_c, scenario.cavity.kappa_out, scenario.probe.tau_i,
                       scenario.noise.n_noise)
     chi = core.power_dependent_shift(chi1 * n_ref, n_c, n_crit)

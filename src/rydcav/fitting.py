@@ -197,15 +197,17 @@ def least_squares_fit(
 
 
 def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_seed=0, **kw):
-    """Run :func:`least_squares_fit` from up to ``seeds`` perturbed starts.
+    """Run :func:`least_squares_fit` from ``seeds`` (>= 1) perturbed starts.
 
     ``spreads`` maps parameter names to the relative perturbation applied
     to the starting point; the first start is unperturbed.  Returns the
     converged result with the lowest residual norm.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     rng = np.random.default_rng(rng_seed)
     best = None
-    for k in range(min(seeds, 8)):
+    for k in range(seeds):
         start = dict(init)
         if k > 0:
             for name, rel in spreads.items():

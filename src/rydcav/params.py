@@ -37,9 +37,9 @@ class CavitySpec:
     omega_c: float
     kappa: float
     kappa_out: float
-    kappa_in: float
     length_z: float
     g_max: float
+    kappa_in: float = 0.0
     mode_antinodes: int = 1
     mode_correction: float = 1.0
     width_x: float | None = None

@@ -1,16 +1,21 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydcav import cli
+from rydcav import EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli
 from rydcav.params import TWO_PI
 from rydcav.configio import (
+    FLAGS,
+    SCENARIO,
+    SECTIONS,
     ConfigError,
     load_scenario,
     write_csv,
@@ -41,8 +46,7 @@ class TestLoadScenario:
 
     def test_flag_hz_conversion(self, config_dir):
         sc = load_scenario(config_dir / "power.json")
-        assert sc.flag("g_eff") == pytest.approx(TWO_PI * 12.9e3)
-        assert "g_eff_hz" not in sc.flags
+        assert sc.flags.g_eff == pytest.approx(TWO_PI * 12.9e3)
 
     def test_missing_required_field_names_key_path(self, config_dir, tmp_path):
         raw = json.loads((config_dir / "flythrough.json").read_text())
@@ -81,6 +85,63 @@ class TestLoadScenario:
         bad.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="scenario.type"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("where", [("scenario", "shots"), ("scenario", "master_seed"),
+                                       ("cavity", "mode_antinodes")])
+    def test_non_integral_integer_rejected(self, config_dir, tmp_path, where):
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        section, key = where
+        raw[section][key] = 2.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected an integer"):
+            load_scenario(bad)
+        raw[section][key] = 2e4  # an integral float is an integer
+        bad.write_text(json.dumps(raw))
+        sc = load_scenario(bad)
+        value = getattr(sc.cavity if section == "cavity" else sc, key)
+        assert value == 20000 and isinstance(value, int)
+
+    def test_comment_keys_ignored(self, config_dir, tmp_path):
+        raw = json.loads((config_dir / "power.json").read_text())
+        raw["_note"] = "top-level comment"
+        raw["cavity"]["_note"] = {"any": "value"}
+        raw["scenario"]["flags"]["_unit"] = [1, 2]
+        path = tmp_path / "commented.json"
+        path.write_text(json.dumps(raw))
+        sc, ref = load_scenario(path), load_scenario(config_dir / "power.json")
+        assert sc.cavity == ref.cavity
+        assert sc.flags == ref.flags
+
+    def test_minimal_config_takes_dataclass_defaults(self, tmp_path):
+        raw = {
+            "scenario": {"type": "flythrough"},
+            "cavity": {"frequency_hz": 20e9, "kappa_hz": 236e3, "kappa_out_hz": 150e3,
+                       "length_z_m": 0.014, "g_max_hz": 14.3e3},
+            "ensemble": {"n_atoms": 300},
+            "transitions": {"delta_plus_hz": -8e6, "delta_minus_hz": -26e6},
+        }
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
+        assert sc.name == "minimal"
+        assert sc.cavity.kappa_in == 0.0
+        assert sc.ensemble == EnsembleState(n_atoms=300.0)
+        assert sc.probe == ProbeConfig()
+        assert sc.noise == NoiseChain()
+        assert sc.mcp == McpModel()
+        assert sc.flags == Flags()
+        assert (sc.shots, sc.master_seed, sc.sweep_values) == (1, 0, [])
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = [("scenario", SCENARIO), ("scenario.flags", FLAGS)]
+    tables += [(name, table) for name, (_build, table) in SECTIONS.items()]
+    for section, table in tables:
+        assert f"`{section}`" in readme
+        for key, *_ in table:
+            assert f"`{key}`" in readme, f"{section}.{key}"
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +197,42 @@ class TestCli:
         code = run_cli(["simulate", "--config", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"],
+                                      ["--seed", "-1"]])
+    def test_out_of_range_option_exit_3(self, tmp_path, config_dir, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["campaign", "--config", str(config_dir / "campaign.json"),
+                     "--out", str(tmp_path), *argv])
+        assert exc.value.code == 3
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("keys, value, path", [
+        (("noise", "digitizer_phase_floor"), 0.01, "noise.digitizer_phase_floor"),
+        (("cavities",), {}, "cavities"),
+        (("noise",), 5, "noise"),
+        (("scenario", "flags"), [1, 2], "scenario.flags"),
+        (("scenario", "flags", "two_transitions"), "false", "scenario.flags.two_transitions"),
+        (("scenario", "flags", "photon_grid"), "abc", "scenario.flags.photon_grid"),
+        (("scenario", "flags", "n_crit"), "4e4", "scenario.flags.n_crit"),
+        (("scenario", "sweep_values"), ["200"], "scenario.sweep_values[0]"),
+        (("scenario", "sweep_values"), [True], "scenario.sweep_values[0]"),
+        (("scenario", "sweep_values"), [100, None], "scenario.sweep_values[1]"),
+        pytest.param(("probe", "n_c"), 10 ** 400, "probe.n_c", id="int-beyond-float"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, config_dir, capsys, keys, value, path):
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        section = raw
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=re.escape(path + ":")):
+            load_scenario(bad)
+        code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path, config_dir, capsys):
         raw = json.loads((config_dir / "flythrough.json").read_text())

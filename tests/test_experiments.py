@@ -6,6 +6,7 @@ import pytest
 from rydcav import (
     CavitySpec,
     EnsembleState,
+    Flags,
     McpModel,
     NoiseChain,
     ProbeConfig,
@@ -148,14 +149,14 @@ class TestTruenessLedger:
 
 class TestRunFlythrough:
     def test_delay_band(self, cavity):
-        sc = make_scenario(cavity, flags={"transit_decay": False})
+        sc = make_scenario(cavity, flags=Flags(transit_decay=False))
         out = run_flythrough(sc)
         resonant = out["traces"][0]
         assert resonant["delta_m"] == 0.0
         assert 1.20e-6 <= resonant["extremum_delay"] <= 1.50e-6
 
     def test_detuned_trace_smaller_phase(self, cavity):
-        sc = make_scenario(cavity, flags={"transit_decay": False})
+        sc = make_scenario(cavity, flags=Flags(transit_decay=False))
         out = run_flythrough(sc)
         res, det = out["traces"]
         assert abs(det["dphi_extremum_deg"]) < abs(res["dphi_extremum_deg"])
@@ -173,8 +174,8 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags={"transit_decay": False, "tmax_window": 1e-6,
-                   "systematic_offset": -0.024},
+            flags=Flags(transit_decay=False, tmax_window=1e-6,
+                        systematic_offset=-0.024),
         )
         out = run_sensitivity_sweep(sc)
         assert abs(out["phase_sensitivity_deg_per_atom"]) == pytest.approx(
@@ -185,7 +186,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags={"transit_decay": False, "systematic_offset": -0.024},
+            flags=Flags(transit_decay=False, systematic_offset=-0.024),
         )
         out = run_sensitivity_sweep(sc)
         # cavity numbers read 2.4 % low, so the apparent per-atom MCP signal
@@ -198,7 +199,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags={"transit_decay": False},
+            flags=Flags(transit_decay=False),
         )
         out = run_sensitivity_sweep(sc)
         full_scale = abs(out["dphi_deg"][-1] - out["dphi_deg"][0])
@@ -211,8 +212,8 @@ class TestPowerSweep:
             cavity,
             sweep_values=[200, 400, 600],
             shots=500,
-            flags={"n_crit": 4.4e4, "g_eff": TWO_PI * 12.9e3, "two_transitions": True,
-                   "transition_spacing": TWO_PI * 18e6, "excitation_scale": 0.038},
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
+                        transition_spacing=TWO_PI * 18e6, excitation_scale=0.038),
         )
         out = run_power_sweep(sc)
         below = out["n_c"] <= out["n_crit_true"]
@@ -223,8 +224,8 @@ class TestPowerSweep:
             cavity,
             sweep_values=[500],
             shots=100_000,
-            flags={"n_crit": 4.4e4, "g_eff": TWO_PI * 12.9e3,
-                   "photon_grid": [1e3, 3 * 4.4e4]},
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
+                        photon_grid=[1e3, 3 * 4.4e4]),
         )
         out = run_power_sweep(sc)
         ds = out["datasets"][0]
@@ -259,8 +260,8 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
         sweep_values=list(sweep),
         master_seed=seed,
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3),
-        flags={"n_crit": 4.4e4, "g_eff": TWO_PI * 12.9e3, "two_transitions": True,
-               "transition_spacing": TWO_PI * 18e6},
+        flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
+                    transition_spacing=TWO_PI * 18e6),
     )
 
 

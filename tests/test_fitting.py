@@ -172,3 +172,22 @@ def test_multi_start_not_worse_than_single():
     single = least_squares_fit(model, (x, y), {"f": 1.8})
     multi = multi_start_fit(model, (x, y), {"f": 1.8}, {"f": 0.5}, rng_seed=3)
     assert multi.residual_norm <= single.residual_norm + 1e-12
+
+
+def test_multi_start_runs_every_start(monkeypatch):
+    from rydcav import fitting
+
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(kwargs)
+        return least_squares_fit(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares_fit", counting_fit)
+    x = np.linspace(0.0, 1.0, 20)
+    multi_start_fit(linear_model, (x, 2.0 * x + 1.0), {"a": 1.0, "b": 0.0},
+                    {"a": 0.1}, seeds=12)
+    assert len(calls) == 12
+    with pytest.raises(ValueError, match="seeds"):
+        multi_start_fit(linear_model, (x, 2.0 * x + 1.0), {"a": 1.0, "b": 0.0},
+                        {"a": 0.1}, seeds=0)
