@@ -9,12 +9,15 @@ __version__ = "1.0.0"
 
 from .core import (
     SingularityError,
+    cavity_phase,
     coupling,
     critical_photon_number,
     dispersive_shift,
     excited_fraction,
     mode_amplitude,
     power_dependent_shift,
+    power_reduction,
+    shift_from_phase,
 )
 from .detection import (
     SnrValidityError,
@@ -23,6 +26,7 @@ from .detection import (
     mcp_signal,
     p_fraction_from_ratio,
     phase_change_precision,
+    phase_change_sigma,
     phase_precision,
     simulate_phase_shot,
     simulate_phase_shot_batch,
@@ -78,6 +82,7 @@ from .transmission import (
     simulate_flythrough,
     steady_transmission,
     transmission_response,
+    window_samples,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -108,10 +108,14 @@ def _run_simulate(scenario, out, manifest):
             "mcp_sensitivity_vns_per_atom", "linearity_residual_max",
         )}
     elif stype == "power":
+        if len(set(scenario.sweep_values)) < len(scenario.sweep_values):
+            raise ConfigError(f"scenario.sweep_values: {scenario.sweep_values} repeats a "
+                              "value; each value names its own power_n<value>.csv")
         res = experiments.run_power_sweep(scenario)
         for ds in res["datasets"]:
+            tag = np.format_float_positional(ds["n_atoms"], trim="-")
             manifest.add(
-                write_csv(out / f"power_n{int(ds['n_atoms'])}.csv", {
+                write_csv(out / f"power_n{tag}.csv", {
                     "n_c": ds["n_c"],
                     "dphi_deg": ds["dphi_deg"],
                     "dphi_true_deg": ds["dphi_true_deg"],
@@ -164,7 +168,7 @@ def _run_fit(scenario, out, manifest):
     elif stype == "flythrough":
         rng = experiments.block_rng(scenario.master_seed, 0)
         kappa = scenario.kappa
-        from .detection import snr
+        from .detection import phase_precision, snr
         from .transmission import simulate_flythrough
 
         kw = scenario.flags.model_kw
@@ -175,7 +179,7 @@ def _run_fit(scenario, out, manifest):
         shots = scenario.shots
         r = float(snr(scenario.probe.n_c, scenario.cavity.kappa_out,
                       trace.dt, scenario.noise.n_noise))
-        sigma_deg = float(np.degrees(1.0 / np.sqrt(r * shots)))
+        sigma_deg = float(np.degrees(phase_precision(r * shots)))
         noisy = dphi + sigma_deg * rng.standard_normal(dphi.shape)
         fit = estimation.fit_atom_number(
             [{
@@ -248,9 +252,9 @@ def _run_trueness(scenario, out, manifest):
     flags = scenario.flags
     report = experiments.trueness_ledger(
         scenario.cavity,
-        sigma_z=scenario.ensemble.sigma_z or 0.6e-3,
-        sigma_x=scenario.ensemble.sigma_x or 0.3e-3,
-        n_atoms=max(scenario.ensemble.n_atoms, 1),
+        sigma_z=scenario.ensemble.sigma_z,
+        sigma_x=scenario.ensemble.sigma_x,
+        n_atoms=scenario.ensemble.n_atoms,
         delta_plus=scenario.transitions.delta_plus(scenario.cavity.length_z / 2),
         delta_minus=scenario.transitions.delta_minus(scenario.cavity.length_z / 2),
         detuning_rel_uncertainty=flags.detuning_rel_uncertainty,

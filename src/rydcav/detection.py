@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import McpModel, NoiseChain, ProbeConfig
-from .transmission import ComplexTrace, WindowConfigError
+from .transmission import ComplexTrace, WindowConfigError, window_samples
 
 
 class SnrValidityError(ValueError):
@@ -45,6 +45,17 @@ def phase_change_precision(r, chi, kappa, alpha):
     return sigma * np.sqrt(1.0 + (2.0 * np.asarray(chi) / kappa) ** 2 + 1.0 / alpha)
 
 
+def phase_change_sigma(n_c, chi, kappa, kappa_out, probe: ProbeConfig, noise: NoiseChain):
+    """Single-shot phase-change precision at photon number n_c, radians.
+
+    :func:`phase_change_precision` at the heterodyne SNR of ``probe`` and
+    ``noise``, with the digitizer phase floor added in quadrature.
+    """
+    r = snr(n_c, kappa_out, probe.tau_i, noise.n_noise)
+    sigma = phase_change_precision(r, chi, kappa, probe.alpha)
+    return np.sqrt(sigma ** 2 + noise.digitizer_phase_floor ** 2)
+
+
 def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_crit):
     """Single-transition analytic atom-number precision.
 
@@ -59,13 +70,6 @@ def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_cri
         1.0 + n_crit / n_c
     )
     return out if out.ndim else float(out)
-
-
-def _window_slice(times, window):
-    sel = (times >= window[0]) & (times <= window[1])
-    if not np.any(sel):
-        raise WindowConfigError(f"window {window} contains no samples")
-    return sel
 
 
 def _noisy_window_phase(values, sigma_q, rng):
@@ -112,8 +116,10 @@ def simulate_phase_shot(
     sigma_q = np.sqrt(noise.n_noise / (probe.n_c * kappa_out * dt))
 
     values = true_trace.values
-    phi_sig = _noisy_window_phase(values[_window_slice(times, signal_window)], sigma_q, rng)
-    phi_ref = _noisy_window_phase(values[_window_slice(times, reference_window)], sigma_q, rng)
+    sig = window_samples(times, signal_window, "signal window")
+    ref = window_samples(times, reference_window, "reference window")
+    phi_sig = _noisy_window_phase(values[sig], sigma_q, rng)
+    phi_ref = _noisy_window_phase(values[ref], sigma_q, rng)
     dphi = phi_sig - phi_ref
     if noise.digitizer_phase_floor > 0:
         dphi += noise.digitizer_phase_floor * rng.standard_normal()

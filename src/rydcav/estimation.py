@@ -9,8 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import core
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
-from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
+from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, McpModel, TransitionSet
 from .transmission import simulate_flythrough
 
 
@@ -170,10 +171,8 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     def model(params, _x):
         out = []
         for j, ds in enumerate(datasets):
-            chi = params[f"chi0_{j}"] / np.sqrt(
-                1.0 + np.asarray(ds["n_c"], dtype=float) / params["n_crit"]
-            )
-            out.append(np.degrees(-np.arctan(2.0 * chi / kappa)))
+            chi = core.power_dependent_shift(params[f"chi0_{j}"], ds["n_c"], params["n_crit"])
+            out.append(np.degrees(core.cavity_phase(chi, kappa)))
         return np.concatenate(out)
 
     ref = max(datasets, key=lambda ds: np.max(np.abs(ds["dphi_deg"])))
@@ -181,7 +180,7 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     bounds = {"n_crit": (1.0, np.inf)}
     for j, ds in enumerate(datasets):
         i0 = int(np.argmin(ds["n_c"]))
-        init[f"chi0_{j}"] = -np.tan(np.radians(ds["dphi_deg"][i0])) * kappa / 2.0
+        init[f"chi0_{j}"] = core.shift_from_phase(np.radians(ds["dphi_deg"][i0]), kappa)
     return least_squares_fit(model, (None, y, sig), init, bounds=bounds)
 
 
@@ -263,8 +262,8 @@ def spectroscopy_spectrum(
     prep_dt=0.4e-6,
     dt_i=0.3e-6,
     decay_interval=0.0,
-    tau_s=57.2e-6,
-    tau_p=102.6e-6,
+    tau_s=TAU_S,
+    tau_p=TAU_P,
 ):
     """P_p after the spectroscopy pulse vs its frequency, for a given
     preparation Rabi ratio Omega/Omega_pi.
@@ -311,8 +310,8 @@ def fit_spectroscopy(
     prep_dt=0.4e-6,
     dt_i=0.3e-6,
     decay_interval=0.0,
-    tau_s=57.2e-6,
-    tau_p=102.6e-6,
+    tau_s=TAU_S,
+    tau_p=TAU_P,
     sigma=None,
     seeds=8,
 ) -> FitResult:

@@ -22,7 +22,7 @@ from .params import (
     ProbeConfig,
     TransitionSet,
 )
-from .transmission import simulate_flythrough, steady_transmission
+from .transmission import simulate_flythrough, steady_transmission, window_samples
 
 BLOCK_SIZE = 4096
 
@@ -218,11 +218,6 @@ def trueness_ledger(
 # figure-style scenarios
 
 
-def _window_average(times, values, center, width):
-    sel = (times >= center - width / 2.0) & (times <= center + width / 2.0)
-    return float(np.mean(values[sel]))
-
-
 def run_flythrough(scenario: Scenario) -> dict:
     """Averaged fly-through traces for a resonant and a detuned probe,
     alongside the instantaneous-response curves."""
@@ -278,7 +273,9 @@ def phase_at_tmax(scenario: Scenario, n_atoms: float, window=1e-6, **extra) -> f
     )
     transit = scenario.cavity.length_z / ens.velocity
     t_max = ens.entry_time + transit / 2.0 + 2.0 / kappa
-    return _window_average(trace.times, dphi, t_max, window)
+    sel = window_samples(trace.times, (t_max - window / 2.0, t_max + window / 2.0),
+                         "t_max window")
+    return float(np.mean(dphi[sel]))
 
 
 def run_sensitivity_sweep(scenario: Scenario) -> dict:
@@ -342,13 +339,11 @@ def run_power_sweep(scenario: Scenario) -> dict:
     n_c = np.asarray(np.geomspace(1e3, 1e6, 25) if grid is None else grid, dtype=float)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
-    for j, n_at in enumerate(n_atoms_list):
+    for n_at in n_atoms_list:
         chi = core.power_dependent_shift(chi1 * n_at, n_c, n_crit)
-        dphi_true = -np.arctan(2.0 * chi / kappa)
-        r = detection.snr(n_c, scenario.cavity.kappa_out, scenario.probe.tau_i,
-                          scenario.noise.n_noise)
-        sigma = detection.phase_change_precision(r, chi, kappa, scenario.probe.alpha)
-        sigma = np.sqrt(sigma ** 2 + scenario.noise.digitizer_phase_floor ** 2)
+        dphi_true = core.cavity_phase(chi, kappa)
+        sigma = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
+                                             scenario.probe, scenario.noise)
         sigma_mean = sigma / np.sqrt(scenario.shots)
         dphi_meas = np.degrees(dphi_true + sigma_mean * rng.standard_normal(n_c.shape))
         datasets.append(
@@ -411,17 +406,17 @@ def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
     rng = block_rng(scenario.master_seed, block_index)
     kappa = scenario.kappa
     probe = scenario.probe
-    red = np.sqrt(1.0 + probe.n_c / n_crit)
+    red = core.power_reduction(probe.n_c, n_crit)
     if scenario.flags.poisson_preparation:
         n_prep = rng.poisson(mean_n, n_shots).astype(float)
     else:
         n_prep = np.full(n_shots, float(np.rint(mean_n)))
-    dphi_true = -np.arctan(2.0 * chi1 * n_prep / (kappa * red))
+    dphi_true = core.cavity_phase(chi1 * n_prep, kappa, red)
     amp = np.cos(dphi_true)
     dphi_meas = detection.simulate_phase_shot_batch(
         dphi_true, amp, probe, scenario.noise, rng, scenario.cavity.kappa_out
     )
-    n_est = -np.tan(np.radians(dphi_meas)) * kappa * red / (2.0 * chi1)
+    n_est = core.shift_from_phase(np.radians(dphi_meas), kappa, red) / chi1
     s1, s2 = detection.mcp_signal(n_prep, np.zeros_like(n_prep), scenario.mcp, rng)
     with np.errstate(invalid="ignore", divide="ignore"):
         s_r = np.where(s1 > 0, s2 / np.where(s1 > 0, s1, 1.0), np.nan)
@@ -441,61 +436,39 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     mean_n_values = scenario.sweep_values or [500]
     shots = scenario.shots
 
-    per_setting = []
-    blocks = []
-    block_index = 0
-    for mean_n in mean_n_values:
-        idx = []
-        done = 0
-        while done < shots:
-            n_b = min(BLOCK_SIZE, shots - done)
-            idx.append((block_index, mean_n, n_b))
-            block_index += 1
-            done += n_b
-        blocks.append(idx)
+    # blocks in order: setting after setting, each one's shots in contiguous rows
+    per_block = [min(BLOCK_SIZE, shots - done) for done in range(0, shots, BLOCK_SIZE)]
+    blocks = list(enumerate((mean_n, n_b) for mean_n in mean_n_values for n_b in per_block))
 
-    def work(args):
-        b, mean_n, n_b = args
-        return b, _campaign_block(scenario, chi1, n_crit, mean_n, b, n_b)
+    def work(block):
+        b, (mean_n, n_b) = block
+        return _campaign_block(scenario, chi1, n_crit, mean_n, b, n_b)
 
-    flat = [a for idx in blocks for a in idx]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = dict(ex.map(work, flat))
+            results = list(ex.map(work, blocks))
     else:
-        results = dict(map(work, flat))
+        results = list(map(work, blocks))
 
-    records = {k: [] for k in ("mean_n", "n_prep", "dphi_deg", "n_est", "s1", "s2", "s_r", "p_p")}
-    for idx, mean_n in zip(blocks, mean_n_values):
-        for b, _mean, n_b in idx:
-            n_prep, dphi, n_est, s1, s2, s_r, p_p = results[b]
-            records["mean_n"].append(np.full(n_b, float(mean_n)))
-            records["n_prep"].append(n_prep)
-            records["dphi_deg"].append(dphi)
-            records["n_est"].append(n_est)
-            records["s1"].append(s1)
-            records["s2"].append(s2)
-            records["s_r"].append(s_r)
-            records["p_p"].append(p_p)
-    records = {k: np.concatenate(v) for k, v in records.items()}
+    records = {"mean_n": np.concatenate([np.full(n_b, float(m)) for _, (m, n_b) in blocks])}
+    for i, key in enumerate(("n_prep", "dphi_deg", "n_est", "s1", "s2", "s_r", "p_p")):
+        records[key] = np.concatenate([res[i] for res in results])
     records["shot_id"] = np.arange(records["mean_n"].size)
     records["n_mcp_est"] = records["s1"] / scenario.mcp.s1_atom
 
-    for mean_n in mean_n_values:
-        sel = records["mean_n"] == float(mean_n)
-        n_est = records["n_est"][sel]
-        n_mcp = records["n_mcp_est"][sel]
-        dphi = records["dphi_deg"][sel]
-        per_setting.append(
-            {
-                "mean_n": float(mean_n),
-                "sigma_dphi_deg": float(np.std(dphi, ddof=1)),
-                "sigma_n_cavity": float(np.std(n_est, ddof=1)),
-                "sigma_n_rel_cavity": float(np.std(n_est, ddof=1) / max(mean_n, 1)),
-                "sigma_n_mcp": float(np.std(n_mcp, ddof=1)),
-                "sigma_n_rel_mcp": float(np.std(n_mcp, ddof=1) / max(mean_n, 1)),
-            }
-        )
+    per_setting = []
+    for k, mean_n in enumerate(mean_n_values):
+        rows = slice(k * shots, (k + 1) * shots)
+        sigma_n = float(np.std(records["n_est"][rows], ddof=1))
+        sigma_mcp = float(np.std(records["n_mcp_est"][rows], ddof=1))
+        per_setting.append({
+            "mean_n": float(mean_n),
+            "sigma_dphi_deg": float(np.std(records["dphi_deg"][rows], ddof=1)),
+            "sigma_n_cavity": sigma_n,
+            "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
+            "sigma_n_mcp": sigma_mcp,
+            "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1),
+        })
 
     curve = precision_vs_photon_number(scenario, chi1, n_crit)
     return {
@@ -516,13 +489,10 @@ def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None, n_ref
     kappa = scenario.kappa
     grid = scenario.flags.photon_grid
     n_c = np.asarray(np.geomspace(1e3, 1e6, 31) if grid is None else grid, dtype=float)
-    r = detection.snr(n_c, scenario.cavity.kappa_out, scenario.probe.tau_i,
-                      scenario.noise.n_noise)
     chi = core.power_dependent_shift(chi1 * n_ref, n_c, n_crit)
-    sigma_dphi = detection.phase_change_precision(r, chi, kappa, scenario.probe.alpha)
-    sigma_dphi = np.sqrt(sigma_dphi ** 2 + scenario.noise.digitizer_phase_floor ** 2)
-    red = np.sqrt(1.0 + n_c / n_crit)
-    sigma_n = sigma_dphi * kappa * red / (2.0 * chi1)
+    sigma_dphi = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
+                                              scenario.probe, scenario.noise)
+    sigma_n = sigma_dphi * kappa * core.power_reduction(n_c, n_crit) / (2.0 * chi1)
     return {
         "n_c": n_c,
         "sigma_dphi_rad": sigma_dphi,

@@ -13,6 +13,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
+TAU_S = 57.2e-6  # s, radiative lifetime of the Rydberg s state
+TAU_P = 102.6e-6  # s, radiative lifetime of the Rydberg p states
 
 
 class ParameterError(ValueError):
@@ -88,8 +90,8 @@ class EnsembleState:
     sigma_z: float = 0.0
     sigma_x: float = 0.0
     velocity: float = 950.0
-    tau_s: float = 57.2e-6
-    tau_p: float = 102.6e-6
+    tau_s: float = TAU_S
+    tau_p: float = TAU_P
     entry_time: float = 0.0
 
     def __post_init__(self):
@@ -140,17 +142,6 @@ class TransitionSet:
     def delta_minus(self, z):
         return np.interp(z, self.z_samples, self.delta_minus_samples)
 
-    def check_dispersive_validity(self, g_max: float, n_atoms: float):
-        """Reject detunings that violate |Delta| > 10 g_max sqrt(N)."""
-        gN = 10.0 * g_max * np.sqrt(max(n_atoms, 1.0))
-        for name, prof in (("delta_plus", self.delta_plus_samples),
-                           ("delta_minus", self.delta_minus_samples)):
-            if np.any(np.abs(prof) <= gN):
-                raise DispersiveValidityError(
-                    f"{name} profile violates |Delta| > 10*g_max*sqrt(N) = "
-                    f"{gN:.3g} rad/s"
-                )
-
 
 @dataclass
 class ProbeConfig:
@@ -200,8 +191,8 @@ class McpModel:
     beta_s: float = 0.439
     beta_p: float = 0.222
     dt_md: float = 35.5e-6
-    tau_s: float = 57.2e-6
-    tau_p: float = 102.6e-6
+    tau_s: float = TAU_S
+    tau_p: float = TAU_P
 
     def __post_init__(self):
         if not (0 < self.eta <= 1):

@@ -27,7 +27,7 @@ class GridAccuracyError(ValueError):
 
 
 class WindowConfigError(ValueError):
-    """Reference window overlaps the atom transit."""
+    """A time window overlaps the atom transit or holds no sample."""
 
 
 @dataclass
@@ -138,7 +138,9 @@ def fly_through_shift_trace(
     ``transit_decay`` each state's atom number decays with its radiative
     lifetime during the transit.  With ``extended_cloud`` the squared
     coupling is replaced by its Gaussian-weighted average over the cloud
-    sizes (sigma_z along the beam, sigma_x transverse).
+    sizes (sigma_z along the beam, sigma_x transverse).  chi is
+    :func:`rydcav.core.dispersive_shift`, so every detuning the trace
+    samples must satisfy |Delta| > 10 g sqrt(N).
     """
     times = np.asarray(times, dtype=float)
     t_c = times - ensemble.entry_time
@@ -148,10 +150,6 @@ def fly_through_shift_trace(
     if ensemble.n_atoms == 0:
         return ShiftTrace(times, np.zeros_like(times))
 
-    transitions.check_dispersive_validity(
-        cavity.g_max * np.sqrt(cavity.mode_correction), ensemble.n_atoms
-    )
-
     z = np.clip(t_c * ensemble.velocity, 0.0, cavity.length_z)
     if extended_cloud:
         gsq = cavity.g_max ** 2 * cavity.mode_correction * _gaussian_mode_sq_average(
@@ -159,27 +157,18 @@ def fly_through_shift_trace(
         )
         # transverse factor: atoms centered on the transverse antinode
         ax = np.pi / cavity.width_x
-        gsq = gsq * 0.5 * (1.0 + np.exp(-2.0 * (ax * ensemble.sigma_x) ** 2))
+        g = np.sqrt(gsq * 0.5 * (1.0 + np.exp(-2.0 * (ax * ensemble.sigma_x) ** 2)))
     else:
-        gsq = core.coupling(z, cavity) ** 2
+        g = core.coupling(z, cavity)
 
-    dp = transitions.delta_plus(z)
-    dm = transitions.delta_minus(z)
-
-    t_cen = ensemble.entry_time + 0.5 * transit_time
+    decay_s = decay_p = 1.0
     if transit_decay:
-        ds = np.exp(-(times - t_cen) / ensemble.tau_s)
-        dpop = np.exp(-(times - t_cen) / ensemble.tau_p)
-    else:
-        ds = dpop = np.ones_like(times)
-
-    n = ensemble.n_atoms
-    chi = gsq * n * (
-        (ensemble.p_p_plus * dpop - ensemble.p_s * ds) / dp
-        + (ensemble.p_p_minus * dpop - ensemble.p_s * ds) / dm
-    )
-    chi = np.where(inside, chi, 0.0)
-    return ShiftTrace(times, chi)
+        t_cen = ensemble.entry_time + 0.5 * transit_time
+        decay_s = np.exp(-(times - t_cen) / ensemble.tau_s)
+        decay_p = np.exp(-(times - t_cen) / ensemble.tau_p)
+    chi = core.dispersive_shift(ensemble, g, transitions.delta_plus(z),
+                                transitions.delta_minus(z), decay_s, decay_p)
+    return ShiftTrace(times, np.where(inside, chi, 0.0))
 
 
 def simulate_flythrough(
@@ -212,23 +201,33 @@ def simulate_flythrough(
         transit_decay=transit_decay, extended_cloud=extended_cloud,
     )
     if n_c is not None and n_crit is not None:
-        shift = ShiftTrace(shift.times, shift.chi / np.sqrt(1.0 + n_c / n_crit))
+        shift = ShiftTrace(shift.times, core.power_dependent_shift(shift.chi, n_c, n_crit))
     trace = transmission_response(shift, delta_m, kappa)
     ref = float(np.angle(steady_transmission(0.0, delta_m, kappa)))
     return trace, phase_change(trace, ref)
 
 
+def window_samples(times, window, name):
+    """Mask of the samples of ``times`` inside the closed ``window`` (t0, t1).
+
+    Raises :class:`WindowConfigError`, naming the window, when it holds no sample.
+    """
+    t0, t1 = window
+    sel = (times >= t0) & (times <= t1)
+    if not np.any(sel):
+        raise WindowConfigError(f"{name} [{t0:.6g}, {t1:.6g}] s contains no samples")
+    return sel
+
+
 def reference_phase(trace: ComplexTrace, window, transit_end=None) -> float:
     """Mean unwrapped phase over a post-transit reference window, radians."""
-    t0, t1 = window
+    t0 = window[0]
     if transit_end is not None and t0 < transit_end:
         raise WindowConfigError(
             f"reference window starts at {t0:.3g} s, before atom exit at "
             f"{transit_end:.3g} s"
         )
-    sel = (trace.times >= t0) & (trace.times <= t1)
-    if not np.any(sel):
-        raise WindowConfigError("reference window contains no samples")
+    sel = window_samples(trace.times, window, "reference window")
     return float(np.mean(np.unwrap(trace.phase)[sel]))
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -270,6 +271,51 @@ class TestCli:
         assert report["total"] == pytest.approx(-0.024, abs=0.008)
         assert "total" in capsys.readouterr().out
 
+    def test_trueness_uses_configured_cloud(self, tmp_path, config_dir):
+        raw = json.loads((config_dir / "trueness.json").read_text())
+        raw["ensemble"].update(sigma_z_m=0.0, sigma_x_m=0.0, n_atoms=0)
+        cfg = tmp_path / "point.json"
+        cfg.write_text(json.dumps(raw))
+        code = run_cli(["trueness", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0
+        items = json.loads((tmp_path / "out" / "trueness.json").read_text())["items"]
+        assert items["pointlike_cloud"]["value"] == 0.0
+        assert items["dispersive_fourth_order"]["value"] == 0.0
+
+    @pytest.mark.parametrize("values, names", [
+        ([200, 400], ["power_n200.csv", "power_n400.csv"]),
+        ([200.2, 200.7], ["power_n200.2.csv", "power_n200.7.csv"]),
+    ])
+    def test_power_sweep_file_per_value(self, tmp_path, config_dir, values, names):
+        raw = json.loads((config_dir / "power.json").read_text())
+        raw["scenario"]["sweep_values"] = values
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.glob("power_n*.csv")) == names
+        assert sorted(n for n in outputs if n.startswith("power_n")) == names
+
+    def test_power_sweep_repeated_value_exit_2(self, tmp_path, config_dir, capsys):
+        raw = json.loads((config_dir / "power.json").read_text())
+        raw["scenario"]["sweep_values"] = [200, 400, 200.0]
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: scenario.sweep_values:" in capsys.readouterr().err
+        assert not list(out.glob("power_n*.csv"))
+
+    def test_empty_tmax_window_exit_1(self, tmp_path, config_dir, capsys):
+        raw = json.loads((config_dir / "sensitivity.json").read_text())
+        raw["scenario"]["flags"]["tmax_window"] = 1e-9
+        cfg = tmp_path / "sensitivity.json"
+        cfg.write_text(json.dumps(raw))
+        code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "t_max window" in capsys.readouterr().err
+
     def test_manifest_contents(self, tmp_path, config_dir):
         run_cli(["trueness", "--config", str(config_dir / "trueness.json"),
                  "--out", str(tmp_path)])
@@ -279,13 +325,17 @@ class TestCli:
         assert len(manifest["config_sha256"]) == 64
 
     def test_import_needs_numpy_only(self):
-        # A fresh interpreter with the inherited environment (installed or
-        # PYTHONPATH) imports the CLI without pulling in scipy or numba.
+        # A fresh interpreter that finds the package tested here imports the
+        # CLI without pulling in scipy or numba.
         code = (
             "import sys, rydcav.cli; "
             "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

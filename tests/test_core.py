@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from rydcav import (
     DispersiveValidityError,
     EnsembleState,
     core,
+    steady_transmission,
 )
 from rydcav.core import SingularityError
 
@@ -103,6 +106,15 @@ class TestDispersiveShift:
         with pytest.raises(DispersiveValidityError):
             core.dispersive_shift(ens, TWO_PI * 14.3e3, -TWO_PI * 1e6, -TWO_PI * 26e6)
 
+    def test_decay_weights_scale_each_population(self):
+        g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
+        chi_s = core.dispersive_shift(EnsembleState(n_atoms=261), g, dp, dm)
+        chi_p = core.dispersive_shift(
+            EnsembleState(n_atoms=261, p_s=0.0, p_p_plus=1.0), g, dp, dm)
+        mixed = EnsembleState(n_atoms=261, p_s=0.6, p_p_plus=0.4)
+        chi = core.dispersive_shift(mixed, g, dp, dm, decay_s=0.5, decay_p=0.25)
+        assert chi == pytest.approx(0.6 * 0.5 * chi_s + 0.4 * 0.25 * chi_p, rel=1e-12)
+
     @given(
         n=st.floats(1.0, 1e3),
         ps=st.floats(0.0, 1.0),
@@ -133,6 +145,51 @@ class TestPowerDependence:
         lo = core.power_dependent_shift(1.0, n_c, 4.4e4)
         hi = core.power_dependent_shift(1.0, n_c + dn, 4.4e4)
         assert hi <= lo <= 1.0
+
+
+class TestPhaseMap:
+    KAPPA = TWO_PI * 236e3
+
+    def test_round_trip(self):
+        chi = TWO_PI * np.array([-40e3, -2e3, 0.0, 5e3, 30e3])
+        red = core.power_reduction(5.9e4, 4.4e4)
+        phase = core.cavity_phase(chi, self.KAPPA, red)
+        np.testing.assert_allclose(core.shift_from_phase(phase, self.KAPPA, red), chi,
+                                   rtol=1e-12, atol=1e-9)
+
+    def test_is_resonant_transmission_phase(self):
+        chi = TWO_PI * np.array([-40e3, 3e3, 60e3])
+        np.testing.assert_allclose(core.cavity_phase(chi, self.KAPPA),
+                                   np.angle(steady_transmission(chi, 0.0, self.KAPPA)),
+                                   rtol=1e-12)
+
+    def test_reduction_equals_reduced_shift(self):
+        n_c = np.geomspace(1e3, 1e6, 7)
+        chi0 = -TWO_PI * 20e3
+        np.testing.assert_allclose(
+            core.cavity_phase(chi0, self.KAPPA, core.power_reduction(n_c, 4.4e4)),
+            core.cavity_phase(core.power_dependent_shift(chi0, n_c, 4.4e4), self.KAPPA),
+            rtol=1e-14,
+        )
+
+    def test_reduction_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            core.power_reduction(-1.0, 4.4e4)
+        with pytest.raises(ValueError):
+            core.power_reduction(1.0, 0.0)
+
+
+def test_readout_formulas_have_one_home():
+    # the phase map, the digitizer floor in quadrature and the Rydberg
+    # lifetimes are each written in one module only
+    sources = {p.name: p.read_text() for p in Path(core.__file__).parent.glob("*.py")}
+
+    def homes(text):
+        return sorted(name for name, src in sources.items() if text in src)
+
+    assert homes("np.arctan(") == homes("np.tan(") == ["core.py"]
+    assert homes("digitizer_phase_floor ** 2") == ["detection.py"]
+    assert homes("57.2e-6") == homes("102.6e-6") == ["params.py"]
 
 
 class TestCriticalPhotonNumber:

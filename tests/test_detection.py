@@ -14,6 +14,7 @@ from rydcav import (
     mcp_signal,
     p_fraction_from_ratio,
     phase_change_precision,
+    phase_change_sigma,
     phase_precision,
     simulate_phase_shot,
     simulate_phase_shot_batch,
@@ -68,6 +69,19 @@ class TestPhaseChangePrecision:
         assert phase_change_precision(r, KAPPA / 2, KAPPA, 4.0) == pytest.approx(
             1.5 * phase_precision(r)
         )
+
+
+def test_phase_change_sigma_adds_floor_in_quadrature(probe):
+    n_c, chi = np.geomspace(1e3, 1e6, 5), TWO_PI * 5e3
+    r = snr(n_c, KAPPA_OUT, probe.tau_i, 23.0)
+    bare = phase_change_precision(r, chi, KAPPA, probe.alpha)
+    floored = NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3)
+    np.testing.assert_allclose(
+        phase_change_sigma(n_c, chi, KAPPA, KAPPA_OUT, probe, floored),
+        np.hypot(bare, 9.88e-3), rtol=1e-14)
+    np.testing.assert_allclose(
+        phase_change_sigma(n_c, chi, KAPPA, KAPPA_OUT, probe, NoiseChain(n_noise=23.0)),
+        bare, rtol=1e-15)
 
 
 class TestAtomNumberPrecision:

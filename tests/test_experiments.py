@@ -22,6 +22,7 @@ from rydcav import (
     trueness_ledger,
 )
 from rydcav.experiments import BLOCK_SIZE, block_rng, precision_vs_photon_number
+from rydcav.transmission import WindowConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -195,6 +196,12 @@ class TestSensitivitySweep:
             2.07e-2 / 0.976, rel=1e-3
         )
 
+    def test_empty_tmax_window_rejected(self, cavity):
+        sc = make_scenario(cavity, sweep_values=[100.0, 200.0],
+                           flags=Flags(transit_decay=False, tmax_window=1e-9))
+        with pytest.raises(WindowConfigError, match="t_max window"):
+            run_sensitivity_sweep(sc)
+
     def test_linearity(self, cavity):
         sc = make_scenario(
             cavity,
@@ -299,6 +306,17 @@ class TestCampaign:
         s_small = small["per_setting"][0]["sigma_n_cavity"]
         s_large = large["per_setting"][0]["sigma_n_cavity"]
         assert s_small == pytest.approx(s_large, rel=0.1)
+
+    def test_repeated_setting_uses_its_own_rows(self, cavity):
+        shots = 1000
+        out = run_single_shot_campaign(campaign_scenario(cavity, shots, sweep=(500, 500)))
+        rec = out["records"]
+        first, second = out["per_setting"]
+        for entry, rows in ((first, slice(0, shots)), (second, slice(shots, 2 * shots))):
+            assert entry["sigma_n_cavity"] == np.std(rec["n_est"][rows], ddof=1)
+            assert entry["sigma_dphi_deg"] == np.std(rec["dphi_deg"][rows], ddof=1)
+            assert entry["sigma_n_mcp"] == np.std(rec["n_mcp_est"][rows], ddof=1)
+        assert first["sigma_n_cavity"] != second["sigma_n_cavity"]
 
     def test_mcp_relative_precision(self, cavity):
         out = run_single_shot_campaign(campaign_scenario(cavity, 20_000))

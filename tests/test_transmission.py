@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rydcav import (
     ComplexTrace,
+    DispersiveValidityError,
     EnsembleState,
     ShiftTrace,
     fly_through_shift_trace,
@@ -15,6 +16,8 @@ from rydcav import (
     simulate_flythrough,
     steady_transmission,
     transmission_response,
+    TransitionSet,
+    window_samples,
 )
 from rydcav.transmission import GridAccuracyError, WindowConfigError
 
@@ -165,6 +168,20 @@ class TestFlyThrough:
         reduction = ext.chi.max() / point.chi.max() - 1.0
         assert reduction == pytest.approx(-0.033, abs=0.004)
 
+    def test_detuning_crossing_zero_in_cavity_rejected(self, cavity, ensemble261):
+        # both profile samples lie 10 MHz away, but between them the trace
+        # samples delta_+ close to 0, where the expansion does not hold
+        crossing = TransitionSet(np.array([0.0, cavity.length_z]),
+                                 TWO_PI * np.array([-10e6, 10e6]), -TWO_PI * 26e6)
+        with pytest.raises(DispersiveValidityError, match="delta_plus"):
+            simulate_flythrough(ensemble261, cavity, crossing, 0.0, cavity.kappa)
+
+    def test_constant_detuning_inside_limit_rejected(self, cavity, ensemble261):
+        # 10 g sqrt(N) = 2.3 MHz for N = 261
+        close = TransitionSet.constant(-TWO_PI * 1e6, -TWO_PI * 26e6)
+        with pytest.raises(DispersiveValidityError):
+            simulate_flythrough(ensemble261, cavity, close, 0.0, cavity.kappa)
+
     def test_transit_decay_reduces_late_shift(self, cavity, ensemble261, transitions):
         times = np.linspace(0, cavity.length_z / ensemble261.velocity, 2001)
         with_decay = fly_through_shift_trace(ensemble261, cavity, transitions, times)
@@ -197,3 +214,9 @@ class TestPhaseChange:
         with pytest.raises(WindowConfigError):
             reference_phase(trace, (11e-6, 12e-6))
         assert reference_phase(trace, (6e-6, 9e-6), transit_end=5e-6) == 0.0
+
+    def test_empty_window_named(self):
+        times = np.arange(11) * 1e-6
+        assert window_samples(times, (2e-6, 5e-6), "signal window").sum() == 4
+        with pytest.raises(WindowConfigError, match=r"t_max window \[2\.1e-06, 2\.2e-06\]"):
+            window_samples(times, (2.1e-6, 2.2e-6), "t_max window")
