@@ -10,6 +10,7 @@ __version__ = "1.0.0"
 from .core import (
     SingularityError,
     cavity_phase,
+    cloud_mode_average,
     coupling,
     critical_photon_number,
     dispersive_shift,

@@ -31,6 +31,27 @@ def coupling(z, cavity: CavitySpec):
     return g
 
 
+def _gaussian_sin_sq(a, x, sigma):
+    """E[sin^2(a (x + d) / 2)] for a Gaussian displacement d of std sigma.
+
+    Uses E[cos(a(x + d))] = cos(a x) exp(-a^2 sigma^2 / 2).
+    """
+    return 0.5 * (1.0 - np.cos(a * x) * np.exp(-0.5 * (a * sigma) ** 2))
+
+
+def cloud_mode_average(z, cavity: CavitySpec, sigma_z, sigma_x):
+    """Squared mode profile averaged over a Gaussian cloud centered at z.
+
+    E[sin^2(p pi z / L)] E[sin^2(pi x / W)], closed form, with the cloud
+    spread sigma_z along the beam and sigma_x transverse around the
+    transverse antinode x = W/2.  Equals mode_amplitude(z)^2 for a point
+    cloud.
+    """
+    axial = _gaussian_sin_sq(2.0 * cavity.mode_antinodes * np.pi / cavity.length_z, z, sigma_z)
+    transverse = _gaussian_sin_sq(2.0 * np.pi / cavity.width_x, cavity.width_x / 2.0, sigma_x)
+    return axial * transverse
+
+
 def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
                      decay_s=1.0, decay_p=1.0):
     """Two-transition dispersive shift of the cavity frequency, rad/s.

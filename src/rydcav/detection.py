@@ -9,6 +9,8 @@ import numpy as np
 from .params import McpModel, NoiseChain, ProbeConfig
 from .transmission import ComplexTrace, WindowConfigError, window_samples
 
+BAND_TOLERANCE = 0.05  # relative widening of [beta_p, beta_s] before a ratio is flagged
+
 
 class SnrValidityError(ValueError):
     """SNR too small for the Gaussian phase-noise limit."""
@@ -57,18 +59,21 @@ def phase_change_sigma(n_c, chi, kappa, kappa_out, probe: ProbeConfig, noise: No
 
 
 def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_crit):
-    """Single-transition analytic atom-number precision.
+    """Single-transition analytic atom-number precision, as published.
 
-    sigma_N = (kappa/g) sqrt(beta n_noise / (2 kappa_out tau_i))
-              * sqrt(1 + n_crit/n_c),  beta = 1 + 1/alpha.
+    sigma_N = (kappa/g) sqrt(beta (n_c + n_crit) / (2 R)),  beta = 1 + 1/alpha,
+    with R = :func:`snr`.  Propagating sigma_dphi = sqrt(beta/R) (the
+    :func:`phase_change_precision` limit for 2 chi << kappa) through
+    N = chi / chi_1 gives the same expression without the factor 1/2
+    under the root: the published 1/2 is the one difference, and it makes
+    this value sqrt(2) smaller than the simulated scatter.
     """
     n_c = np.asarray(n_c, dtype=float)
     if np.any(n_c == 0):
         raise ZeroDivisionError("n_c = 0 in atom_number_precision")
     beta = 1.0 + 1.0 / alpha
-    out = (kappa / g) * np.sqrt(beta * n_noise / (2.0 * kappa_out * tau_i)) * np.sqrt(
-        1.0 + n_crit / n_c
-    )
+    r = snr(n_c, kappa_out, tau_i, n_noise)
+    out = (kappa / g) * np.sqrt(beta * (n_c + n_crit) / (2.0 * r))
     return out if out.ndim else float(out)
 
 
@@ -87,7 +92,6 @@ def simulate_phase_shot(
     kappa_out: float,
     signal_window=None,
     reference_window=None,
-    transit_end=None,
 ):
     """One stochastic phase-change measurement, in degrees.
 
@@ -106,14 +110,12 @@ def simulate_phase_shot(
         signal_window = (times[i] - probe.tau_i / 2.0, times[i] + probe.tau_i / 2.0)
     if reference_window is None:
         reference_window = (times[-1] - probe.alpha * probe.tau_i, times[-1])
-    if transit_end is not None and reference_window[0] < transit_end:
-        raise WindowConfigError("reference window overlaps the atom transit")
     if reference_window[0] < signal_window[1]:
         raise WindowConfigError("reference window overlaps the signal window")
 
-    # per-sample per-quadrature noise std: window average of n = tau/dt
-    # samples then has phase variance n_noise/(n_c kappa_out n dt) = 1/R
-    sigma_q = np.sqrt(noise.n_noise / (probe.n_c * kappa_out * dt))
+    # per-quadrature noise std of one sample at SNR R(dt): the mean of
+    # n = tau/dt samples then has quadrature and phase variance 1/R(tau)
+    sigma_q = 1.0 / np.sqrt(snr(probe.n_c, kappa_out, dt, noise.n_noise))
 
     values = true_trace.values
     sig = window_samples(times, signal_window, "signal window")
@@ -193,18 +195,19 @@ def mcp_signal(n_s, n_p, model: McpModel, rng):
     return s1, s2
 
 
-def p_fraction_from_ratio(s_r, model: McpModel, band_tolerance=0.05):
+def p_fraction_from_ratio(s_r, model: McpModel):
     """Preparation-time p fraction from the window ratio S_r = S2/S1.
 
     Inverts the two-window model including the s/p decay imbalance over
     the microwave-to-detection delay.  Values outside the physical band
-    [beta_p, beta_s] (widened by ``band_tolerance`` relative) are clipped
-    and flagged instead of rejected, since single-shot noise can push S_r
-    out of band.  Returns (p_fraction, clipped_flag).
+    [beta_p, beta_s] (widened by :data:`BAND_TOLERANCE` relative) are
+    clipped and flagged instead of rejected, since single-shot noise can
+    push S_r out of band; a NaN ratio (no atom detected) gives a NaN
+    fraction.  Returns (p_fraction, clipped_flag).
     """
     s_r = np.asarray(s_r, dtype=float)
-    lo = model.beta_p * (1.0 - band_tolerance)
-    hi = model.beta_s * (1.0 + band_tolerance)
+    lo = model.beta_p * (1.0 - BAND_TOLERANCE)
+    hi = model.beta_s * (1.0 + BAND_TOLERANCE)
     clipped = (s_r < lo) | (s_r > hi)
     s = np.clip(s_r, model.beta_p, model.beta_s)
     d = model.decay_correction

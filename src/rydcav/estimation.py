@@ -11,8 +11,10 @@ import numpy as np
 
 from . import core
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
-from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, McpModel, TransitionSet
+from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
 from .transmission import simulate_flythrough
+
+DT_I = 0.3e-6  # s, length of the intracavity spectroscopy pulse
 
 
 class UnidentifiableError(ValueError):
@@ -43,7 +45,7 @@ def spectroscopy_transfer(omega_i, delta_i, dt_i):
 # trace fits
 
 
-def _interp_model_phase(params, times, ensemble, cavity, transitions, delta_m, kappa, **kw):
+def _interp_model_phase(params, ensemble, cavity, transitions, delta_m, kappa, **kw):
     ens = replace(
         ensemble,
         n_atoms=params.get("n_atoms", ensemble.n_atoms),
@@ -74,7 +76,7 @@ def fit_entry_time(
 
     def model(params, _x):
         trace, dphi = _interp_model_phase(
-            params, times, ensemble, cavity, transitions, delta_m, kappa, **model_kw
+            params, ensemble, cavity, transitions, delta_m, kappa, **model_kw
         )
         return np.interp(times, trace.times, dphi)
 
@@ -91,10 +93,10 @@ def fit_atom_number(
     cavity: CavitySpec,
     transitions: TransitionSet,
     kappa: float,
-    init_n: float = None,
     **model_kw,
 ) -> FitResult:
-    """Joint amplitude+phase fit of the fly-through model with N free.
+    """Joint amplitude+phase fit of the fly-through model with N free,
+    started from ``ensemble.n_atoms``.
 
     ``traces`` is a list of dicts with keys delta_m, times, amplitude,
     phase (radians, referenced model output: unwrapped transmission
@@ -114,7 +116,7 @@ def fit_atom_number(
         out = []
         for tr in traces:
             trace, _ = _interp_model_phase(
-                params, None, ensemble, cavity, transitions, tr["delta_m"], kappa,
+                params, ensemble, cavity, transitions, tr["delta_m"], kappa,
                 **model_kw,
             )
             t = np.asarray(tr["times"], dtype=float)
@@ -122,7 +124,7 @@ def fit_atom_number(
             out.append(np.interp(t, trace.times, np.unwrap(trace.phase)))
         return np.concatenate(out)
 
-    init = {"n_atoms": float(init_n if init_n is not None else ensemble.n_atoms)}
+    init = {"n_atoms": float(ensemble.n_atoms)}
     try:
         return least_squares_fit(
             model, (None, y, sig), init, bounds={"n_atoms": (0.0, np.inf)}
@@ -244,12 +246,6 @@ def fit_rabi_calibration(theta, s1, s2, sr, mcp: McpModel, sigma=None) -> FitRes
 # spectroscopy
 
 
-def _decayed_p_fraction(p_prep, interval, tau_s, tau_p):
-    s = (1.0 - p_prep) * np.exp(-interval / tau_s)
-    p = p_prep * np.exp(-interval / tau_p)
-    return p / (s + p)
-
-
 def spectroscopy_spectrum(
     freqs,
     prep_ratio,
@@ -259,29 +255,22 @@ def spectroscopy_spectrum(
     omega_i_minus,
     f_plus,
     f_minus,
-    prep_dt=0.4e-6,
-    dt_i=0.3e-6,
-    decay_interval=0.0,
-    tau_s=TAU_S,
-    tau_p=TAU_P,
 ):
     """P_p after the spectroscopy pulse vs its frequency, for a given
     preparation Rabi ratio Omega/Omega_pi.
 
-    Combines the preparation transfer sin^2(dt Omega / 2), decay between
-    the pulses, the sublevel fractions inside the cavity, and the per-line
-    spectroscopy transfer.
+    Combines the preparation transfer sin^2(pi r / 2), the sublevel
+    fractions inside the cavity, and the per-line spectroscopy transfer
+    of a :data:`DT_I` pulse.
     """
     freqs = np.asarray(freqs, dtype=float)
-    omega_prep = prep_ratio * np.pi / prep_dt
-    p_prep = np.sin(prep_dt * omega_prep / 2.0) ** 2
-    p_frac = _decayed_p_fraction(p_prep, decay_interval, tau_s, tau_p)
+    p_frac = np.sin(np.pi * prep_ratio / 2.0) ** 2
     s = 1.0 - p_frac
     pp = p_frac * p_plus
     pm = p_frac * p_minus
     p0 = p_frac * (1.0 - p_plus - p_minus)
-    t_plus = spectroscopy_transfer(omega_i_plus, 2.0 * np.pi * (freqs - f_plus), dt_i)
-    t_minus = spectroscopy_transfer(omega_i_minus, 2.0 * np.pi * (freqs - f_minus), dt_i)
+    t_plus = spectroscopy_transfer(omega_i_plus, 2.0 * np.pi * (freqs - f_plus), DT_I)
+    t_minus = spectroscopy_transfer(omega_i_minus, 2.0 * np.pi * (freqs - f_minus), DT_I)
     return p0 + pp * (1.0 - t_plus) + pm * (1.0 - t_minus) + s * (t_plus + t_minus)
 
 
@@ -303,24 +292,13 @@ def find_line_centers(freqs, spectrum, n_lines=2):
     return centers
 
 
-def fit_spectroscopy(
-    freqs,
-    spectra,
-    prep_ratios,
-    prep_dt=0.4e-6,
-    dt_i=0.3e-6,
-    decay_interval=0.0,
-    tau_s=TAU_S,
-    tau_p=TAU_P,
-    sigma=None,
-    seeds=8,
-) -> FitResult:
+def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
     """Joint fit of a ladder of spectra for the sublevel populations.
 
     ``spectra`` is a list of P_p arrays over ``freqs``, one per
     preparation amplitude in ``prep_ratios`` (Omega/Omega_pi, must include
     a 0 baseline).  The two intracavity Rabi frequencies are independent
-    parameters.  Multi-start with ``seeds`` perturbed inits.
+    parameters.  Multi-start from 8 perturbed inits.
     """
     prep_ratios = list(prep_ratios)
     if 0.0 not in prep_ratios:
@@ -341,8 +319,6 @@ def fit_spectroscopy(
                 params["p_plus"], params["p_minus"],
                 params["omega_i_plus"], params["omega_i_minus"],
                 params["f_plus"], params["f_minus"],
-                prep_dt=prep_dt, dt_i=dt_i, decay_interval=decay_interval,
-                tau_s=tau_s, tau_p=tau_p,
             )
             for r in prep_ratios
         ]
@@ -352,21 +328,21 @@ def fit_spectroscopy(
     init = {
         "p_plus": 0.5,
         "p_minus": 0.25,
-        "omega_i_plus": 0.8 * np.pi / dt_i,
-        "omega_i_minus": 0.8 * np.pi / dt_i,
+        "omega_i_plus": 0.8 * np.pi / DT_I,
+        "omega_i_minus": 0.8 * np.pi / DT_I,
         "f_plus": f_plus0,
         "f_minus": f_minus0,
     }
     bounds = {
         "p_plus": (0.0, 1.0),
         "p_minus": (0.0, 1.0),
-        "omega_i_plus": (1e-3 * np.pi / dt_i, 4.0 * np.pi / dt_i),
-        "omega_i_minus": (1e-3 * np.pi / dt_i, 4.0 * np.pi / dt_i),
+        "omega_i_plus": (1e-3 * np.pi / DT_I, 4.0 * np.pi / DT_I),
+        "omega_i_minus": (1e-3 * np.pi / DT_I, 4.0 * np.pi / DT_I),
         "f_plus": (f_plus0 - 0.2 * span, f_plus0 + 0.2 * span),
         "f_minus": (f_minus0 - 0.2 * span, f_minus0 + 0.2 * span),
     }
     spreads = {"p_plus": 0.3, "p_minus": 0.3, "omega_i_plus": 0.2, "omega_i_minus": 0.2}
-    return multi_start_fit(model, (None, y, sig), init, spreads, bounds=bounds, seeds=seeds)
+    return multi_start_fit(model, (None, y, sig), init, spreads, bounds=bounds, seeds=8)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +357,10 @@ def predict_superposition_phase(
     kappa: float,
     p_plus: float = 1.0,
     p_minus: float = 0.0,
-    delta_m: float = 0.0,
-    t_eval_offset: float = None,
     **model_kw,
 ):
-    """Phase change at t_max for an ensemble prepared with Rabi ratio
-    Omega/Omega_pi.
+    """Resonant-probe phase change at t_max = t_cen + 2/kappa for an
+    ensemble prepared with Rabi ratio Omega/Omega_pi.
 
     The transferred p population is distributed over the sublevels with
     fractions (p_plus, p_minus, remainder to m_l = 0): a pure p,+1 map is
@@ -400,9 +374,7 @@ def predict_superposition_phase(
         p_p_minus=p_prep * p_minus,
         p_p_zero=p_prep * (1.0 - p_plus - p_minus),
     )
-    trace, dphi = simulate_flythrough(ens, cavity, transitions, delta_m, kappa, **model_kw)
+    trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa, **model_kw)
     transit = cavity.length_z / ens.velocity
-    if t_eval_offset is None:
-        t_eval_offset = 2.0 / kappa
-    t_eval = ens.entry_time + transit / 2.0 + t_eval_offset
+    t_eval = ens.entry_time + transit / 2.0 + 2.0 / kappa
     return float(np.interp(t_eval, trace.times, dphi))

@@ -25,6 +25,7 @@ from .params import (
 from .transmission import simulate_flythrough, steady_transmission, window_samples
 
 BLOCK_SIZE = 4096
+N_REF = 500.0  # atom number of the precision-versus-photon-number curve
 
 
 def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
@@ -139,30 +140,18 @@ def fourth_order_error(g, n_atoms, delta_plus, delta_minus):
     )
 
 
-def pointlike_correction(sigma_z, sigma_x, cavity: CavitySpec, n_quad=2001):
+def pointlike_correction(sigma_z, sigma_x, cavity: CavitySpec):
     """Relative deviation of the Gaussian-weighted <g^2> from g^2 at the
-    cloud center (nearest antinode), by numerical quadrature over the
-    mode shape.  Negative: a spread-out cloud couples more weakly.
+    cloud center (the antinode nearest the cavity center), from
+    :func:`rydcav.core.cloud_mode_average`.  Negative: a spread-out cloud
+    couples more weakly.
     """
     if sigma_z < 0 or sigma_x < 0:
         raise ValueError("cloud sizes must be >= 0")
     p = cavity.mode_antinodes
-    length = cavity.length_z
-    # antinode closest to the cavity center
     k = int(np.round(p / 2.0 - 0.5))
-    z0 = (2 * k + 1) * length / (2.0 * p)
-
-    def gaussian_avg(profile_sq, x0, sigma):
-        if sigma == 0:
-            return profile_sq(x0)
-        x = np.linspace(-6 * sigma, 6 * sigma, n_quad)
-        w = np.exp(-0.5 * (x / sigma) ** 2)
-        return np.trapezoid(w * profile_sq(x0 + x), x) / np.trapezoid(w, x)
-
-    axial = gaussian_avg(lambda z: np.sin(p * np.pi * z / length) ** 2, z0, sigma_z)
-    wx = cavity.width_x
-    transverse = gaussian_avg(lambda x: np.sin(np.pi * x / wx) ** 2, wx / 2.0, sigma_x)
-    return float(axial * transverse - 1.0)
+    z0 = (2 * k + 1) * cavity.length_z / (2.0 * p)
+    return float(core.cloud_mode_average(z0, cavity, sigma_z, sigma_x) - 1.0)
 
 
 def interaction_shift(spacing, coefficient_mhz_um, order):
@@ -262,14 +251,13 @@ def run_flythrough(scenario: Scenario) -> dict:
     return out
 
 
-def phase_at_tmax(scenario: Scenario, n_atoms: float, window=1e-6, **extra) -> float:
+def phase_at_tmax(scenario: Scenario, n_atoms: float, window=1e-6) -> float:
     """Model phase change at t_max = t_cen + 2/kappa, averaged over a
     window, for an s-state cloud of the given size."""
     kappa = scenario.kappa
     ens = replace(scenario.ensemble, n_atoms=n_atoms)
     trace, dphi = simulate_flythrough(
-        ens, scenario.cavity, scenario.transitions, 0.0, kappa,
-        **scenario.flags.model_kw, **extra,
+        ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.flags.model_kw
     )
     transit = scenario.cavity.length_z / ens.velocity
     t_max = ens.entry_time + transit / 2.0 + 2.0 / kappa
@@ -420,8 +408,7 @@ def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
     s1, s2 = detection.mcp_signal(n_prep, np.zeros_like(n_prep), scenario.mcp, rng)
     with np.errstate(invalid="ignore", divide="ignore"):
         s_r = np.where(s1 > 0, s2 / np.where(s1 > 0, s1, 1.0), np.nan)
-    p_p, _ = detection.p_fraction_from_ratio(np.nan_to_num(s_r, nan=scenario.mcp.beta_s),
-                                             scenario.mcp)
+    p_p, _ = detection.p_fraction_from_ratio(s_r, scenario.mcp)
     return n_prep, dphi_meas, n_est, s1, s2, s_r, p_p
 
 
@@ -481,15 +468,15 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     }
 
 
-def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None, n_ref=500.0):
-    """Analytic sigma_dphi and sigma_N versus photon number, with the
-    digitizer floor included."""
+def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None):
+    """Analytic sigma_dphi and sigma_N versus photon number at
+    :data:`N_REF` atoms, with the digitizer floor included."""
     if chi1 is None or n_crit is None:
         chi1, n_crit = _effective_chi_per_atom(scenario)
     kappa = scenario.kappa
     grid = scenario.flags.photon_grid
     n_c = np.asarray(np.geomspace(1e3, 1e6, 31) if grid is None else grid, dtype=float)
-    chi = core.power_dependent_shift(chi1 * n_ref, n_c, n_crit)
+    chi = core.power_dependent_shift(chi1 * N_REF, n_c, n_crit)
     sigma_dphi = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
                                               scenario.probe, scenario.noise)
     sigma_n = sigma_dphi * kappa * core.power_reduction(n_c, n_crit) / (2.0 * chi1)
@@ -497,5 +484,5 @@ def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None, n_ref
         "n_c": n_c,
         "sigma_dphi_rad": sigma_dphi,
         "sigma_n": sigma_n,
-        "n_ref": n_ref,
+        "n_ref": N_REF,
     }

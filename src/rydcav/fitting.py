@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = np.finfo(float).eps
+FTOL = 1e-12  # relative cost drop below which a step counts as converged
+GTOL = 1e-8  # gradient inf-norm, relative to max(residual norm, 1)
+LAM0 = 1e-3  # initial damping
+MAX_ITERATIONS = 200
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -46,15 +50,14 @@ class FitResult:
         }
 
 
-def finite_difference_jacobian(fn, p, rel_step=None):
-    """Central-difference Jacobian of fn(p) with adaptive per-parameter step."""
+def finite_difference_jacobian(fn, p):
+    """Central-difference Jacobian of fn(p), step sqrt(eps) max(|p_i|, 1)."""
     p = np.asarray(p, dtype=float)
     f0 = np.asarray(fn(p), dtype=float)
     m = p.size
     jac = np.empty((f0.size, m))
-    base = np.sqrt(_EPS) if rel_step is None else rel_step
     for i in range(m):
-        h = base * max(abs(p[i]), 1.0)
+        h = np.sqrt(_EPS) * max(abs(p[i]), 1.0)
         pp = p.copy()
         pm = p.copy()
         pp[i] += h
@@ -65,14 +68,7 @@ def finite_difference_jacobian(fn, p, rel_step=None):
     return jac
 
 
-def least_squares_fit(
-    model_fn,
-    data,
-    init,
-    bounds=None,
-    tolerances=None,
-    max_iterations=200,
-):
+def least_squares_fit(model_fn, data, init, bounds=None):
     """Fit ``model_fn(params_dict, x) -> y_model`` to data by weighted
     least squares.
 
@@ -83,8 +79,9 @@ def least_squares_fit(
     init : dict of parameter name -> starting value (defines the order).
     bounds : optional dict name -> (lo, hi); enforced by projecting trial
         steps into the box.
-    tolerances : optional dict with keys ftol (relative cost change),
-        gtol (gradient inf-norm) and lam0 (initial damping).
+
+    Stops after :data:`MAX_ITERATIONS`, or converged on a relative cost
+    drop below :data:`FTOL` or a gradient below :data:`GTOL`.
 
     Returns a :class:`FitResult`; the covariance is the inverse of the
     weighted normal matrix at the optimum, scaled by the residual variance.
@@ -112,29 +109,25 @@ def least_squares_fit(
     if y.size < p.size:
         raise ValueError("need at least as many data points as parameters")
 
-    tol = {"ftol": 1e-12, "gtol": 1e-8, "lam0": 1e-3}
-    if tolerances:
-        tol.update(tolerances)
-
     def residuals(pv):
         pd = dict(zip(names, pv))
         return (np.asarray(model_fn(pd, x), dtype=float).ravel() - y) * w
 
     r = residuals(p)
     cost = float(r @ r)
-    lam = tol["lam0"]
+    lam = LAM0
     cost_trace = [cost]
     converged = False
     it = 0
     jac = None
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         jac = finite_difference_jacobian(residuals, p)
         g = jac.T @ r
         jtj = jac.T @ jac
         # characteristic residual scale for the gradient test
         gnorm = float(np.max(np.abs(g)))
         gscale = max(np.sqrt(cost), 1.0)
-        if gnorm <= tol["gtol"] * gscale:
+        if gnorm <= GTOL * gscale:
             converged = True
             break
         diag = np.diag(jtj).copy()
@@ -155,7 +148,7 @@ def least_squares_fit(
                 lam = max(lam / 3.0, 1e-14)
                 cost_trace.append(cost)
                 improved = True
-                if rel_drop < tol["ftol"]:
+                if rel_drop < FTOL:
                     converged = True
                 break
             lam *= 10.0
@@ -166,7 +159,7 @@ def least_squares_fit(
         jac = finite_difference_jacobian(residuals, p)
     # final gradient check drives the converged flag
     g = jac.T @ r
-    if float(np.max(np.abs(g))) <= tol["gtol"] * max(np.sqrt(cost), 1.0):
+    if float(np.max(np.abs(g))) <= GTOL * max(np.sqrt(cost), 1.0):
         converged = True
 
     jtj = jac.T @ jac
@@ -196,7 +189,7 @@ def least_squares_fit(
     )
 
 
-def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_seed=0, **kw):
+def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_seed=0):
     """Run :func:`least_squares_fit` from ``seeds`` (>= 1) perturbed starts.
 
     ``spreads`` maps parameter names to the relative perturbation applied
@@ -215,7 +208,7 @@ def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_see
                 if bounds and name in bounds:
                     start[name] = float(np.clip(start[name], *bounds[name]))
         try:
-            res = least_squares_fit(model_fn, data, start, bounds=bounds, **kw)
+            res = least_squares_fit(model_fn, data, start, bounds=bounds)
         except (RankDeficiencyError, np.linalg.LinAlgError):
             continue
         if best is None or res.residual_norm < best.residual_norm:

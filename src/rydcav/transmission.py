@@ -21,6 +21,8 @@ from . import core
 from .kernels import response_filter
 from .params import CavitySpec, EnsembleState, TransitionSet
 
+PAD = 8e-6  # s of empty cavity before and after a simulated transit
+
 
 class GridAccuracyError(ValueError):
     """Time grid too coarse for the requested cavity linewidth."""
@@ -113,17 +115,6 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
     return ComplexTrace.from_complex(shift.times, (kappa / 2.0) * b)
 
 
-def _gaussian_mode_sq_average(x, half_width, antinodes, sigma):
-    """Gaussian average of sin^2(p pi x / W) over position spread sigma.
-
-    Uses E[cos(a(x + d))] = cos(a x) exp(-a^2 sigma^2 / 2), exact for a
-    Gaussian displacement d.
-    """
-    a = 2.0 * antinodes * np.pi / half_width
-    damp = np.exp(-0.5 * (a * sigma) ** 2)
-    return 0.5 * (1.0 - np.cos(a * x) * damp)
-
-
 def fly_through_shift_trace(
     ensemble: EnsembleState,
     cavity: CavitySpec,
@@ -137,8 +128,8 @@ def fly_through_shift_trace(
     Populations are referenced to the cavity-center time; with
     ``transit_decay`` each state's atom number decays with its radiative
     lifetime during the transit.  With ``extended_cloud`` the squared
-    coupling is replaced by its Gaussian-weighted average over the cloud
-    sizes (sigma_z along the beam, sigma_x transverse).  chi is
+    coupling is replaced by :func:`rydcav.core.cloud_mode_average` over the
+    cloud sizes (sigma_z along the beam, sigma_x transverse).  chi is
     :func:`rydcav.core.dispersive_shift`, so every detuning the trace
     samples must satisfy |Delta| > 10 g sqrt(N).
     """
@@ -152,12 +143,8 @@ def fly_through_shift_trace(
 
     z = np.clip(t_c * ensemble.velocity, 0.0, cavity.length_z)
     if extended_cloud:
-        gsq = cavity.g_max ** 2 * cavity.mode_correction * _gaussian_mode_sq_average(
-            z, cavity.length_z, cavity.mode_antinodes, ensemble.sigma_z
-        )
-        # transverse factor: atoms centered on the transverse antinode
-        ax = np.pi / cavity.width_x
-        g = np.sqrt(gsq * 0.5 * (1.0 + np.exp(-2.0 * (ax * ensemble.sigma_x) ** 2)))
+        g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
+            z, cavity, ensemble.sigma_z, ensemble.sigma_x))
     else:
         g = core.coupling(z, cavity)
 
@@ -178,30 +165,24 @@ def simulate_flythrough(
     delta_m: float,
     kappa: float,
     dt: float = None,
-    pad: float = 8e-6,
     transit_decay: bool = True,
     extended_cloud: bool = False,
-    n_c: float = None,
-    n_crit: float = None,
 ):
     """Full fly-through transmission model.
 
-    Builds the chi(t) trace over the transit (with ``pad`` seconds of
-    padding on both sides), optionally dresses it by the power dependence
-    chi/sqrt(1 + n_c/n_crit), and integrates the cavity response.
+    Builds the chi(t) trace over the transit, with :data:`PAD` seconds of
+    empty cavity on both sides, and integrates the cavity response.
     Returns (ComplexTrace, dphi_deg) where dphi is referenced to the
     empty-cavity phase.
     """
     if dt is None:
         dt = (2.0 / kappa) / 27.0
     transit = cavity.length_z / ensemble.velocity
-    times = np.arange(ensemble.entry_time - pad, ensemble.entry_time + transit + pad, dt)
+    times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + transit + PAD, dt)
     shift = fly_through_shift_trace(
         ensemble, cavity, transitions, times,
         transit_decay=transit_decay, extended_cloud=extended_cloud,
     )
-    if n_c is not None and n_crit is not None:
-        shift = ShiftTrace(shift.times, core.power_dependent_shift(shift.chi, n_c, n_crit))
     trace = transmission_response(shift, delta_m, kappa)
     ref = float(np.angle(steady_transmission(0.0, delta_m, kappa)))
     return trace, phase_change(trace, ref)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydcav import (
+    CavitySpec,
     DispersiveValidityError,
     EnsembleState,
     core,
@@ -190,6 +191,50 @@ def test_readout_formulas_have_one_home():
     assert homes("np.arctan(") == homes("np.tan(") == ["core.py"]
     assert homes("digitizer_phase_floor ** 2") == ["detection.py"]
     assert homes("57.2e-6") == homes("102.6e-6") == ["params.py"]
+    # the Gaussian cloud average is closed form, in core only; the SNR
+    # R = n_c kappa_out tau / n_noise is written only in detection.snr
+    assert homes("np.trapezoid(") == []
+    assert homes("exp(-0.5 * (a * sigma") == ["core.py"]
+    assert homes("n_noise /") == []
+
+
+def _quadrature_mode_average(z, cavity, sigma_z, sigma_x, n_quad=2001):
+    """Trapezoid Gaussian average of the squared mode profile, +-6 sigma."""
+
+    def gaussian_avg(profile_sq, x0, sigma):
+        if sigma == 0:
+            return profile_sq(x0)
+        x = np.linspace(-6 * sigma, 6 * sigma, n_quad)
+        w = np.exp(-0.5 * (x / sigma) ** 2)
+        return np.trapezoid(w * profile_sq(x0 + x), x) / np.trapezoid(w, x)
+
+    p, length, wx = cavity.mode_antinodes, cavity.length_z, cavity.width_x
+    axial = gaussian_avg(lambda u: np.sin(p * np.pi * u / length) ** 2, z, sigma_z)
+    transverse = gaussian_avg(lambda u: np.sin(np.pi * u / wx) ** 2, wx / 2.0, sigma_x)
+    return axial * transverse
+
+
+class TestCloudModeAverage:
+    def test_point_cloud_is_mode_squared(self, cavity):
+        z = np.linspace(0.0, cavity.length_z, 101)
+        np.testing.assert_allclose(core.cloud_mode_average(z, cavity, 0.0, 0.0),
+                                   core.mode_amplitude(z, cavity) ** 2, atol=1e-15)
+
+    @given(
+        p=st.integers(1, 3),
+        z_frac=st.floats(0.0, 1.0),
+        # the quadrature oracle underflows for sub-nanometre clouds
+        sigma_z=st.just(0.0) | st.floats(1e-9, 3e-3),
+        sigma_x=st.just(0.0) | st.floats(1e-9, 2e-3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_quadrature(self, p, z_frac, sigma_z, sigma_x):
+        cav = CavitySpec(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3,
+                         kappa_out=TWO_PI * 150e3, length_z=0.014, g_max=TWO_PI * 14.3e3,
+                         mode_antinodes=p)
+        z = z_frac * cav.length_z
+        assert core.cloud_mode_average(z, cav, sigma_z, sigma_x) == pytest.approx(
+            _quadrature_mode_average(z, cav, sigma_z, sigma_x), abs=1e-7)
 
 
 class TestCriticalPhotonNumber:

@@ -10,6 +10,7 @@ from rydcav import (
     NoiseChain,
     ProbeConfig,
     atom_number_precision,
+    core,
     mcp_relative_precision,
     mcp_signal,
     p_fraction_from_ratio,
@@ -180,6 +181,36 @@ class TestSimulatePhaseShot:
             simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
                                 signal_window=(0, 20e-6),
                                 reference_window=(10e-6, 39e-6))
+
+
+class TestNoiseModel:
+    """The per-sample simulator, the batch sampler and the closed form are
+    one phase-noise model: at the operating point (500 atoms on one
+    effective transition, n_c = 5.9e4) their sigma_dphi agree."""
+
+    def test_three_sigmas_agree_at_operating_point(self, probe, noise):
+        g, n_crit = TWO_PI * 12.9e3, 4.4e4
+        chi = core.power_dependent_shift(500 * g / (2.0 * np.sqrt(n_crit)), probe.n_c, n_crit)
+        dt = 5e-8
+        trace = _steady_trace(chi, dt=dt)
+        # windows of exactly tau_i / dt and alpha tau_i / dt samples
+        signal = (-dt / 2, probe.tau_i - dt / 2)
+        reference = (15e-6 - dt / 2, 15e-6 + probe.alpha * probe.tau_i - dt / 2)
+        rng = np.random.default_rng(11)
+        per_sample = np.std([
+            simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
+                                signal_window=signal, reference_window=reference)
+            for _ in range(5000)
+        ], ddof=1)
+        dphi = core.cavity_phase(chi, KAPPA)
+        batch = np.std(simulate_phase_shot_batch(
+            np.full(200_000, dphi), np.cos(dphi), probe, noise, np.random.default_rng(12),
+            KAPPA_OUT), ddof=1)
+        r = snr(probe.n_c, KAPPA_OUT, probe.tau_i, noise.n_noise)
+        closed = np.degrees(phase_change_precision(r, chi, KAPPA, probe.alpha))
+        assert per_sample == pytest.approx(closed, rel=0.03)
+        assert batch == pytest.approx(closed, rel=0.03)
+        assert per_sample == pytest.approx(batch, rel=0.03)
 
 
 class TestBatchShots:

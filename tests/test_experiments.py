@@ -323,6 +323,28 @@ class TestCampaign:
         rel = out["per_setting"][0]["sigma_n_rel_mcp"]
         assert rel == pytest.approx(4.65e-2, rel=0.05)
 
+    def test_no_detection_gives_nan_p_fraction(self, cavity):
+        # at one atom per cloud the MCP often detects nothing: S2/S1 is
+        # undefined there, and so is the p fraction
+        out = run_single_shot_campaign(campaign_scenario(cavity, BLOCK_SIZE, sweep=(1, 500)))
+        rec = out["records"]
+        no_atom = rec["s1"] == 0
+        assert np.count_nonzero(no_atom) > 0
+        np.testing.assert_array_equal(np.isnan(rec["p_p"]), no_atom)
+
+    @pytest.mark.parametrize("two_transitions, floor", [(False, 0.0), (True, 9.88e-3)])
+    def test_sigma_n_matches_propagated_noise_model(self, cavity, two_transitions, floor):
+        # the criterion 5b (one transition, no floor) and 5c scenarios: the
+        # simulated scatter is the phase-noise model propagated to atoms
+        sc = make_scenario(
+            cavity, n_atoms=500, shots=20_000, sweep_values=[500], master_seed=14,
+            noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions,
+                        transition_spacing=TWO_PI * 18e6, photon_grid=[5.9e4]),
+        )
+        sim = run_single_shot_campaign(sc)["per_setting"][0]["sigma_n_cavity"]
+        assert sim == pytest.approx(precision_vs_photon_number(sc)["sigma_n"][0], rel=0.04)
+
 
 class TestPrecisionCurve:
     def test_floor_dominates_at_high_power_without_floor_decreases(self, cavity):

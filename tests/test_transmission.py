@@ -12,6 +12,7 @@ from rydcav import (
     ShiftTrace,
     fly_through_shift_trace,
     phase_change,
+    pointlike_correction,
     reference_phase,
     simulate_flythrough,
     steady_transmission,
@@ -167,6 +168,16 @@ class TestFlyThrough:
         )
         reduction = ext.chi.max() / point.chi.max() - 1.0
         assert reduction == pytest.approx(-0.033, abs=0.004)
+        # the trace and the trueness item share one closed-form cloud average
+        assert reduction == pytest.approx(pointlike_correction(0.6e-3, 0.3e-3, cavity),
+                                          rel=1e-12)
+
+    def test_power_dressing_is_not_a_flythrough_option(self, cavity, ensemble261,
+                                                       transitions):
+        # power dependence lives in core.power_reduction; n_c alone used to
+        # be accepted and silently ignored
+        with pytest.raises(TypeError):
+            simulate_flythrough(ensemble261, cavity, transitions, 0.0, cavity.kappa, n_c=5.9e4)
 
     def test_detuning_crossing_zero_in_cavity_rejected(self, cavity, ensemble261):
         # both profile samples lie 10 MHz away, but between them the trace
