@@ -2,10 +2,12 @@
 
 Subcommands: ``simulate`` (figure-style scenario datasets), ``fit``
 (estimators run on data generated from the same config), ``campaign``
-(single-shot Monte Carlo), ``trueness`` (systematic error budget).
+(single-shot Monte Carlo), ``trueness`` (systematic error budget).  The
+config's ``scenario.type`` picks the run: :data:`TASKS` holds one task per
+supported (command, type) pair, and every other pair is a config error.
 
-Exit codes: 0 success, 1 runtime/model failure, 2 invalid config,
-3 usage error.
+Exit codes: 0 success, 1 runtime/model failure, 2 invalid config or a
+(command, type) pair without a task, 3 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimation, experiments
+from . import __version__, detection, estimation, experiments, transmission
 from .configio import ConfigError, RunManifest, load_scenario, write_csv, write_json
 
 EXIT_OK = 0
@@ -51,170 +53,136 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default: cwd, or ${OUT_DIR_ENV})")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for campaign blocks")
+        if name == "campaign":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for campaign blocks")
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# ---------------------------------------------------------------------------
+# tasks: each returns {file name: CSV columns (.csv) or JSON payload (.json)}
 
 
-def _trace_columns(tr):
+def _simulate_flythrough(scenario):
+    res = experiments.run_flythrough(scenario)
+    files = {
+        f"trace_{'resonant' if tr['delta_m'] == 0 else 'detuned'}.csv": {
+            "time_s": tr["times"], "amplitude": tr["amp"],
+            **{k: tr[k] for k in ("phase_rad", "dphi_deg", "damp", "inst_dphi_deg", "inst_damp")},
+        }
+        for tr in res["traces"]
+    }
+    files["summary.json"] = {
+        "name": res["name"],
+        "t_cen_s": res["t_cen"],
+        "tau_c_s": res["tau_c"],
+        "traces": [
+            {k: tr[k] for k in ("delta_m", "t_extremum", "extremum_delay", "dphi_extremum_deg")}
+            for tr in res["traces"]
+        ],
+    }
+    return files
+
+
+def _simulate_sensitivity(scenario):
+    res = experiments.run_sensitivity_sweep(scenario)
     return {
-        "time_s": tr["times"],
-        "amplitude": tr["amp"],
-        "phase_rad": tr["phase_rad"],
-        "dphi_deg": tr["dphi_deg"],
-        "damp": tr["damp"],
-        "inst_dphi_deg": tr["inst_dphi_deg"],
-        "inst_damp": tr["inst_damp"],
+        "sensitivity.csv": {
+            "n_atoms": res["n_atoms"],
+            "dphi_deg": res["dphi_deg"],
+            "mcp_signal_vns": res["mcp_signal"],
+            "n_cavity": res["n_cavity"],
+        },
+        "summary.json": {k: res[k] for k in (
+            "name", "phase_sensitivity_deg_per_atom",
+            "mcp_sensitivity_vns_per_atom", "linearity_residual_max",
+        )},
     }
 
 
-def _run_simulate(scenario, out, manifest):
-    stype = scenario.type
-    if stype == "flythrough":
-        res = experiments.run_flythrough(scenario)
-        for tr in res["traces"]:
-            tag = "resonant" if tr["delta_m"] == 0 else "detuned"
-            manifest.add(write_csv(out / f"trace_{tag}.csv", _trace_columns(tr)), out)
-        summary = {
-            "name": res["name"],
-            "t_cen_s": res["t_cen"],
-            "tau_c_s": res["tau_c"],
-            "traces": [
-                {k: tr[k] for k in ("delta_m", "t_extremum", "extremum_delay",
-                                    "dphi_extremum_deg")}
-                for tr in res["traces"]
-            ],
+def _simulate_power(scenario):
+    if len(set(scenario.sweep_values)) < len(scenario.sweep_values):
+        raise ConfigError(f"scenario.sweep_values: {scenario.sweep_values} repeats a "
+                          "value; each value names its own power_n<value>.csv")
+    res = experiments.run_power_sweep(scenario)
+    files = {
+        f"power_n{np.format_float_positional(ds['n_atoms'], trim='-')}.csv": {
+            "n_c": ds["n_c"],
+            "dphi_deg": ds["dphi_deg"],
+            "dphi_true_deg": ds["dphi_true_deg"],
+            "sigma_deg": ds["sigma_deg"],
         }
-    elif stype == "sensitivity":
-        res = experiments.run_sensitivity_sweep(scenario)
-        manifest.add(
-            write_csv(out / "sensitivity.csv", {
-                "n_atoms": res["n_atoms"],
-                "dphi_deg": res["dphi_deg"],
-                "mcp_signal_vns": res["mcp_signal"],
-                "n_cavity": res["n_cavity"],
-            }),
-            out,
-        )
-        summary = {k: res[k] for k in (
-            "name", "phase_sensitivity_deg_per_atom",
-            "mcp_sensitivity_vns_per_atom", "linearity_residual_max",
-        )}
-    elif stype == "power":
-        if len(set(scenario.sweep_values)) < len(scenario.sweep_values):
-            raise ConfigError(f"scenario.sweep_values: {scenario.sweep_values} repeats a "
-                              "value; each value names its own power_n<value>.csv")
-        res = experiments.run_power_sweep(scenario)
-        for ds in res["datasets"]:
-            tag = np.format_float_positional(ds["n_atoms"], trim="-")
-            manifest.add(
-                write_csv(out / f"power_n{tag}.csv", {
-                    "n_c": ds["n_c"],
-                    "dphi_deg": ds["dphi_deg"],
-                    "dphi_true_deg": ds["dphi_true_deg"],
-                    "sigma_deg": ds["sigma_deg"],
-                }),
-                out,
-            )
-        manifest.add(
-            write_csv(out / "excitation.csv", {
-                "n_c": res["n_c"], "excited_fraction_scaled": res["excitation"],
-            }),
-            out,
-        )
-        summary = {"name": res["name"], "n_crit_true": res["n_crit_true"],
-                   "excitation_scale": res["excitation_scale"]}
-    elif stype == "rabi":
-        res = experiments.run_rabi_scenario(scenario)
-        manifest.add(
-            write_csv(out / "rabi.csv", {
-                "rabi_ratio": res["rabi_ratio"],
-                "p_occupation": res["p_occupation"],
-                "dphi_pure_deg": res["dphi_pure_deg"],
-                "dphi_depolarized_deg": res["dphi_depolarized_deg"],
-            }),
-            out,
-        )
-        summary = {"name": res["name"]}
-    else:
-        raise ConfigError(
-            f"scenario.type: {stype!r} is not simulatable (use fit/campaign/trueness)"
-        )
-    manifest.add(write_json(out / "summary.json", summary), out)
+        for ds in res["datasets"]
+    }
+    files["excitation.csv"] = {"n_c": res["n_c"], "excited_fraction_scaled": res["excitation"]}
+    files["summary.json"] = {"name": res["name"], "n_crit_true": res["n_crit_true"],
+                             "excitation_scale": res["excitation_scale"]}
+    return files
 
 
-def _run_fit(scenario, out, manifest):
-    stype = scenario.type
-    if stype == "power":
-        res = experiments.run_power_sweep(scenario)
-        datasets = [
-            {"n_c": ds["n_c"], "dphi_deg": ds["dphi_deg"], "sigma_deg": ds["sigma_deg"]}
-            for ds in res["datasets"]
-        ]
-        fit = estimation.fit_power_dependence(datasets, scenario.kappa)
-        summary = {
-            "name": scenario.name,
-            "fit": fit.to_dict(),
-            "n_crit_true": res["n_crit_true"],
-            "n_crit_fit": fit["n_crit"],
-        }
-    elif stype == "flythrough":
-        rng = experiments.block_rng(scenario.master_seed, 0)
-        kappa = scenario.kappa
-        from .detection import phase_precision, snr
-        from .transmission import simulate_flythrough
+def _simulate_rabi(scenario):
+    res = experiments.run_rabi_scenario(scenario)
+    return {
+        "rabi.csv": {k: res[k] for k in (
+            "rabi_ratio", "p_occupation", "dphi_pure_deg", "dphi_depolarized_deg",
+        )},
+        "summary.json": {"name": res["name"]},
+    }
 
-        kw = scenario.flags.model_kw
-        trace, dphi = simulate_flythrough(
-            scenario.ensemble, scenario.cavity, scenario.transitions,
-            scenario.probe.delta_m, kappa, **kw,
-        )
-        shots = scenario.shots
-        r = float(snr(scenario.probe.n_c, scenario.cavity.kappa_out,
-                      trace.dt, scenario.noise.n_noise))
-        sigma_deg = float(np.degrees(phase_precision(r * shots)))
-        noisy = dphi + sigma_deg * rng.standard_normal(dphi.shape)
-        fit = estimation.fit_atom_number(
-            [{
-                "delta_m": scenario.probe.delta_m,
-                "times": trace.times,
-                "amplitude": trace.amplitude,
-                "phase": np.unwrap(trace.phase) + np.radians(noisy - dphi),
-                "sigma_amp": np.radians(sigma_deg),
-                "sigma_phase": np.radians(sigma_deg),
-            }],
-            scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **kw,
-        )
-        manifest.add(
-            write_csv(out / "trace_fit_input.csv", {
-                "time_s": trace.times, "dphi_deg": noisy, "dphi_model_deg": dphi,
-            }),
-            out,
-        )
-        summary = {
+
+def _fit_flythrough(scenario):
+    rng = experiments.block_rng(scenario.master_seed, 0)
+    kappa = scenario.kappa
+    kw = scenario.flags.model_kw
+    trace, dphi = transmission.simulate_flythrough(
+        scenario.ensemble, scenario.cavity, scenario.transitions,
+        scenario.probe.delta_m, kappa, **kw,
+    )
+    r = float(detection.snr(scenario.probe.n_c, scenario.cavity.kappa_out,
+                            trace.dt, scenario.noise.n_noise))
+    sigma_deg = float(np.degrees(detection.phase_precision(r * scenario.shots)))
+    noisy = dphi + sigma_deg * rng.standard_normal(dphi.shape)
+    fit = estimation.fit_atom_number(
+        [{
+            "delta_m": scenario.probe.delta_m,
+            "times": trace.times,
+            "amplitude": trace.amplitude,
+            "phase": np.unwrap(trace.phase) + np.radians(noisy - dphi),
+            "sigma_amp": np.radians(sigma_deg),
+            "sigma_phase": np.radians(sigma_deg),
+        }],
+        scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **kw,
+    )
+    return {
+        "trace_fit_input.csv": {"time_s": trace.times, "dphi_deg": noisy,
+                                "dphi_model_deg": dphi},
+        "summary.json": {
             "name": scenario.name,
             "fit": fit.to_dict(),
             "n_atoms_true": scenario.ensemble.n_atoms,
             "n_atoms_fit": fit["n_atoms"],
             "n_atoms_sigma": fit.uncertainties["n_atoms"],
-        }
-    else:
-        raise ConfigError(f"scenario.type: {stype!r} has no fit task")
-    manifest.add(write_json(out / "summary.json", summary), out)
+        },
+    }
 
 
-def _run_campaign(scenario, out, manifest, threads):
+def _fit_power(scenario):
+    res = experiments.run_power_sweep(scenario)
+    datasets = [{k: ds[k] for k in ("n_c", "dphi_deg", "sigma_deg")} for ds in res["datasets"]]
+    fit = estimation.fit_power_dependence(datasets, scenario.kappa)
+    return {"summary.json": {
+        "name": scenario.name,
+        "fit": fit.to_dict(),
+        "n_crit_true": res["n_crit_true"],
+        "n_crit_fit": fit["n_crit"],
+    }}
+
+
+def _campaign(scenario, threads):
     res = experiments.run_single_shot_campaign(scenario, threads=threads)
-    rec = res["records"]
-    manifest.add(
-        write_csv(out / "shots.csv", {
+    rec, curve = res["records"], res["photon_curve"]
+    return {
+        "shots.csv": {
             "shot_id": rec["shot_id"],
             "mean_n": rec["mean_n"],
             "n_prepared": rec["n_prep"],
@@ -225,50 +193,53 @@ def _run_campaign(scenario, out, manifest, threads):
             "s_ratio": rec["s_r"],
             "p_fraction": rec["p_p"],
             "n_mcp_estimated": rec["n_mcp_est"],
-        }),
-        out,
-    )
-    curve = res["photon_curve"]
-    manifest.add(
-        write_csv(out / "precision_vs_photon_number.csv", {
-            "n_c": curve["n_c"],
-            "sigma_dphi_rad": curve["sigma_dphi_rad"],
-            "sigma_n": curve["sigma_n"],
-        }),
-        out,
-    )
-    manifest.add(
-        write_json(out / "summary.json", {
+        },
+        "precision_vs_photon_number.csv": {k: curve[k] for k in (
+            "n_c", "sigma_dphi_rad", "sigma_n",
+        )},
+        "summary.json": {
             "name": res["name"],
             "per_setting": res["per_setting"],
             "n_crit": res["n_crit"],
             "chi_per_atom_rad_s": res["chi_per_atom"],
-        }),
-        out,
-    )
+        },
+    }
 
 
-def _run_trueness(scenario, out, manifest):
+def _trueness(scenario):
     flags = scenario.flags
+    centre = scenario.cavity.length_z / 2
     report = experiments.trueness_ledger(
         scenario.cavity,
         sigma_z=scenario.ensemble.sigma_z,
         sigma_x=scenario.ensemble.sigma_x,
         n_atoms=scenario.ensemble.n_atoms,
-        delta_plus=scenario.transitions.delta_plus(scenario.cavity.length_z / 2),
-        delta_minus=scenario.transitions.delta_minus(scenario.cavity.length_z / 2),
+        delta_plus=scenario.transitions.delta_plus(centre),
+        delta_minus=scenario.transitions.delta_minus(centre),
         detuning_rel_uncertainty=flags.detuning_rel_uncertainty,
         pointlike_uncertainty=flags.pointlike_uncertainty,
         spacing=flags.interaction_spacing,
     )
-    manifest.add(write_json(out / "trueness.json", report.to_dict()), out)
     print(report.table())
+    return {"trueness.json": report.to_dict()}
+
+
+TASKS = {
+    ("simulate", "flythrough"): _simulate_flythrough,
+    ("simulate", "sensitivity"): _simulate_sensitivity,
+    ("simulate", "power"): _simulate_power,
+    ("simulate", "rabi"): _simulate_rabi,
+    ("fit", "flythrough"): _fit_flythrough,
+    ("fit", "power"): _fit_power,
+    ("campaign", "campaign"): _campaign,
+    ("trueness", "trueness"): _trueness,
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if "threads" in args and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
@@ -276,16 +247,19 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.config)
         if args.seed is not None:
             scenario.master_seed = args.seed
-        out = _out_dir(args)
+        task = TASKS.get((args.command, scenario.type))
+        if task is None:
+            types = ", ".join(t for c, t in TASKS if c == args.command)
+            raise ConfigError(f"scenario.type: {scenario.type!r} has no {args.command} "
+                              f"task; {args.command} runs type {types}")
+        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        out.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest.start(args.command, args.config, scenario.master_seed)
-        if args.command == "simulate":
-            _run_simulate(scenario, out, manifest)
-        elif args.command == "fit":
-            _run_fit(scenario, out, manifest)
-        elif args.command == "campaign":
-            _run_campaign(scenario, out, manifest, args.threads)
-        elif args.command == "trueness":
-            _run_trueness(scenario, out, manifest)
+        threads = {"threads": args.threads} if "threads" in args else {}
+        for name, payload in task(scenario, **threads).items():
+            # looked up per call, so a wrapped write_csv/write_json is honoured
+            write = write_json if name.endswith(".json") else write_csv
+            manifest.add(write(out / name, payload), out)
         manifest.write(out)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"rydcav: config error: {exc}", file=sys.stderr)

@@ -12,13 +12,19 @@ import numpy as np
 from . import core
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
 from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
-from .transmission import simulate_flythrough
+from .transmission import readout_time, simulate_flythrough
 
 DT_I = 0.3e-6  # s, length of the intracavity spectroscopy pulse
 
 
 class UnidentifiableError(ValueError):
     """The data cannot constrain the requested parameters."""
+
+
+def rabi_transfer(r):
+    """Preparation transfer sin^2(pi r / 2) of a pulse with Rabi ratio
+    r = Omega/Omega_pi."""
+    return np.sin(np.pi * r / 2.0) ** 2
 
 
 def spectroscopy_transfer(omega_i, delta_i, dt_i):
@@ -264,7 +270,7 @@ def spectroscopy_spectrum(
     of a :data:`DT_I` pulse.
     """
     freqs = np.asarray(freqs, dtype=float)
-    p_frac = np.sin(np.pi * prep_ratio / 2.0) ** 2
+    p_frac = rabi_transfer(prep_ratio)
     s = 1.0 - p_frac
     pp = p_frac * p_plus
     pm = p_frac * p_minus
@@ -366,7 +372,7 @@ def predict_superposition_phase(
     fractions (p_plus, p_minus, remainder to m_l = 0): a pure p,+1 map is
     (1, 0).  Sinusoidal in the Rabi ratio.
     """
-    p_prep = np.sin(np.pi * prep_rabi_ratio / 2.0) ** 2
+    p_prep = rabi_transfer(prep_rabi_ratio)
     ens = replace(
         ensemble,
         p_s=1.0 - p_prep,
@@ -375,6 +381,4 @@ def predict_superposition_phase(
         p_p_zero=p_prep * (1.0 - p_plus - p_minus),
     )
     trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa, **model_kw)
-    transit = cavity.length_z / ens.velocity
-    t_eval = ens.entry_time + transit / 2.0 + 2.0 / kappa
-    return float(np.interp(t_eval, trace.times, dphi))
+    return float(np.interp(readout_time(ens, cavity, kappa), trace.times, dphi))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import core, detection, estimation
+from . import core, detection, estimation, transmission
 from .params import (
     CavitySpec,
     EnsembleState,
@@ -213,17 +213,14 @@ def run_flythrough(scenario: Scenario) -> dict:
     kappa = scenario.kappa
     out = {"name": scenario.name, "traces": []}
     model_kw = scenario.flags.model_kw
-    transit = scenario.cavity.length_z / scenario.ensemble.velocity
-    t_cen = scenario.ensemble.entry_time + transit / 2.0
+    _, t_cen = transmission.transit(scenario.ensemble, scenario.cavity)
     for delta_m in (0.0, kappa / 2.0):
         trace, dphi = simulate_flythrough(
             scenario.ensemble, scenario.cavity, scenario.transitions, delta_m, kappa,
             **model_kw,
         )
         # instantaneous (quasi-static) response for comparison
-        from .transmission import fly_through_shift_trace
-
-        shift = fly_through_shift_trace(
+        shift = transmission.fly_through_shift_trace(
             scenario.ensemble, scenario.cavity, scenario.transitions, trace.times,
             **model_kw,
         )
@@ -251,16 +248,16 @@ def run_flythrough(scenario: Scenario) -> dict:
     return out
 
 
-def phase_at_tmax(scenario: Scenario, n_atoms: float, window=1e-6) -> float:
-    """Model phase change at t_max = t_cen + 2/kappa, averaged over a
-    window, for an s-state cloud of the given size."""
+def phase_at_tmax(scenario: Scenario, n_atoms: float) -> float:
+    """Model phase change at t_max = t_cen + 2/kappa, averaged over the
+    ``flags.tmax_window`` around it, for an s-state cloud of the given size."""
     kappa = scenario.kappa
     ens = replace(scenario.ensemble, n_atoms=n_atoms)
     trace, dphi = simulate_flythrough(
         ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.flags.model_kw
     )
-    transit = scenario.cavity.length_z / ens.velocity
-    t_max = ens.entry_time + transit / 2.0 + 2.0 / kappa
+    t_max = transmission.readout_time(ens, scenario.cavity, kappa)
+    window = scenario.flags.tmax_window
     sel = window_samples(trace.times, (t_max - window / 2.0, t_max + window / 2.0),
                          "t_max window")
     return float(np.mean(dphi[sel]))
@@ -276,23 +273,22 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     n_values = np.asarray(
         scenario.sweep_values or np.linspace(50, 600, 12), dtype=float
     )
-    dphi = np.array([phase_at_tmax(scenario, n, window=scenario.flags.tmax_window)
-                     for n in n_values])
+    dphi = np.array([phase_at_tmax(scenario, n) for n in n_values])
     # expected MCP signal for the same clouds
     s_mcp = scenario.mcp.s1_atom * n_values
     # cavity-extracted atom number carries the systematic offset of the model
     n_cavity = n_values * (1.0 + scenario.flags.systematic_offset)
 
-    slope_phase = float(np.polyfit(n_values, dphi, 1)[0])
+    phase_line = np.polyfit(n_values, dphi, 1)
     mcp_sensitivity = float(np.polyfit(n_cavity, s_mcp, 1)[0])
-    resid = dphi - np.polyval(np.polyfit(n_values, dphi, 1), n_values)
+    resid = dphi - np.polyval(phase_line, n_values)
     return {
         "name": scenario.name,
         "n_atoms": n_values,
         "dphi_deg": dphi,
         "mcp_signal": s_mcp,
         "n_cavity": n_cavity,
-        "phase_sensitivity_deg_per_atom": slope_phase,
+        "phase_sensitivity_deg_per_atom": float(phase_line[0]),
         "mcp_sensitivity_vns_per_atom": mcp_sensitivity,
         "linearity_residual_max": float(np.max(np.abs(resid))),
     }
@@ -380,7 +376,7 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     return {
         "name": scenario.name,
         "rabi_ratio": ratios,
-        "p_occupation": np.sin(np.pi * ratios / 2.0) ** 2,
+        "p_occupation": estimation.rabi_transfer(ratios),
         "dphi_pure_deg": pure,
         "dphi_depolarized_deg": depol,
     }
@@ -431,11 +427,8 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
         b, (mean_n, n_b) = block
         return _campaign_block(scenario, chi1, n_crit, mean_n, b, n_b)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, blocks))
-    else:
-        results = list(map(work, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        results = list(ex.map(work, blocks))
 
     records = {"mean_n": np.concatenate([np.full(n_b, float(m)) for _, (m, n_b) in blocks])}
     for i, key in enumerate(("n_prep", "dphi_deg", "n_est", "s1", "s2", "s_r", "p_p")):
@@ -457,7 +450,7 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
             "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1),
         })
 
-    curve = precision_vs_photon_number(scenario, chi1, n_crit)
+    curve = precision_vs_photon_number(scenario)
     return {
         "name": scenario.name,
         "records": records,
@@ -468,11 +461,10 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     }
 
 
-def precision_vs_photon_number(scenario: Scenario, chi1=None, n_crit=None):
+def precision_vs_photon_number(scenario: Scenario):
     """Analytic sigma_dphi and sigma_N versus photon number at
     :data:`N_REF` atoms, with the digitizer floor included."""
-    if chi1 is None or n_crit is None:
-        chi1, n_crit = _effective_chi_per_atom(scenario)
+    chi1, n_crit = _effective_chi_per_atom(scenario)
     kappa = scenario.kappa
     grid = scenario.flags.photon_grid
     n_c = np.asarray(np.geomspace(1e3, 1e6, 31) if grid is None else grid, dtype=float)

@@ -118,8 +118,6 @@ def least_squares_fit(model_fn, data, init, bounds=None):
     lam = LAM0
     cost_trace = [cost]
     converged = False
-    it = 0
-    jac = None
     for it in range(1, MAX_ITERATIONS + 1):
         jac = finite_difference_jacobian(residuals, p)
         g = jac.T @ r
@@ -155,8 +153,6 @@ def least_squares_fit(model_fn, data, init, bounds=None):
         if not improved or converged:
             break
 
-    if jac is None:
-        jac = finite_difference_jacobian(residuals, p)
     # final gradient check drives the converged flag
     g = jac.T @ r
     if float(np.max(np.abs(g))) <= GTOL * max(np.sqrt(cost), 1.0):

@@ -67,11 +67,6 @@ class CavitySpec:
             # default to a half wavelength at the cavity frequency
             self.width_x = np.pi * SPEED_OF_LIGHT / self.omega_c
 
-    @property
-    def tau_c(self) -> float:
-        """Cavity field decay time 2/kappa."""
-        return 2.0 / self.kappa
-
 
 @dataclass
 class EnsembleState:

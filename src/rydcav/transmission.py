@@ -84,6 +84,17 @@ class ComplexTrace:
         return float(self.times[1] - self.times[0])
 
 
+def transit(ensemble: EnsembleState, cavity: CavitySpec):
+    """Transit duration L/v and the cavity-centre time entry + L/(2v), in s."""
+    duration = cavity.length_z / ensemble.velocity
+    return duration, ensemble.entry_time + duration / 2.0
+
+
+def readout_time(ensemble: EnsembleState, cavity: CavitySpec, kappa: float) -> float:
+    """Resonant read-out time t_max = t_cen + 2/kappa, in s."""
+    return transit(ensemble, cavity)[1] + 2.0 / kappa
+
+
 def steady_transmission(chi, delta_m, kappa):
     """Stationary transmission A = 1 / (1 - 2i (Delta_m - chi)/kappa).
 
@@ -135,7 +146,7 @@ def fly_through_shift_trace(
     """
     times = np.asarray(times, dtype=float)
     t_c = times - ensemble.entry_time
-    transit_time = cavity.length_z / ensemble.velocity
+    transit_time, t_cen = transit(ensemble, cavity)
     inside = (t_c >= 0) & (t_c <= transit_time)
 
     if ensemble.n_atoms == 0:
@@ -150,7 +161,6 @@ def fly_through_shift_trace(
 
     decay_s = decay_p = 1.0
     if transit_decay:
-        t_cen = ensemble.entry_time + 0.5 * transit_time
         decay_s = np.exp(-(times - t_cen) / ensemble.tau_s)
         decay_p = np.exp(-(times - t_cen) / ensemble.tau_p)
     chi = core.dispersive_shift(ensemble, g, transitions.delta_plus(z),
@@ -177,8 +187,8 @@ def simulate_flythrough(
     """
     if dt is None:
         dt = (2.0 / kappa) / 27.0
-    transit = cavity.length_z / ensemble.velocity
-    times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + transit + PAD, dt)
+    duration, _ = transit(ensemble, cavity)
+    times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + duration + PAD, dt)
     shift = fly_through_shift_trace(
         ensemble, cavity, transitions, times,
         transit_decay=transit_decay, extended_cloud=extended_cloud,

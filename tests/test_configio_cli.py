@@ -16,6 +16,7 @@ from rydcav.params import TWO_PI
 from rydcav.configio import (
     FLAGS,
     SCENARIO,
+    SCENARIO_TYPES,
     SECTIONS,
     ConfigError,
     load_scenario,
@@ -24,6 +25,9 @@ from rydcav.configio import (
 )
 
 ALL_CONFIGS = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
+COMMANDS = ("simulate", "fit", "campaign", "trueness")
+# (command, packaged config) pairs whose scenario type has no task
+MISMATCHED = [(cmd, cfg) for cmd in COMMANDS for cfg in ALL_CONFIGS if (cmd, cfg) not in cli.TASKS]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,13 @@ def test_readme_documents_every_config_key():
             assert f"`{key}`" in readme, f"{section}.{key}"
 
 
+def test_readme_documents_every_task():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M)
+    assert sorted(rows) == sorted(cli.TASKS)
+
+
 # ---------------------------------------------------------------------------
 # writers
 
@@ -234,6 +245,30 @@ class TestCli:
         code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", MISMATCHED)
+    def test_pair_without_task_exit_2(self, tmp_path, config_dir, capsys, command, config):
+        # every packaged config names its own scenario type
+        out = tmp_path / "out"
+        code = run_cli([command, "--config", str(config_dir / f"{config}.json"),
+                        "--out", str(out)])
+        assert code == 2
+        assert "config error: scenario.type:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", "flythrough"), ("fit", "power"), ("trueness", "trueness")])
+    def test_threads_is_campaign_only(self, tmp_path, config_dir, command, config):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--config", str(config_dir / f"{config}.json"),
+                     "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 3
+        assert not any(tmp_path.iterdir())
+
+    def test_tasks_cover_scenario_types(self):
+        assert {stype for _, stype in cli.TASKS} == set(SCENARIO_TYPES)
+        assert {command for command, _ in cli.TASKS} == set(COMMANDS)
+        assert len(MISMATCHED) == len(COMMANDS) * len(SCENARIO_TYPES) - len(cli.TASKS) == 16
 
     def test_bad_config_exit_2(self, tmp_path, config_dir, capsys):
         raw = json.loads((config_dir / "flythrough.json").read_text())

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,13 @@ def test_readout_formulas_have_one_home():
     assert homes("np.trapezoid(") == []
     assert homes("exp(-0.5 * (a * sigma") == ["core.py"]
     assert homes("n_noise /") == []
+    # the transit duration L/v lives in transmission.transit, and the
+    # preparation transfer sin^2(pi r / 2) in estimation.rabi_transfer
+    transit = re.compile(r"length_z\s*/\s*[\w.]*velocity")
+    assert sorted(name for name, src in sources.items() if transit.search(src)) == [
+        "transmission.py"]
+    assert sum(src.count("np.sin(np.pi *") for src in sources.values()) == 1
+    assert homes("np.sin(np.pi *") == ["estimation.py"]
 
 
 def _quadrature_mode_average(z, cavity, sigma_z, sigma_x, n_quad=2001):
