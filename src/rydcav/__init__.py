@@ -79,7 +79,6 @@ from .transmission import (
     WindowConfigError,
     fly_through_shift_trace,
     phase_change,
-    reference_phase,
     simulate_flythrough,
     steady_transmission,
     transmission_response,

@@ -133,7 +133,7 @@ def _simulate_rabi(scenario):
 def _fit_flythrough(scenario):
     rng = experiments.block_rng(scenario.master_seed, 0)
     kappa = scenario.kappa
-    kw = scenario.flags.model_kw
+    kw = scenario.model_kw
     trace, dphi = transmission.simulate_flythrough(
         scenario.ensemble, scenario.cavity, scenario.transitions,
         scenario.probe.delta_m, kappa, **kw,
@@ -207,19 +207,7 @@ def _campaign(scenario, threads):
 
 
 def _trueness(scenario):
-    flags = scenario.flags
-    centre = scenario.cavity.length_z / 2
-    report = experiments.trueness_ledger(
-        scenario.cavity,
-        sigma_z=scenario.ensemble.sigma_z,
-        sigma_x=scenario.ensemble.sigma_x,
-        n_atoms=scenario.ensemble.n_atoms,
-        delta_plus=scenario.transitions.delta_plus(centre),
-        delta_minus=scenario.transitions.delta_minus(centre),
-        detuning_rel_uncertainty=flags.detuning_rel_uncertainty,
-        pointlike_uncertainty=flags.pointlike_uncertainty,
-        spacing=flags.interaction_spacing,
-    )
+    report = experiments.trueness_ledger(scenario)
     print(report.table())
     return {"trueness.json": report.to_dict()}
 

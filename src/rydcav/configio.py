@@ -14,7 +14,7 @@ import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +65,6 @@ SECTIONS = {
         ("sigma_z_m", "sigma_z", "num", ">=0"),
         ("sigma_x_m", "sigma_x", "num", ">=0"),
         ("velocity_m_s", "velocity", "num", ">0"),
-        ("tau_s_s", "tau_s", "num", ">0"),
-        ("tau_p_s", "tau_p", "num", ">0"),
         ("entry_time_s", "entry_time", "num", None),
     )),
     "transitions": (TransitionSet.constant, (
@@ -91,13 +89,10 @@ SECTIONS = {
         ("beta_s", "beta_s", "num", ">0"),
         ("beta_p", "beta_p", "num", ">0"),
         ("dt_md_s", "dt_md", "num", ">=0"),
-        ("tau_s_s", "tau_s", "num", ">0"),
-        ("tau_p_s", "tau_p", "num", ">0"),
     )),
 }
 FLAGS = (
     ("transit_decay", "transit_decay", "bool", None),
-    ("extended_cloud", "extended_cloud", "bool", None),
     ("tmax_window", "tmax_window", "num", ">0"),
     ("systematic_offset", "systematic_offset", "num", None),
     ("g_eff_hz", "g_eff", "hz", ">0"),
@@ -108,7 +103,6 @@ FLAGS = (
     ("excitation_scale", "excitation_scale", "num", ">=0"),
     ("p_plus", "p_plus", "num", ">=0"),
     ("p_minus", "p_minus", "num", ">=0"),
-    ("poisson_preparation", "poisson_preparation", "bool", None),
     ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num", ">=0"),
     ("pointlike_uncertainty", "pointlike_uncertainty", "num", ">=0"),
     ("interaction_spacing_m", "interaction_spacing", "num", ">0"),
@@ -118,10 +112,19 @@ SCENARIO = (
     ("type", "type", "str", SCENARIO_TYPES),
     ("shots", "shots", "int", ">0"),
     ("master_seed", "master_seed", "int", ">=0"),
-    ("sweep_name", "sweep_name", "str", None),
     ("sweep_values", "sweep_values", "nums", None),
     ("flags", "flags", (Flags, FLAGS), None),
 )
+
+# Per scenario type, the settings without a default that its run needs,
+# each with the least number of distinct values it takes (a sensitivity
+# line fit needs two atom numbers).
+REQUIRED = {
+    "sensitivity": {"sweep_values": 2},
+    "power": {"sweep_values": 1, "flags.n_crit": 1},
+    "rabi": {"sweep_values": 1},
+    "campaign": {"sweep_values": 1, "flags.n_crit": 1},
+}
 
 _BOUNDS = {">0": lambda v: v > 0, ">=0": lambda v: v >= 0, "!=0": lambda v: v != 0}
 _FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
@@ -189,6 +192,14 @@ def load_scenario(path) -> Scenario:
     scenario = _section(raw.get("scenario", {}), "scenario", build, SCENARIO)
     if scenario.type is None:
         raise ConfigError("scenario.type: missing required field")
+    for key, least in REQUIRED.get(scenario.type, {}).items():
+        value = reduce(getattr, key.split("."), scenario)
+        if value is None or value == []:
+            raise ConfigError(f"scenario.{key}: missing required field "
+                              f"for type {scenario.type!r}")
+        if len(set(np.atleast_1d(value))) < least:
+            raise ConfigError(f"scenario.{key}: type {scenario.type!r} needs at least "
+                              f"{least} distinct values, got {value}")
     return scenario
 
 

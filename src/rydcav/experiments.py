@@ -26,6 +26,8 @@ from .transmission import simulate_flythrough, steady_transmission, window_sampl
 
 BLOCK_SIZE = 4096
 N_REF = 500.0  # atom number of the precision-versus-photon-number curve
+C6_MHZ_UM6 = 36.0  # Van der Waals coefficient of the trueness item, MHz um^6
+C3_MHZ_UM3 = 2000.0  # resonant dipole-dipole coefficient, MHz um^3
 
 
 def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
@@ -39,7 +41,6 @@ class Flags:
     """Scenario-type settings read by the runners; rates in rad/s."""
 
     transit_decay: bool = True
-    extended_cloud: bool = False
     tmax_window: float = 1e-6
     systematic_offset: float = 0.0
     g_eff: float | None = None  # None: cavity.g_max
@@ -50,15 +51,9 @@ class Flags:
     excitation_scale: float = 0.038
     p_plus: float = 0.61
     p_minus: float = 0.20
-    poisson_preparation: bool = False
     detuning_rel_uncertainty: float = 0.007
     pointlike_uncertainty: float = 0.003
     interaction_spacing: float = 75e-6
-
-    @property
-    def model_kw(self) -> dict:
-        """Fly-through model switches, as keyword arguments."""
-        return {"transit_decay": self.transit_decay, "extended_cloud": self.extended_cloud}
 
 
 @dataclass
@@ -73,7 +68,6 @@ class Scenario:
     noise: NoiseChain
     mcp: McpModel
     shots: int = 1
-    sweep_name: str | None = None
     sweep_values: list = field(default_factory=list)
     master_seed: int = 0
     flags: Flags = field(default_factory=Flags)
@@ -88,6 +82,14 @@ class Scenario:
     @property
     def kappa(self) -> float:
         return self.cavity.kappa
+
+    @property
+    def model_kw(self) -> dict:
+        """Fly-through model switches, as keyword arguments: a cloud with a
+        nonzero size takes the extended-cloud model."""
+        ens = self.ensemble
+        return {"transit_decay": self.flags.transit_decay,
+                "extended_cloud": ens.sigma_z > 0 or ens.sigma_x > 0}
 
     def flag(self, name, default=None):
         # Read scenario.flags.<name>; this accessor is kept for perfbench/run.py.
@@ -166,38 +168,29 @@ def interaction_shift(spacing, coefficient_mhz_um, order):
     return coefficient_mhz_um * 1e6 / r_um ** order
 
 
-def trueness_ledger(
-    cavity: CavitySpec,
-    sigma_z=0.6e-3,
-    sigma_x=0.3e-3,
-    n_atoms=600,
-    delta_plus=None,
-    delta_minus=None,
-    detuning_rel_uncertainty=0.007,
-    pointlike_uncertainty=0.003,
-    spacing=75e-6,
-    c6_mhz_um6=36.0,
-    c3_mhz_um3=2000.0,
-) -> TruenessReport:
+def trueness_ledger(scenario: Scenario) -> TruenessReport:
     """Assemble the relative systematic error budget of the atom-number
-    detection.  The point-like item is recomputed from the cloud sizes,
-    not hard-coded; interactions are compared against the detunings.
+    detection for the scenario's cloud, with the detunings at the cavity
+    centre.  The point-like item is recomputed from the cloud sizes, not
+    hard-coded; interactions are compared against the detunings.
     """
-    dp = delta_plus if delta_plus is not None else -2 * np.pi * 8e6
-    dm = delta_minus if delta_minus is not None else -2 * np.pi * 26e6
+    cavity, ens, flags = scenario.cavity, scenario.ensemble, scenario.flags
+    centre = cavity.length_z / 2
+    dp = scenario.transitions.delta_plus(centre)
+    dm = scenario.transitions.delta_minus(centre)
     items = {}
     # analytic mode vs finite-element field: g^2 low by (1 - mode_correction)
     items["mode_correction"] = (1.0 - cavity.mode_correction, 0.0)
-    items["detuning_uncertainty"] = (0.0, detuning_rel_uncertainty)
-    e4 = fourth_order_error(cavity.g_max, n_atoms, dp, dm)
+    items["detuning_uncertainty"] = (0.0, flags.detuning_rel_uncertainty)
+    e4 = fourth_order_error(cavity.g_max, ens.n_atoms, dp, dm)
     # worst case over the atom-number range: book half as the bias
     items["dispersive_fourth_order"] = (-e4 / 2.0, e4 / 2.0)
     items["pointlike_cloud"] = (
-        pointlike_correction(sigma_z, sigma_x, cavity),
-        pointlike_uncertainty,
+        pointlike_correction(ens.sigma_z, ens.sigma_x, cavity),
+        flags.pointlike_uncertainty,
     )
-    vdw = interaction_shift(spacing, c6_mhz_um6, 6)
-    dd = interaction_shift(spacing, c3_mhz_um3, 3)
+    vdw = interaction_shift(flags.interaction_spacing, C6_MHZ_UM6, 6)
+    dd = interaction_shift(flags.interaction_spacing, C3_MHZ_UM3, 3)
     rel = 2 * np.pi * max(vdw, dd) / min(abs(dp), abs(dm))
     items["interactions"] = (0.0, rel)
     return TruenessReport(items=items)
@@ -212,7 +205,7 @@ def run_flythrough(scenario: Scenario) -> dict:
     alongside the instantaneous-response curves."""
     kappa = scenario.kappa
     out = {"name": scenario.name, "traces": []}
-    model_kw = scenario.flags.model_kw
+    model_kw = scenario.model_kw
     _, t_cen = transmission.transit(scenario.ensemble, scenario.cavity)
     for delta_m in (0.0, kappa / 2.0):
         trace, dphi = simulate_flythrough(
@@ -254,7 +247,7 @@ def phase_at_tmax(scenario: Scenario, n_atoms: float) -> float:
     kappa = scenario.kappa
     ens = replace(scenario.ensemble, n_atoms=n_atoms)
     trace, dphi = simulate_flythrough(
-        ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.flags.model_kw
+        ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.model_kw
     )
     t_max = transmission.readout_time(ens, scenario.cavity, kappa)
     window = scenario.flags.tmax_window
@@ -270,9 +263,7 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     cross-calibrated MCP sensitivity, which differs from the configured
     single-atom signal by the injected systematic offset.
     """
-    n_values = np.asarray(
-        scenario.sweep_values or np.linspace(50, 600, 12), dtype=float
-    )
+    n_values = np.asarray(scenario.sweep_values, dtype=float)
     dphi = np.array([phase_at_tmax(scenario, n) for n in n_values])
     # expected MCP signal for the same clouds
     s_mcp = scenario.mcp.s1_atom * n_values
@@ -295,7 +286,7 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
 
 
 def _effective_chi_per_atom(scenario: Scenario):
-    """Low-power per-atom dispersive shift used by single-shot campaigns.
+    """Low-power per-atom dispersive shift used by power sweeps and campaigns.
 
     Uses the time-averaged coupling and either a single effective
     transition back-solved from n_crit or the two-transition sum.
@@ -304,7 +295,7 @@ def _effective_chi_per_atom(scenario: Scenario):
     g_eff = scenario.cavity.g_max if flags.g_eff is None else flags.g_eff
     n_crit = flags.n_crit
     if n_crit is None:
-        raise ValueError("campaign scenarios must set flags.n_crit")
+        raise ValueError("flags.n_crit is not set")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
     if flags.two_transitions:
         chi1 = g_eff ** 2 * (1.0 / delta_eff + 1.0 / (delta_eff + flags.transition_spacing))
@@ -318,12 +309,11 @@ def run_power_sweep(scenario: Scenario) -> dict:
     the residual-excitation curve; input data for the n_crit fit."""
     kappa = scenario.kappa
     chi1, n_crit = _effective_chi_per_atom(scenario)
-    n_atoms_list = scenario.sweep_values or [200, 400, 600]
     grid = scenario.flags.photon_grid
     n_c = np.asarray(np.geomspace(1e3, 1e6, 25) if grid is None else grid, dtype=float)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
-    for n_at in n_atoms_list:
+    for n_at in scenario.sweep_values:
         chi = core.power_dependent_shift(chi1 * n_at, n_c, n_crit)
         dphi_true = core.cavity_phase(chi, kappa)
         sigma = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
@@ -355,10 +345,8 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     """Phase change at t_max and p occupation versus normalized Rabi
     frequency, for the pure p,+1 map and the depolarized map."""
     kappa = scenario.kappa
-    ratios = np.asarray(
-        scenario.sweep_values or np.linspace(0.0, 1.3, 14), dtype=float
-    )
-    kw = scenario.flags.model_kw
+    ratios = np.asarray(scenario.sweep_values, dtype=float)
+    kw = scenario.model_kw
     pure = np.array([
         estimation.predict_superposition_phase(
             r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
@@ -391,10 +379,7 @@ def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
     kappa = scenario.kappa
     probe = scenario.probe
     red = core.power_reduction(probe.n_c, n_crit)
-    if scenario.flags.poisson_preparation:
-        n_prep = rng.poisson(mean_n, n_shots).astype(float)
-    else:
-        n_prep = np.full(n_shots, float(np.rint(mean_n)))
+    n_prep = np.full(n_shots, float(np.rint(mean_n)))
     dphi_true = core.cavity_phase(chi1 * n_prep, kappa, red)
     amp = np.cos(dphi_true)
     dphi_meas = detection.simulate_phase_shot_batch(
@@ -416,7 +401,7 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     precision-versus-photon-number curve at the reference atom number.
     """
     chi1, n_crit = _effective_chi_per_atom(scenario)
-    mean_n_values = scenario.sweep_values or [500]
+    mean_n_values = scenario.sweep_values
     shots = scenario.shots
 
     # blocks in order: setting after setting, each one's shots in contiguous rows

@@ -73,8 +73,8 @@ class EnsembleState:
     """Atom number, populations and cloud geometry of the Rydberg ensemble.
 
     Populations are fractions at the cavity-center time; radiative decay
-    during the transit is applied per state (tau_s for s, tau_p for all
-    p sublevels).
+    during the transit is applied per state (:data:`TAU_S` for s,
+    :data:`TAU_P` for all p sublevels).
     """
 
     n_atoms: float
@@ -85,8 +85,6 @@ class EnsembleState:
     sigma_z: float = 0.0
     sigma_x: float = 0.0
     velocity: float = 950.0
-    tau_s: float = TAU_S
-    tau_p: float = TAU_P
     entry_time: float = 0.0
 
     def __post_init__(self):
@@ -101,8 +99,6 @@ class EnsembleState:
             raise ParameterError("cloud sizes must be >= 0")
         if self.velocity <= 0:
             raise ParameterError("velocity must be positive")
-        if self.tau_s <= 0 or self.tau_p <= 0:
-            raise ParameterError("lifetimes must be positive")
 
 
 @dataclass
@@ -186,8 +182,6 @@ class McpModel:
     beta_s: float = 0.439
     beta_p: float = 0.222
     dt_md: float = 35.5e-6
-    tau_s: float = TAU_S
-    tau_p: float = TAU_P
 
     def __post_init__(self):
         if not (0 < self.eta <= 1):
@@ -201,5 +195,5 @@ class McpModel:
 
     @property
     def decay_correction(self) -> float:
-        """exp(dt_md * (1/tau_s - 1/tau_p)), the s/p decay imbalance."""
-        return float(np.exp(self.dt_md * (1.0 / self.tau_s - 1.0 / self.tau_p)))
+        """exp(dt_md * (1/TAU_S - 1/TAU_P)), the s/p decay imbalance."""
+        return float(np.exp(self.dt_md * (1.0 / TAU_S - 1.0 / TAU_P)))

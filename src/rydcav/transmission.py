@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .kernels import response_filter
-from .params import CavitySpec, EnsembleState, TransitionSet
+from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, TransitionSet
 
 PAD = 8e-6  # s of empty cavity before and after a simulated transit
 
@@ -29,7 +29,7 @@ class GridAccuracyError(ValueError):
 
 
 class WindowConfigError(ValueError):
-    """A time window overlaps the atom transit or holds no sample."""
+    """A time window holds no sample or overlaps another window."""
 
 
 @dataclass
@@ -138,7 +138,8 @@ def fly_through_shift_trace(
 
     Populations are referenced to the cavity-center time; with
     ``transit_decay`` each state's atom number decays with its radiative
-    lifetime during the transit.  With ``extended_cloud`` the squared
+    lifetime (:data:`~rydcav.params.TAU_S`, :data:`~rydcav.params.TAU_P`)
+    during the transit.  With ``extended_cloud`` the squared
     coupling is replaced by :func:`rydcav.core.cloud_mode_average` over the
     cloud sizes (sigma_z along the beam, sigma_x transverse).  chi is
     :func:`rydcav.core.dispersive_shift`, so every detuning the trace
@@ -161,8 +162,8 @@ def fly_through_shift_trace(
 
     decay_s = decay_p = 1.0
     if transit_decay:
-        decay_s = np.exp(-(times - t_cen) / ensemble.tau_s)
-        decay_p = np.exp(-(times - t_cen) / ensemble.tau_p)
+        decay_s = np.exp(-(times - t_cen) / TAU_S)
+        decay_p = np.exp(-(times - t_cen) / TAU_P)
     chi = core.dispersive_shift(ensemble, g, transitions.delta_plus(z),
                                 transitions.delta_minus(z), decay_s, decay_p)
     return ShiftTrace(times, np.where(inside, chi, 0.0))
@@ -208,18 +209,6 @@ def window_samples(times, window, name):
     if not np.any(sel):
         raise WindowConfigError(f"{name} [{t0:.6g}, {t1:.6g}] s contains no samples")
     return sel
-
-
-def reference_phase(trace: ComplexTrace, window, transit_end=None) -> float:
-    """Mean unwrapped phase over a post-transit reference window, radians."""
-    t0 = window[0]
-    if transit_end is not None and t0 < transit_end:
-        raise WindowConfigError(
-            f"reference window starts at {t0:.3g} s, before atom exit at "
-            f"{transit_end:.3g} s"
-        )
-    sel = window_samples(trace.times, window, "reference window")
-    return float(np.mean(np.unwrap(trace.phase)[sel]))
 
 
 def phase_change(trace: ComplexTrace, reference: float) -> np.ndarray:

@@ -56,6 +56,7 @@ from rydcav import (
     transmission_response,
     trueness_ledger,
 )
+from rydcav.configio import load_scenario
 from rydcav.estimation import UnidentifiableError  # noqa: F401  (re-export check)
 
 from conftest import CONFIG_DIR
@@ -327,8 +328,7 @@ def test_criterion_8_trueness_budget():
     """Itemized systematic budget: cloud-extent, expansion-order and
     interaction items at their reference values; total -2.4 +/- 0.8 %."""
     t0 = time.perf_counter()
-    cav = dataclasses.replace(reference_cavity(), mode_correction=0.99)
-    rep = trueness_ledger(cav)
+    rep = trueness_ledger(load_scenario(CONFIG_DIR / "trueness.json"))
     point = rep.items["pointlike_cloud"][0]
     e4 = rep.items["dispersive_fourth_order"]
     inter = rep.items["interactions"][1]

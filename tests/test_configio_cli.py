@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcav import EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli
+from rydcav import EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, run_flythrough
 from rydcav.params import TWO_PI
 from rydcav.configio import (
     FLAGS,
@@ -83,6 +83,17 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             load_scenario(bad)
 
+    def test_cloud_size_selects_extended_model(self, config_dir, tmp_path):
+        raw = json.loads((config_dir / "flythrough.json").read_text())
+        assert not load_scenario(config_dir / "flythrough.json").model_kw["extended_cloud"]
+        raw["ensemble"]["sigma_z_m"] = 3e-3
+        path = tmp_path / "cloud.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
+        assert sc.model_kw == {"transit_decay": False, "extended_cloud": True}
+        resonant = run_flythrough(sc)["traces"][0]["dphi_extremum_deg"]
+        assert resonant == pytest.approx(-2.8558, abs=1e-4)  # point cloud: -3.9505
+
     def test_unknown_type_rejected(self, config_dir, tmp_path):
         raw = json.loads((config_dir / "flythrough.json").read_text())
         raw["scenario"]["type"] = "mystery"
@@ -139,14 +150,34 @@ class TestLoadScenario:
         assert (sc.shots, sc.master_seed, sc.sweep_values) == (1, 0, [])
 
 
+SCHEMA = {"scenario": SCENARIO, "scenario.flags": FLAGS,
+          **{name: table for name, (_build, table) in SECTIONS.items()}}
+
+
 def test_readme_documents_every_config_key():
+    # the README tables list exactly the keys of the schema, none extra
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    tables = [("scenario", SCENARIO), ("scenario.flags", FLAGS)]
-    tables += [(name, table) for name, (_build, table) in SECTIONS.items()]
-    for section, table in tables:
-        assert f"`{section}`" in readme
-        for key, *_ in table:
-            assert f"`{key}`" in readme, f"{section}.{key}"
+    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    documented, prev = {}, ""
+    for line in section.splitlines():
+        heading = re.match(r"`([\w.]+)`[ :]", line)
+        if heading and not prev:  # a paragraph that opens with a section name
+            keys = documented.setdefault(heading.group(1), [])
+        prev = line
+        row = re.match(r"\| `(\w+)` \|", line)
+        if row:
+            keys.append(row.group(1))
+    assert {name: sorted(keys) for name, keys in documented.items()} == {
+        name: sorted(key for key, *_ in table) for name, table in SCHEMA.items()}
+
+
+def test_every_config_field_is_read():
+    # a config key whose field no module reads is a dead setting
+    src = Path(cli.__file__).parent
+    code = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "configio.py")
+    unread = [f"{name}.{key}" for name, table in SCHEMA.items() for key, fld, *_ in table
+              if not re.search(rf"\.{fld}\b", code)]
+    assert unread == []
 
 
 def test_readme_documents_every_task():
@@ -231,6 +262,16 @@ class TestCli:
         (("scenario", "sweep_values"), [True], "scenario.sweep_values[0]"),
         (("scenario", "sweep_values"), [100, None], "scenario.sweep_values[1]"),
         pytest.param(("probe", "n_c"), 10 ** 400, "probe.n_c", id="int-beyond-float"),
+        # keys that no longer exist: the lifetimes are params.TAU_S/TAU_P, the
+        # cloud size selects the extended-cloud model
+        (("scenario", "sweep_name"), "mean_n", "scenario.sweep_name"),
+        (("scenario", "flags", "extended_cloud"), True, "scenario.flags.extended_cloud"),
+        (("scenario", "flags", "poisson_preparation"), False,
+         "scenario.flags.poisson_preparation"),
+        (("ensemble", "tau_s_s"), 57.2e-6, "ensemble.tau_s_s"),
+        (("ensemble", "tau_p_s"), 102.6e-6, "ensemble.tau_p_s"),
+        (("mcp", "tau_s_s"), 57.2e-6, "mcp.tau_s_s"),
+        (("mcp", "tau_p_s"), 102.6e-6, "mcp.tau_p_s"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, config_dir, capsys, keys, value, path):
         raw = json.loads((config_dir / "campaign.json").read_text())
@@ -242,9 +283,10 @@ class TestCli:
         bad.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=re.escape(path + ":")):
             load_scenario(bad)
-        code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path)])
+        code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config", MISMATCHED)
     def test_pair_without_task_exit_2(self, tmp_path, config_dir, capsys, command, config):
@@ -332,6 +374,44 @@ class TestCli:
         assert sorted(p.name for p in out.glob("power_n*.csv")) == names
         assert sorted(n for n in outputs if n.startswith("power_n")) == names
 
+    @pytest.mark.parametrize("config, key, value", [
+        *[(cfg, "sweep_values", value) for cfg in ("sensitivity", "power", "rabi", "campaign")
+          for value in (None, [])],
+        ("power", "flags.n_crit", None),
+        ("campaign", "flags.n_crit", None),
+    ])
+    def test_required_setting_exit_2(self, tmp_path, config_dir, capsys, config, key, value):
+        raw = json.loads((config_dir / f"{config}.json").read_text())
+        *parents, leaf = ["scenario", *key.split(".")]
+        section = raw
+        for name in parents:
+            section = section[name]
+        if value is None:
+            del section[leaf]
+        else:
+            section[leaf] = value
+        cfg = tmp_path / f"{config}.json"
+        cfg.write_text(json.dumps(raw))
+        command = next(c for c, t in cli.TASKS if t == config)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: scenario.{key}: missing required field for type " \
+            f"'{config}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [[100], [100, 100.0]])
+    def test_sensitivity_needs_two_distinct_values(self, tmp_path, config_dir, capsys,
+                                                   values):
+        raw = json.loads((config_dir / "sensitivity.json").read_text())
+        raw["scenario"]["sweep_values"] = values
+        cfg = tmp_path / "sensitivity.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: scenario.sweep_values: type 'sensitivity' needs at least 2 " \
+            "distinct values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_power_sweep_repeated_value_exit_2(self, tmp_path, config_dir, capsys):
         raw = json.loads((config_dir / "power.json").read_text())
         raw["scenario"]["sweep_values"] = [200, 400, 200.0]
@@ -391,6 +471,51 @@ def fast_flythrough(tmp_path, config_dir):
     path = tmp_path / "flythrough_fast.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+# SHA-256 of every file but manifest.json that each packaged (command, config)
+# pair writes at --seed 14; the campaign's shots.csv is pinned below.
+GOLDEN = {
+    ("simulate", "flythrough"): {
+        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
+        "trace_detuned.csv": "0c83e3b590d001604ce86bd823cc29958a7a013905332a9f148c0b7dbc88be8e",
+        "trace_resonant.csv": "a058bf0f7a9456cb0506a752c521e759fd74e98b2bb920d91382f2641991487a",
+    },
+    ("simulate", "sensitivity"): {
+        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
+        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+    },
+    ("simulate", "power"): {
+        "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
+        "power_n200.csv": "e2a46e98107a84f29b71063bd6f37f941632bc3c864f6efb6c269b8e5cd8a3a4",
+        "power_n400.csv": "4d9ae43e29bf7d95e8df4e3f33709e93860f0d453179bb1ef3fbd2f7e1efd9cf",
+        "power_n600.csv": "779d8b63d1d903a186a67d56d1a24df12c1631e42e5031e34bd9106f734cd4a6",
+        "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
+    },
+    ("simulate", "rabi"): {
+        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
+    },
+    ("fit", "flythrough"): {
+        "summary.json": "3c88791445670bbc3ea4b52f40e7579c5676a7067dcc912c2d76570d370a3b32",
+        "trace_fit_input.csv": "d74f2dde7dda376fdd2f8e162efd0ab927676a09693c4d1cc3c9f15657beedd0",
+    },
+    ("fit", "power"): {
+        "summary.json": "2b5d591d2eb8227b8233cab723565e9aef317f7c14d3d827fc0b831b464556b6",
+    },
+    ("trueness", "trueness"): {
+        "trueness.json": "32361225466f4cf05730d56313b1aad99125352b23873c94ec81180b427313d4",
+    },
+}
+
+
+@pytest.mark.parametrize("command, config", GOLDEN)
+def test_packaged_pair_golden_bytes(tmp_path, config_dir, command, config):
+    assert run_cli([command, "--config", str(config_dir / f"{config}.json"),
+                    "--out", str(tmp_path), "--seed", "14"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert written == GOLDEN[command, config]
 
 
 class TestCampaignCli:

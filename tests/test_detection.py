@@ -23,6 +23,7 @@ from rydcav import (
     steady_transmission,
 )
 from rydcav.detection import SnrValidityError
+from rydcav.params import TAU_P, TAU_S
 
 TWO_PI = 2.0 * np.pi
 KAPPA = TWO_PI * 236e3
@@ -318,8 +319,8 @@ class TestPFraction:
         rng = np.random.default_rng(10)
         n = 200_000
         n_prep = 5000
-        surv_s = np.exp(-mcp.dt_md / mcp.tau_s)
-        surv_p = np.exp(-mcp.dt_md / mcp.tau_p)
+        surv_s = np.exp(-mcp.dt_md / TAU_S)
+        surv_p = np.exp(-mcp.dt_md / TAU_P)
         n_s = rng.binomial(n_prep, surv_s, n)
         n_p = rng.binomial(n_prep, surv_p, n)
         s1, s2 = mcp_signal(n_s, n_p, mcp, rng)
@@ -328,8 +329,8 @@ class TestPFraction:
 
     def test_round_trip_identity_in_expectation(self, mcp):
         for p_true in (0.1, 0.3, 0.5, 0.7, 0.9):
-            surv_s = np.exp(-mcp.dt_md / mcp.tau_s)
-            surv_p = np.exp(-mcp.dt_md / mcp.tau_p)
+            surv_s = np.exp(-mcp.dt_md / TAU_S)
+            surv_p = np.exp(-mcp.dt_md / TAU_P)
             n_s = (1 - p_true) * surv_s * 1e4
             n_p = p_true * surv_p * 1e4
             s1 = n_s + mcp.alpha_p * n_p

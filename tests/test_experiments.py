@@ -21,6 +21,8 @@ from rydcav import (
     run_single_shot_campaign,
     trueness_ledger,
 )
+from rydcav import experiments
+from rydcav.configio import load_scenario
 from rydcav.experiments import BLOCK_SIZE, block_rng, precision_vs_photon_number
 from rydcav.transmission import WindowConfigError
 
@@ -107,39 +109,43 @@ class TestInteractionShift:
             interaction_shift(75e-6, 36.0, 4)
 
 
+@pytest.fixture
+def trueness_scenario(config_dir):
+    return load_scenario(config_dir / "trueness.json")
+
+
 class TestTruenessLedger:
-    def test_reference_budget(self, cavity):
-        cav = dataclasses.replace(cavity, mode_correction=0.99)
-        rep = trueness_ledger(cav)
+    def test_reference_budget(self, trueness_scenario):
+        rep = trueness_ledger(trueness_scenario)
         assert rep.total == pytest.approx(-0.024, abs=0.008)
         assert rep.total_uncertainty == pytest.approx(0.008, abs=0.003)
 
-    def test_total_is_sum(self, cavity):
-        rep = trueness_ledger(cavity)
+    def test_total_is_sum(self, trueness_scenario):
+        rep = trueness_ledger(trueness_scenario)
         assert rep.total == pytest.approx(sum(v for v, _ in rep.items.values()))
 
-    def test_uncertainty_quadrature(self, cavity):
-        rep = trueness_ledger(cavity)
+    def test_uncertainty_quadrature(self, trueness_scenario):
+        rep = trueness_ledger(trueness_scenario)
         assert rep.total_uncertainty == pytest.approx(
             np.sqrt(sum(u ** 2 for _, u in rep.items.values()))
         )
 
-    def test_all_zero_configuration(self, cavity):
-        rep = trueness_ledger(
-            cavity,
-            sigma_z=0.0,
-            sigma_x=0.0,
-            n_atoms=0,
-            detuning_rel_uncertainty=0.0,
-            pointlike_uncertainty=0.0,
-            c6_mhz_um6=0.0,
-            c3_mhz_um3=0.0,
-        )
+    def test_all_zero_configuration(self, trueness_scenario, monkeypatch):
+        monkeypatch.setattr(experiments, "C6_MHZ_UM6", 0.0)
+        monkeypatch.setattr(experiments, "C3_MHZ_UM3", 0.0)
+        sc = trueness_scenario
+        rep = trueness_ledger(dataclasses.replace(
+            sc,
+            cavity=dataclasses.replace(sc.cavity, mode_correction=1.0),
+            ensemble=dataclasses.replace(sc.ensemble, sigma_z=0.0, sigma_x=0.0, n_atoms=0),
+            flags=dataclasses.replace(sc.flags, detuning_rel_uncertainty=0.0,
+                                      pointlike_uncertainty=0.0),
+        ))
         assert rep.total == pytest.approx(0.0, abs=1e-12)
         assert rep.total_uncertainty == pytest.approx(0.0, abs=1e-12)
 
-    def test_table_renders(self, cavity):
-        text = trueness_ledger(cavity).table()
+    def test_table_renders(self, trueness_scenario):
+        text = trueness_ledger(trueness_scenario).table()
         assert "total" in text
         assert "pointlike_cloud" in text
 

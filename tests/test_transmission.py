@@ -13,7 +13,6 @@ from rydcav import (
     fly_through_shift_trace,
     phase_change,
     pointlike_correction,
-    reference_phase,
     simulate_flythrough,
     steady_transmission,
     transmission_response,
@@ -216,15 +215,6 @@ class TestPhaseChange:
         a = steady_transmission(chi, 0.0, KAPPA)
         expected = -np.degrees(2 * chi / KAPPA)
         assert np.degrees(np.angle(a)) == pytest.approx(expected, rel=0.01)
-
-    def test_reference_window_validation(self):
-        times = np.linspace(0, 10e-6, 200)
-        trace = ComplexTrace.from_complex(times, np.ones(200))
-        with pytest.raises(WindowConfigError):
-            reference_phase(trace, (2e-6, 4e-6), transit_end=5e-6)
-        with pytest.raises(WindowConfigError):
-            reference_phase(trace, (11e-6, 12e-6))
-        assert reference_phase(trace, (6e-6, 9e-6), transit_end=5e-6) == 0.0
 
     def test_empty_window_named(self):
         times = np.arange(11) * 1e-6
