@@ -207,46 +207,42 @@ def load_scenario(path) -> Scenario:
 # writers
 
 
+CSV_BLOCK_ROWS = 8192  # rows taken out of numpy at a time; bounds the writer's memory
+
+
 def write_csv(path, columns: dict):
-    """Write named columns (unit-suffixed headers) at 17 significant digits."""
+    """Write named columns (unit-suffixed headers); shorter ones broadcast.
+
+    Each column is formatted by its dtype: floats at 17 significant
+    digits, anything else by ``str``.
+    """
     path = Path(path)
-    names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[k])) for k in names]
+    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
     n = max(a.size for a in arrays)
     arrays = [np.broadcast_to(a, (n,)) for a in arrays]
+    fmts = ["{:.17g}".format if a.dtype.kind == "f" else str for a in arrays]
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(names)
-        for row in zip(*arrays):
-            w.writerow([_fmt_cell(v) for v in row])
+        w.writerow(columns)
+        for i in range(0, n, CSV_BLOCK_ROWS):
+            w.writerows(zip(*(map(f, a[i:i + CSV_BLOCK_ROWS].tolist())
+                              for f, a in zip(fmts, arrays))))
     return path
 
 
-def _fmt_cell(v):
-    if isinstance(v, (np.floating, float)):
-        return format(float(v), ".17g")
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    return str(v)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    # np.float64 is a float and never gets here; other numpy values do
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload):
     path = Path(path)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    path.write_text(text + "\n")
     return path
 
 

@@ -21,8 +21,7 @@ def mode_amplitude(z, cavity: CavitySpec):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0) or np.any(z > cavity.length_z):
         raise ValueError("z outside cavity [0, length_z]")
-    out = np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
-    return out if out.ndim else float(out)
+    return np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
 
 
 def coupling(z, cavity: CavitySpec):
@@ -76,11 +75,10 @@ def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
                 f"{name} reaches {np.min(np.abs(d)):.3g} rad/s, violating "
                 f"|Delta| > 10 g sqrt(N) = {lim:.3g} rad/s; dispersive expansion invalid"
             )
-    chi = g ** 2 * ensemble.n_atoms * (
+    return g ** 2 * ensemble.n_atoms * (
         (ensemble.p_p_plus * decay_p - ensemble.p_s * decay_s) / dp
         + (ensemble.p_p_minus * decay_p - ensemble.p_s * decay_s) / dm
     )
-    return chi if np.ndim(chi) else float(chi)
 
 
 def power_reduction(n_c, n_crit):

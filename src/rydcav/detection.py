@@ -34,8 +34,7 @@ def phase_precision(r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 10.0):
         raise SnrValidityError("phase_precision requires R > 10")
-    out = 1.0 / np.sqrt(r)
-    return out if out.ndim else float(out)
+    return 1.0 / np.sqrt(r)
 
 
 def phase_change_precision(r, chi, kappa, alpha):
@@ -73,8 +72,7 @@ def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_cri
         raise ZeroDivisionError("n_c = 0 in atom_number_precision")
     beta = 1.0 + 1.0 / alpha
     r = snr(n_c, kappa_out, tau_i, n_noise)
-    out = (kappa / g) * np.sqrt(beta * (n_c + n_crit) / (2.0 * r))
-    return out if out.ndim else float(out)
+    return (kappa / g) * np.sqrt(beta * (n_c + n_crit) / (2.0 * r))
 
 
 def _noisy_window_phase(values, sigma_q, rng):
@@ -190,8 +188,6 @@ def mcp_signal(n_s, n_p, model: McpModel, rng):
     scale = model.s1_atom / model.eta
     s1 = scale * (gs + model.alpha_p * gp)
     s2 = scale * (model.beta_s * gs + model.alpha_p * model.beta_p * gp)
-    if np.ndim(n_s) == 0 and np.ndim(n_p) == 0:
-        return float(s1), float(s2)
     return s1, s2
 
 
@@ -218,8 +214,6 @@ def p_fraction_from_ratio(s_r, model: McpModel):
         0.0,
         np.where(s <= model.beta_p, 1.0, 1.0 / (1.0 + model.alpha_p * ratio * d)),
     )
-    if s_r.ndim == 0:
-        return float(p), bool(clipped)
     return p, clipped
 
 
@@ -230,5 +224,4 @@ def mcp_relative_precision(n_atoms, eta, sigma_a_rel):
     thinning + gamma gain model of :func:`mcp_signal`.
     """
     n_atoms = np.asarray(n_atoms, dtype=float)
-    out = np.sqrt((sigma_a_rel ** 2 / eta + 1.0 / eta - 1.0) / n_atoms)
-    return out if out.ndim else float(out)
+    return np.sqrt((sigma_a_rel ** 2 / eta + 1.0 / eta - 1.0) / n_atoms)

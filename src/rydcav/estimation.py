@@ -39,26 +39,15 @@ def spectroscopy_transfer(omega_i, delta_i, dt_i):
     delta = np.asarray(delta_i, dtype=float)
     w2 = omega ** 2 + delta ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(
+        return np.where(
             w2 > 0,
             omega ** 2 / np.where(w2 > 0, w2, 1.0) * np.sin(0.5 * dt_i * np.sqrt(w2)) ** 2,
             0.0,
         )
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # trace fits
-
-
-def _interp_model_phase(params, ensemble, cavity, transitions, delta_m, kappa, **kw):
-    ens = replace(
-        ensemble,
-        n_atoms=params.get("n_atoms", ensemble.n_atoms),
-        entry_time=params.get("entry_time", ensemble.entry_time),
-    )
-    trace, dphi = simulate_flythrough(ens, cavity, transitions, delta_m, kappa, **kw)
-    return trace, dphi
 
 
 def fit_entry_time(
@@ -81,9 +70,8 @@ def fit_entry_time(
     dphi_deg = np.asarray(dphi_deg, dtype=float)
 
     def model(params, _x):
-        trace, dphi = _interp_model_phase(
-            params, ensemble, cavity, transitions, delta_m, kappa, **model_kw
-        )
+        trace, dphi = simulate_flythrough(replace(ensemble, **params), cavity, transitions,
+                                          delta_m, kappa, **model_kw)
         return np.interp(times, trace.times, dphi)
 
     data = (times, dphi_deg) if sigma_deg is None else (times, dphi_deg, sigma_deg)
@@ -121,10 +109,8 @@ def fit_atom_number(
     def model(params, _x):
         out = []
         for tr in traces:
-            trace, _ = _interp_model_phase(
-                params, ensemble, cavity, transitions, tr["delta_m"], kappa,
-                **model_kw,
-            )
+            trace, _ = simulate_flythrough(replace(ensemble, **params), cavity, transitions,
+                                           tr["delta_m"], kappa, **model_kw)
             t = np.asarray(tr["times"], dtype=float)
             out.append(np.interp(t, trace.times, trace.amplitude))
             out.append(np.interp(t, trace.times, np.unwrap(trace.phase)))

@@ -217,9 +217,10 @@ def run_flythrough(scenario: Scenario) -> dict:
             scenario.ensemble, scenario.cavity, scenario.transitions, trace.times,
             **model_kw,
         )
-        inst = steady_transmission(shift.chi, delta_m, kappa)
-        ref = np.angle(steady_transmission(0.0, delta_m, kappa))
-        amp0 = np.abs(steady_transmission(0.0, delta_m, kappa))
+        inst = transmission.ComplexTrace(trace.times,
+                                         steady_transmission(shift.chi, delta_m, kappa))
+        empty = steady_transmission(0.0, delta_m, kappa)
+        ref, amp0 = np.angle(empty), np.abs(empty)
         i_ext = int(np.argmax(np.abs(dphi)))
         out["traces"].append(
             {
@@ -229,8 +230,8 @@ def run_flythrough(scenario: Scenario) -> dict:
                 "phase_rad": np.unwrap(trace.phase),
                 "dphi_deg": dphi,
                 "damp": trace.amplitude - amp0,
-                "inst_dphi_deg": np.degrees(np.unwrap(np.angle(inst)) - ref),
-                "inst_damp": np.abs(inst) - amp0,
+                "inst_dphi_deg": transmission.phase_change(inst, ref),
+                "inst_damp": inst.amplitude - amp0,
                 "t_extremum": float(trace.times[i_ext]),
                 "extremum_delay": float(trace.times[i_ext] - t_cen),
                 "dphi_extremum_deg": float(dphi[i_ext]),

@@ -41,7 +41,7 @@ class FitResult:
         return {
             "params": self.params,
             "uncertainties": self.uncertainties,
-            "covariance": np.asarray(self.covariance).tolist(),
+            "covariance": self.covariance,
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -53,19 +53,16 @@ class FitResult:
 def finite_difference_jacobian(fn, p):
     """Central-difference Jacobian of fn(p), step sqrt(eps) max(|p_i|, 1)."""
     p = np.asarray(p, dtype=float)
-    f0 = np.asarray(fn(p), dtype=float)
-    m = p.size
-    jac = np.empty((f0.size, m))
-    for i in range(m):
+    columns = []
+    for i in range(p.size):
         h = np.sqrt(_EPS) * max(abs(p[i]), 1.0)
         pp = p.copy()
         pm = p.copy()
         pp[i] += h
         pm[i] -= h
-        jac[:, i] = (np.asarray(fn(pp), dtype=float) - np.asarray(fn(pm), dtype=float)) / (
-            pp[i] - pm[i]
-        )
-    return jac
+        columns.append((np.asarray(fn(pp), dtype=float) - np.asarray(fn(pm), dtype=float))
+                       / (pp[i] - pm[i]))
+    return np.column_stack(columns)
 
 
 def least_squares_fit(model_fn, data, init, bounds=None):

@@ -59,25 +59,22 @@ class ShiftTrace:
 
 @dataclass
 class ComplexTrace:
-    """Transmission amplitude and phase on a time grid."""
+    """Complex transmission on a time grid."""
 
     times: np.ndarray
-    amplitude: np.ndarray
-    phase: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.amplitude = np.asarray(self.amplitude, dtype=float)
-        self.phase = np.asarray(self.phase, dtype=float)
-
-    @classmethod
-    def from_complex(cls, times, values) -> "ComplexTrace":
-        values = np.asarray(values)
-        return cls(times, np.abs(values), np.angle(values))
+        self.values = np.asarray(self.values, dtype=complex)
 
     @property
-    def values(self) -> np.ndarray:
-        return self.amplitude * np.exp(1j * self.phase)
+    def amplitude(self) -> np.ndarray:
+        return np.abs(self.values)
+
+    @property
+    def phase(self) -> np.ndarray:
+        return np.angle(self.values)
 
     @property
     def dt(self) -> float:
@@ -102,9 +99,7 @@ def steady_transmission(chi, delta_m, kappa):
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    chi_arr = np.asarray(chi, dtype=float)
-    out = 1.0 / (1.0 - 2j * (delta_m - chi_arr) / kappa)
-    return np.asarray(out) if chi_arr.ndim else complex(out)
+    return 1.0 / (1.0 - 2j * (delta_m - np.asarray(chi, dtype=float)) / kappa)
 
 
 def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
@@ -123,7 +118,7 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
     z = 1j * delta_m - kappa / 2.0 - 1j * shift.chi
     b0 = -1.0 / z[0]  # stationary integral for chi held at chi[0]
     b = response_filter(z, dt, b0)
-    return ComplexTrace.from_complex(shift.times, (kappa / 2.0) * b)
+    return ComplexTrace(shift.times, (kappa / 2.0) * b)
 
 
 def fly_through_shift_trace(
@@ -195,7 +190,7 @@ def simulate_flythrough(
         transit_decay=transit_decay, extended_cloud=extended_cloud,
     )
     trace = transmission_response(shift, delta_m, kappa)
-    ref = float(np.angle(steady_transmission(0.0, delta_m, kappa)))
+    ref = np.angle(steady_transmission(0.0, delta_m, kappa))
     return trace, phase_change(trace, ref)
 
 

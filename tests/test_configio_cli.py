@@ -209,12 +209,47 @@ class TestWriters:
         header = path.read_text().splitlines()[0]
         assert header == "time_s,dphi_deg"
 
+    def test_csv_cell_text_per_dtype(self, tmp_path):
+        # floats at 17 significant digits, ints and bools by str, and a
+        # scalar repeated on every row
+        path = write_csv(tmp_path / "t.csv", {
+            "x": np.array([0.1, -0.0, np.nan, 5e-324, 1e300]),
+            "k": np.array([3, -7, 0, 2 ** 62, 1], dtype=np.int64),
+            "b": np.array([True, False, True, False, True]),
+            "s": 2.5,
+        })
+        assert path.read_bytes().decode().split("\r\n") == [
+            "x,k,b,s",
+            "0.10000000000000001,3,True,2.5",
+            "-0,-7,False,2.5",
+            "nan,0,True,2.5",
+            "4.9406564584124654e-324,4611686018427387904,False,2.5",
+            "1.0000000000000001e+300,1,True,2.5",
+            "",
+        ]
+
     def test_json_handles_numpy_types(self, tmp_path):
         path = write_json(tmp_path / "t.json", {
             "a": np.float64(1.5), "b": np.arange(3), "c": np.bool_(True),
         })
         back = json.loads(path.read_text())
         assert back == {"a": 1.5, "b": [0, 1, 2], "c": True}
+        path = write_json(tmp_path / "t.json", {
+            "f32": np.float32(0.1), "i64": np.int64(-3), "zero_d": np.array(2.5),
+            "two_d": np.arange(4.0).reshape(2, 2), "tuple": (1, np.float64(0.5)),
+            "nan": float("nan"),
+        })
+        assert path.read_text() == (
+            '{\n'
+            '  "f32": 0.10000000149011612,\n'
+            '  "i64": -3,\n'
+            '  "nan": NaN,\n'
+            '  "tuple": [\n    1,\n    0.5\n  ],\n'
+            '  "two_d": [\n    [\n      0.0,\n      1.0\n    ],\n'
+            '    [\n      2.0,\n      3.0\n    ]\n  ],\n'
+            '  "zero_d": 2.5\n'
+            '}\n'
+        )
 
 
 # ---------------------------------------------------------------------------

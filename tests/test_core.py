@@ -206,6 +206,17 @@ def test_readout_formulas_have_one_home():
     assert homes("np.sin(np.pi *") == ["estimation.py"]
 
 
+def test_numpy_values_leave_in_the_writers_only():
+    # the library returns what numpy computes; only the configio writers
+    # turn numpy values into Python values or text, so no function keeps
+    # a scalar-input branch and the complex trace is stored once
+    sources = {p.name: p.read_text() for p in Path(core.__file__).parent.glob("*.py")}
+    scalar_branch = re.compile(r"\bndim\b(\(\w+\))?(\s*==\s*0)?\s*(else|and|:)")
+    assert [name for name, src in sources.items() if scalar_branch.search(src)] == []
+    assert [name for name, src in sources.items() if "from_complex" in src] == []
+    assert sorted(name for name, src in sources.items() if ".17g" in src) == ["configio.py"]
+
+
 def _quadrature_mode_average(z, cavity, sigma_z, sigma_x, n_quad=2001):
     """Trapezoid Gaussian average of the squared mode profile, +-6 sigma."""
 

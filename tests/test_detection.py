@@ -131,7 +131,7 @@ def _steady_trace(chi, kappa=KAPPA, dm=0.0, span=40e-6, dt=5e-8, transit_end=10e
         steady_transmission(chi, dm, kappa),
         steady_transmission(0.0, dm, kappa),
     )
-    return ComplexTrace.from_complex(times, vals)
+    return ComplexTrace(times, vals)
 
 
 class TestSimulatePhaseShot:

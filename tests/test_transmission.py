@@ -206,7 +206,7 @@ class TestFlyThrough:
 class TestPhaseChange:
     def test_no_atoms_zero(self):
         times = np.linspace(0, 10e-6, 200)
-        trace = ComplexTrace.from_complex(times, np.ones(200))
+        trace = ComplexTrace(times, np.ones(200))
         dphi = phase_change(trace, 0.0)
         np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
 
