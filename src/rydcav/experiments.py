@@ -207,20 +207,17 @@ def run_flythrough(scenario: Scenario) -> dict:
     out = {"name": scenario.name, "traces": []}
     model_kw = scenario.model_kw
     _, t_cen = transmission.transit(scenario.ensemble, scenario.cavity)
+    shift = transmission.flythrough_shift(
+        scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **model_kw
+    )
     for delta_m in (0.0, kappa / 2.0):
-        trace, dphi = simulate_flythrough(
-            scenario.ensemble, scenario.cavity, scenario.transitions, delta_m, kappa,
-            **model_kw,
-        )
-        # instantaneous (quasi-static) response for comparison
-        shift = transmission.fly_through_shift_trace(
-            scenario.ensemble, scenario.cavity, scenario.transitions, trace.times,
-            **model_kw,
-        )
-        inst = transmission.ComplexTrace(trace.times,
-                                         steady_transmission(shift.chi, delta_m, kappa))
+        trace = transmission.transmission_response(shift, delta_m, kappa)
         empty = steady_transmission(0.0, delta_m, kappa)
         ref, amp0 = np.angle(empty), np.abs(empty)
+        dphi = transmission.phase_change(trace, ref)
+        # instantaneous (quasi-static) response for comparison
+        inst = transmission.ComplexTrace(shift.times,
+                                         steady_transmission(shift.chi, delta_m, kappa))
         i_ext = int(np.argmax(np.abs(dphi)))
         out["traces"].append(
             {

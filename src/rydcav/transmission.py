@@ -164,6 +164,31 @@ def fly_through_shift_trace(
     return ShiftTrace(times, np.where(inside, chi, 0.0))
 
 
+def flythrough_shift(
+    ensemble: EnsembleState,
+    cavity: CavitySpec,
+    transitions: TransitionSet,
+    kappa: float,
+    dt: float = None,
+    transit_decay: bool = True,
+    extended_cloud: bool = False,
+) -> ShiftTrace:
+    """The chi(t) trace of a fly-through, over the transit with :data:`PAD`
+    seconds of empty cavity on both sides, at dt = (2/kappa)/27 by default.
+
+    chi does not depend on the probe detuning, so one trace serves every
+    probe of the same cloud.
+    """
+    if dt is None:
+        dt = (2.0 / kappa) / 27.0
+    duration, _ = transit(ensemble, cavity)
+    times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + duration + PAD, dt)
+    return fly_through_shift_trace(
+        ensemble, cavity, transitions, times,
+        transit_decay=transit_decay, extended_cloud=extended_cloud,
+    )
+
+
 def simulate_flythrough(
     ensemble: EnsembleState,
     cavity: CavitySpec,
@@ -176,19 +201,12 @@ def simulate_flythrough(
 ):
     """Full fly-through transmission model.
 
-    Builds the chi(t) trace over the transit, with :data:`PAD` seconds of
-    empty cavity on both sides, and integrates the cavity response.
-    Returns (ComplexTrace, dphi_deg) where dphi is referenced to the
-    empty-cavity phase.
+    Builds the chi(t) trace with :func:`flythrough_shift` and integrates
+    the cavity response.  Returns (ComplexTrace, dphi_deg) where dphi is
+    referenced to the empty-cavity phase.
     """
-    if dt is None:
-        dt = (2.0 / kappa) / 27.0
-    duration, _ = transit(ensemble, cavity)
-    times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + duration + PAD, dt)
-    shift = fly_through_shift_trace(
-        ensemble, cavity, transitions, times,
-        transit_decay=transit_decay, extended_cloud=extended_cloud,
-    )
+    shift = flythrough_shift(ensemble, cavity, transitions, kappa, dt,
+                             transit_decay=transit_decay, extended_cloud=extended_cloud)
     trace = transmission_response(shift, delta_m, kappa)
     ref = np.angle(steady_transmission(0.0, delta_m, kappa))
     return trace, phase_change(trace, ref)

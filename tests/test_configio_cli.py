@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcav import EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, run_flythrough
+from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, run_flythrough,
+                    transmission)
 from rydcav.params import TWO_PI
 from rydcav.configio import (
     FLAGS,
@@ -23,6 +24,7 @@ from rydcav.configio import (
     write_csv,
     write_json,
 )
+from test_kernels import loop_filter
 
 ALL_CONFIGS = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 COMMANDS = ("simulate", "fit", "campaign", "trueness")
@@ -512,13 +514,13 @@ def fast_flythrough(tmp_path, config_dir):
 # pair writes at --seed 14; the campaign's shots.csv is pinned below.
 GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
-        "trace_detuned.csv": "0c83e3b590d001604ce86bd823cc29958a7a013905332a9f148c0b7dbc88be8e",
-        "trace_resonant.csv": "a058bf0f7a9456cb0506a752c521e759fd74e98b2bb920d91382f2641991487a",
+        "summary.json": "bcaa92a48edca35f2cad9d256c1f5421f6bee294626d819cb43fa9e837ec0ba0",
+        "trace_detuned.csv": "229627221e7e1ed61488187b5041564c182ab5c2251e97510f6bcff6aa8b4a75",
+        "trace_resonant.csv": "4b49defbe067fbe71fb2e9f2b2f2397c8d93021ea4b97ed07355467a2a6fe1cc",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
-        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+        "sensitivity.csv": "72fad0fc9bc7ff665aaefc2ce4cfd0e3198f5febce8583ca7dae1cb95ca25a8c",
+        "summary.json": "37022bdcca3d9ec4fa79e115f424f6f3bd705a4d0da450139c6d8de3dad1c2f2",
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
@@ -528,12 +530,12 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "rabi.csv": "5390a3e5b9ac1eccede06135085d4771f804f950a2a3468282cc802cebd69450",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "3c88791445670bbc3ea4b52f40e7579c5676a7067dcc912c2d76570d370a3b32",
-        "trace_fit_input.csv": "d74f2dde7dda376fdd2f8e162efd0ab927676a09693c4d1cc3c9f15657beedd0",
+        "summary.json": "1c4f1a948ba7f70b20f5bb2a92f9393a819fe147954edd85c65a8c2323db1681",
+        "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
     },
     ("fit", "power"): {
         "summary.json": "2b5d591d2eb8227b8233cab723565e9aef317f7c14d3d827fc0b831b464556b6",
@@ -544,13 +546,50 @@ GOLDEN = {
 }
 
 
+# The 4 pairs above that call the response kernel, as written with the
+# per-sample loop kernel (tests/test_kernels.py::loop_filter) in its place.
+# The blocked scan moved their outputs by at most 6e-13 deg in the traces
+# and 9.2e-10 relative in the fitted N; with the loop they must stay these
+# bytes, which shows that nothing outside the kernel moved.
+LOOP_GOLDEN = {
+    ("simulate", "flythrough"): {
+        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
+        "trace_detuned.csv": "0c83e3b590d001604ce86bd823cc29958a7a013905332a9f148c0b7dbc88be8e",
+        "trace_resonant.csv": "a058bf0f7a9456cb0506a752c521e759fd74e98b2bb920d91382f2641991487a",
+    },
+    ("simulate", "sensitivity"): {
+        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
+        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+    },
+    ("simulate", "rabi"): {
+        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
+    },
+    ("fit", "flythrough"): {
+        "summary.json": "3c88791445670bbc3ea4b52f40e7579c5676a7067dcc912c2d76570d370a3b32",
+        "trace_fit_input.csv": "d74f2dde7dda376fdd2f8e162efd0ab927676a09693c4d1cc3c9f15657beedd0",
+    },
+}
+
+
+def packaged_pair_hashes(out_dir, config_dir, command, config):
+    assert run_cli([command, "--config", str(config_dir / f"{config}.json"),
+                    "--out", str(out_dir), "--seed", "14"]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out_dir.iterdir() if p.name != "manifest.json"}
+
+
 @pytest.mark.parametrize("command, config", GOLDEN)
 def test_packaged_pair_golden_bytes(tmp_path, config_dir, command, config):
-    assert run_cli([command, "--config", str(config_dir / f"{config}.json"),
-                    "--out", str(tmp_path), "--seed", "14"]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir() if p.name != "manifest.json"}
-    assert written == GOLDEN[command, config]
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == GOLDEN[command, config]
+
+
+@pytest.mark.parametrize("command, config", LOOP_GOLDEN)
+def test_packaged_pair_golden_bytes_with_loop_kernel(tmp_path, config_dir, monkeypatch,
+                                                      command, config):
+    monkeypatch.setattr(transmission, "response_filter", loop_filter)
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
+        LOOP_GOLDEN[command, config]
 
 
 class TestCampaignCli:

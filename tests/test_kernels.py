@@ -1,5 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rydcav import kernels
 from rydcav.kernels import response_filter
 
 
@@ -31,3 +35,152 @@ def test_seeded_at_fixed_point_stays_there():
     z = np.full(1000, -kappa / 2 - 1j * 2 * np.pi * 10e3)
     out = response_filter(z, 5e-8, complex(-1.0 / z[0]))
     np.testing.assert_allclose(out, -1.0 / z[0], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-sample loop as reference oracle for the blocked scan
+
+KAPPA = 2 * np.pi * 236e3
+DT_MAX = (2.0 / KAPPA) / 20.0  # coarsest grid transmission_response accepts
+B = kernels.BLOCK
+
+
+def loop_filter(z, dt, b0):
+    """The recurrence b_k = d_k b_{k-1} + (d_k - 1)/zm_k, one sample at a time."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    dt = float(dt)
+    n = z.shape[0]
+    out = np.empty(n, dtype=np.complex128)
+    b = complex(b0)
+    out[0] = b
+    for k in range(1, n):
+        zm = 0.5 * (z[k] + z[k - 1])
+        d = np.exp(zm * dt)
+        b = b * d + (d - 1.0) / zm
+        out[k] = b
+    return out
+
+
+def random_z(seed, n, chi_max, noisy, delta_m=0.0):
+    """z = i delta_m - kappa/2 - i chi for a random smooth or noisy chi with
+    max |chi| = chi_max."""
+    rng = np.random.default_rng(seed)
+    if noisy:
+        chi = rng.standard_normal(n)
+    else:
+        t = np.linspace(0.0, 1.0, n)
+        chi = sum(rng.standard_normal()
+                  * np.sin(2 * np.pi * ((m + rng.random()) * t + rng.random()))
+                  for m in range(4))
+    chi = chi_max * chi / np.max(np.abs(chi))
+    return 1j * delta_m - KAPPA / 2 - 1j * chi
+
+
+@pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("noisy", [False, True], ids=["smooth", "noisy"])
+@pytest.mark.parametrize("chi_max", [1e4, 1e7])
+def test_matches_loop_oracle_at_block_edges(n, noisy, chi_max):
+    z = random_z(n, n, chi_max, noisy, delta_m=0.3 * KAPPA)
+    b0 = -1.0 / z[0]
+    np.testing.assert_allclose(response_filter(z, DT_MAX, b0), loop_filter(z, DT_MAX, b0),
+                               rtol=1e-11, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 3 * B + 2),
+       log_chi=st.floats(3.0, 7.0),
+       noisy=st.booleans(),
+       dt_frac=st.floats(0.05, 1.0),
+       detuning=st.floats(-2.0, 2.0))
+def test_matches_loop_oracle(seed, n, log_chi, noisy, dt_frac, detuning):
+    z = random_z(seed, n, 10**log_chi, noisy, delta_m=detuning * KAPPA)
+    dt = dt_frac * DT_MAX
+    b0 = -1.0 / z[0]
+    np.testing.assert_allclose(response_filter(z, dt, b0), loop_filter(z, dt, b0),
+                               rtol=1e-11, atol=0)
+
+
+def test_steps_beyond_exp_range_take_shorter_blocks():
+    # kappa/2 dt = 3 per step: a full block would span exp(3 * BLOCK), far
+    # past the float range, so the scan must shorten its blocks.
+    z = random_z(3, 3000, 1e7, True)
+    dt = 6.0 / KAPPA
+    b0 = 0.5 / KAPPA + 0j
+    out = response_filter(z, dt, b0)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, loop_filter(z, dt, b0), rtol=1e-11, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the recurrence
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       log_chi=st.floats(3.0, 7.0),
+       noisy=st.booleans(),
+       dt_frac=st.floats(0.05, 1.0),
+       detuning=st.floats(-2.0, 2.0),
+       b0_scale=st.floats(0.0, 1.0),
+       b0_phase=st.floats(0.0, 2 * np.pi))
+def test_passive(seed, log_chi, noisy, dt_frac, detuning, b0_scale, b0_phase):
+    # Re z = -kappa/2, so the integral can never exceed the resonant steady
+    # state 2/kappa: |b_k| <= |d| |b_{k-1}| + (1 - |d|) 2/kappa.
+    z = random_z(seed, 2 * B + 5, 10**log_chi, noisy, delta_m=detuning * KAPPA)
+    b0 = b0_scale * (2.0 / KAPPA) * np.exp(1j * b0_phase)
+    out = response_filter(z, dt_frac * DT_MAX, b0)
+    assert np.max(np.abs(out)) <= (2.0 / KAPPA) * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chi=st.floats(-1e7, 1e7),
+       dt_frac=st.floats(0.1, 1.0),
+       b0_scale=st.floats(0.0, 1.0),
+       b0_phase=st.floats(0.0, 2 * np.pi))
+def test_constant_z_tends_to_steady_state(chi, dt_frac, b0_scale, b0_phase):
+    z = -KAPPA / 2 - 1j * chi
+    dt = dt_frac * DT_MAX
+    n = int(np.ceil(40.0 / (KAPPA / 2 * dt))) + 1  # 40 decay lengths
+    b0 = b0_scale * (2.0 / KAPPA) * np.exp(1j * b0_phase)
+    out = response_filter(np.full(n, z), dt, b0)
+    assert abs(out[-1] - (-1.0 / z)) <= 1e-11 * abs(1.0 / z)
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_chi=st.floats(4.0, 6.5),
+       sign=st.sampled_from([-1.0, 1.0]),
+       width=st.floats(1.0, 10.0),
+       detuning=st.floats(-1.0, 1.0),
+       frac=st.floats(20.0, 40.0))
+def test_second_order_in_dt(log_chi, sign, width, detuning, frac):
+    # A Gaussian chi pulse on grids halved four times: every grid holds the
+    # samples of the coarser one, so successive solutions compare there.
+    w = width * 2.0 / KAPPA
+    n0 = int(round(10 * w / ((2.0 / KAPPA) / frac)))
+    dt0 = 10 * w / n0
+    outs = []
+    for k in range(5):
+        t = np.arange(n0 * 2**k + 1) * (dt0 / 2**k)
+        chi = sign * 10**log_chi * np.exp(-((t - 5 * w) / w) ** 2)
+        z = 1j * detuning * KAPPA - KAPPA / 2 - 1j * chi
+        outs.append(response_filter(z, dt0 / 2**k, -1.0 / z[0]))
+    diffs = [np.max(np.abs(coarse - fine[::2])) for coarse, fine in zip(outs, outs[1:])]
+    orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+    assert np.all(np.abs(orders - 2.0) <= 0.1), orders
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 5000),
+       log_chi=st.floats(3.0, 7.0),
+       noisy=st.booleans())
+def test_block_length_invariance(seed, n, log_chi, noisy):
+    z = random_z(seed, n, 10**log_chi, noisy, delta_m=0.5 * KAPPA)
+    b0 = -1.0 / z[0]
+    ref = response_filter(z, DT_MAX, b0)
+    for block in (1, 7, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK", block)
+            np.testing.assert_allclose(response_filter(z, DT_MAX, b0), ref,
+                                       rtol=1e-11, atol=0, err_msg=f"BLOCK = {block}")
