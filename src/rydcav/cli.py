@@ -240,11 +240,13 @@ def main(argv=None) -> int:
             types = ", ".join(t for c, t in TASKS if c == args.command)
             raise ConfigError(f"scenario.type: {scenario.type!r} has no {args.command} "
                               f"task; {args.command} runs type {types}")
-        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-        out.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest.start(args.command, args.config, scenario.master_seed)
         threads = {"threads": args.threads} if "threads" in args else {}
-        for name, payload in task(scenario, **threads).items():
+        files = task(scenario, **threads)
+        # made only after the task, so a task that fails leaves no directory
+        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
             # looked up per call, so a wrapped write_csv/write_json is honoured
             write = write_json if name.endswith(".json") else write_csv
             manifest.add(write(out / name, payload), out)

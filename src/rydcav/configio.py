@@ -14,7 +14,7 @@ import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,7 @@ SECTIONS = {
         ("velocity_m_s", "velocity", "num", ">0"),
         ("entry_time_s", "entry_time", "num", None),
     )),
-    "transitions": (TransitionSet.constant, (
+    "transitions": (TransitionSet, (
         ("delta_plus_hz", "delta_plus", "hz", "!=0"),
         ("delta_minus_hz", "delta_minus", "hz", "!=0"),
     )),
@@ -115,16 +115,6 @@ SCENARIO = (
     ("sweep_values", "sweep_values", "nums", None),
     ("flags", "flags", (Flags, FLAGS), None),
 )
-
-# Per scenario type, the settings without a default that its run needs,
-# each with the least number of distinct values it takes (a sensitivity
-# line fit needs two atom numbers).
-REQUIRED = {
-    "sensitivity": {"sweep_values": 2},
-    "power": {"sweep_values": 1, "flags.n_crit": 1},
-    "rabi": {"sweep_values": 1},
-    "campaign": {"sweep_values": 1, "flags.n_crit": 1},
-}
 
 _BOUNDS = {">0": lambda v: v > 0, ">=0": lambda v: v >= 0, "!=0": lambda v: v != 0}
 _FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
@@ -192,14 +182,12 @@ def load_scenario(path) -> Scenario:
     scenario = _section(raw.get("scenario", {}), "scenario", build, SCENARIO)
     if scenario.type is None:
         raise ConfigError("scenario.type: missing required field")
-    for key, least in REQUIRED.get(scenario.type, {}).items():
-        value = reduce(getattr, key.split("."), scenario)
-        if value is None or value == []:
-            raise ConfigError(f"scenario.{key}: missing required field "
-                              f"for type {scenario.type!r}")
-        if len(set(np.atleast_1d(value))) < least:
-            raise ConfigError(f"scenario.{key}: type {scenario.type!r} needs at least "
-                              f"{least} distinct values, got {value}")
+    try:
+        scenario.require(scenario.type)
+    except ValueError as exc:  # it names a field path; give the config key path
+        path, _, rest = str(exc).partition(":")
+        keys = {f"scenario.flags.{fld}": f"scenario.flags.{key}" for key, fld, *_ in FLAGS}
+        raise ConfigError(keys.get(path, path) + ":" + rest) from exc
     return scenario
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -51,9 +52,22 @@ class Flags:
     excitation_scale: float = 0.038
     p_plus: float = 0.61
     p_minus: float = 0.20
-    detuning_rel_uncertainty: float = 0.007
-    pointlike_uncertainty: float = 0.003
-    interaction_spacing: float = 75e-6
+    detuning_rel_uncertainty: float | None = None  # required by trueness budgets
+    pointlike_uncertainty: float | None = None  # required by trueness budgets
+    interaction_spacing: float | None = None  # required by trueness budgets, m
+
+
+# Per scenario type, the settings without a default that its run needs,
+# each with the least number of distinct values it takes (a sensitivity
+# line fit needs two atom numbers).
+REQUIRED = {
+    "sensitivity": {"sweep_values": 2},
+    "power": {"sweep_values": 1, "flags.n_crit": 1},
+    "rabi": {"sweep_values": 1},
+    "campaign": {"sweep_values": 1, "flags.n_crit": 1},
+    "trueness": {"flags.detuning_rel_uncertainty": 1, "flags.pointlike_uncertainty": 1,
+                 "flags.interaction_spacing": 1},
+}
 
 
 @dataclass
@@ -90,6 +104,18 @@ class Scenario:
         ens = self.ensemble
         return {"transit_decay": self.flags.transit_decay,
                 "extended_cloud": ens.sigma_z > 0 or ens.sigma_x > 0}
+
+    def require(self, scenario_type):
+        """Raise ValueError, naming the setting, unless the scenario holds
+        every setting a run of ``scenario_type`` needs (:data:`REQUIRED`)."""
+        for key, least in REQUIRED.get(scenario_type, {}).items():
+            value = reduce(getattr, key.split("."), self)
+            if value is None or np.size(value) == 0:
+                raise ValueError(f"scenario.{key}: missing required field "
+                                 f"for type {scenario_type!r}")
+            if len(set(np.atleast_1d(value))) < least:
+                raise ValueError(f"scenario.{key}: type {scenario_type!r} needs at least "
+                                 f"{least} distinct values, got {value}")
 
     def flag(self, name, default=None):
         # Read scenario.flags.<name>; this accessor is kept for perfbench/run.py.
@@ -170,14 +196,13 @@ def interaction_shift(spacing, coefficient_mhz_um, order):
 
 def trueness_ledger(scenario: Scenario) -> TruenessReport:
     """Assemble the relative systematic error budget of the atom-number
-    detection for the scenario's cloud, with the detunings at the cavity
-    centre.  The point-like item is recomputed from the cloud sizes, not
-    hard-coded; interactions are compared against the detunings.
+    detection for the scenario's cloud and its two detunings.  The
+    point-like item is recomputed from the cloud sizes, not hard-coded;
+    interactions are compared against the detunings.
     """
+    scenario.require("trueness")
     cavity, ens, flags = scenario.cavity, scenario.ensemble, scenario.flags
-    centre = cavity.length_z / 2
-    dp = scenario.transitions.delta_plus(centre)
-    dm = scenario.transitions.delta_minus(centre)
+    dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
     items = {}
     # analytic mode vs finite-element field: g^2 low by (1 - mode_correction)
     items["mode_correction"] = (1.0 - cavity.mode_correction, 0.0)
@@ -261,6 +286,7 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     cross-calibrated MCP sensitivity, which differs from the configured
     single-atom signal by the injected systematic offset.
     """
+    scenario.require("sensitivity")
     n_values = np.asarray(scenario.sweep_values, dtype=float)
     dphi = np.array([phase_at_tmax(scenario, n) for n in n_values])
     # expected MCP signal for the same clouds
@@ -305,6 +331,7 @@ def _effective_chi_per_atom(scenario: Scenario):
 def run_power_sweep(scenario: Scenario) -> dict:
     """Phase change versus photon number for several atom numbers, plus
     the residual-excitation curve; input data for the n_crit fit."""
+    scenario.require("power")
     kappa = scenario.kappa
     chi1, n_crit = _effective_chi_per_atom(scenario)
     grid = scenario.flags.photon_grid
@@ -342,6 +369,7 @@ def run_power_sweep(scenario: Scenario) -> dict:
 def run_rabi_scenario(scenario: Scenario) -> dict:
     """Phase change at t_max and p occupation versus normalized Rabi
     frequency, for the pure p,+1 map and the depolarized map."""
+    scenario.require("rabi")
     kappa = scenario.kappa
     ratios = np.asarray(scenario.sweep_values, dtype=float)
     kw = scenario.model_kw
@@ -398,6 +426,7 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     deviation of the cavity estimate and of the MCP estimate, and a
     precision-versus-photon-number curve at the reference atom number.
     """
+    scenario.require("campaign")
     chi1, n_crit = _effective_chi_per_atom(scenario)
     mean_n_values = scenario.sweep_values
     shots = scenario.shots

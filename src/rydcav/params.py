@@ -103,35 +103,11 @@ class EnsembleState:
 
 @dataclass
 class TransitionSet:
-    """Piecewise-linear detuning profiles over position.
+    """Detunings of the s -> p,+1 and s -> p,-1 transitions from the
+    cavity, in rad/s; fixed along the transit."""
 
-    The profiles are held at their end values outside the sampled range.
-    """
-
-    z_samples: np.ndarray
-    delta_plus_samples: np.ndarray
-    delta_minus_samples: np.ndarray
-
-    def __post_init__(self):
-        self.z_samples = np.atleast_1d(np.asarray(self.z_samples, dtype=float))
-        self.delta_plus_samples = np.broadcast_to(
-            np.asarray(self.delta_plus_samples, dtype=float), self.z_samples.shape
-        ).copy()
-        self.delta_minus_samples = np.broadcast_to(
-            np.asarray(self.delta_minus_samples, dtype=float), self.z_samples.shape
-        ).copy()
-        if np.any(np.diff(self.z_samples) <= 0) and self.z_samples.size > 1:
-            raise ParameterError("z_samples must be strictly increasing")
-
-    @classmethod
-    def constant(cls, delta_plus: float, delta_minus: float) -> "TransitionSet":
-        return cls(np.array([0.0]), np.array([delta_plus]), np.array([delta_minus]))
-
-    def delta_plus(self, z):
-        return np.interp(z, self.z_samples, self.delta_plus_samples)
-
-    def delta_minus(self, z):
-        return np.interp(z, self.z_samples, self.delta_minus_samples)
+    delta_plus: float
+    delta_minus: float
 
 
 @dataclass

@@ -137,18 +137,20 @@ def fly_through_shift_trace(
     during the transit.  With ``extended_cloud`` the squared
     coupling is replaced by :func:`rydcav.core.cloud_mode_average` over the
     cloud sizes (sigma_z along the beam, sigma_x transverse).  chi is
-    :func:`rydcav.core.dispersive_shift`, so every detuning the trace
-    samples must satisfy |Delta| > 10 g sqrt(N).
+    :func:`rydcav.core.dispersive_shift` at the two detunings of
+    ``transitions`` (each |Delta| > 10 g sqrt(N)) on the samples inside
+    the transit, and 0 elsewhere, so also on a grid with none inside.
     """
     times = np.asarray(times, dtype=float)
-    t_c = times - ensemble.entry_time
+    chi = np.zeros_like(times)
     transit_time, t_cen = transit(ensemble, cavity)
+    t_c = times - ensemble.entry_time
     inside = (t_c >= 0) & (t_c <= transit_time)
+    if ensemble.n_atoms == 0 or not inside.any():
+        return ShiftTrace(times, chi)
 
-    if ensemble.n_atoms == 0:
-        return ShiftTrace(times, np.zeros_like(times))
-
-    z = np.clip(t_c * ensemble.velocity, 0.0, cavity.length_z)
+    # t_c * v can round past length_z at the exit sample
+    z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
     if extended_cloud:
         g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
             z, cavity, ensemble.sigma_z, ensemble.sigma_x))
@@ -157,11 +159,11 @@ def fly_through_shift_trace(
 
     decay_s = decay_p = 1.0
     if transit_decay:
-        decay_s = np.exp(-(times - t_cen) / TAU_S)
-        decay_p = np.exp(-(times - t_cen) / TAU_P)
-    chi = core.dispersive_shift(ensemble, g, transitions.delta_plus(z),
-                                transitions.delta_minus(z), decay_s, decay_p)
-    return ShiftTrace(times, np.where(inside, chi, 0.0))
+        decay_s = np.exp(-(times[inside] - t_cen) / TAU_S)
+        decay_p = np.exp(-(times[inside] - t_cen) / TAU_P)
+    chi[inside] = core.dispersive_shift(ensemble, g, transitions.delta_plus,
+                                        transitions.delta_minus, decay_s, decay_p)
+    return ShiftTrace(times, chi)
 
 
 def flythrough_shift(

@@ -32,7 +32,7 @@ def ensemble261():
 
 @pytest.fixture
 def transitions():
-    return TransitionSet.constant(-TWO_PI * 8e6, -TWO_PI * 26e6)
+    return TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6)
 
 
 @pytest.fixture

@@ -85,7 +85,7 @@ def campaign_scenario(shots, two_transitions, floor, seed=14, n_c=5.9e4):
         name="acceptance-campaign",
         cavity=reference_cavity(),
         ensemble=EnsembleState(n_atoms=500),
-        transitions=TransitionSet.constant(-TWO_PI * 8e6, -TWO_PI * 26e6),
+        transitions=TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6),
         probe=ProbeConfig(n_c=n_c, tau_i=6.2e-6, alpha=4.0),
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
         mcp=McpModel(),
@@ -154,7 +154,7 @@ def test_criterion_4_estimator_round_trips():
     on noiseless data, and inside stated bands on noisy data."""
     t0 = time.perf_counter()
     cavity = reference_cavity()
-    transitions = TransitionSet.constant(-TWO_PI * 8e6, -TWO_PI * 26e6)
+    transitions = TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6)
     ens = EnsembleState(n_atoms=261)
     kappa = cavity.kappa
     checks = {}

@@ -47,9 +47,7 @@ class TestLoadScenario:
         sc = load_scenario(config_dir / "flythrough.json")
         assert sc.cavity.omega_c == pytest.approx(TWO_PI * 20.5583e9)
         assert sc.cavity.g_max == pytest.approx(TWO_PI * 14.3e3)
-        assert sc.transitions.delta_plus(sc.cavity.length_z / 2) == pytest.approx(
-            -TWO_PI * 8e6
-        )
+        assert sc.transitions.delta_plus == pytest.approx(-TWO_PI * 8e6)
 
     def test_flag_hz_conversion(self, config_dir):
         sc = load_scenario(config_dir / "power.json")
@@ -416,6 +414,8 @@ class TestCli:
           for value in (None, [])],
         ("power", "flags.n_crit", None),
         ("campaign", "flags.n_crit", None),
+        *[("trueness", f"flags.{key}", None) for key in (
+            "detuning_rel_uncertainty", "pointlike_uncertainty", "interaction_spacing_m")],
     ])
     def test_required_setting_exit_2(self, tmp_path, config_dir, capsys, config, key, value):
         raw = json.loads((config_dir / f"{config}.json").read_text())
@@ -457,7 +457,7 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: scenario.sweep_values:" in capsys.readouterr().err
-        assert not list(out.glob("power_n*.csv"))
+        assert not out.exists()
 
     def test_empty_tmax_window_exit_1(self, tmp_path, config_dir, capsys):
         raw = json.loads((config_dir / "sensitivity.json").read_text())

@@ -17,6 +17,7 @@ from rydcav import (
     pointlike_correction,
     run_flythrough,
     run_power_sweep,
+    run_rabi_scenario,
     run_sensitivity_sweep,
     run_single_shot_campaign,
     trueness_ledger,
@@ -34,7 +35,7 @@ def make_scenario(cavity, n_atoms=261, shots=1000, **kw):
         name="test",
         cavity=cavity,
         ensemble=EnsembleState(n_atoms=n_atoms),
-        transitions=TransitionSet.constant(-TWO_PI * 8e6, -TWO_PI * 26e6),
+        transitions=TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6),
         probe=ProbeConfig(n_c=5.9e4, tau_i=6.2e-6, alpha=4.0),
         noise=NoiseChain(n_noise=23.0),
         mcp=McpModel(),
@@ -152,6 +153,19 @@ class TestTruenessLedger:
 
 # ---------------------------------------------------------------------------
 # figure-style runs
+
+
+@pytest.mark.parametrize("config, runner", [
+    ("sensitivity", run_sensitivity_sweep),
+    ("power", run_power_sweep),
+    ("rabi", run_rabi_scenario),
+    ("campaign", run_single_shot_campaign),
+])
+def test_runner_rejects_empty_sweep(config_dir, config, runner):
+    # called from Python, past load_scenario's checks
+    sc = dataclasses.replace(load_scenario(config_dir / f"{config}.json"), sweep_values=[])
+    with pytest.raises(ValueError, match=r"scenario\.sweep_values: missing required field"):
+        runner(sc)
 
 
 class TestRunFlythrough:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from rydcav import (
     TransitionSet,
     window_samples,
 )
-from rydcav.transmission import GridAccuracyError, WindowConfigError
+from rydcav.configio import load_scenario
+from rydcav.transmission import GridAccuracyError, WindowConfigError, flythrough_shift
 
 TWO_PI = 2.0 * np.pi
 KAPPA = TWO_PI * 236e3
@@ -116,6 +118,17 @@ class TestTransmissionResponse:
         assert np.max(rel) < 1e-3
 
 
+# SHA-256 of the float64 bytes of flythrough_shift(...).chi on the packaged
+# flythrough.json (616 samples), per (transit_decay, extended_cloud): the
+# chi(t) build is pinned bit for bit, not only through the traces it feeds.
+CHI_GOLDEN = {
+    (False, False): "e7711d632e26ba16c2e7c5db1e2779175dcbde63d7bf0aa7c060f3fff682fa3c",
+    (False, True): "8c91ed0e32fae4319ae33333e4f5d4e859261cc06de5e97fe89b1e4a2551a2b8",
+    (True, False): "c3871482b19d45e1b88757606b1ecd78c0ef250a94e4fe08541481bd491bead5",
+    (True, True): "87f7b7d5c14472af73846ad3d8668a94bf29a6376acad0de9a128c21df18dca5",
+}
+
+
 class TestFlyThrough:
     def test_zero_atoms_flat(self, cavity, transitions):
         ens = EnsembleState(n_atoms=0)
@@ -178,19 +191,25 @@ class TestFlyThrough:
         with pytest.raises(TypeError):
             simulate_flythrough(ensemble261, cavity, transitions, 0.0, cavity.kappa, n_c=5.9e4)
 
-    def test_detuning_crossing_zero_in_cavity_rejected(self, cavity, ensemble261):
-        # both profile samples lie 10 MHz away, but between them the trace
-        # samples delta_+ close to 0, where the expansion does not hold
-        crossing = TransitionSet(np.array([0.0, cavity.length_z]),
-                                 TWO_PI * np.array([-10e6, 10e6]), -TWO_PI * 26e6)
-        with pytest.raises(DispersiveValidityError, match="delta_plus"):
-            simulate_flythrough(ensemble261, cavity, crossing, 0.0, cavity.kappa)
-
     def test_constant_detuning_inside_limit_rejected(self, cavity, ensemble261):
         # 10 g sqrt(N) = 2.3 MHz for N = 261
-        close = TransitionSet.constant(-TWO_PI * 1e6, -TWO_PI * 26e6)
+        close = TransitionSet(-TWO_PI * 1e6, -TWO_PI * 26e6)
         with pytest.raises(DispersiveValidityError):
             simulate_flythrough(ensemble261, cavity, close, 0.0, cavity.kappa)
+
+    @pytest.mark.parametrize("transit_decay, extended_cloud", CHI_GOLDEN)
+    def test_packaged_shift_trace_golden_bits(self, config_dir, transit_decay,
+                                              extended_cloud):
+        sc = load_scenario(config_dir / "flythrough.json")
+        chi = flythrough_shift(sc.ensemble, sc.cavity, sc.transitions, sc.kappa,
+                               transit_decay=transit_decay, extended_cloud=extended_cloud).chi
+        assert hashlib.sha256(chi.tobytes()).hexdigest() == \
+            CHI_GOLDEN[transit_decay, extended_cloud]
+
+    def test_grid_before_entry_has_no_shift(self, cavity, ensemble261, transitions):
+        times = ensemble261.entry_time - np.linspace(2e-6, 1e-6, 50)
+        trace = fly_through_shift_trace(ensemble261, cavity, transitions, times)
+        assert np.array_equal(trace.chi, np.zeros(50))
 
     def test_transit_decay_reduces_late_shift(self, cavity, ensemble261, transitions):
         times = np.linspace(0, cavity.length_z / ensemble261.velocity, 2001)
