@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime/model failure, 2 invalid config or a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -158,7 +159,7 @@ def _fit_flythrough(scenario):
                                 "dphi_model_deg": dphi},
         "summary.json": {
             "name": scenario.name,
-            "fit": fit.to_dict(),
+            "fit": dataclasses.asdict(fit),
             "n_atoms_true": scenario.ensemble.n_atoms,
             "n_atoms_fit": fit["n_atoms"],
             "n_atoms_sigma": fit.uncertainties["n_atoms"],
@@ -172,7 +173,7 @@ def _fit_power(scenario):
     fit = estimation.fit_power_dependence(datasets, scenario.kappa)
     return {"summary.json": {
         "name": scenario.name,
-        "fit": fit.to_dict(),
+        "fit": dataclasses.asdict(fit),
         "n_crit_true": res["n_crit_true"],
         "n_crit_fit": fit["n_crit"],
     }}

@@ -235,7 +235,13 @@ def write_json(path, payload):
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read 1 MiB at a time so that a large output never
+    sits in memory whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @dataclass

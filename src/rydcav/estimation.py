@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import core
+from . import core, transmission
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
 from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
 from .transmission import readout_time, simulate_flythrough
@@ -67,16 +67,15 @@ def fit_entry_time(
     :class:`UnidentifiableError` for a flat trace.
     """
     times = np.asarray(times, dtype=float)
-    dphi_deg = np.asarray(dphi_deg, dtype=float)
 
-    def model(params, _x):
+    def model(params):
         trace, dphi = simulate_flythrough(replace(ensemble, **params), cavity, transitions,
                                           delta_m, kappa, **model_kw)
         return np.interp(times, trace.times, dphi)
 
-    data = (times, dphi_deg) if sigma_deg is None else (times, dphi_deg, sigma_deg)
     try:
-        return least_squares_fit(model, data, {"entry_time": ensemble.entry_time})
+        return least_squares_fit(model, dphi_deg, {"entry_time": ensemble.entry_time},
+                                 sigma=sigma_deg)
     except RankDeficiencyError as exc:
         raise UnidentifiableError("flat trace: entry time unidentifiable") from exc
 
@@ -106,11 +105,13 @@ def fit_atom_number(
     y = np.concatenate(y_parts)
     sig = np.concatenate(s_parts)
 
-    def model(params, _x):
+    def model(params):
+        # chi(t) does not depend on the probe: one trace serves every probe
+        shift = transmission.flythrough_shift(replace(ensemble, **params), cavity,
+                                              transitions, kappa, **model_kw)
         out = []
         for tr in traces:
-            trace, _ = simulate_flythrough(replace(ensemble, **params), cavity, transitions,
-                                           tr["delta_m"], kappa, **model_kw)
+            trace = transmission.transmission_response(shift, tr["delta_m"], kappa)
             t = np.asarray(tr["times"], dtype=float)
             out.append(np.interp(t, trace.times, trace.amplitude))
             out.append(np.interp(t, trace.times, np.unwrap(trace.phase)))
@@ -118,9 +119,7 @@ def fit_atom_number(
 
     init = {"n_atoms": float(ensemble.n_atoms)}
     try:
-        return least_squares_fit(
-            model, (None, y, sig), init, bounds={"n_atoms": (0.0, np.inf)}
-        )
+        return least_squares_fit(model, y, init, sigma=sig, bounds={"n_atoms": (0.0, np.inf)})
     except RankDeficiencyError as exc:
         raise UnidentifiableError("traces carry no atom-number information") from exc
 
@@ -162,7 +161,7 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
         np.full(len(ds["n_c"]), ds.get("sigma_deg", 1.0)) for ds in datasets
     ])
 
-    def model(params, _x):
+    def model(params):
         out = []
         for j, ds in enumerate(datasets):
             chi = core.power_dependent_shift(params[f"chi0_{j}"], ds["n_c"], params["n_crit"])
@@ -175,7 +174,7 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     for j, ds in enumerate(datasets):
         i0 = int(np.argmin(ds["n_c"]))
         init[f"chi0_{j}"] = core.shift_from_phase(np.radians(ds["dphi_deg"][i0]), kappa)
-    return least_squares_fit(model, (None, y, sig), init, bounds=bounds)
+    return least_squares_fit(model, y, init, sigma=sig, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +207,9 @@ def fit_rabi_calibration(theta, s1, s2, sr, mcp: McpModel, sigma=None) -> FitRes
         raise UnidentifiableError("data must span at least one Rabi period")
     d = mcp.decay_correction
     y = np.concatenate([s1, s2, sr])
-    sig = np.ones_like(y) if sigma is None else np.concatenate([sigma, sigma, sigma])
+    sig = None if sigma is None else np.concatenate([sigma, sigma, sigma])
 
-    def model(params, _x):
+    def model(params):
         a, b, c = rabi_calibration_model(
             params["area_scale"] * theta,
             params["amp"], params["alpha_p"], params["beta_s"], params["beta_p"], d,
@@ -231,7 +230,7 @@ def fit_rabi_calibration(theta, s1, s2, sr, mcp: McpModel, sigma=None) -> FitRes
         "area_scale": (0.5, 2.0),
         "amp": (0.0, np.inf),
     }
-    return least_squares_fit(model, (None, y, sig), init, bounds=bounds)
+    return least_squares_fit(model, y, init, sigma=sig, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +298,11 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
         raise UnidentifiableError("need at least two preparation amplitudes")
     freqs = np.asarray(freqs, dtype=float)
     y = np.concatenate([np.asarray(sp, dtype=float) for sp in spectra])
-    sig = np.ones_like(y) if sigma is None else np.full_like(y, sigma)
 
     base = spectra[prep_ratios.index(0.0)]
     f_minus0, f_plus0 = sorted(find_line_centers(freqs, base, 2))
 
-    def model(params, _x):
+    def model(params):
         out = [
             spectroscopy_spectrum(
                 freqs, r,
@@ -334,7 +332,7 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
         "f_minus": (f_minus0 - 0.2 * span, f_minus0 + 0.2 * span),
     }
     spreads = {"p_plus": 0.3, "p_minus": 0.3, "omega_i_plus": 0.2, "omega_i_minus": 0.2}
-    return multi_start_fit(model, (None, y, sig), init, spreads, bounds=bounds, seeds=8)
+    return multi_start_fit(model, y, init, spreads, sigma=sigma, bounds=bounds, seeds=8)
 
 
 # ---------------------------------------------------------------------------

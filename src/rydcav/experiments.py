@@ -90,7 +90,7 @@ class Scenario:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.sweep_values and not np.all(np.isfinite(self.sweep_values)):
+        if not np.all(np.isfinite(np.asarray(self.sweep_values, dtype=float))):
             raise ValueError("sweep values must be finite")
 
     @property

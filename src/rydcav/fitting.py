@@ -37,18 +37,6 @@ class FitResult:
     def __getitem__(self, name):
         return self.params[name]
 
-    def to_dict(self):
-        return {
-            "params": self.params,
-            "uncertainties": self.uncertainties,
-            "covariance": self.covariance,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "boundary_active": self.boundary_active,
-            "cost_trace": self.cost_trace,
-        }
-
 
 def finite_difference_jacobian(fn, p):
     """Central-difference Jacobian of fn(p), step sqrt(eps) max(|p_i|, 1)."""
@@ -65,15 +53,16 @@ def finite_difference_jacobian(fn, p):
     return np.column_stack(columns)
 
 
-def least_squares_fit(model_fn, data, init, bounds=None):
-    """Fit ``model_fn(params_dict, x) -> y_model`` to data by weighted
-    least squares.
+def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
+    """Fit ``model_fn(params_dict) -> y_model`` to ``y`` by weighted least
+    squares.
 
     Parameters
     ----------
-    data : (x, y) or (x, y, sigma); with sigma the residuals are
-        inverse-variance weighted, otherwise unweighted.
+    y : data, compared with the flattened model output.
     init : dict of parameter name -> starting value (defines the order).
+    sigma : optional per-point (or scalar) uncertainty of ``y``; the
+        residuals are divided by it, otherwise unweighted.
     bounds : optional dict name -> (lo, hi); enforced by projecting trial
         steps into the box.
 
@@ -83,11 +72,6 @@ def least_squares_fit(model_fn, data, init, bounds=None):
     Returns a :class:`FitResult`; the covariance is the inverse of the
     weighted normal matrix at the optimum, scaled by the residual variance.
     """
-    if len(data) == 3:
-        x, y, sigma = data
-    else:
-        x, y = data
-        sigma = None
     y = np.asarray(y, dtype=float).ravel()
     w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float).ravel()
 
@@ -108,7 +92,7 @@ def least_squares_fit(model_fn, data, init, bounds=None):
 
     def residuals(pv):
         pd = dict(zip(names, pv))
-        return (np.asarray(model_fn(pd, x), dtype=float).ravel() - y) * w
+        return (np.asarray(model_fn(pd), dtype=float).ravel() - y) * w
 
     r = residuals(p)
     cost = float(r @ r)
@@ -182,12 +166,16 @@ def least_squares_fit(model_fn, data, init, bounds=None):
     )
 
 
-def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_seed=0):
+def multi_start_fit(model_fn, y, init, spreads, sigma=None, bounds=None, seeds=8,
+                    rng_seed=0):
     """Run :func:`least_squares_fit` from ``seeds`` (>= 1) perturbed starts.
 
     ``spreads`` maps parameter names to the relative perturbation applied
     to the starting point; the first start is unperturbed.  Returns the
-    converged result with the lowest residual norm.
+    result with the lowest residual norm among the starts that ended
+    without a linear-algebra error, whether or not it converged (see
+    ``FitResult.converged``); raises :class:`RankDeficiencyError` when
+    every start ended with one.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -201,7 +189,7 @@ def multi_start_fit(model_fn, data, init, spreads, bounds=None, seeds=8, rng_see
                 if bounds and name in bounds:
                     start[name] = float(np.clip(start[name], *bounds[name]))
         try:
-            res = least_squares_fit(model_fn, data, start, bounds=bounds)
+            res = least_squares_fit(model_fn, y, start, sigma=sigma, bounds=bounds)
         except (RankDeficiencyError, np.linalg.LinAlgError):
             continue
         if best is None or res.residual_norm < best.residual_norm:

@@ -20,6 +20,7 @@ from rydcav.configio import (
     SCENARIO_TYPES,
     SECTIONS,
     ConfigError,
+    _sha256,
     load_scenario,
     write_csv,
     write_json,
@@ -250,6 +251,13 @@ class TestWriters:
             '  "zero_d": 2.5\n'
             '}\n'
         )
+
+    def test_digest_of_file_spanning_several_chunks(self, tmp_path):
+        # 2.5 chunks of 1 MiB: the last read is partial
+        data = np.random.default_rng(0).bytes(5 * 2 ** 19 + 3)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from rydcav import (
     spectroscopy_spectrum,
     spectroscopy_transfer,
 )
+from rydcav import estimation, transmission
 from rydcav.estimation import find_line_centers
+from rydcav.fitting import least_squares_fit
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,6 +83,43 @@ class TestNoiselessRoundTrips:
         fit = fit_atom_number(traces, dataclasses.replace(ensemble261, n_atoms=180),
                               cavity, transitions, cavity.kappa)
         assert fit["n_atoms"] == pytest.approx(261.0, rel=1e-6)
+
+    def test_atom_number_model_builds_chi_once(self, cavity, ensemble261, transitions,
+                                               monkeypatch):
+        # chi(t) does not depend on the probe, so one build serves both probes,
+        # and each probe's model is simulate_flythrough's trace bit for bit
+        detunings = (0.0, cavity.kappa / 2)
+        traces = _flythrough_traces(cavity, ensemble261, transitions, detunings)
+        models, evals, builds = [], [0], [0]
+
+        def spy_fit(model_fn, *args, **kwargs):
+            def counted(*model_args):
+                evals[0] += 1
+                return model_fn(*model_args)
+
+            models.append(model_fn)
+            return least_squares_fit(counted, *args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            builds[0] += 1
+            return build(*args, **kwargs)
+
+        build = transmission.fly_through_shift_trace
+        monkeypatch.setattr(estimation, "least_squares_fit", spy_fit)
+        monkeypatch.setattr(transmission, "fly_through_shift_trace", counted_build)
+        fit_atom_number(traces, dataclasses.replace(ensemble261, n_atoms=180),
+                        cavity, transitions, cavity.kappa, transit_decay=False)
+        assert evals[0] > 0 and builds[0] == evals[0]
+
+        n_atoms = 222.5
+        want = []
+        for dm in detunings:
+            trace, _ = simulate_flythrough(dataclasses.replace(ensemble261, n_atoms=n_atoms),
+                                           cavity, transitions, dm, cavity.kappa,
+                                           transit_decay=False)
+            want += [trace.amplitude, np.unwrap(trace.phase)]
+        got = models[0]({"n_atoms": n_atoms})
+        assert np.array_equal(got, np.concatenate(want))
 
     def test_entry_time(self, cavity, ensemble261, transitions):
         truth = dataclasses.replace(ensemble261, entry_time=1.0e-6)
