@@ -195,26 +195,50 @@ def load_scenario(path) -> Scenario:
 # writers
 
 
-CSV_BLOCK_ROWS = 8192  # rows taken out of numpy at a time; bounds the writer's memory
+CSV_BLOCK_ROWS = 2048  # rows formatted per call; bounds the writer's memory
+CSV_FEW_VALUES = 8  # a block column with at most rows/8 distinct values formats each once
 
 
 def write_csv(path, columns: dict):
     """Write named columns (unit-suffixed headers); shorter ones broadcast.
 
-    Each column is formatted by its dtype: floats at 17 significant
-    digits, anything else by ``str``.
+    Floats are written at 17 significant digits, ints and bools by ``str``;
+    the cells are numbers, so no cell needs CSV quoting.  Columns of any
+    other dtype (and ``longdouble``) raise ``TypeError``.  Each block of
+    rows is formatted by one ``%`` call; a column with few distinct values
+    in the block (told apart by bit pattern, so ``-0.0`` stays apart from
+    ``0.0``) has each value formatted once and passed as text.
     """
     path = Path(path)
     arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
+    for name, a in zip(columns, arrays):
+        if a.dtype.kind not in "biuf" or a.dtype.itemsize > 8:
+            raise TypeError(f"write_csv: column {name!r} has dtype {a.dtype}; "
+                            "only bool, int and float up to 64 bits are written")
     n = max(a.size for a in arrays)
     arrays = [np.broadcast_to(a, (n,)) for a in arrays]
-    fmts = ["{:.17g}".format if a.dtype.kind == "f" else str for a in arrays]
+    m = len(arrays)
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
+        csv.writer(fh).writerow(columns)
         for i in range(0, n, CSV_BLOCK_ROWS):
-            w.writerows(zip(*(map(f, a[i:i + CSV_BLOCK_ROWS].tolist())
-                              for f, a in zip(fmts, arrays))))
+            block = [a[i:i + CSV_BLOCK_ROWS] for a in arrays]
+            rows = block[0].size
+            cells = [None] * (rows * m)
+            fmts = []
+            for j, b in enumerate(block):
+                fmt = "%.17g" if b.dtype.kind == "f" else "%s"
+                bits = b.view(f"u{b.itemsize}")
+                ordered = np.sort(bits)
+                if (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) * CSV_FEW_VALUES <= rows:
+                    keys = np.unique(ordered)
+                    text = np.array([fmt % v for v in keys.view(b.dtype).tolist()], dtype=object)
+                    cells[j::m] = text[np.searchsorted(keys, bits)].tolist()
+                    fmt = "%s"
+                else:
+                    cells[j::m] = b.tolist()
+                fmts.append(fmt)
+            # "\r\n" is csv.writer's line terminator
+            fh.write((",".join(fmts) + "\r\n") * rows % tuple(cells))
     return path
 
 
@@ -235,11 +259,11 @@ def write_json(path, payload):
 
 
 def _sha256(path) -> str:
-    """SHA-256 of a file, read 1 MiB at a time so that a large output never
+    """SHA-256 of a file, read 256 KiB at a time so that a large output never
     sits in memory whole."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
+        while block := fh.read(1 << 18):
             digest.update(block)
     return digest.hexdigest()
 

@@ -25,6 +25,7 @@ from rydcav.configio import (
     write_csv,
     write_json,
 )
+from test_csv_writer import rowwise_write_csv
 from test_kernels import loop_filter
 
 ALL_CONFIGS = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
@@ -253,7 +254,7 @@ class TestWriters:
         )
 
     def test_digest_of_file_spanning_several_chunks(self, tmp_path):
-        # 2.5 chunks of 1 MiB: the last read is partial
+        # 10 chunks of 256 KiB and 3 bytes: the last read is partial
         data = np.random.default_rng(0).bytes(5 * 2 ** 19 + 3)
         path = tmp_path / "big.bin"
         path.write_bytes(data)
@@ -592,6 +593,14 @@ def test_packaged_pair_golden_bytes(tmp_path, config_dir, command, config):
     assert packaged_pair_hashes(tmp_path, config_dir, command, config) == GOLDEN[command, config]
 
 
+@pytest.mark.parametrize("command, config", GOLDEN)
+def test_packaged_pair_golden_bytes_with_rowwise_writer(tmp_path, config_dir, monkeypatch,
+                                                        command, config):
+    # the same bytes from the csv.writer that write_csv replaced
+    monkeypatch.setattr(cli, "write_csv", rowwise_write_csv)
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == GOLDEN[command, config]
+
+
 @pytest.mark.parametrize("command, config", LOOP_GOLDEN)
 def test_packaged_pair_golden_bytes_with_loop_kernel(tmp_path, config_dir, monkeypatch,
                                                       command, config):
@@ -600,15 +609,26 @@ def test_packaged_pair_golden_bytes_with_loop_kernel(tmp_path, config_dir, monke
         LOOP_GOLDEN[command, config]
 
 
+SHOTS_GOLDEN = "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946"
+
+
+def packaged_shots_digest(out_dir, config_dir):
+    assert run_cli(["campaign", "--config", str(config_dir / "campaign.json"),
+                    "--out", str(out_dir)]) == 0
+    return hashlib.sha256((out_dir / "shots.csv").read_bytes()).hexdigest()
+
+
 class TestCampaignCli:
     def test_packaged_campaign_golden_bytes(self, tmp_path, config_dir):
         # shots.csv of the packaged campaign (master_seed 14), pinned byte
         # for byte: a change to the RNG streams, the physics or the CSV
         # formatting shows up here.
-        assert run_cli(["campaign", "--config", str(config_dir / "campaign.json"),
-                        "--out", str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / "shots.csv").read_bytes()).hexdigest()
-        assert digest == "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946"
+        assert packaged_shots_digest(tmp_path, config_dir) == SHOTS_GOLDEN
+
+    def test_packaged_campaign_golden_bytes_with_rowwise_writer(self, tmp_path, config_dir,
+                                                                monkeypatch):
+        monkeypatch.setattr(cli, "write_csv", rowwise_write_csv)
+        assert packaged_shots_digest(tmp_path, config_dir) == SHOTS_GOLDEN
 
     def test_thread_count_invariance(self, tmp_path, small_campaign):
         out1 = tmp_path / "t1"

@@ -1,0 +1,147 @@
+"""configio.write_csv against the row-by-row csv.writer it replaced.
+
+``rowwise_write_csv`` is that writer, kept here as the byte oracle: every
+output of ``write_csv`` must equal its output byte for byte.
+"""
+
+import csv
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rydcav.configio import CSV_BLOCK_ROWS, CSV_FEW_VALUES, write_csv
+
+B = CSV_BLOCK_ROWS
+
+
+def rowwise_write_csv(path, columns: dict):
+    """csv.writer rows, floats by ``"{:.17g}".format`` and the rest by ``str``."""
+    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
+    n = max(a.size for a in arrays)
+    arrays = [np.broadcast_to(a, (n,)) for a in arrays]
+    fmts = ["{:.17g}".format if a.dtype.kind == "f" else str for a in arrays]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for i in range(0, n, 8192):
+            w.writerows(zip(*(map(f, a[i:i + 8192].tolist()) for f, a in zip(fmts, arrays))))
+    return path
+
+
+SPECIAL_FLOATS = np.array([
+    np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1e300, -1e300,
+    np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0, 1e16, 123456789012345678.0,
+])
+INT64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1])
+
+
+def random_floats(rng, n):
+    """Random bit patterns (NaN payloads and subnormals included) with
+    special values at random rows."""
+    x = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    at = rng.random(n) < 0.3
+    x[at] = rng.choice(SPECIAL_FLOATS, at.sum())
+    return x
+
+
+def few_floats(rng, n):
+    """A column drawn from k distinct values (0.0 and -0.0 among them), k
+    on either side of the distinct-value threshold."""
+    k = max(1, n // CSV_FEW_VALUES + int(rng.integers(-1, 2)))
+    pool = np.concatenate([[0.0, -0.0], random_floats(rng, k)])[:k]
+    return rng.choice(pool, n)
+
+
+def random_ints(rng, n):
+    x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64,
+                     endpoint=True)
+    at = rng.random(n) < 0.3
+    x[at] = rng.choice(INT64_EXTREMES, at.sum())
+    return x
+
+
+COLUMNS = {
+    "float": random_floats,
+    "float_few": few_floats,
+    "float32": lambda rng, n: rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
+    "int64": random_ints,
+    "uint8": lambda rng, n: rng.integers(0, 256, n, dtype=np.uint8),
+    "bool": lambda rng, n: rng.random(n) < 0.5,
+    "list": lambda rng, n: random_floats(rng, n).tolist(),
+    "scalar": lambda rng, n: rng.choice(SPECIAL_FLOATS),
+    "int_scalar": lambda rng, n: int(rng.choice(INT64_EXTREMES)),
+}
+
+
+def assert_same_bytes(tmp_path, columns):
+    got = write_csv(tmp_path / "got.csv", columns).read_bytes()
+    want = rowwise_write_csv(tmp_path / "want.csv", columns).read_bytes()
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 2, 9, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 600),
+       kinds=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=6))
+def test_matches_rowwise_writer(tmp_path_factory, seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    columns = {f"{kind}_{i}": COLUMNS[kind](rng, n) for i, kind in enumerate(kinds)}
+    # at least one column of full length
+    columns["x"] = random_floats(rng, n)
+    assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1])
+def test_matches_rowwise_writer_at_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    assert_same_bytes(tmp_path, {kind: COLUMNS[kind](rng, n) for kind in sorted(COLUMNS)})
+
+
+@pytest.mark.parametrize("distinct", [B // CSV_FEW_VALUES, B // CSV_FEW_VALUES + 1],
+                         ids=["formatted-once", "formatted-per-cell"])
+def test_signed_zeros_stay_apart(tmp_path, distinct):
+    # 0.0 == -0.0, so a value-keyed distinct-value path would write one of
+    # them for both; the bit pattern keeps them apart
+    rng = np.random.default_rng(distinct)
+    pool = np.concatenate([[0.0, -0.0, np.nan], rng.standard_normal(distinct - 3)])
+    x = rng.choice(pool, B)
+    x[:distinct] = pool  # every value of the pool present
+    assert_same_bytes(tmp_path, {"x": x, "y": -x, "zero": np.array([-0.0, 0.0]).repeat(B // 2)})
+    text = (tmp_path / "got.csv").read_text()
+    assert "\n-0," in text and "\n0," in text
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(np.array([1 + 2j]), id="complex"),
+    pytest.param(np.array(["a"]), id="str"),
+    pytest.param(np.array([1.0, "a"], dtype=object), id="object"),
+    pytest.param(np.array(["2020-01-01"], dtype="datetime64[D]"), id="datetime"),
+    pytest.param(np.array([1.0], dtype=np.longdouble), id="longdouble",
+                 marks=pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
+                                          reason="longdouble is double on this platform")),
+])
+def test_non_numeric_column_rejected(tmp_path, value):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="column 'bad'"):
+        write_csv(path, {"x_s": np.arange(3.0), "bad": value})
+    assert not path.exists()
+
+
+def test_memory_independent_of_row_count(tmp_path):
+    def peak(blocks):
+        n = blocks * B
+        rng = np.random.default_rng(blocks)
+        columns = {"id": np.arange(n), "x": rng.standard_normal(n),
+                   "few": rng.choice([0.5, -0.0, 2.0], n)}
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / f"{blocks}.csv", columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.5 * peak(4)
