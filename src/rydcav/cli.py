@@ -131,6 +131,16 @@ def _simulate_rabi(scenario):
     }
 
 
+def _warn_fit(fit):
+    """One stderr line when ``fit`` did not converge or ends on a bound."""
+    problems = [] if fit.converged else [f"not converged after {fit.iterations} iterations"]
+    on_bound = [name for name, active in fit.boundary_active.items() if active]
+    if on_bound:
+        problems.append("on a bound: " + ", ".join(on_bound))
+    if problems:
+        print(f"rydcav: warning: fit {'; '.join(problems)}", file=sys.stderr)
+
+
 def _fit_flythrough(scenario):
     rng = experiments.block_rng(scenario.master_seed, 0)
     kappa = scenario.kappa
@@ -154,6 +164,7 @@ def _fit_flythrough(scenario):
         }],
         scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **kw,
     )
+    _warn_fit(fit)
     return {
         "trace_fit_input.csv": {"time_s": trace.times, "dphi_deg": noisy,
                                 "dphi_model_deg": dphi},
@@ -171,6 +182,7 @@ def _fit_power(scenario):
     res = experiments.run_power_sweep(scenario)
     datasets = [{k: ds[k] for k in ("n_c", "dphi_deg", "sigma_deg")} for ds in res["datasets"]]
     fit = estimation.fit_power_dependence(datasets, scenario.kappa)
+    _warn_fit(fit)
     return {"summary.json": {
         "name": scenario.name,
         "fit": dataclasses.asdict(fit),

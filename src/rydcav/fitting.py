@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton (Levenberg-style) nonlinear least squares.
+"""Levenberg-Marquardt nonlinear least squares.
 
 Jacobians are central finite differences with sqrt(machine-epsilon) step
 scaling; bounds are enforced by projection and reported via
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = np.finfo(float).eps
-FTOL = 1e-12  # relative cost drop below which a step counts as converged
 GTOL = 1e-8  # gradient inf-norm, relative to max(residual norm, 1)
+XTOL = np.sqrt(_EPS)  # scaled step, relative to the scaled parameter norm
 LAM0 = 1e-3  # initial damping
 MAX_ITERATIONS = 200
 
@@ -59,21 +59,30 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
 
     Parameters
     ----------
-    y : data, compared with the flattened model output.
+    y : finite data, compared with the flattened model output.
     init : dict of parameter name -> starting value (defines the order).
-    sigma : optional per-point (or scalar) uncertainty of ``y``; the
-        residuals are divided by it, otherwise unweighted.
+    sigma : optional per-point (or scalar) uncertainty of ``y``, finite and
+        > 0; the residuals are divided by it, otherwise unweighted.
     bounds : optional dict name -> (lo, hi); enforced by projecting trial
         steps into the box.
 
-    Stops after :data:`MAX_ITERATIONS`, or converged on a relative cost
-    drop below :data:`FTOL` or a gradient below :data:`GTOL`.
+    Each pass tests the gradient against :data:`GTOL`, then tries one step
+    (J^T J + lam D) h = -g with D = diag(J^T J), kept if it lowers the cost;
+    lam follows the gain ratio (Nielsen 1999).  A scaled trial step below
+    :data:`XTOL` also converges (Moré 1978).  ``iterations`` counts the
+    passes, at most :data:`MAX_ITERATIONS`; each but a gradient-ended last
+    one runs one trial, accepted or rejected.
 
     Returns a :class:`FitResult`; the covariance is the inverse of the
-    weighted normal matrix at the optimum, scaled by the residual variance.
+    weighted normal matrix at the fitted parameters, scaled by the residual variance.
     """
     y = np.asarray(y, dtype=float).ravel()
-    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float).ravel()
+    sigma = np.ones(1) if sigma is None else np.asarray(sigma, dtype=float).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+        raise ValueError("sigma must be finite and > 0")
+    w = 1.0 / sigma
 
     names = list(init)
     p = np.array([init[k] for k in names], dtype=float)
@@ -95,51 +104,41 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
         return (np.asarray(model_fn(pd), dtype=float).ravel() - y) * w
 
     r = residuals(p)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("initial residuals must be finite: the model is not finite at init")
     cost = float(r @ r)
-    lam = LAM0
     cost_trace = [cost]
+    jac = finite_difference_jacobian(residuals, p)
+    g, jtj = jac.T @ r, jac.T @ jac
+    lam, nu = LAM0, 2.0
     converged = False
     for it in range(1, MAX_ITERATIONS + 1):
-        jac = finite_difference_jacobian(residuals, p)
-        g = jac.T @ r
-        jtj = jac.T @ jac
-        # characteristic residual scale for the gradient test
-        gnorm = float(np.max(np.abs(g)))
-        gscale = max(np.sqrt(cost), 1.0)
-        if gnorm <= GTOL * gscale:
+        if float(np.max(np.abs(g))) <= GTOL * max(np.sqrt(cost), 1.0):
             converged = True
             break
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
-        improved = False
-        for _ in range(30):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = np.clip(p + step, lo, hi)
-            r_try = residuals(p_try)
-            cost_try = float(r_try @ r_try)
-            if cost_try < cost:
-                rel_drop = (cost - cost_try) / max(cost, _EPS)
-                p, r, cost = p_try, r_try, cost_try
-                lam = max(lam / 3.0, 1e-14)
-                cost_trace.append(cost)
-                improved = True
-                if rel_drop < FTOL:
-                    converged = True
-                break
-            lam *= 10.0
-        if not improved or converged:
+        d = np.where(np.diag(jtj) > 0, np.diag(jtj), 1.0)
+        h = np.linalg.solve(jtj + lam * np.diag(d), -g)
+        p_try = np.clip(p + h, lo, hi)
+        r_try = residuals(p_try)
+        cost_try = float(r_try @ r_try)
+        # actual over predicted reduction; h^T (lam D h - g) > 0 whenever g != 0
+        rho = (cost - cost_try) / float(h @ (lam * d * h - g))
+        scale = np.sqrt(d)
+        converged = bool(np.linalg.norm(scale * (p_try - p))
+                         <= XTOL * (np.linalg.norm(scale * p) + XTOL))
+        if rho > 0:
+            p, r, cost = p_try, r_try, cost_try
+            cost_trace.append(cost)
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            jac = finite_difference_jacobian(residuals, p)
+            g, jtj = jac.T @ r, jac.T @ jac
+        else:
+            lam *= nu
+            nu *= 2.0
+        if converged:
             break
 
-    # final gradient check drives the converged flag
-    g = jac.T @ r
-    if float(np.max(np.abs(g))) <= GTOL * max(np.sqrt(cost), 1.0):
-        converged = True
-
-    jtj = jac.T @ jac
     if np.linalg.matrix_rank(jac, tol=np.sqrt(_EPS) * max(1.0, np.abs(jac).max())) < p.size:
         raise RankDeficiencyError(
             "rank-deficient Jacobian at the optimum: parameters unidentifiable"

@@ -10,9 +10,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rydcav import detection, estimation, experiments, kernels, transmission
+from rydcav.fitting import least_squares_fit
 from rydcav.configio import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -87,3 +89,18 @@ def test_campaign_records_hold_benchmark_keys(config_dir):
     keys = campaign_record_keys()
     assert len(keys) == 10
     assert set(keys) <= set(records)
+
+
+def test_fit_result_surface_read_by_benchmark():
+    # tracing.py counts res.iterations and res.converged; run.py's TraceFit
+    # checks fit.converged and reads fit["n_atoms"] and fit.uncertainties
+    sources = TRACING.read_text() + RUN.read_text()
+    for attr in (".iterations", ".converged", '.uncertainties["n_atoms"]', '["n_atoms"]'):
+        assert attr in sources, attr
+    x = np.linspace(0.0, 1.0, 20)
+    y = 2.0 * x + 0.01 * np.sin(7.0 * x)
+    fit = least_squares_fit(lambda p: p["n_atoms"] * x, y, {"n_atoms": 1.0})
+    assert type(fit.iterations) is int and fit.iterations >= 1
+    assert type(fit.converged) is bool and fit.converged
+    assert type(fit.uncertainties["n_atoms"]) is float and fit.uncertainties["n_atoms"] > 0
+    assert fit["n_atoms"] == fit.params["n_atoms"] == pytest.approx(2.0, abs=0.02)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, run_flythrough,
-                    transmission)
+from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, fitting,
+                    run_flythrough, transmission)
 from rydcav.params import TWO_PI
 from rydcav.configio import (
     FLAGS,
@@ -547,7 +548,7 @@ GOLDEN = {
         "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
     },
     ("fit", "power"): {
-        "summary.json": "2b5d591d2eb8227b8233cab723565e9aef317f7c14d3d827fc0b831b464556b6",
+        "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
     },
     ("trueness", "trueness"): {
         "trueness.json": "32361225466f4cf05730d56313b1aad99125352b23873c94ec81180b427313d4",
@@ -607,6 +608,34 @@ def test_packaged_pair_golden_bytes_with_loop_kernel(tmp_path, config_dir, monke
     monkeypatch.setattr(transmission, "response_filter", loop_filter)
     assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
         LOOP_GOLDEN[command, config]
+
+
+@pytest.mark.parametrize("config", ["flythrough", "power"])
+def test_unconverged_fit_warns_on_stderr_only(tmp_path, config_dir, capsys, monkeypatch, config):
+    argv = ["fit", "--config", str(config_dir / f"{config}.json"), "--seed", "14", "--out"]
+    assert run_cli(argv + [str(tmp_path / "packaged")]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    assert run_cli(argv + [str(tmp_path / "warned")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["rydcav: warning: fit not converged after 1 iterations"]
+    # the same exit code and summary.json bytes as without the warning
+    monkeypatch.setattr(cli, "_warn_fit", lambda fit: None)
+    assert run_cli(argv + [str(tmp_path / "silent")]) == 0
+    assert (tmp_path / "warned" / "summary.json").read_bytes() == \
+        (tmp_path / "silent" / "summary.json").read_bytes()
+    assert not json.loads((tmp_path / "warned" / "summary.json").read_text())["fit"]["converged"]
+
+
+def test_fit_on_a_bound_warns(capsys):
+    fit = fitting.FitResult(params={"a": 0.0, "b": 1.0}, covariance=np.eye(2),
+                            residual_norm=1.0, iterations=3, converged=True,
+                            boundary_active={"a": True, "b": False})
+    cli._warn_fit(fit)
+    assert capsys.readouterr().err == "rydcav: warning: fit on a bound: a\n"
+    cli._warn_fit(dataclasses.replace(fit, converged=False))
+    assert capsys.readouterr().err == \
+        "rydcav: warning: fit not converged after 3 iterations; on a bound: a\n"
 
 
 SHOTS_GOLDEN = "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946"

@@ -193,3 +193,86 @@ def test_multi_start_runs_every_start(monkeypatch):
     with pytest.raises(ValueError, match="seeds"):
         multi_start_fit(linear_model(x), 2.0 * x + 1.0, {"a": 1.0, "b": 0.0},
                         {"a": 0.1}, seeds=0)
+
+
+def test_interp_shift_fits_converge():
+    # np.interp between grids of one spacing makes the model piecewise linear
+    # in the shift, so the cost kinks at every grid step; the step-size test
+    # stops there.  A retry loop that gave up after 30 damping increases left
+    # 5 of these 40 fits unconverged.
+    x = np.arange(-3.0, 3.0 + 1e-9, 0.1)
+    template = np.exp(-0.5 * x ** 2)
+
+    def model(p):
+        return np.interp(x - p["shift"], x, template)
+
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        shift = rng.uniform(-0.5, 0.5)
+        y = np.interp(x - shift, x, template) + 0.02 * rng.standard_normal(x.size)
+        fit = least_squares_fit(model, y, {"shift": 0.0}, sigma=0.02)
+        assert fit.converged, seed
+        assert abs(fit["shift"] - shift) <= 5.0 * fit.uncertainties["shift"], seed
+
+
+def test_iteration_limit_reports_unconverged(monkeypatch):
+    from rydcav import fitting
+
+    x = np.linspace(0, 5, 60)
+    y = 3.0 * np.exp(-0.8 * x)
+
+    def model(p):
+        return p["amp"] * np.exp(-p["rate"] * x)
+
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    fit = least_squares_fit(model, y, {"amp": 1.0, "rate": 0.3})
+    assert not fit.converged
+    assert fit.iterations == 1
+
+
+def test_iterations_count_rejected_trials():
+    # from rate 3 the first steps overshoot and are rejected; each trial
+    # costs one model evaluation and each kept step one two-evaluation
+    # Jacobian, after the 3 evaluations at the start
+    x = np.linspace(0, 5, 60)
+    evals = [0]
+
+    def model(p):
+        evals[0] += 1
+        return np.exp(-p["rate"] * x)
+
+    fit = least_squares_fit(model, np.exp(-0.8 * x), {"rate": 3.0})
+    kept = len(fit.cost_trace) - 1
+    trials = evals[0] - 3 - 2 * kept
+    assert fit.converged
+    assert fit["rate"] == pytest.approx(0.8, rel=1e-6)
+    assert trials > kept
+    assert fit.iterations in (trials, trials + 1)  # + 1: the gradient test ended it
+
+
+@pytest.mark.parametrize("y_bad", [np.nan, np.inf])
+def test_non_finite_y_rejected(y_bad):
+    x = np.linspace(0, 1, 20)
+    y = 2.0 * x + 1.0
+    y[3] = y_bad
+    with pytest.raises(ValueError, match="^y must be finite"):
+        least_squares_fit(linear_model(x), y, {"a": 0.0, "b": 0.0})
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf,
+                                   np.r_[np.ones(19), 0.0]])
+def test_bad_sigma_rejected(sigma):
+    x = np.linspace(0, 1, 20)
+    with pytest.raises(ValueError, match="^sigma must be finite and > 0"):
+        least_squares_fit(linear_model(x), 2.0 * x + 1.0, {"a": 0.0, "b": 0.0},
+                          sigma=sigma)
+
+
+def test_non_finite_initial_residuals_rejected():
+    x = np.linspace(0, 1, 20)
+
+    def model(p):
+        return x * (np.nan if p["a"] < 1.0 else p["a"])
+
+    with pytest.raises(ValueError, match="^initial residuals must be finite"):
+        least_squares_fit(model, 2.0 * x, {"a": 0.0})
