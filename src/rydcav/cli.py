@@ -158,7 +158,7 @@ def _fit_flythrough(scenario):
             "delta_m": scenario.probe.delta_m,
             "times": trace.times,
             "amplitude": trace.amplitude,
-            "phase": np.unwrap(trace.phase) + np.radians(noisy - dphi),
+            "phase": trace.unwrapped_phase + np.radians(noisy - dphi),
             "sigma_amp": np.radians(sigma_deg),
             "sigma_phase": np.radians(sigma_deg),
         }],

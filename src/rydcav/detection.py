@@ -104,7 +104,7 @@ def simulate_phase_shot(
     times = true_trace.times
     dt = true_trace.dt
     if signal_window is None:
-        i = int(np.argmax(np.abs(np.unwrap(true_trace.phase) - true_trace.phase[-1])))
+        i = int(np.argmax(np.abs(true_trace.unwrapped_phase - true_trace.phase[-1])))
         signal_window = (times[i] - probe.tau_i / 2.0, times[i] + probe.tau_i / 2.0)
     if reference_window is None:
         reference_window = (times[-1] - probe.alpha * probe.tau_i, times[-1])

@@ -50,6 +50,14 @@ def spectroscopy_transfer(omega_i, delta_i, dt_i):
 # trace fits
 
 
+def resample(times, grid, values):
+    """``np.interp(times, grid, values)``, which is ``values`` itself when
+    ``times`` is ``grid`` sample for sample."""
+    if np.array_equal(times, grid):
+        return values
+    return np.interp(times, grid, values)
+
+
 def fit_entry_time(
     times,
     dphi_deg,
@@ -104,17 +112,17 @@ def fit_atom_number(
                     np.full(n, tr.get("sigma_phase", 1.0))]
     y = np.concatenate(y_parts)
     sig = np.concatenate(s_parts)
+    data_times = [np.asarray(tr["times"], dtype=float) for tr in traces]
 
     def model(params):
         # chi(t) does not depend on the probe: one trace serves every probe
         shift = transmission.flythrough_shift(replace(ensemble, **params), cavity,
                                               transitions, kappa, **model_kw)
         out = []
-        for tr in traces:
+        for tr, t in zip(traces, data_times):
             trace = transmission.transmission_response(shift, tr["delta_m"], kappa)
-            t = np.asarray(tr["times"], dtype=float)
-            out.append(np.interp(t, trace.times, trace.amplitude))
-            out.append(np.interp(t, trace.times, np.unwrap(trace.phase)))
+            out.append(resample(t, trace.times, trace.amplitude))
+            out.append(resample(t, trace.times, trace.unwrapped_phase))
         return np.concatenate(out)
 
     init = {"n_atoms": float(ensemble.n_atoms)}

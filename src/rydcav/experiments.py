@@ -249,7 +249,7 @@ def run_flythrough(scenario: Scenario) -> dict:
                 "delta_m": delta_m,
                 "times": trace.times,
                 "amp": trace.amplitude,
-                "phase_rad": np.unwrap(trace.phase),
+                "phase_rad": trace.unwrapped_phase,
                 "dphi_deg": dphi,
                 "damp": trace.amplitude - amp0,
                 "inst_dphi_deg": transmission.phase_change(inst, ref),

@@ -9,6 +9,15 @@ evaluated by a recursive one-pole update (O(T) per trace, see
 :mod:`rydcav.kernels`).  The integral is seeded with the stationary value
 for the earliest chi sample, which is the infinite warm-up limit of
 holding chi at its first defined value.
+
+The update runs over the transit only: from the last zero of chi before
+its first nonzero sample to the first zero after its last one.  Outside
+that span chi = 0, z = z0 = i Delta_m - kappa/2 is constant, and the
+integral b = A / (kappa/2) has a closed form: b = -1/z0 before the transit
+(the stationary seed), and b = -1/z0 + (b_exit + 1/z0) exp(z0 (t - t_exit))
+after it, which is what the update's own step gives for constant z.  A chi
+that is nonzero at its first sample is seeded at its own stationary value
+and updated from there.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ class ShiftTrace:
         steps = np.diff(self.times)
         if np.any(steps <= 0):
             raise ValueError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
             raise ValueError("times must be uniformly spaced")
         if self.chi.shape != self.times.shape:
             raise ValueError("chi must match times in shape")
@@ -75,6 +84,20 @@ class ComplexTrace:
     @property
     def phase(self) -> np.ndarray:
         return np.angle(self.values)
+
+    @property
+    def unwrapped_phase(self) -> np.ndarray:
+        """``np.unwrap(self.phase)``, bit for bit.
+
+        When no step |dphi| reaches pi, ``np.unwrap`` adds a correction of
+        +0.0 to every sample but the first; that is done here without
+        computing the correction.
+        """
+        phase = self.phase
+        if not np.max(np.abs(np.diff(phase)), initial=0.0) < np.pi:
+            return np.unwrap(phase)
+        phase[1:] += 0.0  # -0.0 + 0.0 is +0.0, as in np.unwrap
+        return phase
 
     @property
     def dt(self) -> float:
@@ -115,10 +138,19 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
         raise GridAccuracyError(
             f"dt = {dt:.3g} s exceeds (2/kappa)/20 = {(2.0 / kappa) / 20.0:.3g} s"
         )
-    z = 1j * delta_m - kappa / 2.0 - 1j * shift.chi
-    b0 = -1.0 / z[0]  # stationary integral for chi held at chi[0]
-    b = response_filter(z, dt, b0)
-    return ComplexTrace(shift.times, (kappa / 2.0) * b)
+    z0 = 1j * delta_m - kappa / 2.0
+    n = shift.chi.size
+    b = np.full(n, -1.0 / z0)  # stationary integral of the empty cavity
+    nonzero = np.flatnonzero(shift.chi)
+    if nonzero.size:
+        # the update spans the transit and one zero sample on each side
+        i0, i1 = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n)
+        z = z0 - 1j * shift.chi[i0:i1]
+        b[i0:i1] = response_filter(z, dt, -1.0 / z[0])
+        decay = np.arange(1, n - i1 + 1) * (z0 * dt)
+        b[i1:] += (b[i1 - 1] + 1.0 / z0) * np.exp(decay)
+    b *= kappa / 2.0
+    return ComplexTrace(shift.times, b)
 
 
 def fly_through_shift_trace(
@@ -228,4 +260,4 @@ def window_samples(times, window, name):
 
 def phase_change(trace: ComplexTrace, reference: float) -> np.ndarray:
     """Phase change delta_phi(t) = unwrap(phi(t)) - reference, in degrees."""
-    return np.degrees(np.unwrap(trace.phase) - reference)
+    return np.degrees(trace.unwrapped_phase - reference)

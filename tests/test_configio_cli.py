@@ -28,6 +28,7 @@ from rydcav.configio import (
 )
 from test_csv_writer import rowwise_write_csv
 from test_kernels import loop_filter
+from test_transmission import whole_trace_response
 
 ALL_CONFIGS = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 COMMANDS = ("simulate", "fit", "campaign", "trueness")
@@ -524,13 +525,13 @@ def fast_flythrough(tmp_path, config_dir):
 # pair writes at --seed 14; the campaign's shots.csv is pinned below.
 GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "bcaa92a48edca35f2cad9d256c1f5421f6bee294626d819cb43fa9e837ec0ba0",
-        "trace_detuned.csv": "229627221e7e1ed61488187b5041564c182ab5c2251e97510f6bcff6aa8b4a75",
-        "trace_resonant.csv": "4b49defbe067fbe71fb2e9f2b2f2397c8d93021ea4b97ed07355467a2a6fe1cc",
+        "summary.json": "3487e50f8e37bea33e54c8df49d2f0abab3379e3af2e7efd167e7ad4217b49e6",
+        "trace_detuned.csv": "29053649e47ae5dddd6bff052998c76aeac2fcf26d5f219a5f0ab95ee4777498",
+        "trace_resonant.csv": "c473e0427d231cc342ce2561e6d14036f5bd8f0d419cf2e9d32802a496c3a443",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "72fad0fc9bc7ff665aaefc2ce4cfd0e3198f5febce8583ca7dae1cb95ca25a8c",
-        "summary.json": "37022bdcca3d9ec4fa79e115f424f6f3bd705a4d0da450139c6d8de3dad1c2f2",
+        "sensitivity.csv": "69f0efd6967204a4cabdb67d6da82dc5fe4e5771c8564d41dfccd2c7855bd41b",
+        "summary.json": "f532571860e0b85bf332c3358b914a99702a021b71b5c396915c23482feddae4",
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
@@ -540,12 +541,12 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "5390a3e5b9ac1eccede06135085d4771f804f950a2a3468282cc802cebd69450",
+        "rabi.csv": "0b558f70ea66bb040d395bcc9c9d51966428b2c574a7c578e6c175ca273c93b6",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "1c4f1a948ba7f70b20f5bb2a92f9393a819fe147954edd85c65a8c2323db1681",
-        "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
+        "summary.json": "072d976734476d8a9b979d528aa2334ae413ca0f19d3ebc79ea0204639247692",
+        "trace_fit_input.csv": "3d02bfb981de2812b8faa8a790da854057c220b8710c47b5039bb52c6f0c454b",
     },
     ("fit", "power"): {
         "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
@@ -562,6 +563,53 @@ GOLDEN = {
 # and 9.2e-10 relative in the fitted N; with the loop they must stay these
 # bytes, which shows that nothing outside the kernel moved.
 LOOP_GOLDEN = {
+    ("simulate", "flythrough"): {
+        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
+        "trace_detuned.csv": "5aa1f8e59ce1f74425cd405bf978377d22c09de241df488dc6b84d18938b6c08",
+        "trace_resonant.csv": "65d54800c04c1c99fd3b3b52bda7215293ef020f07a900d46e50aa8238e5e0e9",
+    },
+    ("simulate", "sensitivity"): {
+        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
+        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+    },
+    ("simulate", "rabi"): {
+        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
+    },
+    ("fit", "flythrough"): {
+        "summary.json": "92e2bb1e3a377b6074936cc4fe7d5a8dcbec309f7f49ce999b19582ed889cbdf",
+        "trace_fit_input.csv": "d25592d7cdb0801ca8aa665ff51cd4935c9a03c0d27a4e7e167d2b29b2c0a4f7",
+    },
+}
+
+
+# The same 4 pairs as written with the update over the whole trace, pads
+# included (tests/test_transmission.py::whole_trace_response), in place of
+# transmission_response; and with the loop kernel as well.  Filling the pads
+# in closed form moved their outputs by at most 8.6e-13 deg in the traces and
+# 4e-7 sigma in the fitted N; with the whole-trace update they must stay these
+# bytes, which shows that nothing outside transmission_response moved.
+WHOLE_TRACE_GOLDEN = {
+    ("simulate", "flythrough"): {
+        "summary.json": "bcaa92a48edca35f2cad9d256c1f5421f6bee294626d819cb43fa9e837ec0ba0",
+        "trace_detuned.csv": "229627221e7e1ed61488187b5041564c182ab5c2251e97510f6bcff6aa8b4a75",
+        "trace_resonant.csv": "4b49defbe067fbe71fb2e9f2b2f2397c8d93021ea4b97ed07355467a2a6fe1cc",
+    },
+    ("simulate", "sensitivity"): {
+        "sensitivity.csv": "72fad0fc9bc7ff665aaefc2ce4cfd0e3198f5febce8583ca7dae1cb95ca25a8c",
+        "summary.json": "37022bdcca3d9ec4fa79e115f424f6f3bd705a4d0da450139c6d8de3dad1c2f2",
+    },
+    ("simulate", "rabi"): {
+        "rabi.csv": "5390a3e5b9ac1eccede06135085d4771f804f950a2a3468282cc802cebd69450",
+        "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
+    },
+    ("fit", "flythrough"): {
+        "summary.json": "1c4f1a948ba7f70b20f5bb2a92f9393a819fe147954edd85c65a8c2323db1681",
+        "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
+    },
+}
+
+WHOLE_TRACE_LOOP_GOLDEN = {
     ("simulate", "flythrough"): {
         "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
         "trace_detuned.csv": "0c83e3b590d001604ce86bd823cc29958a7a013905332a9f148c0b7dbc88be8e",
@@ -608,6 +656,23 @@ def test_packaged_pair_golden_bytes_with_loop_kernel(tmp_path, config_dir, monke
     monkeypatch.setattr(transmission, "response_filter", loop_filter)
     assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
         LOOP_GOLDEN[command, config]
+
+
+@pytest.mark.parametrize("command, config", WHOLE_TRACE_GOLDEN)
+def test_packaged_pair_golden_bytes_with_whole_trace_response(tmp_path, config_dir,
+                                                              monkeypatch, command, config):
+    monkeypatch.setattr(transmission, "transmission_response", whole_trace_response)
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
+        WHOLE_TRACE_GOLDEN[command, config]
+
+
+@pytest.mark.parametrize("command, config", WHOLE_TRACE_LOOP_GOLDEN)
+def test_packaged_pair_golden_bytes_with_whole_trace_loop(tmp_path, config_dir, monkeypatch,
+                                                          command, config):
+    monkeypatch.setattr(transmission, "transmission_response", whole_trace_response)
+    monkeypatch.setattr(transmission, "response_filter", loop_filter)
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
+        WHOLE_TRACE_LOOP_GOLDEN[command, config]
 
 
 @pytest.mark.parametrize("config", ["flythrough", "power"])

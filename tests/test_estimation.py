@@ -124,6 +124,27 @@ class TestNoiselessRoundTrips:
         got = models[0]({"n_atoms": n_atoms})
         assert np.array_equal(got, np.concatenate(want))
 
+    def test_atom_number_fit_same_with_interp_on_the_model_grid(self, cavity, ensemble261,
+                                                                transitions, monkeypatch):
+        # on the model's own grid the model skips np.interp, which would
+        # return the trace bit for bit there
+        rng = np.random.default_rng(5)
+        traces = _flythrough_traces(cavity, ensemble261, transitions, (0.0, cavity.kappa / 2))
+        for tr in traces:
+            n = tr["times"].size
+            tr["amplitude"] = tr["amplitude"] + 1e-3 * rng.standard_normal(n)
+            tr["phase"] = tr["phase"] + 1e-3 * rng.standard_normal(n)
+            tr["sigma_amp"] = tr["sigma_phase"] = 1e-3
+        start = dataclasses.replace(ensemble261, n_atoms=180)
+        grid = transmission.flythrough_shift(start, cavity, transitions, cavity.kappa).times
+        assert np.array_equal(traces[0]["times"], grid)
+        skipped = fit_atom_number(traces, start, cavity, transitions, cavity.kappa)
+        monkeypatch.setattr(estimation, "resample", lambda t, grid, v: np.interp(t, grid, v))
+        interpolated = fit_atom_number(traces, start, cavity, transitions, cavity.kappa)
+        assert skipped["n_atoms"] == interpolated["n_atoms"]
+        assert np.array_equal(skipped.covariance, interpolated.covariance)
+        assert skipped.iterations == interpolated.iterations
+
     def test_entry_time(self, cavity, ensemble261, transitions):
         truth = dataclasses.replace(ensemble261, entry_time=1.0e-6)
         trace, dphi = simulate_flythrough(truth, cavity, transitions, 0.0, cavity.kappa)

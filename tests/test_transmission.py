@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rydcav import (
@@ -20,6 +20,7 @@ from rydcav import (
     TransitionSet,
     window_samples,
 )
+from rydcav import transmission
 from rydcav.configio import load_scenario
 from rydcav.transmission import GridAccuracyError, WindowConfigError, flythrough_shift
 
@@ -64,6 +65,152 @@ class TestSteadyTransmission:
         am = steady_transmission(-chi, 0.0, KAPPA)
         assert np.angle(ap) == pytest.approx(-np.angle(am), rel=1e-12)
         assert abs(ap) == pytest.approx(abs(am), rel=1e-12)
+
+
+class TestShiftTraceGrid:
+    @staticmethod
+    def times_with_step_jitter(rel):
+        dt = (2.0 / KAPPA) / 27
+        times = np.arange(100) * dt
+        times[50:] += rel * dt  # one step longer by rel
+        return times
+
+    def test_jitter_within_tolerance_accepted(self):
+        shift = ShiftTrace(self.times_with_step_jitter(5e-10), np.zeros(100))
+        assert shift.dt == pytest.approx((2.0 / KAPPA) / 27, rel=1e-12)
+
+    def test_jitter_beyond_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            ShiftTrace(self.times_with_step_jitter(2e-9), np.zeros(100))
+
+    def test_nan_time_rejected(self):
+        times = self.times_with_step_jitter(0.0)
+        times[30] = np.nan
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            ShiftTrace(times, np.zeros(100))
+
+
+def whole_trace_response(shift, delta_m, kappa):
+    """The one-pole update over every sample of the trace, pads included,
+    seeded with the stationary value for chi[0]: the oracle of
+    transmission_response.  It reaches the kernel through
+    ``transmission.response_filter``, so a test can swap the kernel too."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    dt = shift.dt
+    if dt > (2.0 / kappa) / 20.0 * (1 + 1e-12):
+        raise GridAccuracyError(f"dt = {dt:.3g} s exceeds (2/kappa)/20")
+    z = 1j * delta_m - kappa / 2.0 - 1j * shift.chi
+    b = transmission.response_filter(z, dt, -1.0 / z[0])
+    return ComplexTrace(shift.times, (kappa / 2.0) * b)
+
+
+def padded_shift(seed, lead, transit, trail, chi_max, noisy, node, dt):
+    """chi = 0 on ``lead`` and ``trail`` samples around a random ``transit``
+    of nonzero samples, with its middle sample zeroed when ``node``."""
+    rng = np.random.default_rng(seed)
+    if noisy:
+        inner = rng.standard_normal(transit)
+    else:
+        t = np.linspace(0.0, 1.0, transit)
+        inner = sum(rng.standard_normal()
+                    * np.sin(2 * np.pi * ((m + rng.random()) * t + rng.random()))
+                    for m in range(4))
+    if transit:
+        inner = chi_max * inner / np.max(np.abs(inner))
+    if node and transit > 2:
+        inner[transit // 2] = 0.0
+    chi = np.concatenate([np.zeros(lead), inner, np.zeros(trail)])
+    return ShiftTrace(np.arange(chi.size) * dt, chi)
+
+
+class TestTransitOnlyResponse:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lead=st.integers(0, 1500),
+           transit=st.integers(0, 2500),
+           trail=st.integers(0, 1500),
+           log_chi=st.floats(3.0, 7.0),
+           noisy=st.booleans(),
+           node=st.booleans(),
+           dt_frac=st.floats(0.05, 1.0),
+           detuning=st.floats(-1.0, 1.0))
+    @example(seed=1, lead=0, transit=700, trail=300, log_chi=6.0, noisy=False, node=False,
+             dt_frac=1.0, detuning=0.3).via("no leading pad")
+    @example(seed=2, lead=0, transit=900, trail=0, log_chi=6.0, noisy=False, node=False,
+             dt_frac=1.0, detuning=-0.7).via("no pad")
+    @example(seed=3, lead=400, transit=0, trail=400, log_chi=6.0, noisy=False, node=False,
+             dt_frac=1.0, detuning=0.5).via("all-zero chi")
+    @example(seed=4, lead=300, transit=1, trail=500, log_chi=6.5, noisy=True, node=False,
+             dt_frac=1.0, detuning=0.0).via("one nonzero sample")
+    @example(seed=5, lead=1, transit=1, trail=1, log_chi=6.5, noisy=True, node=False,
+             dt_frac=1.0, detuning=1.0).via("one nonzero sample, one zero each side")
+    @example(seed=6, lead=500, transit=801, trail=700, log_chi=7.0, noisy=False, node=True,
+             dt_frac=1.0, detuning=-1.0).via("zero sample inside the transit")
+    def test_matches_whole_trace_oracle(self, seed, lead, transit, trail, log_chi, noisy,
+                                        node, dt_frac, detuning):
+        assume(lead + transit + trail >= 2)
+        shift = padded_shift(seed, lead, transit, trail, 10**log_chi, noisy, node,
+                             dt_frac * (2.0 / KAPPA) / 20.0)
+        got = transmission_response(shift, detuning * KAPPA, KAPPA)
+        want = whole_trace_response(shift, detuning * KAPPA, KAPPA)
+        # relative to the trace's largest |A|: inside a strong transit A can
+        # pass near 0, where a per-sample ratio measures only the rounding of
+        # the two seeds (up to 1.1e-11 in 1500 draws, against 3.7e-13 here)
+        err = np.max(np.abs(got.values - want.values))
+        assert err <= 1e-11 * np.max(np.abs(want.values))
+
+    def test_kernel_sees_the_transit_and_one_zero_each_side(self, monkeypatch):
+        shift = padded_shift(7, 300, 50, 200, 1e6, False, False, (2.0 / KAPPA) / 27)
+        calls = []
+
+        def spy(z, dt, b0):
+            calls.append(len(z))
+            return kernel(z, dt, b0)
+
+        kernel = transmission.response_filter
+        monkeypatch.setattr(transmission, "response_filter", spy)
+        out = transmission_response(shift, 0.2 * KAPPA, KAPPA)
+        assert calls == [52]
+        # the empty cavity before the transit is the stationary value exactly
+        z0 = 0.2j * KAPPA - KAPPA / 2.0
+        assert np.array_equal(out.values[:299], np.full(299, (KAPPA / 2.0) * (-1.0 / z0)))
+        transmission_response(padded_shift(7, 300, 0, 200, 1e6, False, False,
+                                           (2.0 / KAPPA) / 27), 0.0, KAPPA)
+        assert calls == [52]
+
+
+def phases_with_signed_zeros(steps, zeros):
+    """Phases of a walk with the given steps, wrapped into (-pi, pi], with
+    -0.0 at the ``zeros`` positions, as the angles of unit complex values."""
+    phi = np.angle(np.exp(1j * np.cumsum(steps)))
+    values = np.cos(phi).astype(complex)
+    values.imag = np.sin(phi)
+    for i in zeros:
+        if i < values.size:
+            values[i] = complex(1.0, -0.0)
+    return values
+
+
+class TestUnwrappedPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.floats(-4.0, 4.0), max_size=60),
+           scale=st.sampled_from([1e-3, 0.3, 1.0]),
+           zeros=st.lists(st.integers(0, 60), max_size=6))
+    @example(steps=[0.0, 0.0, 0.0], scale=1.0, zeros=[0, 1, 2])
+    @example(steps=[3.0, 3.0, 3.0, 3.0], scale=1.0, zeros=[2])
+    @example(steps=[np.pi, -np.pi, 0.1], scale=1.0, zeros=[0])
+    def test_bit_identical_to_np_unwrap(self, steps, scale, zeros):
+        trace = ComplexTrace(np.arange(len(steps)),
+                             phases_with_signed_zeros(scale * np.asarray(steps), zeros))
+        got = trace.unwrapped_phase
+        want = np.unwrap(trace.phase)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_nan_phase_takes_np_unwrap(self):
+        trace = ComplexTrace(np.arange(4), np.array([1.0, np.nan, 1j, 1.0]))
+        assert np.array_equal(trace.unwrapped_phase, np.unwrap(trace.phase), equal_nan=True)
 
 
 class TestTransmissionResponse:
