@@ -29,7 +29,6 @@ from .detection import (
     phase_change_precision,
     phase_change_sigma,
     phase_precision,
-    simulate_phase_shot,
     simulate_phase_shot_batch,
     snr,
 )
@@ -79,6 +78,7 @@ from .transmission import (
     WindowConfigError,
     fly_through_shift_trace,
     phase_change,
+    readout_phase,
     simulate_flythrough,
     steady_transmission,
     transmission_response,

@@ -152,15 +152,18 @@ def _fit_flythrough(scenario):
     r = float(detection.snr(scenario.probe.n_c, scenario.cavity.kappa_out,
                             trace.dt, scenario.noise.n_noise))
     sigma_deg = float(np.degrees(detection.phase_precision(r * scenario.shots)))
+    sigma = np.radians(sigma_deg)
+    # both quadratures are noisy; the amplitude draws come after the phase
+    # draws, so the phase data do not depend on them
     noisy = dphi + sigma_deg * rng.standard_normal(dphi.shape)
     fit = estimation.fit_atom_number(
         [{
             "delta_m": scenario.probe.delta_m,
             "times": trace.times,
-            "amplitude": trace.amplitude,
+            "amplitude": trace.amplitude + sigma * rng.standard_normal(dphi.shape),
             "phase": trace.unwrapped_phase + np.radians(noisy - dphi),
-            "sigma_amp": np.radians(sigma_deg),
-            "sigma_phase": np.radians(sigma_deg),
+            "sigma_amp": sigma,
+            "sigma_phase": sigma,
         }],
         scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **kw,
     )

@@ -93,7 +93,6 @@ SECTIONS = {
 }
 FLAGS = (
     ("transit_decay", "transit_decay", "bool", None),
-    ("tmax_window", "tmax_window", "num", ">0"),
     ("systematic_offset", "systematic_offset", "num", None),
     ("g_eff_hz", "g_eff", "hz", ">0"),
     ("n_crit", "n_crit", "num", ">0"),

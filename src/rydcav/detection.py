@@ -7,7 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from .params import McpModel, NoiseChain, ProbeConfig
-from .transmission import ComplexTrace, WindowConfigError, window_samples
 
 BAND_TOLERANCE = 0.05  # relative widening of [beta_p, beta_s] before a ratio is flagged
 
@@ -75,57 +74,6 @@ def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_cri
     return (kappa / g) * np.sqrt(beta * (n_c + n_crit) / (2.0 * r))
 
 
-def _noisy_window_phase(values, sigma_q, rng):
-    noisy = values + sigma_q * (
-        rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-    )
-    return float(np.angle(np.mean(noisy)))
-
-
-def simulate_phase_shot(
-    true_trace: ComplexTrace,
-    probe: ProbeConfig,
-    noise: NoiseChain,
-    rng,
-    kappa_out: float,
-    signal_window=None,
-    reference_window=None,
-):
-    """One stochastic phase-change measurement, in degrees.
-
-    Additive complex Gaussian noise per sample, with per-quadrature variance
-    chosen so the window-averaged phase variance of a unit-amplitude signal
-    equals 1/R_S/N; the additive character automatically produces the
-    (2 chi/kappa)^2 power penalty of a pulled resonance.  Independent
-    digitizer phase noise (std = digitizer_phase_floor) is added once, and
-    the reference-window phase (length alpha * tau_i, after atom exit) is
-    subtracted.
-    """
-    times = true_trace.times
-    dt = true_trace.dt
-    if signal_window is None:
-        i = int(np.argmax(np.abs(true_trace.unwrapped_phase - true_trace.phase[-1])))
-        signal_window = (times[i] - probe.tau_i / 2.0, times[i] + probe.tau_i / 2.0)
-    if reference_window is None:
-        reference_window = (times[-1] - probe.alpha * probe.tau_i, times[-1])
-    if reference_window[0] < signal_window[1]:
-        raise WindowConfigError("reference window overlaps the signal window")
-
-    # per-quadrature noise std of one sample at SNR R(dt): the mean of
-    # n = tau/dt samples then has quadrature and phase variance 1/R(tau)
-    sigma_q = 1.0 / np.sqrt(snr(probe.n_c, kappa_out, dt, noise.n_noise))
-
-    values = true_trace.values
-    sig = window_samples(times, signal_window, "signal window")
-    ref = window_samples(times, reference_window, "reference window")
-    phi_sig = _noisy_window_phase(values[sig], sigma_q, rng)
-    phi_ref = _noisy_window_phase(values[ref], sigma_q, rng)
-    dphi = phi_sig - phi_ref
-    if noise.digitizer_phase_floor > 0:
-        dphi += noise.digitizer_phase_floor * rng.standard_normal()
-    return float(np.degrees(dphi))
-
-
 def simulate_phase_shot_batch(
     dphi_true_rad,
     amp_signal,
@@ -134,11 +82,14 @@ def simulate_phase_shot_batch(
     rng,
     kappa_out: float,
 ):
-    """Vectorized equivalent of :func:`simulate_phase_shot` for campaigns.
+    """Measured phase changes of single shots, in degrees, for campaigns.
 
     Draws the window-averaged phases directly from their Gaussian limits:
     signal phase std = 1/(|A| sqrt(R)), reference std = 1/sqrt(alpha R),
-    plus the digitizer floor.  Returns measured phase changes in degrees.
+    plus the digitizer floor.  Its oracle is the per-sample sampler
+    ``per_sample_phase_shot`` of ``tests/test_detection.py``, which adds
+    complex Gaussian noise to every sample of a trace and averages each
+    window.
     """
     dphi_true_rad = np.asarray(dphi_true_rad, dtype=float)
     amp_signal = np.broadcast_to(np.asarray(amp_signal, dtype=float), dphi_true_rad.shape)

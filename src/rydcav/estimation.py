@@ -12,7 +12,7 @@ import numpy as np
 from . import core, transmission
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
 from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
-from .transmission import readout_time, simulate_flythrough
+from .transmission import simulate_flythrough
 
 DT_I = 0.3e-6  # s, length of the intracavity spectroscopy pulse
 
@@ -357,8 +357,10 @@ def predict_superposition_phase(
     p_minus: float = 0.0,
     **model_kw,
 ):
-    """Resonant-probe phase change at t_max = t_cen + 2/kappa for an
-    ensemble prepared with Rabi ratio Omega/Omega_pi.
+    """Resonant-probe phase change for an ensemble prepared with Rabi ratio
+    Omega/Omega_pi: :func:`rydcav.transmission.readout_phase`, the mean over
+    the :data:`~rydcav.transmission.READOUT_WINDOW` (1 us) centred on
+    t_max = t_cen + 2/kappa.
 
     The transferred p population is distributed over the sublevels with
     fractions (p_plus, p_minus, remainder to m_l = 0): a pure p,+1 map is
@@ -373,4 +375,4 @@ def predict_superposition_phase(
         p_p_zero=p_prep * (1.0 - p_plus - p_minus),
     )
     trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa, **model_kw)
-    return float(np.interp(readout_time(ens, cavity, kappa), trace.times, dphi))
+    return transmission.readout_phase(trace.times, dphi, ens, cavity, kappa)

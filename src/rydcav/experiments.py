@@ -23,7 +23,7 @@ from .params import (
     ProbeConfig,
     TransitionSet,
 )
-from .transmission import simulate_flythrough, steady_transmission, window_samples
+from .transmission import simulate_flythrough, steady_transmission
 
 BLOCK_SIZE = 4096
 N_REF = 500.0  # atom number of the precision-versus-photon-number curve
@@ -42,7 +42,6 @@ class Flags:
     """Scenario-type settings read by the runners; rates in rad/s."""
 
     transit_decay: bool = True
-    tmax_window: float = 1e-6
     systematic_offset: float = 0.0
     g_eff: float | None = None  # None: cavity.g_max
     n_crit: float | None = None  # required by power sweeps and campaigns
@@ -264,31 +263,26 @@ def run_flythrough(scenario: Scenario) -> dict:
     return out
 
 
-def phase_at_tmax(scenario: Scenario, n_atoms: float) -> float:
-    """Model phase change at t_max = t_cen + 2/kappa, averaged over the
-    ``flags.tmax_window`` around it, for an s-state cloud of the given size."""
-    kappa = scenario.kappa
-    ens = replace(scenario.ensemble, n_atoms=n_atoms)
-    trace, dphi = simulate_flythrough(
-        ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.model_kw
-    )
-    t_max = transmission.readout_time(ens, scenario.cavity, kappa)
-    window = scenario.flags.tmax_window
-    sel = window_samples(trace.times, (t_max - window / 2.0, t_max + window / 2.0),
-                         "t_max window")
-    return float(np.mean(dphi[sel]))
-
-
 def run_sensitivity_sweep(scenario: Scenario) -> dict:
-    """Phase change at t_max and MCP signal versus atom number.
+    """Phase change at t_max (:func:`rydcav.transmission.readout_phase`) and
+    MCP signal versus atom number.
 
     Returns the fitted phase sensitivity (deg/atom) and the
     cross-calibrated MCP sensitivity, which differs from the configured
     single-atom signal by the injected systematic offset.
     """
     scenario.require("sensitivity")
+    kappa = scenario.kappa
     n_values = np.asarray(scenario.sweep_values, dtype=float)
-    dphi = np.array([phase_at_tmax(scenario, n) for n in n_values])
+    dphi = []
+    for n in n_values:  # s-state clouds of each size
+        ens = replace(scenario.ensemble, n_atoms=n)
+        trace, dphi_n = simulate_flythrough(
+            ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.model_kw
+        )
+        dphi.append(transmission.readout_phase(trace.times, dphi_n, ens, scenario.cavity,
+                                               kappa))
+    dphi = np.array(dphi)
     # expected MCP signal for the same clouds
     s_mcp = scenario.mcp.s1_atom * n_values
     # cavity-extracted atom number carries the systematic offset of the model
@@ -312,8 +306,11 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
 def _effective_chi_per_atom(scenario: Scenario):
     """Low-power per-atom dispersive shift used by power sweeps and campaigns.
 
-    Uses the time-averaged coupling and either a single effective
-    transition back-solved from n_crit or the two-transition sum.
+    :func:`rydcav.core.dispersive_shift` of one s atom at the time-averaged
+    coupling, with the detuning Delta = 2 g sqrt(n_crit) back-solved from
+    n_crit (the inverse of :func:`rydcav.core.critical_photon_number`) and
+    either a second transition ``transition_spacing`` further away or none
+    (infinite detuning).  Its validity rule rejects n_crit <= 25.
     """
     flags = scenario.flags
     g_eff = scenario.cavity.g_max if flags.g_eff is None else flags.g_eff
@@ -321,10 +318,8 @@ def _effective_chi_per_atom(scenario: Scenario):
     if n_crit is None:
         raise ValueError("flags.n_crit is not set")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
-    if flags.two_transitions:
-        chi1 = g_eff ** 2 * (1.0 / delta_eff + 1.0 / (delta_eff + flags.transition_spacing))
-    else:
-        chi1 = g_eff ** 2 / delta_eff
+    second = -(delta_eff + flags.transition_spacing) if flags.two_transitions else -np.inf
+    chi1 = core.dispersive_shift(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
     return float(chi1), float(n_crit)
 
 

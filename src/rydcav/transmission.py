@@ -31,6 +31,7 @@ from .kernels import response_filter
 from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, TransitionSet
 
 PAD = 8e-6  # s of empty cavity before and after a simulated transit
+READOUT_WINDOW = 1e-6  # s, width of the phase readout centred on t_max
 
 
 class GridAccuracyError(ValueError):
@@ -110,11 +111,6 @@ def transit(ensemble: EnsembleState, cavity: CavitySpec):
     return duration, ensemble.entry_time + duration / 2.0
 
 
-def readout_time(ensemble: EnsembleState, cavity: CavitySpec, kappa: float) -> float:
-    """Resonant read-out time t_max = t_cen + 2/kappa, in s."""
-    return transit(ensemble, cavity)[1] + 2.0 / kappa
-
-
 def steady_transmission(chi, delta_m, kappa):
     """Stationary transmission A = 1 / (1 - 2i (Delta_m - chi)/kappa).
 
@@ -141,10 +137,12 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
     z0 = 1j * delta_m - kappa / 2.0
     n = shift.chi.size
     b = np.full(n, -1.0 / z0)  # stationary integral of the empty cavity
-    nonzero = np.flatnonzero(shift.chi)
-    if nonzero.size:
+    nonzero = shift.chi != 0
+    first = int(np.argmax(nonzero))
+    if nonzero[first]:
         # the update spans the transit and one zero sample on each side
-        i0, i1 = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n)
+        last = n - 1 - int(np.argmax(nonzero[::-1]))
+        i0, i1 = max(first - 1, 0), min(last + 2, n)
         z = z0 - 1j * shift.chi[i0:i1]
         b[i0:i1] = response_filter(z, dt, -1.0 / z[0])
         decay = np.arange(1, n - i1 + 1) * (z0 * dt)
@@ -256,6 +254,20 @@ def window_samples(times, window, name):
     if not np.any(sel):
         raise WindowConfigError(f"{name} [{t0:.6g}, {t1:.6g}] s contains no samples")
     return sel
+
+
+def readout_phase(times, dphi_deg, ensemble: EnsembleState, cavity: CavitySpec,
+                  kappa: float) -> float:
+    """Phase change of a simulated trace read out at t_max = t_cen + 2/kappa:
+    the mean of ``dphi_deg`` over the closed window t_max +- READOUT_WINDOW/2.
+
+    The one readout of the sensitivity sweep and the Rabi prediction; the
+    single-shot campaign simulates no trace and reads the stationary phase.
+    """
+    t_max = transit(ensemble, cavity)[1] + 2.0 / kappa
+    sel = window_samples(times, (t_max - READOUT_WINDOW / 2.0, t_max + READOUT_WINDOW / 2.0),
+                         "t_max window")
+    return float(np.mean(dphi_deg[sel]))
 
 
 def phase_change(trace: ComplexTrace, reference: float) -> np.ndarray:

@@ -470,14 +470,17 @@ class TestCli:
         assert "config error: scenario.sweep_values:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_tmax_window_exit_1(self, tmp_path, config_dir, capsys):
+    def test_tmax_window_key_exit_2(self, tmp_path, config_dir, capsys):
+        # the readout window is the constant transmission.READOUT_WINDOW
         raw = json.loads((config_dir / "sensitivity.json").read_text())
-        raw["scenario"]["flags"]["tmax_window"] = 1e-9
+        raw["scenario"]["flags"]["tmax_window"] = 1e-6
         cfg = tmp_path / "sensitivity.json"
         cfg.write_text(json.dumps(raw))
-        code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "t_max window" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: scenario.flags.tmax_window: unknown key" in err
+        assert not out.exists()
 
     def test_manifest_contents(self, tmp_path, config_dir):
         run_cli(["trueness", "--config", str(config_dir / "trueness.json"),
@@ -541,11 +544,11 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "0b558f70ea66bb040d395bcc9c9d51966428b2c574a7c578e6c175ca273c93b6",
+        "rabi.csv": "a1d3d98e678df476e1c3933d35756010fea9baba8538d2f0f123745f9fead31b",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "072d976734476d8a9b979d528aa2334ae413ca0f19d3ebc79ea0204639247692",
+        "summary.json": "e67b1c980e6d95d2f3b4c803fc1247d6cda93a5e07acb0f0ff82fe36d5690625",
         "trace_fit_input.csv": "3d02bfb981de2812b8faa8a790da854057c220b8710c47b5039bb52c6f0c454b",
     },
     ("fit", "power"): {
@@ -573,11 +576,11 @@ LOOP_GOLDEN = {
         "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "rabi.csv": "5a319779b1cfdc871d4811d28cb3a953bd794a1dccecd185a1bb904d00696a68",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "92e2bb1e3a377b6074936cc4fe7d5a8dcbec309f7f49ce999b19582ed889cbdf",
+        "summary.json": "11d1f7b4a4fe074d9785e28e0667e9e207702a17490dc5c9e445846d7c43e705",
         "trace_fit_input.csv": "d25592d7cdb0801ca8aa665ff51cd4935c9a03c0d27a4e7e167d2b29b2c0a4f7",
     },
 }
@@ -600,11 +603,11 @@ WHOLE_TRACE_GOLDEN = {
         "summary.json": "37022bdcca3d9ec4fa79e115f424f6f3bd705a4d0da450139c6d8de3dad1c2f2",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "5390a3e5b9ac1eccede06135085d4771f804f950a2a3468282cc802cebd69450",
+        "rabi.csv": "1a649cc577b7db23fbda4b9fd30695c655cf2a7c1fdfac1b74c4330530c1f0b9",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "1c4f1a948ba7f70b20f5bb2a92f9393a819fe147954edd85c65a8c2323db1681",
+        "summary.json": "eeea8ec694fffffcbcca9a73a7dcd843c02e47558cdd6ef926117ba14e12a3d7",
         "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
     },
 }
@@ -620,11 +623,11 @@ WHOLE_TRACE_LOOP_GOLDEN = {
         "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "bf4d8c8f2431ce7299f4fdde3f5d35091aaf1dafdf7c19f169d51687c72eed90",
+        "rabi.csv": "5a319779b1cfdc871d4811d28cb3a953bd794a1dccecd185a1bb904d00696a68",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "3c88791445670bbc3ea4b52f40e7579c5676a7067dcc912c2d76570d370a3b32",
+        "summary.json": "e468ea1c364c861dd14f5cda21dd8f41da5af96e03a694367e4f13a52f2681e9",
         "trace_fit_input.csv": "d74f2dde7dda376fdd2f8e162efd0ab927676a09693c4d1cc3c9f15657beedd0",
     },
 }
@@ -690,6 +693,20 @@ def test_unconverged_fit_warns_on_stderr_only(tmp_path, config_dir, capsys, monk
     assert (tmp_path / "warned" / "summary.json").read_bytes() == \
         (tmp_path / "silent" / "summary.json").read_bytes()
     assert not json.loads((tmp_path / "warned" / "summary.json").read_text())["fit"]["converged"]
+
+
+def test_fit_flythrough_pull_is_calibrated(config_dir):
+    # pull (N_fit - N_true) / sigma_N over 200 fixed seeds: a sigma_N that
+    # misstates the scatter of the fitted N moves its std out of [0.9, 1.1]
+    scenario = load_scenario(config_dir / "flythrough.json")
+    pulls = []
+    for seed in range(200):
+        summary = cli._fit_flythrough(
+            dataclasses.replace(scenario, master_seed=seed))["summary.json"]
+        assert summary["fit"]["converged"]
+        pulls.append((summary["n_atoms_fit"] - summary["n_atoms_true"])
+                     / summary["n_atoms_sigma"])
+    assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
 
 
 def test_fit_on_a_bound_warns(capsys):

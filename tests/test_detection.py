@@ -17,13 +17,14 @@ from rydcav import (
     phase_change_precision,
     phase_change_sigma,
     phase_precision,
-    simulate_phase_shot,
     simulate_phase_shot_batch,
     snr,
     steady_transmission,
+    window_samples,
 )
 from rydcav.detection import SnrValidityError
 from rydcav.params import TAU_P, TAU_S
+from rydcav.transmission import WindowConfigError
 
 TWO_PI = 2.0 * np.pi
 KAPPA = TWO_PI * 236e3
@@ -134,15 +135,53 @@ def _steady_trace(chi, kappa=KAPPA, dm=0.0, span=40e-6, dt=5e-8, transit_end=10e
     return ComplexTrace(times, vals)
 
 
+def _noisy_window_phase(values, sigma_q, rng):
+    noisy = values + sigma_q * (
+        rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    )
+    return float(np.angle(np.mean(noisy)))
+
+
+def per_sample_phase_shot(true_trace, probe, noise, rng, kappa_out, signal_window,
+                          reference_window):
+    """One stochastic phase-change measurement, in degrees: the per-sample
+    oracle of :func:`rydcav.detection.simulate_phase_shot_batch`.
+
+    Additive complex Gaussian noise per sample, with per-quadrature variance
+    chosen so the window-averaged phase variance of a unit-amplitude signal
+    equals 1/R_S/N; the additive character automatically produces the
+    (2 chi/kappa)^2 power penalty of a pulled resonance.  Independent
+    digitizer phase noise (std = digitizer_phase_floor) is added once, and
+    the reference-window phase is subtracted.
+    """
+    times = true_trace.times
+    if reference_window[0] < signal_window[1]:
+        raise WindowConfigError("reference window overlaps the signal window")
+
+    # per-quadrature noise std of one sample at SNR R(dt): the mean of
+    # n = tau/dt samples then has quadrature and phase variance 1/R(tau)
+    sigma_q = 1.0 / np.sqrt(snr(probe.n_c, kappa_out, true_trace.dt, noise.n_noise))
+
+    values = true_trace.values
+    sig = window_samples(times, signal_window, "signal window")
+    ref = window_samples(times, reference_window, "reference window")
+    phi_sig = _noisy_window_phase(values[sig], sigma_q, rng)
+    phi_ref = _noisy_window_phase(values[ref], sigma_q, rng)
+    dphi = phi_sig - phi_ref
+    if noise.digitizer_phase_floor > 0:
+        dphi += noise.digitizer_phase_floor * rng.standard_normal()
+    return float(np.degrees(dphi))
+
+
 class TestSimulatePhaseShot:
     def test_noiseless_exact(self, probe):
         chi = TWO_PI * 10e3
         trace = _steady_trace(chi)
         quiet = NoiseChain(n_noise=1e-12)
         rng = np.random.default_rng(0)
-        dphi = simulate_phase_shot(trace, probe, quiet, rng, KAPPA_OUT,
-                                   signal_window=(0, 6.2e-6),
-                                   reference_window=(15e-6, 39e-6))
+        dphi = per_sample_phase_shot(trace, probe, quiet, rng, KAPPA_OUT,
+                                     signal_window=(0, 6.2e-6),
+                                     reference_window=(15e-6, 39e-6))
         expect = np.degrees(np.angle(steady_transmission(chi, 0.0, KAPPA)))
         assert dphi == pytest.approx(expect, abs=1e-4)
 
@@ -152,9 +191,9 @@ class TestSimulatePhaseShot:
         rng = np.random.default_rng(1)
         shots = 4000
         out = np.array([
-            simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
-                                signal_window=(0, 6.2e-6),
-                                reference_window=(15e-6, 39.8e-6))
+            per_sample_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
+                                  signal_window=(0, 6.2e-6),
+                                  reference_window=(15e-6, 39.8e-6))
             for _ in range(shots)
         ])
         r = snr(probe.n_c, KAPPA_OUT, probe.tau_i, noise.n_noise)
@@ -167,9 +206,9 @@ class TestSimulatePhaseShot:
         rng = np.random.default_rng(2)
         shots = 3000
         out = np.array([
-            simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
-                                signal_window=(0, 6.2e-6),
-                                reference_window=(15e-6, 39.8e-6))
+            per_sample_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
+                                  signal_window=(0, 6.2e-6),
+                                  reference_window=(15e-6, 39.8e-6))
             for _ in range(shots)
         ])
         expect = np.degrees(np.angle(steady_transmission(chi, 0.0, KAPPA)))
@@ -179,9 +218,9 @@ class TestSimulatePhaseShot:
         trace = _steady_trace(TWO_PI * 10e3)
         rng = np.random.default_rng(0)
         with pytest.raises(Exception):
-            simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
-                                signal_window=(0, 20e-6),
-                                reference_window=(10e-6, 39e-6))
+            per_sample_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
+                                  signal_window=(0, 20e-6),
+                                  reference_window=(10e-6, 39e-6))
 
 
 class TestNoiseModel:
@@ -199,8 +238,8 @@ class TestNoiseModel:
         reference = (15e-6 - dt / 2, 15e-6 + probe.alpha * probe.tau_i - dt / 2)
         rng = np.random.default_rng(11)
         per_sample = np.std([
-            simulate_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
-                                signal_window=signal, reference_window=reference)
+            per_sample_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
+                                  signal_window=signal, reference_window=reference)
             for _ in range(5000)
         ], ddof=1)
         dphi = core.cavity_phase(chi, KAPPA)

@@ -5,6 +5,7 @@ import pytest
 
 from rydcav import (
     CavitySpec,
+    DispersiveValidityError,
     EnsembleState,
     Flags,
     McpModel,
@@ -22,10 +23,9 @@ from rydcav import (
     run_single_shot_campaign,
     trueness_ledger,
 )
-from rydcav import experiments
+from rydcav import estimation, experiments
 from rydcav.configio import load_scenario
 from rydcav.experiments import BLOCK_SIZE, block_rng, precision_vs_photon_number
-from rydcav.transmission import WindowConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -203,8 +203,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags=Flags(transit_decay=False, tmax_window=1e-6,
-                        systematic_offset=-0.024),
+            flags=Flags(transit_decay=False, systematic_offset=-0.024),
         )
         out = run_sensitivity_sweep(sc)
         assert abs(out["phase_sensitivity_deg_per_atom"]) == pytest.approx(
@@ -224,11 +223,15 @@ class TestSensitivitySweep:
             2.07e-2 / 0.976, rel=1e-3
         )
 
-    def test_empty_tmax_window_rejected(self, cavity):
-        sc = make_scenario(cavity, sweep_values=[100.0, 200.0],
-                           flags=Flags(transit_decay=False, tmax_window=1e-9))
-        with pytest.raises(WindowConfigError, match="t_max window"):
-            run_sensitivity_sweep(sc)
+    def test_one_readout_with_rabi_prediction(self, cavity):
+        # an all-s Rabi prediction reads the sweep's value at the same N
+        sc = make_scenario(cavity, sweep_values=[100.0, 261.0],
+                           flags=Flags(transit_decay=False))
+        out = run_sensitivity_sweep(sc)
+        for n, dphi in zip(sc.sweep_values, out["dphi_deg"]):
+            ens = dataclasses.replace(sc.ensemble, n_atoms=n)
+            assert estimation.predict_superposition_phase(
+                0.0, ens, sc.cavity, sc.transitions, sc.kappa, **sc.model_kw) == dphi
 
     def test_linearity(self, cavity):
         sc = make_scenario(
@@ -268,6 +271,16 @@ class TestPowerSweep:
         # small low-power dressing correction relative to the ideal factor 2
         expect = 0.5 * np.sqrt(1 + 1e3 / 4.4e4)
         assert ratio == pytest.approx(expect, abs=5e-3)
+
+    @pytest.mark.parametrize("two_transitions", [False, True])
+    def test_n_crit_at_most_25_violates_dispersive_limit(self, cavity, two_transitions):
+        # Delta = 2 g sqrt(n_crit) <= 10 g sqrt(1) for one atom
+        sc = make_scenario(cavity, sweep_values=[200],
+                           flags=Flags(n_crit=25.0, two_transitions=two_transitions))
+        with pytest.raises(DispersiveValidityError, match="delta_plus"):
+            run_power_sweep(sc)
+        sc.flags.n_crit = 26.0
+        assert run_power_sweep(sc)["n_crit_true"] == 26.0
 
 
 # ---------------------------------------------------------------------------

@@ -387,3 +387,14 @@ class TestPhaseChange:
         assert window_samples(times, (2e-6, 5e-6), "signal window").sum() == 4
         with pytest.raises(WindowConfigError, match=r"t_max window \[2\.1e-06, 2\.2e-06\]"):
             window_samples(times, (2.1e-6, 2.2e-6), "t_max window")
+
+    def test_readout_phase_is_the_mean_around_t_max(self, cavity):
+        ens = EnsembleState(n_atoms=100)
+        t_max = transmission.transit(ens, cavity)[1] + 2.0 / cavity.kappa
+        times = t_max + np.arange(-10, 11) * 0.3e-6
+        dphi = np.arange(21.0)
+        # t_max +- READOUT_WINDOW/2 holds the samples at 0 and +-0.3 us
+        assert transmission.readout_phase(times, dphi, ens, cavity, cavity.kappa) == 10.0
+        with pytest.raises(WindowConfigError, match="t_max window"):
+            transmission.readout_phase(t_max + np.arange(-5.0, 6.0, 2.0) * 1e-6, dphi[:6],
+                                       ens, cavity, cavity.kappa)
