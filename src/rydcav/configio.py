@@ -49,7 +49,6 @@ SECTIONS = {
         ("frequency_hz", "omega_c", "hz", ">0"),
         ("kappa_hz", "kappa", "hz", ">0"),
         ("kappa_out_hz", "kappa_out", "hz", ">0"),
-        ("kappa_in_hz", "kappa_in", "hz", ">=0"),
         ("length_z_m", "length_z", "num", ">0"),
         ("g_max_hz", "g_max", "hz", ">0"),
         ("mode_antinodes", "mode_antinodes", "int", ">0"),
@@ -97,11 +96,6 @@ FLAGS = (
     ("g_eff_hz", "g_eff", "hz", ">0"),
     ("n_crit", "n_crit", "num", ">0"),
     ("two_transitions", "two_transitions", "bool", None),
-    ("transition_spacing_hz", "transition_spacing", "hz", None),
-    ("photon_grid", "photon_grid", "nums", ">0"),
-    ("excitation_scale", "excitation_scale", "num", ">=0"),
-    ("p_plus", "p_plus", "num", ">=0"),
-    ("p_minus", "p_minus", "num", ">=0"),
     ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num", ">=0"),
     ("pointlike_uncertainty", "pointlike_uncertainty", "num", ">=0"),
     ("interaction_spacing_m", "interaction_spacing", "num", ">0"),

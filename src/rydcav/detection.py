@@ -86,14 +86,16 @@ def simulate_phase_shot_batch(
 
     Draws the window-averaged phases directly from their Gaussian limits:
     signal phase std = 1/(|A| sqrt(R)), reference std = 1/sqrt(alpha R),
-    plus the digitizer floor.  Its oracle is the per-sample sampler
-    ``per_sample_phase_shot`` of ``tests/test_detection.py``, which adds
-    complex Gaussian noise to every sample of a trace and averages each
-    window.
+    plus the digitizer floor.  Like :func:`phase_precision`, it rejects
+    R <= 10 with :class:`SnrValidityError`.  Its oracle is the per-sample
+    sampler ``per_sample_phase_shot`` of ``tests/test_detection.py``, which
+    adds complex Gaussian noise to every sample of a trace and averages
+    each window.
     """
     dphi_true_rad = np.asarray(dphi_true_rad, dtype=float)
     amp_signal = np.broadcast_to(np.asarray(amp_signal, dtype=float), dphi_true_rad.shape)
     r = float(snr(probe.n_c, kappa_out, probe.tau_i, noise.n_noise))
+    phase_precision(r)  # the SNR validity rule
     sigma_sig = 1.0 / (amp_signal * np.sqrt(r))
     sigma_ref = 1.0 / np.sqrt(probe.alpha * r)
     out = dphi_true_rad + sigma_sig * rng.standard_normal(dphi_true_rad.shape)

@@ -27,6 +27,8 @@ from .transmission import simulate_flythrough, steady_transmission
 
 BLOCK_SIZE = 4096
 N_REF = 500.0  # atom number of the precision-versus-photon-number curve
+EXCITATION_SCALE = 0.038  # scale of the power sweep's residual-excitation curve
+P_PLUS, P_MINUS = 0.61, 0.20  # p,+1 and p,-1 shares of the depolarized Rabi map
 C6_MHZ_UM6 = 36.0  # Van der Waals coefficient of the trueness item, MHz um^6
 C3_MHZ_UM3 = 2000.0  # resonant dipole-dipole coefficient, MHz um^3
 
@@ -46,11 +48,6 @@ class Flags:
     g_eff: float | None = None  # None: cavity.g_max
     n_crit: float | None = None  # required by power sweeps and campaigns
     two_transitions: bool = False
-    transition_spacing: float = 2 * np.pi * 18e6
-    photon_grid: list | None = None  # None: each runner's own grid
-    excitation_scale: float = 0.038
-    p_plus: float = 0.61
-    p_minus: float = 0.20
     detuning_rel_uncertainty: float | None = None  # required by trueness budgets
     pointlike_uncertainty: float | None = None  # required by trueness budgets
     interaction_spacing: float | None = None  # required by trueness budgets, m
@@ -106,7 +103,8 @@ class Scenario:
 
     def require(self, scenario_type):
         """Raise ValueError, naming the setting, unless the scenario holds
-        every setting a run of ``scenario_type`` needs (:data:`REQUIRED`)."""
+        every setting a run of ``scenario_type`` needs (:data:`REQUIRED`);
+        a campaign also needs two shots for its standard deviations."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
             value = reduce(getattr, key.split("."), self)
             if value is None or np.size(value) == 0:
@@ -115,6 +113,9 @@ class Scenario:
             if len(set(np.atleast_1d(value))) < least:
                 raise ValueError(f"scenario.{key}: type {scenario_type!r} needs at least "
                                  f"{least} distinct values, got {value}")
+        if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
+            raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "
+                             f"got {self.shots}")
 
     def flag(self, name, default=None):
         # Read scenario.flags.<name>; this accessor is kept for perfbench/run.py.
@@ -309,8 +310,8 @@ def _effective_chi_per_atom(scenario: Scenario):
     :func:`rydcav.core.dispersive_shift` of one s atom at the time-averaged
     coupling, with the detuning Delta = 2 g sqrt(n_crit) back-solved from
     n_crit (the inverse of :func:`rydcav.core.critical_photon_number`) and
-    either a second transition ``transition_spacing`` further away or none
-    (infinite detuning).  Its validity rule rejects n_crit <= 25.
+    either a second transition |delta_plus - delta_minus| further away or
+    none (infinite detuning).  Its validity rule rejects n_crit <= 25.
     """
     flags = scenario.flags
     g_eff = scenario.cavity.g_max if flags.g_eff is None else flags.g_eff
@@ -318,7 +319,8 @@ def _effective_chi_per_atom(scenario: Scenario):
     if n_crit is None:
         raise ValueError("flags.n_crit is not set")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
-    second = -(delta_eff + flags.transition_spacing) if flags.two_transitions else -np.inf
+    dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
+    second = -(delta_eff + abs(dp - dm)) if flags.two_transitions else -np.inf
     chi1 = core.dispersive_shift(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
     return float(chi1), float(n_crit)
 
@@ -329,8 +331,7 @@ def run_power_sweep(scenario: Scenario) -> dict:
     scenario.require("power")
     kappa = scenario.kappa
     chi1, n_crit = _effective_chi_per_atom(scenario)
-    grid = scenario.flags.photon_grid
-    n_c = np.asarray(np.geomspace(1e3, 1e6, 25) if grid is None else grid, dtype=float)
+    n_c = np.geomspace(1e3, 1e6, 25)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
     for n_at in scenario.sweep_values:
@@ -349,15 +350,14 @@ def run_power_sweep(scenario: Scenario) -> dict:
                 "sigma_deg": np.degrees(sigma_mean),
             }
         )
-    excitation_scale = scenario.flags.excitation_scale
-    excitation = excitation_scale * core.excited_fraction(n_c, n_crit)
+    excitation = EXCITATION_SCALE * core.excited_fraction(n_c, n_crit)
     return {
         "name": scenario.name,
         "datasets": datasets,
         "n_crit_true": n_crit,
         "n_c": n_c,
         "excitation": excitation,
-        "excitation_scale": excitation_scale,
+        "excitation_scale": EXCITATION_SCALE,
     }
 
 
@@ -368,20 +368,13 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     kappa = scenario.kappa
     ratios = np.asarray(scenario.sweep_values, dtype=float)
     kw = scenario.model_kw
-    pure = np.array([
+    pure, depol = (np.array([
         estimation.predict_superposition_phase(
             r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
-            p_plus=1.0, p_minus=0.0, **kw,
+            p_plus=p_plus, p_minus=p_minus, **kw,
         )
         for r in ratios
-    ])
-    depol = np.array([
-        estimation.predict_superposition_phase(
-            r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
-            p_plus=scenario.flags.p_plus, p_minus=scenario.flags.p_minus, **kw,
-        )
-        for r in ratios
-    ])
+    ]) for p_plus, p_minus in ((1.0, 0.0), (P_PLUS, P_MINUS)))
     return {
         "name": scenario.name,
         "rabi_ratio": ratios,
@@ -473,8 +466,7 @@ def precision_vs_photon_number(scenario: Scenario):
     :data:`N_REF` atoms, with the digitizer floor included."""
     chi1, n_crit = _effective_chi_per_atom(scenario)
     kappa = scenario.kappa
-    grid = scenario.flags.photon_grid
-    n_c = np.asarray(np.geomspace(1e3, 1e6, 31) if grid is None else grid, dtype=float)
+    n_c = np.geomspace(1e3, 1e6, 31)
     chi = core.power_dependent_shift(chi1 * N_REF, n_c, n_crit)
     sigma_dphi = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
                                               scenario.probe, scenario.noise)

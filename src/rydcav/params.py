@@ -41,17 +41,15 @@ class CavitySpec:
     kappa_out: float
     length_z: float
     g_max: float
-    kappa_in: float = 0.0
     mode_antinodes: int = 1
     mode_correction: float = 1.0
     width_x: float | None = None
 
     def __post_init__(self):
-        if not (self.kappa >= self.kappa_in + self.kappa_out > 0):
+        if not (self.kappa >= self.kappa_out > 0):
             raise ParameterError(
-                "kappa must satisfy kappa >= kappa_in + kappa_out > 0, got "
-                f"kappa={self.kappa}, kappa_in={self.kappa_in}, "
-                f"kappa_out={self.kappa_out}"
+                "kappa must satisfy kappa >= kappa_out > 0, got "
+                f"kappa={self.kappa}, kappa_out={self.kappa_out}"
             )
         if self.g_max <= 0:
             raise ParameterError(f"g_max must be positive, got {self.g_max}")

@@ -19,7 +19,6 @@ def cavity():
         omega_c=TWO_PI * 20.5583e9,
         kappa=TWO_PI * 236e3,
         kappa_out=TWO_PI * 150e3,
-        kappa_in=TWO_PI * 74e3,
         length_z=0.014,
         g_max=TWO_PI * 14.3e3,
     )

@@ -74,7 +74,6 @@ def reference_cavity():
         omega_c=TWO_PI * 20.5583e9,
         kappa=TWO_PI * 236e3,
         kappa_out=TWO_PI * 150e3,
-        kappa_in=TWO_PI * 74e3,
         length_z=0.014,
         g_max=TWO_PI * 14.3e3,
     )
@@ -93,8 +92,7 @@ def campaign_scenario(shots, two_transitions, floor, seed=14, n_c=5.9e4):
         sweep_values=[500],
         master_seed=seed,
         flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
-                    two_transitions=two_transitions,
-                    transition_spacing=TWO_PI * 18e6),
+                    two_transitions=two_transitions),
     )
 
 

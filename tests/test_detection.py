@@ -280,6 +280,15 @@ class TestBatchShots:
             stds.append(np.std(out, ddof=1))
         assert stds[1] / stds[0] == pytest.approx(np.sqrt(2), rel=0.03)
 
+    @pytest.mark.parametrize("n_c", [0.0, 5 * 23 / (KAPPA_OUT * 6.2e-6)])
+    def test_low_snr_rejected(self, n_c):
+        # R = 0 and R = 5 break the phase_precision rule R > 10; R = 0 would
+        # give inf and NaN shots
+        probe = ProbeConfig(n_c=n_c, tau_i=6.2e-6, alpha=4.0)
+        with pytest.raises(SnrValidityError):
+            simulate_phase_shot_batch(np.zeros(4), 1.0, probe, NoiseChain(n_noise=23.0),
+                                      np.random.default_rng(0), KAPPA_OUT)
+
     def test_floor_adds_in_quadrature(self):
         probe = ProbeConfig(n_c=5.9e4, tau_i=6.2e-6, alpha=4.0)
         floor = 0.02

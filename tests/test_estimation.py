@@ -227,8 +227,8 @@ class TestNoiselessConvergence:
     @settings(max_examples=5, deadline=None)
     def test_atom_number(self, n_atoms, start, sigma):
         cavity = CavitySpec(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3,
-                            kappa_out=TWO_PI * 150e3, kappa_in=TWO_PI * 74e3,
-                            length_z=0.014, g_max=TWO_PI * 14.3e3)
+                            kappa_out=TWO_PI * 150e3, length_z=0.014,
+                            g_max=TWO_PI * 14.3e3)
         transitions = TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6)
         truth = EnsembleState(n_atoms=n_atoms)
         traces = _flythrough_traces(cavity, truth, transitions, (0.0, cavity.kappa / 2))

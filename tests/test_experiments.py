@@ -12,6 +12,7 @@ from rydcav import (
     NoiseChain,
     ProbeConfig,
     Scenario,
+    SnrValidityError,
     TransitionSet,
     fourth_order_error,
     interaction_shift,
@@ -250,8 +251,7 @@ class TestPowerSweep:
             cavity,
             sweep_values=[200, 400, 600],
             shots=500,
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
-                        transition_spacing=TWO_PI * 18e6, excitation_scale=0.038),
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True),
         )
         out = run_power_sweep(sc)
         below = out["n_c"] <= out["n_crit_true"]
@@ -262,12 +262,14 @@ class TestPowerSweep:
             cavity,
             sweep_values=[500],
             shots=100_000,
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
-                        photon_grid=[1e3, 3 * 4.4e4]),
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3),
         )
         out = run_power_sweep(sc)
         ds = out["datasets"][0]
-        ratio = ds["dphi_true_deg"][1] / ds["dphi_true_deg"][0]
+        assert out["n_c"][0] == 1e3
+        # 3 n_crit read off the sweep's log-spaced grid, log-log
+        log_dphi = np.log(np.abs(ds["dphi_true_deg"]))
+        ratio = np.exp(np.interp(np.log(3 * 4.4e4), np.log(out["n_c"]), log_dphi) - log_dphi[0])
         # small low-power dressing correction relative to the ideal factor 2
         expect = 0.5 * np.sqrt(1 + 1e3 / 4.4e4)
         assert ratio == pytest.approx(expect, abs=5e-3)
@@ -308,8 +310,7 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
         sweep_values=list(sweep),
         master_seed=seed,
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3),
-        flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
-                    transition_spacing=TWO_PI * 18e6),
+        flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True),
     )
 
 
@@ -325,6 +326,18 @@ class TestCampaign:
         a = run_single_shot_campaign(campaign_scenario(cavity, 2000, seed=14))
         b = run_single_shot_campaign(campaign_scenario(cavity, 2000, seed=15))
         assert not np.array_equal(a["records"]["dphi_deg"], b["records"]["dphi_deg"])
+
+    def test_single_shot_rejected(self, cavity):
+        # the per-setting standard deviations need two shots
+        with pytest.raises(ValueError, match="scenario.shots: type 'campaign' needs at least 2"):
+            run_single_shot_campaign(campaign_scenario(cavity, 1))
+        assert len(run_single_shot_campaign(campaign_scenario(cavity, 2))["records"]["n_est"]) == 2
+
+    def test_zero_photons_rejected(self, cavity):
+        sc = campaign_scenario(cavity, 100)
+        sc.probe = ProbeConfig(n_c=0.0)
+        with pytest.raises(SnrValidityError):
+            run_single_shot_campaign(sc)
 
     def test_unbiased_estimate(self, cavity):
         out = run_single_shot_campaign(campaign_scenario(cavity, 20_000))
@@ -380,11 +393,12 @@ class TestCampaign:
         sc = make_scenario(
             cavity, n_atoms=500, shots=20_000, sweep_values=[500], master_seed=14,
             noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions,
-                        transition_spacing=TWO_PI * 18e6, photon_grid=[5.9e4]),
+            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions),
         )
         sim = run_single_shot_campaign(sc)["per_setting"][0]["sigma_n_cavity"]
-        assert sim == pytest.approx(precision_vs_photon_number(sc)["sigma_n"][0], rel=0.04)
+        curve = precision_vs_photon_number(sc)
+        expect = float(np.interp(5.9e4, curve["n_c"], curve["sigma_n"]))
+        assert sim == pytest.approx(expect, rel=0.04)
 
 
 class TestPrecisionCurve:
