@@ -3,13 +3,18 @@
 Config files state all frequencies in Hz; conversion to angular rates
 happens here, once, at the boundary.  Data files are written with 17
 significant digits so a re-run with the same config and seed reproduces
-them byte-identically.
+them byte-identically.  ``write_csv`` writes exactly the text of "%.17g"
+without formatting cell by cell: a float with 1e-10 <= |x| < 1e15 gets its
+17 correctly rounded digits from integer arithmetic in ``np.uint64``, and
+the rest (0, inf, NaN and finite values outside that range) go through
+"%.17g" once per distinct value in a block of rows.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import inspect
 import json
 import time
@@ -188,19 +193,245 @@ def load_scenario(path) -> Scenario:
 # writers
 
 
-CSV_BLOCK_ROWS = 2048  # rows formatted per call; bounds the writer's memory
+CSV_BLOCK_ROWS = 512  # rows formatted per call; bounds the writer's memory
 CSV_FEW_VALUES = 8  # a block column with at most rows/8 distinct values formats each once
+
+# A cell is four little-endian 64-bit words of ASCII, NUL where unused, its
+# separator in the last byte.  Floats with _EXACT_LO <= |x| < _EXACT_HI get
+# their 17 digits from integer arithmetic (``_digits17``; for these the
+# shift s lies in [1, 63]); every other float cell is formatted by "%.17g",
+# which needs at most 24 bytes.
+_EXACT_LO, _EXACT_HI = 1e-10, 1e15
+_POW5 = np.array([5**k for k in range(28)], np.uint64)  # 5**27 < 2**63
+_POW10 = np.array([10**k for k in range(20)], np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+
+
+def _words(rows):
+    """Equal-length byte strings as little-endian words, one column each."""
+    return np.frombuffer(b"".join(rows), "<u8").reshape(len(rows), -1).T.copy()
+
+
+# by n = 0 ... 24: the low n bytes of 24 set, and "." at byte n
+_LOW = _words([b"\xff" * n + b"\0" * (24 - n) for n in range(25)])
+_HIGH = ~_LOW
+_DOT = _words([(b"\0" * n + b".").ljust(24, b"\0")[:24] for n in range(25)])
+# by decimal exponent -10 ... 14: the digit the point follows (17: none),
+# "0." and up to three zeros in bytes 1-5 of the cell's first word, and
+# "e-05" ... "e-10" in bytes 2-5 of its last word
+_EXPONENTS = range(-10, 15)
+_POINT = np.array([e if e >= 0 else 0 if e < -4 else 17 for e in _EXPONENTS])
+_PREFIX = _words([(b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(8, b"\0")
+                  for e in _EXPONENTS])[0]
+_SUFFIX = _words([(b"\0\0" + b"e-%02d" % -e if e < -4 else b"").ljust(8, b"\0")
+                  for e in _EXPONENTS])[0]
+_BOOL = _words([b"False\0\0\0", b"True\0\0\0\0"])[0]
+
+
+def _scaled(m, e2, exp10):
+    """floor(m * 2**e2 * 10**(16 - exp10)), its remainder and half its divisor:
+    m * 5**k in two 64-bit limbs, shifted right by s = -(e2 + k)."""
+    s = 16 - exp10  # k
+    p = _POW5[s]
+    s += e2
+    np.negative(s, out=s)
+    s = s.view(np.uint64)
+    hi, lo = m >> 32, m & 0xFFFFFFFF
+    low = p & 0xFFFFFFFF
+    p >>= 32
+    mid = hi * low
+    low *= lo
+    lo *= p
+    mid += lo  # < 2**64, as m < 2**53 and 5**k < 2**63
+    hi *= p
+    hi += mid >> 32
+    mid <<= 32
+    mid += low
+    hi += mid < low  # the carry
+    half = np.uint64(1) << (s - 1)
+    q = hi << (64 - s)
+    q |= mid >> s
+    mid &= (half << 1) - 1
+    return q, mid, half
+
+
+def _digits17(a):
+    """The 17 significant digits of each ``a`` in [_EXACT_LO, _EXACT_HI),
+    correctly rounded (half to even), as ``(d, exp10)`` with 1e16 <= d < 1e17
+    and a = d * 10**(exp10 - 16) to the rounding."""
+    bits = a.view(np.uint64)
+    m = bits & 0xFFFFFFFFFFFFF
+    m |= 0x10000000000000
+    e2 = (bits >> 52).view(np.int64)
+    e2 -= 1075  # a = m * 2**e2, a normal number
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    q, rem, half = _scaled(m, e2, exp10)
+    # log10 can be one off next to a power of ten; the truncated digits say
+    off = (q >= 10**17).view(np.int8) - (q < 10**16).view(np.int8)
+    if off.any():
+        i = np.flatnonzero(off)
+        exp10[i] += off[i]
+        q[i], rem[i], half[i] = _scaled(m[i], e2[i], exp10[i])
+    q += (rem > half) | ((rem == half) & (q & 1 == 1))
+    carry = q == 10**17
+    q -= carry * np.uint64(9 * 10**16)
+    exp10 += carry
+    return q, exp10
+
+
+def _swar8(v):
+    """The 8 decimal digits of each v < 10**8 (v is overwritten), one per
+    byte, the most significant in the lowest: the halves, quarters and
+    eighths are split in place in 32-, 16- and 8-bit lanes by multiply and
+    shift."""
+    hi = v // 10000
+    v -= hi * 10000
+    v <<= 32
+    v |= hi
+    hi = v * 10486
+    hi >>= 20
+    hi &= 0x0000007F0000007F  # / 100 per lane, for < 10**4
+    v -= hi * 100
+    v <<= 16
+    v |= hi
+    hi = v * 103
+    hi >>= 10
+    hi &= 0x000F000F000F000F  # / 10 per lane, for < 100
+    v -= hi * 10
+    v <<= 8
+    v |= hi
+    return v
+
+
+def _float_words(x):
+    """The "%.17g" text of each float64 in 1-D ``x`` (overwritten), as
+    (4, x.size) words."""
+    words = np.empty((4, x.size), "<u8")
+    neg = np.signbit(x)
+    words[0] = neg * np.uint64(ord("-"))
+    a = np.abs(x, out=x)
+    # the rest (0, inf, NaN, too small or too large) go through "%.17g"
+    i = np.flatnonzero(~((a >= _EXACT_LO) & (a < _EXACT_HI)))
+    rest = np.where(neg[i], -a[i], a[i])
+    a[i] = 1.0
+    d, exp10 = _digits17(a)
+    lead = d // 10**16
+    d -= lead * 10**16
+    eight = np.empty((2, x.size), np.uint64)
+    eight[0] = d // 10**8
+    d -= eight[0] * 10**8
+    eight[1] = d
+    eight = _swar8(eight)
+    # keep the digits up to the last nonzero one (the highest nonzero byte,
+    # from the exponent of the word as a float, which no rounding moves as
+    # no byte exceeds 9), and the whole integer part
+    used = eight.astype(np.float64).view(np.int64)
+    used >>= 52
+    used -= 1015  # bit length + 7
+    np.maximum(used, 0, out=used)
+    used >>= 3
+    keep = used[0] + 1
+    keep += (used[1] > 0) * (used[1] - used[0] + 8)
+    np.maximum(keep, exp10 + 1, out=keep)
+    text = words[1:]  # the 17 digits, d0 in the lowest byte
+    np.left_shift(eight[0], 8, out=text[0])
+    text[0] |= lead
+    np.left_shift(eight[1], 8, out=text[1])
+    text[1] |= eight[0] >> 56
+    np.right_shift(eight[1], 56, out=text[2])
+    text += _ZEROS
+    text &= np.take(_LOW, keep, axis=1)
+    # the point after digit _POINT[exp10]: fixed notation for exp10 >= -4,
+    # d.ddde-XX below
+    row = exp10 + 10
+    point = _POINT[row]
+    shifted = text << 8
+    shifted[1:] |= text[:-1] >> 56
+    text &= np.take(_LOW, point + 1, axis=1)
+    shifted &= np.take(_HIGH, point + 2, axis=1)
+    text |= shifted
+    text |= np.take(_DOT, point + 1, axis=1) * (keep > point + 1)
+    words[0] |= _PREFIX[row]
+    words[3] |= _SUFFIX[row]
+    if i.size:  # once per distinct bit pattern
+        bits, at = np.unique(rest.view(np.uint64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype="S32")
+        words[:, i] = text.view("<u8").reshape(-1, 4)[at].T
+    return words
+
+
+def _int_words(v):
+    """``str`` of each bool or int in 1-D ``v``, as (4, v.size) words."""
+    words = np.zeros((4, v.size), "<u8")
+    if v.dtype.kind == "b":
+        words[0] = _BOOL[v.astype(np.intp)]
+        return words
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modulo 2**64, so -2**63 too
+    # as many 8-digit groups as the largest needs, most significant first
+    largest = int(mag.max())
+    g = 1 + (largest >= 10**8) + (largest >= 10**16)
+    groups = np.empty((g, v.size), np.uint64)
+    rest = mag.copy()
+    for j in range(g - 1, 0, -1):
+        groups[j] = rest % 10**8
+        rest //= 10**8
+    groups[0] = rest
+    digits = _swar8(groups)
+    digits += _ZEROS
+    lg = np.floor(np.log10(np.maximum(mag, 1).astype(np.float64))).astype(np.intp)
+    # float(mag) may round up to a power of ten; 0 keeps its digit
+    first = np.minimum(8 * g - 1 - lg + (mag < _POW10[lg]), 8 * g - 1)
+    np.bitwise_and(digits, ~np.take(_LOW[:g], first, axis=1), out=words[3 - g:3])
+    words[0] |= neg * np.uint64(ord("-"))  # a leading zero's byte of 20 digits
+    return words
+
+
+def _cell_words(columns):
+    """The (4, rows) words of the cells of each of the equal-length 1-D
+    ``columns``.  The float cells of all columns are formatted in one batch;
+    a float column with few distinct values (told apart by bit pattern, so
+    -0.0 stays apart from 0.0) has each value formatted once."""
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    rows = len(columns[0])
+    x = np.empty((len(floats), rows))
+    with np.errstate(invalid="ignore"):  # signalling NaNs of float32
+        for k, c in enumerate(floats):
+            x[k] = c
+    bits = x.view(np.uint64)
+    ordered = np.sort(bits, axis=1)
+    first = np.ones((len(floats), rows), bool)  # first of a run of equal values
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    values, at, start = [], [], 0
+    for k in range(len(floats)):
+        if np.count_nonzero(first[k]) * CSV_FEW_VALUES <= rows:
+            keys = ordered[k, first[k]]
+            values.append(keys.view(np.float64))
+            at.append(start + np.searchsorted(keys, bits[k]))
+        else:
+            values.append(x[k])
+            at.append(slice(start, start + rows))
+        start += values[-1].size
+    words = _float_words(np.concatenate(values)) if floats else None
+    float_words = (words[:, a] for a in at)
+    return [next(float_words) if c.dtype.kind == "f" else _int_words(c) for c in columns]
 
 
 def write_csv(path, columns: dict):
     """Write named columns (unit-suffixed headers); shorter ones broadcast.
 
-    Floats are written at 17 significant digits, ints and bools by ``str``;
+    Floats are written as "%.17g" writes them, ints and bools as ``str``;
     the cells are numbers, so no cell needs CSV quoting.  Columns of any
-    other dtype (and ``longdouble``) raise ``TypeError``.  Each block of
-    rows is formatted by one ``%`` call; a column with few distinct values
-    in the block (told apart by bit pattern, so ``-0.0`` stays apart from
-    ``0.0``) has each value formatted once and passed as text.
+    other dtype (and ``longdouble``) raise ``TypeError``.
+
+    No cell becomes a Python object.  Each block of rows is laid out as
+    ASCII in one matrix, 32 bytes per cell with NUL in the unused ones, and
+    the NULs are dropped on the way to the file.  A float with 1e-10 <= |x|
+    < 1e15 gets its 17 correctly rounded digits from exact integer
+    arithmetic (``_digits17``); the rest (0, inf, NaN and finite values
+    outside that range) are formatted by "%.17g" once per distinct bit
+    pattern in the block.
     """
     path = Path(path)
     arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
@@ -211,27 +442,23 @@ def write_csv(path, columns: dict):
     n = max(a.size for a in arrays)
     arrays = [np.broadcast_to(a, (n,)) for a in arrays]
     m = len(arrays)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(columns)
+    # csv.writer's separators, "\r\n" its line terminator
+    seps = np.full(m, ord(","), "<u8") << 56
+    seps[-1] = np.uint64(ord("\r")) << 56
+    mat = np.zeros((min(n, CSV_BLOCK_ROWS), 4 * m + 1), "<u8")
+    mat[:, -1] = ord("\n")
+    cells = mat[:, :-1].reshape(len(mat), m, 4)
+    header = io.StringIO()
+    csv.writer(header).writerow(columns)
+    with path.open("wb") as fh:
+        fh.write(header.getvalue().encode())
         for i in range(0, n, CSV_BLOCK_ROWS):
-            block = [a[i:i + CSV_BLOCK_ROWS] for a in arrays]
-            rows = block[0].size
-            cells = [None] * (rows * m)
-            fmts = []
-            for j, b in enumerate(block):
-                fmt = "%.17g" if b.dtype.kind == "f" else "%s"
-                bits = b.view(f"u{b.itemsize}")
-                ordered = np.sort(bits)
-                if (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) * CSV_FEW_VALUES <= rows:
-                    keys = np.unique(ordered)
-                    text = np.array([fmt % v for v in keys.view(b.dtype).tolist()], dtype=object)
-                    cells[j::m] = text[np.searchsorted(keys, bits)].tolist()
-                    fmt = "%s"
-                else:
-                    cells[j::m] = b.tolist()
-                fmts.append(fmt)
-            # "\r\n" is csv.writer's line terminator
-            fh.write((",".join(fmts) + "\r\n") * rows % tuple(cells))
+            block = cells[:n - i]
+            for j, w in enumerate(_cell_words([a[i:i + len(block)] for a in arrays])):
+                for word in range(3):
+                    block[:, j, word] = w[word]
+                np.bitwise_or(w[3], seps[j], out=block[:, j, 3])
+            fh.write(mat[:len(block)].tobytes().translate(None, b"\0"))
     return path
 
 

@@ -832,6 +832,20 @@ def test_fit_flythrough_pull_is_calibrated(config_dir):
     assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
 
 
+def test_fit_power_pull_is_calibrated(config_dir):
+    # pull (n_crit_fit - n_crit_true) / sigma over 200 fixed seeds, as for
+    # the fly-through fit
+    scenario = load_scenario(config_dir / "power.json")
+    pulls = []
+    for seed in range(200):
+        summary = cli._fit_power(
+            dataclasses.replace(scenario, master_seed=seed))["summary.json"]
+        assert summary["fit"]["converged"]
+        pulls.append((summary["n_crit_fit"] - summary["n_crit_true"])
+                     / summary["fit"]["uncertainties"]["n_crit"])
+    assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
+
+
 def test_fit_on_a_bound_warns(capsys):
     fit = fitting.FitResult(params={"a": 0.0, "b": 1.0}, covariance=np.eye(2),
                             residual_norm=1.0, iterations=3, converged=True,

@@ -9,10 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rydcav.configio import CSV_BLOCK_ROWS, CSV_FEW_VALUES, write_csv
+from rydcav import cli
+from rydcav.configio import (CSV_BLOCK_ROWS, CSV_FEW_VALUES, _digits17, _float_words,
+                             load_scenario, write_csv)
 
 B = CSV_BLOCK_ROWS
 
@@ -37,6 +39,7 @@ SPECIAL_FLOATS = np.array([
     np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0, 1e16, 123456789012345678.0,
 ])
 INT64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1])
+UINT64_EXTREMES = np.array([0, 2**64 - 1], dtype=np.uint64)
 
 
 def random_floats(rng, n):
@@ -64,11 +67,20 @@ def random_ints(rng, n):
     return x
 
 
+def random_uints(rng, n):
+    """20-digit integers, with 0 and 2**64 - 1 at random rows."""
+    x = rng.integers(0, 2**64, n, dtype=np.uint64)
+    at = rng.random(n) < 0.3
+    x[at] = rng.choice(UINT64_EXTREMES, at.sum())
+    return x
+
+
 COLUMNS = {
     "float": random_floats,
     "float_few": few_floats,
     "float32": lambda rng, n: rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
     "int64": random_ints,
+    "uint64": random_uints,
     "uint8": lambda rng, n: rng.integers(0, 256, n, dtype=np.uint8),
     "bool": lambda rng, n: rng.random(n) < 0.5,
     "list": lambda rng, n: random_floats(rng, n).tolist(),
@@ -145,3 +157,52 @@ def test_memory_independent_of_row_count(tmp_path):
             tracemalloc.stop()
 
     assert peak(32) <= 1.5 * peak(4)
+
+
+# float64 bit patterns of the range that _digits17 formats exactly
+EXACT_BITS = (int(np.float64(1e-10).view(np.uint64)),
+              int(np.nextafter(1e15, 0).view(np.uint64)))
+
+
+def bit_patterns(values):
+    return [int(b) for b in np.abs(np.asarray(values, dtype=np.float64)).view(np.uint64)]
+
+
+POWERS_OF_TEN = [v for n in range(-10, 15) for v in (np.nextafter(10.0**n, 0), 10.0**n,
+                                                     np.nextafter(10.0**n, np.inf))
+                 if 1e-10 <= v < 1e15]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(*EXACT_BITS), min_size=1, max_size=64),
+       signs=st.integers(0, 2**64 - 1))
+@example(bits=bit_patterns([1e-10, np.nextafter(1e15, 0)]), signs=1).via("range ends")
+@example(bits=bit_patterns(POWERS_OF_TEN), signs=0).via("powers of ten +- 1 ulp")
+@example(bits=bit_patterns([100000000000000.125, 100000000000000.375, 123456789012345.625]),
+         signs=2).via("ties to even")
+@example(bits=bit_patterns([3 * 2.0**-k for k in range(-48, 35)]), signs=0).via("3 * 2**-k")
+def test_digit_routine_matches_percent_17g(bits, signs):
+    # the digits, exponent and cell text of the exact path against Python's
+    # correctly rounded formatting, cell by cell
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    x[[signs >> i & 1 == 1 for i in range(x.size)]] *= -1
+    d, exp10 = _digits17(np.abs(x))
+    for v, di, ei in zip(x.tolist(), d.tolist(), exp10.tolist()):
+        mantissa, exponent = ("%.16e" % abs(v)).split("e")
+        assert (di, ei) == (int(mantissa.replace(".", "")), int(exponent)), v
+    cells = _float_words(x.copy()).T.copy().view(np.uint8).reshape(x.size, -1)
+    got = [bytes(c).replace(b"\0", b"").decode() for c in cells]
+    assert got == ["%.17g" % v for v in x.tolist()]
+
+
+def test_campaign_memory(tmp_path, config_dir):
+    # the packaged campaign's shots.csv: one block of rows at a time, so the
+    # writer's own peak stays far below the 8 MB of the columns
+    columns = cli._campaign(load_scenario(config_dir / "campaign.json"), 1)["shots.csv"]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "shots.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
