@@ -4,10 +4,12 @@ Config files state all frequencies in Hz; conversion to angular rates
 happens here, once, at the boundary.  Data files are written with 17
 significant digits so a re-run with the same config and seed reproduces
 them byte-identically.  ``write_csv`` writes exactly the text of "%.17g"
-without formatting cell by cell: a float with 1e-10 <= |x| < 1e15 gets its
-17 correctly rounded digits from integer arithmetic in ``np.uint64``, and
-the rest (0, inf, NaN and finite values outside that range) go through
-"%.17g" once per distinct value in a block of rows.
+without formatting cell by cell, through one formatter for every column:
+integer columns (|v| <= 2**53, exact in float64) are cast to float64, a
+float with 1e-10 <= |x| < 1e15 gets its 17 correctly rounded digits from
+integer arithmetic in ``np.uint64``, and the rest (0, inf, NaN and finite
+values outside that range) go through "%.17g" once per distinct value in a
+block of rows.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ SECTIONS = {
         ("p_s", "p_s", "num", ">=0"),
         ("p_p_plus", "p_p_plus", "num", ">=0"),
         ("p_p_minus", "p_p_minus", "num", ">=0"),
-        ("p_p_zero", "p_p_zero", "num", ">=0"),
         ("sigma_z_m", "sigma_z", "num", ">=0"),
         ("sigma_x_m", "sigma_x", "num", ">=0"),
         ("velocity_m_s", "velocity", "num", ">0"),
@@ -203,7 +204,6 @@ CSV_FEW_VALUES = 8  # a block column with at most rows/8 distinct values formats
 # which needs at most 24 bytes.
 _EXACT_LO, _EXACT_HI = 1e-10, 1e15
 _POW5 = np.array([5**k for k in range(28)], np.uint64)  # 5**27 < 2**63
-_POW10 = np.array([10**k for k in range(20)], np.uint64)
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
 
 
@@ -225,7 +225,6 @@ _PREFIX = _words([(b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljus
                   for e in _EXPONENTS])[0]
 _SUFFIX = _words([(b"\0\0" + b"e-%02d" % -e if e < -4 else b"").ljust(8, b"\0")
                   for e in _EXPONENTS])[0]
-_BOOL = _words([b"False\0\0\0", b"True\0\0\0\0"])[0]
 
 
 def _scaled(m, e2, exp10):
@@ -360,51 +359,23 @@ def _float_words(x):
     return words
 
 
-def _int_words(v):
-    """``str`` of each bool or int in 1-D ``v``, as (4, v.size) words."""
-    words = np.zeros((4, v.size), "<u8")
-    if v.dtype.kind == "b":
-        words[0] = _BOOL[v.astype(np.intp)]
-        return words
-    neg = v < 0
-    mag = v.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # modulo 2**64, so -2**63 too
-    # as many 8-digit groups as the largest needs, most significant first
-    largest = int(mag.max())
-    g = 1 + (largest >= 10**8) + (largest >= 10**16)
-    groups = np.empty((g, v.size), np.uint64)
-    rest = mag.copy()
-    for j in range(g - 1, 0, -1):
-        groups[j] = rest % 10**8
-        rest //= 10**8
-    groups[0] = rest
-    digits = _swar8(groups)
-    digits += _ZEROS
-    lg = np.floor(np.log10(np.maximum(mag, 1).astype(np.float64))).astype(np.intp)
-    # float(mag) may round up to a power of ten; 0 keeps its digit
-    first = np.minimum(8 * g - 1 - lg + (mag < _POW10[lg]), 8 * g - 1)
-    np.bitwise_and(digits, ~np.take(_LOW[:g], first, axis=1), out=words[3 - g:3])
-    words[0] |= neg * np.uint64(ord("-"))  # a leading zero's byte of 20 digits
-    return words
-
-
 def _cell_words(columns):
     """The (4, rows) words of the cells of each of the equal-length 1-D
-    ``columns``.  The float cells of all columns are formatted in one batch;
-    a float column with few distinct values (told apart by bit pattern, so
-    -0.0 stays apart from 0.0) has each value formatted once."""
-    floats = [c for c in columns if c.dtype.kind == "f"]
+    ``columns``.  Every column is cast to float64 (exact for the integers
+    ``write_csv`` accepts) and all cells are formatted in one batch; a
+    column with few distinct values (told apart by bit pattern, so -0.0
+    stays apart from 0.0) has each value formatted once."""
     rows = len(columns[0])
-    x = np.empty((len(floats), rows))
+    x = np.empty((len(columns), rows))
     with np.errstate(invalid="ignore"):  # signalling NaNs of float32
-        for k, c in enumerate(floats):
+        for k, c in enumerate(columns):
             x[k] = c
     bits = x.view(np.uint64)
     ordered = np.sort(bits, axis=1)
-    first = np.ones((len(floats), rows), bool)  # first of a run of equal values
+    first = np.ones((len(columns), rows), bool)  # first of a run of equal values
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     values, at, start = [], [], 0
-    for k in range(len(floats)):
+    for k in range(len(columns)):
         if np.count_nonzero(first[k]) * CSV_FEW_VALUES <= rows:
             keys = ordered[k, first[k]]
             values.append(keys.view(np.float64))
@@ -413,17 +384,21 @@ def _cell_words(columns):
             values.append(x[k])
             at.append(slice(start, start + rows))
         start += values[-1].size
-    words = _float_words(np.concatenate(values)) if floats else None
-    float_words = (words[:, a] for a in at)
-    return [next(float_words) if c.dtype.kind == "f" else _int_words(c) for c in columns]
+    words = _float_words(np.concatenate(values))
+    return [words[:, a] for a in at]
 
 
 def write_csv(path, columns: dict):
-    """Write named columns (unit-suffixed headers); shorter ones broadcast.
+    """Write named 1-D columns (unit-suffixed headers); a column of one
+    value is repeated on every row.
 
-    Floats are written as "%.17g" writes them, ints and bools as ``str``;
-    the cells are numbers, so no cell needs CSV quoting.  Columns of any
-    other dtype (and ``longdouble``) raise ``TypeError``.
+    Every cell is written as "%.17g" writes it.  The columns are floats, or
+    integers in [-2**53, 2**53], which float64 holds exactly and "%.17g"
+    writes as ``str`` does; the cells are numbers, so no cell needs CSV
+    quoting.  Columns of any other dtype (bool and ``longdouble`` among
+    them) raise ``TypeError``; integers out of range, a column that is not
+    1-D and one whose length is neither 1 nor the longest raise
+    ``ValueError``.  Each names the column, and no file is opened.
 
     No cell becomes a Python object.  Each block of rows is laid out as
     ASCII in one matrix, 32 bytes per cell with NUL in the unused ones, and
@@ -435,11 +410,17 @@ def write_csv(path, columns: dict):
     """
     path = Path(path)
     arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
+    n = max(len(a) for a in arrays)
     for name, a in zip(columns, arrays):
-        if a.dtype.kind not in "biuf" or a.dtype.itemsize > 8:
+        if a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
             raise TypeError(f"write_csv: column {name!r} has dtype {a.dtype}; "
-                            "only bool, int and float up to 64 bits are written")
-    n = max(a.size for a in arrays)
+                            "only int and float up to 64 bits are written")
+        if a.ndim != 1 or len(a) not in (1, n):
+            raise ValueError(f"write_csv: column {name!r} has shape {a.shape}; "
+                             f"expected ({n},) or (1,)")
+        if a.dtype.kind in "iu" and a.size and not -2**53 <= int(a.min()) <= int(a.max()) <= 2**53:
+            raise ValueError(f"write_csv: column {name!r} has integers outside "
+                             "[-2**53, 2**53], which float64 does not hold exactly")
     arrays = [np.broadcast_to(a, (n,)) for a in arrays]
     m = len(arrays)
     # csv.writer's separators, "\r\n" its line terminator

@@ -372,7 +372,6 @@ def predict_superposition_phase(
         p_s=1.0 - p_prep,
         p_p_plus=p_prep * p_plus,
         p_p_minus=p_prep * p_minus,
-        p_p_zero=p_prep * (1.0 - p_plus - p_minus),
     )
     trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa, **model_kw)
     return transmission.readout_phase(trace.times, dphi, ens, cavity, kappa)

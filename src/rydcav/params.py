@@ -70,27 +70,27 @@ class CavitySpec:
 class EnsembleState:
     """Atom number, populations and cloud geometry of the Rydberg ensemble.
 
-    Populations are fractions at the cavity-center time; radiative decay
-    during the transit is applied per state (:data:`TAU_S` for s,
-    :data:`TAU_P` for all p sublevels).
+    Populations are fractions at the cavity-center time, summing to at most
+    1; the remainder is the uncoupled p, m_l = 0 share, which shifts no
+    frequency.  Radiative decay during the transit is applied per state
+    (:data:`TAU_S` for s, :data:`TAU_P` for all p sublevels).
     """
 
     n_atoms: float
     p_s: float = 1.0
     p_p_plus: float = 0.0
     p_p_minus: float = 0.0
-    p_p_zero: float = 0.0
     sigma_z: float = 0.0
     sigma_x: float = 0.0
     velocity: float = 950.0
     entry_time: float = 0.0
 
     def __post_init__(self):
-        fr = (self.p_s, self.p_p_plus, self.p_p_minus, self.p_p_zero)
-        if any(f < 0 or f > 1 for f in fr):
-            raise ParameterError(f"populations must lie in [0, 1], got {fr}")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise ParameterError(f"populations must sum to 1, got {sum(fr)}")
+        fr = (self.p_s, self.p_p_plus, self.p_p_minus)
+        if any(f < 0 for f in fr):
+            raise ParameterError(f"populations must be >= 0, got {fr}")
+        if sum(fr) > 1.0 + 1e-9:
+            raise ParameterError(f"populations must sum to at most 1, got {sum(fr)}")
         if self.n_atoms < 0:
             raise ParameterError("n_atoms must be >= 0")
         if self.sigma_z < 0 or self.sigma_x < 0:

@@ -91,7 +91,7 @@ class TestDispersiveShift:
         )
 
     def test_uncoupled_sublevel_contributes_zero(self):
-        a = EnsembleState(n_atoms=50, p_s=0.7, p_p_zero=0.3)
+        a = EnsembleState(n_atoms=50, p_s=0.7)
         # only the s population enters; the m_l = 0 fraction is inert
         g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
         chi_a = core.dispersive_shift(a, g, dp, dm)

@@ -38,8 +38,11 @@ SPECIAL_FLOATS = np.array([
     2.2250738585072009e-308, 2.2250738585072014e-308, 1e300, -1e300,
     np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0, 1e16, 123456789012345678.0,
 ])
-INT64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1])
-UINT64_EXTREMES = np.array([0, 2**64 - 1], dtype=np.uint64)
+# the ends of the integer range write_csv accepts, and 10**15, where integer
+# cells move from the exact digits to the "%.17g" fallback
+INT64_EXTREMES = np.array([-2**53, 2**53, -(2**53 - 1), 2**53 - 1, 0, -1, 1,
+                           10**15 - 1, 10**15, -(10**15 - 1), -10**15])
+UINT64_EXTREMES = np.array([0, 2**53, 2**53 - 1, 10**15 - 1, 10**15], dtype=np.uint64)
 
 
 def random_floats(rng, n):
@@ -60,16 +63,16 @@ def few_floats(rng, n):
 
 
 def random_ints(rng, n):
-    x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64,
-                     endpoint=True)
+    """Integers in [-2**53, 2**53], with the named extremes at random rows."""
+    x = rng.integers(-2**53, 2**53, n, dtype=np.int64, endpoint=True)
     at = rng.random(n) < 0.3
     x[at] = rng.choice(INT64_EXTREMES, at.sum())
     return x
 
 
 def random_uints(rng, n):
-    """20-digit integers, with 0 and 2**64 - 1 at random rows."""
-    x = rng.integers(0, 2**64, n, dtype=np.uint64)
+    """Unsigned integers up to 2**53, with the named extremes at random rows."""
+    x = rng.integers(0, 2**53, n, dtype=np.uint64, endpoint=True)
     at = rng.random(n) < 0.3
     x[at] = rng.choice(UINT64_EXTREMES, at.sum())
     return x
@@ -82,7 +85,6 @@ COLUMNS = {
     "int64": random_ints,
     "uint64": random_uints,
     "uint8": lambda rng, n: rng.integers(0, 256, n, dtype=np.uint8),
-    "bool": lambda rng, n: rng.random(n) < 0.5,
     "list": lambda rng, n: random_floats(rng, n).tolist(),
     "scalar": lambda rng, n: rng.choice(SPECIAL_FLOATS),
     "int_scalar": lambda rng, n: int(rng.choice(INT64_EXTREMES)),
@@ -129,6 +131,7 @@ def test_signed_zeros_stay_apart(tmp_path, distinct):
 
 @pytest.mark.parametrize("value", [
     pytest.param(np.array([1 + 2j]), id="complex"),
+    pytest.param(np.array([True, False, True]), id="bool"),
     pytest.param(np.array(["a"]), id="str"),
     pytest.param(np.array([1.0, "a"], dtype=object), id="object"),
     pytest.param(np.array(["2020-01-01"], dtype="datetime64[D]"), id="datetime"),
@@ -140,6 +143,32 @@ def test_non_numeric_column_rejected(tmp_path, value):
     path = tmp_path / "t.csv"
     with pytest.raises(TypeError, match="column 'bad'"):
         write_csv(path, {"x_s": np.arange(3.0), "bad": value})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(np.array([0, 2**53 + 1, 1]), id="2**53+1"),
+    pytest.param(np.array([0, -2**53 - 1, 1]), id="-2**53-1"),
+    pytest.param(np.array([0, 2**64 - 1, 1], dtype=np.uint64), id="uint64-max"),
+])
+def test_integers_beyond_float64_rejected(tmp_path, value):
+    # float64 holds every integer up to 2**53 exactly, and no larger one
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"column 'bad' has integers outside \[-2\*\*53"):
+        write_csv(path, {"x_s": np.arange(3.0), "bad": value})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param({"x_s": np.arange(5.0), "bad": np.arange(3)}, id="shorter"),
+    pytest.param({"bad": np.arange(3.0), "x_s": np.arange(5.0)}, id="shorter-first"),
+    pytest.param({"x_s": np.arange(3.0), "bad": np.array([])}, id="empty"),
+    pytest.param({"x_s": np.arange(3.0), "bad": np.zeros((3, 2))}, id="2-D"),
+])
+def test_misshapen_column_rejected(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="column 'bad' has shape"):
+        write_csv(path, columns)
     assert not path.exists()
 
 
