@@ -856,6 +856,13 @@ def test_fit_on_a_bound_warns(capsys):
 
 
 SHOTS_GOLDEN = "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946"
+# every output of the packaged campaign at its own seed, 14
+CAMPAIGN_GOLDEN = {
+    "precision_vs_photon_number.csv":
+        "bdee1ebbafaae430cf89c16de654b54c09875a249235fba1b4217ec10e3af14b",
+    "shots.csv": SHOTS_GOLDEN,
+    "summary.json": "f4b4e726c4597d3f870c7fdb393b144bf0282959342657af1d0aca66498972ce",
+}
 
 
 def packaged_shots_digest(out_dir, config_dir):
@@ -870,6 +877,12 @@ class TestCampaignCli:
         # for byte: a change to the RNG streams, the physics or the CSV
         # formatting shows up here.
         assert packaged_shots_digest(tmp_path, config_dir) == SHOTS_GOLDEN
+
+    def test_packaged_campaign_golden_files(self, tmp_path, config_dir):
+        # the per-setting standard deviations and the analytic precision
+        # curve, pinned next to shots.csv
+        assert packaged_pair_hashes(tmp_path, config_dir, "campaign", "campaign") == \
+            CAMPAIGN_GOLDEN
 
     def test_packaged_campaign_golden_bytes_with_rowwise_writer(self, tmp_path, config_dir,
                                                                 monkeypatch):
