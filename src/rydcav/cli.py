@@ -15,13 +15,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, detection, estimation, experiments, transmission
-from .configio import ConfigError, RunManifest, load_scenario, write_csv, write_json
+from .configio import (ConfigError, RunManifest, load_scenario, write_csv, write_csv_blocks,
+                       write_json)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -194,31 +197,24 @@ def _fit_power(scenario):
     }}
 
 
+# shots.csv header -> campaign record key
+SHOTS_CSV = {"shot_id": "shot_id", "mean_n": "mean_n", "n_prepared": "n_prep",
+             "dphi_deg": "dphi_deg", "n_estimated": "n_est", "s1_vns": "s1", "s2_vns": "s2",
+             "s_ratio": "s_r", "p_fraction": "p_p", "n_mcp_estimated": "n_mcp_est"}
+
+
 def _campaign(scenario, threads):
-    res = experiments.run_single_shot_campaign(scenario, threads=threads)
-    rec, curve = res["records"], res["photon_curve"]
-    return {
-        "shots.csv": {
-            "shot_id": rec["shot_id"],
-            "mean_n": rec["mean_n"],
-            "n_prepared": rec["n_prep"],
-            "dphi_deg": rec["dphi_deg"],
-            "n_estimated": rec["n_est"],
-            "s1_vns": rec["s1"],
-            "s2_vns": rec["s2"],
-            "s_ratio": rec["s_r"],
-            "p_fraction": rec["p_p"],
-            "n_mcp_estimated": rec["n_mcp_est"],
-        },
-        "precision_vs_photon_number.csv": {k: curve[k] for k in (
-            "n_c", "sigma_dphi_rad", "sigma_n",
-        )},
-        "summary.json": {
-            "name": res["name"],
-            "per_setting": res["per_setting"],
-            "n_crit": res["n_crit"],
-            "chi_per_atom_rad_s": res["chi_per_atom"],
-        },
+    per_setting = []
+    blocks = experiments.campaign_blocks(scenario, per_setting, threads)
+    first = next(blocks)  # setting and model errors raise here, before any output
+    chi1, n_crit = experiments.effective_chi_per_atom(scenario)
+    curve = experiments.precision_vs_photon_number(scenario)
+    return {  # shots.csv is streamed first, so per_setting is full by summary.json
+        "shots.csv": ({h: b[k] for h, k in SHOTS_CSV.items()} for b in chain([first], blocks)),
+        "precision_vs_photon_number.csv": {k: curve[k] for k in ("n_c", "sigma_dphi_rad",
+                                                                 "sigma_n")},
+        "summary.json": {"name": scenario.name, "per_setting": per_setting, "n_crit": n_crit,
+                         "chi_per_atom_rad_s": chi1},
     }
 
 
@@ -259,14 +255,21 @@ def main(argv=None) -> int:
         manifest = RunManifest.start(args.command, args.config, scenario.master_seed)
         threads = {"threads": args.threads} if "threads" in args else {}
         files = task(scenario, **threads)
-        # made only after the task, so a task that fails leaves no directory
+        # made after the task and removed if a write fails: a failed run leaves no new directory
         out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
-        for name, payload in files.items():
-            # looked up per call, so a wrapped write_csv/write_json is honoured
-            write = write_json if name.endswith(".json") else write_csv
-            manifest.add(write(out / name, payload), out)
-        manifest.write(out)
+        try:
+            for name, payload in files.items():
+                # looked up per call, so a wrapped writer is honoured
+                write = (write_json if name.endswith(".json") else
+                         write_csv if isinstance(payload, dict) else write_csv_blocks)
+                manifest.add(write(out / name, payload), out)
+            manifest.write(out)
+        except BaseException:
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            raise
     except (ConfigError, FileNotFoundError) as exc:
         print(f"rydcav: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

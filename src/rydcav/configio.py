@@ -3,13 +3,13 @@
 Config files state all frequencies in Hz; conversion to angular rates
 happens here, once, at the boundary.  Data files are written with 17
 significant digits so a re-run with the same config and seed reproduces
-them byte-identically.  ``write_csv`` writes exactly the text of "%.17g"
-without formatting cell by cell, through one formatter for every column:
-integer columns (|v| <= 2**53, exact in float64) are cast to float64, a
-float with 1e-10 <= |x| < 1e15 gets its 17 correctly rounded digits from
-integer arithmetic in ``np.uint64``, and the rest (0, inf, NaN and finite
-values outside that range) go through "%.17g" once per distinct value in a
-block of rows.
+them byte-identically.  ``write_csv_blocks``, and ``write_csv``, its case
+of one block, write exactly the text of "%.17g" without formatting cell by
+cell, through one formatter for every column: integer columns (|v| <=
+2**53, exact in float64) are cast to float64, a float with 1e-10 <= |x| <
+1e15 gets its 17 correctly rounded digits from integer arithmetic in
+``np.uint64``, and the rest (0, inf, NaN and finite values outside that
+range) go through "%.17g" once per distinct value in a batch of rows.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -388,27 +389,11 @@ def _cell_words(columns):
     return [words[:, a] for a in at]
 
 
-def write_csv(path, columns: dict):
-    """Write named 1-D columns (unit-suffixed headers); a column of one
-    value is repeated on every row.
-
-    Every cell is written as "%.17g" writes it.  The columns are floats, or
-    integers in [-2**53, 2**53], which float64 holds exactly and "%.17g"
-    writes as ``str`` does; the cells are numbers, so no cell needs CSV
-    quoting.  Columns of any other dtype (bool and ``longdouble`` among
-    them) raise ``TypeError``; integers out of range, a column that is not
-    1-D and one whose length is neither 1 nor the longest raise
-    ``ValueError``.  Each names the column, and no file is opened.
-
-    No cell becomes a Python object.  Each block of rows is laid out as
-    ASCII in one matrix, 32 bytes per cell with NUL in the unused ones, and
-    the NULs are dropped on the way to the file.  A float with 1e-10 <= |x|
-    < 1e15 gets its 17 correctly rounded digits from exact integer
-    arithmetic (``_digits17``); the rest (0, inf, NaN and finite values
-    outside that range) are formatted by "%.17g" once per distinct bit
-    pattern in the block.
-    """
-    path = Path(path)
+def _checked(columns, names):
+    """The named ``columns`` of one block as equal-length 1-D arrays, each
+    checked as :func:`write_csv_blocks` states; every error names a column."""
+    if list(columns) != names:
+        raise ValueError(f"write_csv: block columns {list(columns)} are not the header {names}")
     arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
     n = max(len(a) for a in arrays)
     for name, a in zip(columns, arrays):
@@ -421,25 +406,61 @@ def write_csv(path, columns: dict):
         if a.dtype.kind in "iu" and a.size and not -2**53 <= int(a.min()) <= int(a.max()) <= 2**53:
             raise ValueError(f"write_csv: column {name!r} has integers outside "
                              "[-2**53, 2**53], which float64 does not hold exactly")
-    arrays = [np.broadcast_to(a, (n,)) for a in arrays]
-    m = len(arrays)
+    return [np.broadcast_to(a, (n,)) for a in arrays]
+
+
+def write_csv(path, columns: dict):
+    """Write named 1-D columns: the one-block case of :func:`write_csv_blocks`."""
+    return write_csv_blocks(path, [columns])
+
+
+def write_csv_blocks(path, blocks):
+    """Write an iterable of blocks of rows as one CSV.  Each block is a dict
+    of named 1-D columns (unit-suffixed names); the header is the first
+    block's names, and every block must hold them in the same order.  In a
+    block, a column of one value is repeated on every row.
+
+    Every cell is written as "%.17g" writes it, in the way the module
+    docstring describes, :data:`CSV_BLOCK_ROWS` rows at a time.  The
+    columns are floats, or integers in [-2**53, 2**53], which float64 holds
+    exactly and "%.17g" writes as ``str`` does; the cells are numbers, so
+    no cell needs CSV quoting.  Columns of any other dtype (bool and
+    ``longdouble`` among them) raise ``TypeError``; integers out of range,
+    a column that is not 1-D and one whose length is neither 1 nor the
+    block's longest raise ``ValueError``.  Each names the column.  The
+    first block is checked before the file is opened, every later one
+    before its bytes are written; a failure there, or an error raised by
+    ``blocks``, removes the file.  So one block is in memory at a time.
+    """
+    path = Path(path)
+    blocks = iter(blocks)
+    names = list(first := next(blocks, {}))
+    checked = chain([_checked(first, names)], (_checked(c, names) for c in blocks))
+    m = len(names)
     # csv.writer's separators, "\r\n" its line terminator
     seps = np.full(m, ord(","), "<u8") << 56
     seps[-1] = np.uint64(ord("\r")) << 56
-    mat = np.zeros((min(n, CSV_BLOCK_ROWS), 4 * m + 1), "<u8")
-    mat[:, -1] = ord("\n")
-    cells = mat[:, :-1].reshape(len(mat), m, 4)
     header = io.StringIO()
-    csv.writer(header).writerow(columns)
+    csv.writer(header).writerow(names)
     with path.open("wb") as fh:
-        fh.write(header.getvalue().encode())
-        for i in range(0, n, CSV_BLOCK_ROWS):
-            block = cells[:n - i]
-            for j, w in enumerate(_cell_words([a[i:i + len(block)] for a in arrays])):
-                for word in range(3):
-                    block[:, j, word] = w[word]
-                np.bitwise_or(w[3], seps[j], out=block[:, j, 3])
-            fh.write(mat[:len(block)].tobytes().translate(None, b"\0"))
+        try:
+            fh.write(header.getvalue().encode())
+            for arrays in checked:
+                n = len(arrays[0])
+                mat = np.zeros((min(n, CSV_BLOCK_ROWS), 4 * m + 1), "<u8")
+                mat[:, -1] = ord("\n")
+                cells = mat[:, :-1].reshape(len(mat), m, 4)
+                for i in range(0, n, CSV_BLOCK_ROWS):
+                    rows = cells[:n - i]
+                    for j, w in enumerate(_cell_words([a[i:i + len(rows)] for a in arrays])):
+                        for word in range(3):
+                            rows[:, j, word] = w[word]
+                        np.bitwise_or(w[3], seps[j], out=rows[:, j, 3])
+                    fh.write(mat[:len(rows)].tobytes().translate(None, b"\0"))
+        except BaseException:
+            fh.close()
+            path.unlink()
+            raise
     return path
 
 

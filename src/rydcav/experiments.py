@@ -304,7 +304,7 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     }
 
 
-def _effective_chi_per_atom(scenario: Scenario):
+def effective_chi_per_atom(scenario: Scenario):
     """Low-power per-atom dispersive shift used by power sweeps and campaigns.
 
     :func:`rydcav.core.dispersive_shift` of one s atom at the time-averaged
@@ -330,7 +330,7 @@ def run_power_sweep(scenario: Scenario) -> dict:
     the residual-excitation curve; input data for the n_crit fit."""
     scenario.require("power")
     kappa = scenario.kappa
-    chi1, n_crit = _effective_chi_per_atom(scenario)
+    chi1, n_crit = effective_chi_per_atom(scenario)
     n_c = np.geomspace(1e3, 1e6, 25)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
@@ -388,7 +388,7 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
 # single-shot campaign
 
 
-def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
+def _campaign_block(scenario, chi1, n_crit, block_index, row, mean_n, n_shots):
     rng = block_rng(scenario.master_seed, block_index)
     kappa = scenario.kappa
     probe = scenario.probe
@@ -404,67 +404,68 @@ def _campaign_block(scenario, chi1, n_crit, mean_n, block_index, n_shots):
     with np.errstate(invalid="ignore", divide="ignore"):
         s_r = np.where(s1 > 0, s2 / np.where(s1 > 0, s1, 1.0), np.nan)
     p_p, _ = detection.p_fraction_from_ratio(s_r, scenario.mcp)
-    return n_prep, dphi_meas, n_est, s1, s2, s_r, p_p
+    return {"shot_id": np.arange(row, row + n_shots), "mean_n": np.full(n_shots, float(mean_n)),
+            "n_prep": n_prep, "dphi_deg": dphi_meas, "n_est": n_est, "s1": s1, "s2": s2,
+            "s_r": s_r, "p_p": p_p, "n_mcp_est": s1 / scenario.mcp.s1_atom}
+
+
+def setting_precision(mean_n, dphi_deg, n_est, n_mcp_est) -> dict:
+    """Sample standard deviations of one setting's phase changes and cavity and MCP
+    estimates, each one contiguous array of its shots, so every sum has one order."""
+    sigma_n, sigma_mcp = (float(np.std(x, ddof=1)) for x in (n_est, n_mcp_est))
+    return {"mean_n": mean_n, "sigma_dphi_deg": float(np.std(dphi_deg, ddof=1)),
+            "sigma_n_cavity": sigma_n, "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
+            "sigma_n_mcp": sigma_mcp, "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1)}
+
+
+def campaign_blocks(scenario: Scenario, per_setting: list, threads: int = 1):
+    """Yield the campaign's records in row order (setting after setting), as
+    one dict of columns per block of at most :data:`BLOCK_SIZE` shots.  They run
+    on ``threads`` workers one window of ``threads`` blocks after another,
+    so at most ``threads`` are computed ahead of the consumer.  Each
+    setting's :func:`setting_precision`, from a buffer of its three
+    summarized columns, joins ``per_setting`` before its last block."""
+    scenario.require("campaign")
+    chi1, n_crit = effective_chi_per_atom(scenario)
+    shots = scenario.shots
+    blocks = [(k * shots + done, mean_n, min(BLOCK_SIZE, shots - done))
+              for k, mean_n in enumerate(scenario.sweep_values)
+              for done in range(0, shots, BLOCK_SIZE)]
+
+    def work(b):
+        return _campaign_block(scenario, chi1, n_crit, b, *blocks[b])
+
+    held = np.empty((3, shots))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        for w in range(0, len(blocks), threads):
+            for block in ex.map(work, range(w, min(w + threads, len(blocks)))):
+                row = block["shot_id"][-1] % shots + 1  # of the setting, after the block
+                held[:, row - len(block["n_est"]):row] = [block["dphi_deg"], block["n_est"],
+                                                          block["n_mcp_est"]]
+                if row == shots:
+                    per_setting.append(setting_precision(float(block["mean_n"][0]), *held))
+                yield block
 
 
 def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
-    """Per-shot (dphi, N_est, MCP) records plus a precision summary.
+    """Per-shot records, :func:`campaign_blocks` concatenated, plus a precision summary.
 
     The precision summary reports, per prepared atom number, the standard
     deviation of the cavity estimate and of the MCP estimate, and a
     precision-versus-photon-number curve at the reference atom number.
     """
-    scenario.require("campaign")
-    chi1, n_crit = _effective_chi_per_atom(scenario)
-    mean_n_values = scenario.sweep_values
-    shots = scenario.shots
-
-    # blocks in order: setting after setting, each one's shots in contiguous rows
-    per_block = [min(BLOCK_SIZE, shots - done) for done in range(0, shots, BLOCK_SIZE)]
-    blocks = list(enumerate((mean_n, n_b) for mean_n in mean_n_values for n_b in per_block))
-
-    def work(block):
-        b, (mean_n, n_b) = block
-        return _campaign_block(scenario, chi1, n_crit, mean_n, b, n_b)
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        results = list(ex.map(work, blocks))
-
-    records = {"mean_n": np.concatenate([np.full(n_b, float(m)) for _, (m, n_b) in blocks])}
-    for i, key in enumerate(("n_prep", "dphi_deg", "n_est", "s1", "s2", "s_r", "p_p")):
-        records[key] = np.concatenate([res[i] for res in results])
-    records["shot_id"] = np.arange(records["mean_n"].size)
-    records["n_mcp_est"] = records["s1"] / scenario.mcp.s1_atom
-
     per_setting = []
-    for k, mean_n in enumerate(mean_n_values):
-        rows = slice(k * shots, (k + 1) * shots)
-        sigma_n = float(np.std(records["n_est"][rows], ddof=1))
-        sigma_mcp = float(np.std(records["n_mcp_est"][rows], ddof=1))
-        per_setting.append({
-            "mean_n": float(mean_n),
-            "sigma_dphi_deg": float(np.std(records["dphi_deg"][rows], ddof=1)),
-            "sigma_n_cavity": sigma_n,
-            "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
-            "sigma_n_mcp": sigma_mcp,
-            "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1),
-        })
-
-    curve = precision_vs_photon_number(scenario)
-    return {
-        "name": scenario.name,
-        "records": records,
-        "per_setting": per_setting,
-        "photon_curve": curve,
-        "n_crit": n_crit,
-        "chi_per_atom": chi1,
-    }
+    blocks = list(campaign_blocks(scenario, per_setting, threads))
+    chi1, n_crit = effective_chi_per_atom(scenario)
+    return {"name": scenario.name, "per_setting": per_setting, "n_crit": n_crit,
+            "records": {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]},
+            "photon_curve": precision_vs_photon_number(scenario), "chi_per_atom": chi1}
 
 
 def precision_vs_photon_number(scenario: Scenario):
     """Analytic sigma_dphi and sigma_N versus photon number at
     :data:`N_REF` atoms, with the digitizer floor included."""
-    chi1, n_crit = _effective_chi_per_atom(scenario)
+    chi1, n_crit = effective_chi_per_atom(scenario)
     kappa = scenario.kappa
     n_c = np.geomspace(1e3, 1e6, 31)
     chi = core.power_dependent_shift(chi1 * N_REF, n_c, n_crit)

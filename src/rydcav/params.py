@@ -51,15 +51,15 @@ class CavitySpec:
                 "kappa must satisfy kappa >= kappa_out > 0, got "
                 f"kappa={self.kappa}, kappa_out={self.kappa_out}"
             )
-        if self.g_max <= 0:
+        if not self.g_max > 0:
             raise ParameterError(f"g_max must be positive, got {self.g_max}")
         if not (0.5 < self.mode_correction <= 1.5):
             raise ParameterError(
                 f"mode_correction must lie in (0.5, 1.5], got {self.mode_correction}"
             )
-        if self.length_z <= 0:
+        if not self.length_z > 0:
             raise ParameterError(f"length_z must be positive, got {self.length_z}")
-        if self.mode_antinodes < 1:
+        if not self.mode_antinodes >= 1:
             raise ParameterError("mode_antinodes must be a positive integer")
         if self.width_x is None:
             # default to a half wavelength at the cavity frequency
@@ -87,15 +87,15 @@ class EnsembleState:
 
     def __post_init__(self):
         fr = (self.p_s, self.p_p_plus, self.p_p_minus)
-        if any(f < 0 for f in fr):
+        if not all(f >= 0 for f in fr):
             raise ParameterError(f"populations must be >= 0, got {fr}")
         if sum(fr) > 1.0 + 1e-9:
             raise ParameterError(f"populations must sum to at most 1, got {sum(fr)}")
-        if self.n_atoms < 0:
+        if not self.n_atoms >= 0:
             raise ParameterError("n_atoms must be >= 0")
-        if self.sigma_z < 0 or self.sigma_x < 0:
+        if not (self.sigma_z >= 0 and self.sigma_x >= 0):
             raise ParameterError("cloud sizes must be >= 0")
-        if self.velocity <= 0:
+        if not self.velocity > 0:
             raise ParameterError("velocity must be positive")
 
 
@@ -118,11 +118,11 @@ class ProbeConfig:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if self.n_c < 0:
+        if not self.n_c >= 0:
             raise ParameterError("n_c must be >= 0")
-        if self.tau_i <= 0:
+        if not self.tau_i > 0:
             raise ParameterError("tau_i must be positive")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError("alpha must be positive")
 
 
@@ -139,9 +139,9 @@ class NoiseChain:
     digitizer_phase_floor: float = 0.0
 
     def __post_init__(self):
-        if self.n_noise <= 0:
+        if not self.n_noise > 0:
             raise ParameterError("n_noise must be positive")
-        if self.digitizer_phase_floor < 0:
+        if not self.digitizer_phase_floor >= 0:
             raise ParameterError("digitizer_phase_floor must be >= 0")
 
 
@@ -160,7 +160,7 @@ class McpModel:
     def __post_init__(self):
         if not (0 < self.eta <= 1):
             raise ParameterError("eta must lie in (0, 1]")
-        if self.sigma_a_rel < 0:
+        if not self.sigma_a_rel >= 0:
             raise ParameterError("sigma_a_rel must be >= 0")
         if not (0 < self.beta_p < self.beta_s < 1):
             raise ParameterError("window coefficients must satisfy 0 < beta_p < beta_s < 1")

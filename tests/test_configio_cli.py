@@ -7,14 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import types
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, fitting,
-                    run_flythrough, transmission)
+from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, experiments,
+                    fitting, run_flythrough, transmission)
 from rydcav.params import TWO_PI
 from rydcav.configio import (
     FLAGS,
@@ -27,7 +29,7 @@ from rydcav.configio import (
     write_csv,
     write_json,
 )
-from test_csv_writer import rowwise_write_csv
+from test_csv_writer import rowwise_write_csv, rowwise_write_csv_blocks
 from test_kernels import loop_filter
 from test_transmission import whole_trace_response
 
@@ -208,6 +210,11 @@ def _task_digest(command, path):
             digest.update(b"]")
         elif isinstance(obj, np.ndarray):
             digest.update(f"{obj.dtype.str}{obj.shape}".encode() + obj.tobytes())
+        elif isinstance(obj, types.GeneratorType):  # a streamed file: each of its blocks
+            digest.update(b"<")
+            for block in obj:
+                feed(block)
+            digest.update(b">")
         else:
             digest.update(repr(obj).encode())
 
@@ -260,6 +267,10 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     baseline = {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
                 for pair in PROBE_ORDER}
     assert None not in baseline.values()
+    # a digest that differs between two runs of one config would count
+    # every change as a moved output
+    assert baseline == {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
+                        for pair in PROBE_ORDER}
     keys = [(section, row) for section, table in SCHEMA.items() for row in table
             if not isinstance(row[2], tuple)]  # scenario.flags is a section
 
@@ -886,8 +897,12 @@ class TestCampaignCli:
 
     def test_packaged_campaign_golden_bytes_with_rowwise_writer(self, tmp_path, config_dir,
                                                                 monkeypatch):
+        # shots.csv is streamed through write_csv_blocks, the other files
+        # through write_csv
         monkeypatch.setattr(cli, "write_csv", rowwise_write_csv)
-        assert packaged_shots_digest(tmp_path, config_dir) == SHOTS_GOLDEN
+        monkeypatch.setattr(cli, "write_csv_blocks", rowwise_write_csv_blocks)
+        assert packaged_pair_hashes(tmp_path, config_dir, "campaign", "campaign") == \
+            CAMPAIGN_GOLDEN
 
     def test_thread_count_invariance(self, tmp_path, small_campaign):
         out1 = tmp_path / "t1"
@@ -897,6 +912,66 @@ class TestCampaignCli:
         assert run_cli(["campaign", "--config", str(small_campaign),
                         "--out", str(out4), "--threads", "4"]) == 0
         assert (out1 / "shots.csv").read_bytes() == (out4 / "shots.csv").read_bytes()
+
+    def test_thread_count_invariance_across_windows(self, tmp_path, config_dir):
+        # six blocks: one window of four and one of two with four threads
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw["scenario"].update(shots=experiments.BLOCK_SIZE + 5, sweep_values=[100, 300, 500])
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            assert run_cli(["campaign", "--config", str(cfg), "--out", str(out),
+                            "--threads", threads]) == 0
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("out_exists", [True, False], ids=["existing-dir", "new-dir"])
+    def test_failing_block_leaves_no_output(self, tmp_path, config_dir, monkeypatch, capsys,
+                                            out_exists):
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw["scenario"].update(shots=100, sweep_values=[100, 200, 300])  # three blocks
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out" if out_exists else tmp_path / "new" / "out"
+        if out_exists:
+            out.mkdir()
+        block, seen = experiments._campaign_block, []
+
+        def third_fails(scenario, chi1, n_crit, b, *args):
+            if b == 2:  # after the first two blocks have gone to shots.csv
+                seen.append((out / "shots.csv").exists())
+                raise RuntimeError("block 2 failed")
+            return block(scenario, chi1, n_crit, b, *args)
+
+        monkeypatch.setattr(experiments, "_campaign_block", third_fails)
+        assert run_cli(["campaign", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "rydcav: error: block 2 failed\n"
+        assert seen == [True]
+        if out_exists:
+            assert list(out.iterdir()) == []
+        else:
+            assert not (tmp_path / "new").exists()
+
+    def test_memory_independent_of_setting_count(self, tmp_path, config_dir):
+        raw = json.loads((config_dir / "campaign.json").read_text())
+
+        def peak(settings):
+            raw["scenario"].update(shots=experiments.BLOCK_SIZE + 1000,
+                                   sweep_values=[100.0 + 50 * k for k in range(settings)])
+            cfg = tmp_path / f"campaign{settings}.json"
+            cfg.write_text(json.dumps(raw))
+            tracemalloc.start()
+            try:
+                assert cli.main(["campaign", "--config", str(cfg),
+                                 "--out", str(tmp_path / f"out{settings}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations
+        assert peak(10) <= 1.2 * peak(2)
 
     def test_rerun_reproducible(self, tmp_path, small_campaign):
         out1 = tmp_path / "r1"

@@ -10,10 +10,14 @@ from rydcav import (
     CavitySpec,
     DispersiveValidityError,
     EnsembleState,
+    McpModel,
+    NoiseChain,
+    ProbeConfig,
     core,
     steady_transmission,
 )
 from rydcav.core import SingularityError
+from rydcav.params import ParameterError
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,6 +183,29 @@ class TestPhaseMap:
             core.power_reduction(-1.0, 4.4e4)
         with pytest.raises(ValueError):
             core.power_reduction(1.0, 0.0)
+
+
+# every checked field of each model class, with the other arguments valid
+CHECKED_FIELDS = [
+    (CavitySpec, dict(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3,
+                      kappa_out=TWO_PI * 150e3, length_z=0.014, g_max=TWO_PI * 14.3e3),
+     ("kappa", "kappa_out", "length_z", "g_max", "mode_antinodes", "mode_correction")),
+    (EnsembleState, dict(n_atoms=261.0),
+     ("n_atoms", "p_s", "p_p_plus", "p_p_minus", "sigma_z", "sigma_x", "velocity")),
+    (ProbeConfig, {}, ("n_c", "tau_i", "alpha")),
+    (NoiseChain, {}, ("n_noise", "digitizer_phase_floor")),
+    (McpModel, {}, ("eta", "sigma_a_rel", "alpha_p", "beta_s", "beta_p")),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, name", [
+    (cls, kwargs, name) for cls, kwargs, names in CHECKED_FIELDS for name in names],
+    ids=[f"{cls.__name__}.{name}" for cls, _, names in CHECKED_FIELDS for name in names])
+def test_nan_parameter_rejected(cls, kwargs, name):
+    # NaN fails every comparison, so a check written as "x < 0" lets it through
+    cls(**kwargs)
+    with pytest.raises(ParameterError):
+        cls(**{**kwargs, name: float("nan")})
 
 
 def test_readout_formulas_have_one_home():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rydcav import cli
 from rydcav.configio import (CSV_BLOCK_ROWS, CSV_FEW_VALUES, _digits17, _float_words,
-                             load_scenario, write_csv)
+                             load_scenario, write_csv, write_csv_blocks)
 
 B = CSV_BLOCK_ROWS
 
@@ -31,6 +31,15 @@ def rowwise_write_csv(path, columns: dict):
         for i in range(0, n, 8192):
             w.writerows(zip(*(map(f, a[i:i + 8192].tolist()) for f, a in zip(fmts, arrays))))
     return path
+
+
+def rowwise_write_csv_blocks(path, blocks):
+    """``rowwise_write_csv`` of the blocks joined column by column."""
+    blocks = [{k: np.atleast_1d(v) for k, v in block.items()} for block in blocks]
+    n = [max(a.size for a in block.values()) for block in blocks]
+    return rowwise_write_csv(path, {k: np.concatenate([np.broadcast_to(b[k], (m,))
+                                                      for b, m in zip(blocks, n)])
+                                    for k in blocks[0]})
 
 
 SPECIAL_FLOATS = np.array([
@@ -188,6 +197,67 @@ def test_memory_independent_of_row_count(tmp_path):
     assert peak(32) <= 1.5 * peak(4)
 
 
+@pytest.mark.parametrize("sizes", [[1], [3, 1, B + 2], [B, B], [2 * B + 3, 5]])
+def test_blocks_match_rowwise_writer_of_joined_columns(tmp_path, sizes):
+    rng = np.random.default_rng(len(sizes))
+    blocks = [{kind: COLUMNS[kind](rng, n) for kind in sorted(COLUMNS)} for n in sizes]
+    got = write_csv_blocks(tmp_path / "got.csv", iter(blocks)).read_bytes()
+    assert got == rowwise_write_csv_blocks(tmp_path / "want.csv", blocks).read_bytes()
+
+
+FIRST = {"x_s": np.arange(3.0), "y": np.arange(3)}
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    pytest.param({"y": np.arange(3), "x_s": np.arange(3.0)}, ValueError, "block columns",
+                 id="reordered"),
+    pytest.param({"x_s": np.arange(3.0)}, ValueError, "block columns", id="missing"),
+    pytest.param({"x_s": np.arange(3.0), "y": np.array([True, False])}, TypeError,
+                 "column 'y' has dtype bool", id="bool"),
+    pytest.param({"x_s": np.arange(3.0), "y": np.arange(2)}, ValueError,
+                 "column 'y' has shape", id="shorter"),
+    pytest.param({"x_s": np.arange(3.0), "y": np.array([2**53 + 1])}, ValueError,
+                 "column 'y' has integers outside", id="2**53+1"),
+])
+def test_later_bad_block_removes_file(tmp_path, bad, error, match):
+    # checked before its bytes are written, like the first block
+    path = tmp_path / "t.csv"
+    with pytest.raises(error, match=match):
+        write_csv_blocks(path, [FIRST, FIRST, bad])
+    assert not path.exists()
+
+
+def test_failing_block_source_removes_file(tmp_path):
+    def blocks():
+        yield FIRST
+        yield FIRST
+        raise RuntimeError("block 2 failed")
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="block 2 failed"):
+        write_csv_blocks(path, blocks())
+    assert not path.exists()
+
+
+def test_block_memory_independent_of_block_count(tmp_path):
+    # a stream of blocks is written one block at a time
+    def peak(count):
+        def blocks():
+            rng = np.random.default_rng(count)
+            for b in range(count):
+                yield {"id": np.arange(b * 4 * B, (b + 1) * 4 * B),
+                       "x": rng.standard_normal(4 * B)}
+
+        tracemalloc.start()
+        try:
+            write_csv_blocks(tmp_path / f"{count}.csv", blocks())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.2 * peak(4)
+
+
 # float64 bit patterns of the range that _digits17 formats exactly
 EXACT_BITS = (int(np.float64(1e-10).view(np.uint64)),
               int(np.nextafter(1e15, 0).view(np.uint64)))
@@ -225,12 +295,14 @@ def test_digit_routine_matches_percent_17g(bits, signs):
 
 
 def test_campaign_memory(tmp_path, config_dir):
-    # the packaged campaign's shots.csv: one block of rows at a time, so the
-    # writer's own peak stays far below the 8 MB of the columns
-    columns = cli._campaign(load_scenario(config_dir / "campaign.json"), 1)["shots.csv"]
+    # the packaged campaign's shots.csv, computed and written one block of
+    # records at a time: the campaign and the writer together peak far
+    # below the 8 MB of the columns
+    scenario = load_scenario(config_dir / "campaign.json")
+    np.random.default_rng()  # numpy.random is imported on first use, not counted here
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "shots.csv", columns)
+        write_csv_blocks(tmp_path / "shots.csv", cli._campaign(scenario, 1)["shots.csv"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
