@@ -208,11 +208,9 @@ def _campaign(scenario, threads):
     blocks = experiments.campaign_blocks(scenario, per_setting, threads)
     first = next(blocks)  # setting and model errors raise here, before any output
     chi1, n_crit = experiments.effective_chi_per_atom(scenario)
-    curve = experiments.precision_vs_photon_number(scenario)
     return {  # shots.csv is streamed first, so per_setting is full by summary.json
         "shots.csv": ({h: b[k] for h, k in SHOTS_CSV.items()} for b in chain([first], blocks)),
-        "precision_vs_photon_number.csv": {k: curve[k] for k in ("n_c", "sigma_dphi_rad",
-                                                                 "sigma_n")},
+        "precision_vs_photon_number.csv": experiments.precision_vs_photon_number(scenario),
         "summary.json": {"name": scenario.name, "per_setting": per_setting, "n_crit": n_crit,
                          "chi_per_atom_rad_s": chi1},
     }

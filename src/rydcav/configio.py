@@ -36,6 +36,7 @@ from .params import (
     NoiseChain,
     ProbeConfig,
     TransitionSet,
+    within,
 )
 
 SCENARIO_TYPES = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
@@ -46,106 +47,105 @@ class ConfigError(ValueError):
 
 
 # The config schema: one table per JSON section, one row per key:
-# (JSON key, field, kind, bound).  Kinds: "num" a finite number, "hz" a
-# frequency in Hz stored as an angular rate (x 2 pi), "int" an integral
-# number, "bool", "str", "nums" a list of finite numbers, or a nested
-# section given as (builder, table).  A bound is ">0", ">=0", "!=0", a
-# tuple of allowed values, or None.  Defaults are those of the builder;
-# a field without one is required.
+# (JSON key, field, kind).  Kinds: "num" a finite number, "hz" a frequency
+# in Hz stored as an angular rate (x 2 pi), "int" an integral number,
+# "bool", "str", "nums" a list of finite numbers, a tuple of the allowed
+# strings, or a nested section given as (builder, table).  A key's bound
+# and default are its field's in the builder; without a default it is required.
 SECTIONS = {
     "cavity": (CavitySpec, (
-        ("frequency_hz", "omega_c", "hz", ">0"),
-        ("kappa_hz", "kappa", "hz", ">0"),
-        ("kappa_out_hz", "kappa_out", "hz", ">0"),
-        ("length_z_m", "length_z", "num", ">0"),
-        ("g_max_hz", "g_max", "hz", ">0"),
-        ("mode_antinodes", "mode_antinodes", "int", ">0"),
-        ("mode_correction", "mode_correction", "num", ">0"),
-        ("width_x_m", "width_x", "num", ">0"),
+        ("frequency_hz", "omega_c", "hz"),
+        ("kappa_hz", "kappa", "hz"),
+        ("kappa_out_hz", "kappa_out", "hz"),
+        ("length_z_m", "length_z", "num"),
+        ("g_max_hz", "g_max", "hz"),
+        ("mode_antinodes", "mode_antinodes", "int"),
+        ("mode_correction", "mode_correction", "num"),
+        ("width_x_m", "width_x", "num"),
     )),
     "ensemble": (EnsembleState, (
-        ("n_atoms", "n_atoms", "num", ">=0"),
-        ("p_s", "p_s", "num", ">=0"),
-        ("p_p_plus", "p_p_plus", "num", ">=0"),
-        ("p_p_minus", "p_p_minus", "num", ">=0"),
-        ("sigma_z_m", "sigma_z", "num", ">=0"),
-        ("sigma_x_m", "sigma_x", "num", ">=0"),
-        ("velocity_m_s", "velocity", "num", ">0"),
-        ("entry_time_s", "entry_time", "num", None),
+        ("n_atoms", "n_atoms", "num"),
+        ("p_s", "p_s", "num"),
+        ("p_p_plus", "p_p_plus", "num"),
+        ("p_p_minus", "p_p_minus", "num"),
+        ("sigma_z_m", "sigma_z", "num"),
+        ("sigma_x_m", "sigma_x", "num"),
+        ("velocity_m_s", "velocity", "num"),
+        ("entry_time_s", "entry_time", "num"),
     )),
     "transitions": (TransitionSet, (
-        ("delta_plus_hz", "delta_plus", "hz", "!=0"),
-        ("delta_minus_hz", "delta_minus", "hz", "!=0"),
+        ("delta_plus_hz", "delta_plus", "hz"),
+        ("delta_minus_hz", "delta_minus", "hz"),
     )),
     "probe": (ProbeConfig, (
-        ("delta_m_hz", "delta_m", "hz", None),
-        ("n_c", "n_c", "num", ">0"),
-        ("tau_i_s", "tau_i", "num", ">0"),
-        ("alpha", "alpha", "num", ">0"),
+        ("delta_m_hz", "delta_m", "hz"),
+        ("n_c", "n_c", "num"),
+        ("tau_i_s", "tau_i", "num"),
+        ("alpha", "alpha", "num"),
     )),
     "noise": (NoiseChain, (
-        ("n_noise", "n_noise", "num", ">0"),
-        ("digitizer_phase_floor_rad", "digitizer_phase_floor", "num", ">=0"),
+        ("n_noise", "n_noise", "num"),
+        ("digitizer_phase_floor_rad", "digitizer_phase_floor", "num"),
     )),
     "mcp": (McpModel, (
-        ("eta", "eta", "num", ">0"),
-        ("sigma_a_rel", "sigma_a_rel", "num", ">=0"),
-        ("s1_atom_vns", "s1_atom", "num", ">0"),
-        ("alpha_p", "alpha_p", "num", ">0"),
-        ("beta_s", "beta_s", "num", ">0"),
-        ("beta_p", "beta_p", "num", ">0"),
-        ("dt_md_s", "dt_md", "num", ">=0"),
+        ("eta", "eta", "num"),
+        ("sigma_a_rel", "sigma_a_rel", "num"),
+        ("s1_atom_vns", "s1_atom", "num"),
+        ("alpha_p", "alpha_p", "num"),
+        ("beta_s", "beta_s", "num"),
+        ("beta_p", "beta_p", "num"),
+        ("dt_md_s", "dt_md", "num"),
     )),
 }
 FLAGS = (
-    ("transit_decay", "transit_decay", "bool", None),
-    ("systematic_offset", "systematic_offset", "num", None),
-    ("g_eff_hz", "g_eff", "hz", ">0"),
-    ("n_crit", "n_crit", "num", ">0"),
-    ("two_transitions", "two_transitions", "bool", None),
-    ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num", ">=0"),
-    ("pointlike_uncertainty", "pointlike_uncertainty", "num", ">=0"),
-    ("interaction_spacing_m", "interaction_spacing", "num", ">0"),
+    ("transit_decay", "transit_decay", "bool"),
+    ("systematic_offset", "systematic_offset", "num"),
+    ("g_eff_hz", "g_eff", "hz"),
+    ("n_crit", "n_crit", "num"),
+    ("two_transitions", "two_transitions", "bool"),
+    ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num"),
+    ("pointlike_uncertainty", "pointlike_uncertainty", "num"),
+    ("interaction_spacing_m", "interaction_spacing", "num"),
 )
 SCENARIO = (
-    ("name", "name", "str", None),
-    ("type", "type", "str", SCENARIO_TYPES),
-    ("shots", "shots", "int", ">0"),
-    ("master_seed", "master_seed", "int", ">=0"),
-    ("sweep_values", "sweep_values", "nums", None),
-    ("flags", "flags", (Flags, FLAGS), None),
+    ("name", "name", "str"),
+    ("type", "type", SCENARIO_TYPES),
+    ("shots", "shots", "int"),
+    ("master_seed", "master_seed", "int"),
+    ("sweep_values", "sweep_values", "nums"),
+    ("flags", "flags", (Flags, FLAGS)),
 )
 
-_BOUNDS = {">0": lambda v: v > 0, ">=0": lambda v: v >= 0, "!=0": lambda v: v != 0}
 _FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
 
 
 def _value(v, kind, bound, path):
-    if isinstance(kind, tuple):
+    if isinstance(kind, tuple) and not isinstance(kind[0], str):  # (builder, table)
         return _section(v, path, *kind)
     if kind == "nums":
         if not isinstance(v, list):
             raise ConfigError(f"{path}: expected a list of numbers, got {v!r}")
         return [_value(x, "num", bound, f"{path}[{i}]") for i, x in enumerate(v)]
-    if kind in ("bool", "str"):
+    if isinstance(kind, tuple):  # the allowed strings
+        if v not in kind:
+            raise ConfigError(f"{path}: {v!r} not one of {', '.join(kind)}")
+    elif kind in ("bool", "str"):
         if not isinstance(v, bool if kind == "bool" else str):
             raise ConfigError(f"{path}: expected a {kind}, got {v!r}")
     elif not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= _FLOAT_MAX:
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     elif kind == "int" and v != int(v):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
-    else:
-        v = int(v) if kind == "int" else float(v)
-    if isinstance(bound, tuple) and v not in bound:
-        raise ConfigError(f"{path}: {v!r} not one of {', '.join(bound)}")
-    if isinstance(bound, str) and not _BOUNDS[bound](v):
+    elif bound is not None and not within(v, bound):  # the value as written
         raise ConfigError(f"{path}: must be {bound}, got {v!r}")
-    return TWO_PI * v if kind == "hz" else v
+    else:
+        return int(v) if kind == "int" else TWO_PI * v if kind == "hz" else float(v)
+    return v
 
 
 def _section(raw, path, build, table):
-    """Check one JSON object against ``table`` and call ``build`` with its
-    converted fields; keys starting with ``_`` are comments."""
+    """Check one JSON object against ``table`` and its builder's ``BOUNDS``,
+    and call ``build`` with the converted fields; ``_`` keys are comments."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
     known = {row[0] for row in table}
@@ -153,15 +153,16 @@ def _section(raw, path, build, table):
         if key not in known and not key.startswith("_"):
             raise ConfigError(f"{path}.{key}: unknown key")
     params = inspect.signature(build).parameters
+    bounds = getattr(build, "func", build).BOUNDS
     kw = {}
-    for key, fld, kind, bound in table:
+    for key, fld, kind in table:
         if key in raw:
-            kw[fld] = _value(raw[key], kind, bound, f"{path}.{key}")
+            kw[fld] = _value(raw[key], kind, bounds.get(fld), f"{path}.{key}")
         elif params[fld].default is inspect.Parameter.empty:
             raise ConfigError(f"{path}.{key}: missing required field")
     try:
         return build(**kw)
-    except ValueError as exc:  # the model's own invariants
+    except ValueError as exc:  # the model's invariants across fields
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ def mode_amplitude(z, cavity: CavitySpec):
     Vanishes at both walls, reaches 1 at the antinodes.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0) or np.any(z > cavity.length_z):
+    if not np.all((z >= 0) & (z <= cavity.length_z)):
         raise ValueError("z outside cavity [0, length_z]")
     return np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
 
@@ -84,9 +84,9 @@ def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
 def power_reduction(n_c, n_crit):
     """Factor sqrt(1 + n_c/n_crit) by which the probe power divides chi."""
     n_c = np.asarray(n_c, dtype=float)
-    if np.any(n_c < 0):
+    if not np.all(n_c >= 0):
         raise ValueError("n_c must be >= 0")
-    if n_crit <= 0:
+    if not n_crit > 0:
         raise ValueError("n_crit must be positive")
     return np.sqrt(1.0 + n_c / n_crit)
 
@@ -121,7 +121,7 @@ def excited_fraction(n_c, n_crit):
 
     P_e = sin^2(arctan(sqrt((n_c + 1)/n_crit))); strictly increasing in n_c.
     """
-    if n_crit <= 0:
+    if not n_crit > 0:
         raise ValueError("n_crit must be positive")
     x = (np.asarray(n_c, dtype=float) + 1.0) / n_crit
     # sin^2(arctan(sqrt(x))) = x / (1 + x)

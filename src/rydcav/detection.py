@@ -20,7 +20,7 @@ def snr(n_c, kappa_out, tau_i, n_noise):
 
     kappa_out is an angular rate (rad/s), consistent with kappa elsewhere.
     """
-    if kappa_out <= 0 or tau_i <= 0 or n_noise <= 0:
+    if not (kappa_out > 0 and tau_i > 0 and n_noise > 0):
         raise ValueError("kappa_out, tau_i and n_noise must be positive")
     return np.asarray(n_c, dtype=float) * kappa_out * tau_i / n_noise
 
@@ -31,7 +31,7 @@ def phase_precision(r):
     Valid only for R >> 1; R <= 10 is rejected.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 10.0):
+    if not np.all(r > 10.0):
         raise SnrValidityError("phase_precision requires R > 10")
     return 1.0 / np.sqrt(r)
 
@@ -132,7 +132,7 @@ def mcp_signal(n_s, n_p, model: McpModel, rng):
     """
     n_s = np.asarray(n_s)
     n_p = np.asarray(n_p)
-    if np.any(n_s < 0) or np.any(n_p < 0):
+    if not (np.all(n_s >= 0) and np.all(n_p >= 0)):
         raise ValueError("atom counts must be nonnegative")
     ks = rng.binomial(np.rint(n_s).astype(np.int64), model.eta)
     kp = rng.binomial(np.rint(n_p).astype(np.int64), model.eta)

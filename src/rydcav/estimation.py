@@ -33,7 +33,7 @@ def spectroscopy_transfer(omega_i, delta_i, dt_i):
     [O^2/(O^2 + D^2)] sin^2(dt/2 sqrt(O^2 + D^2)); bounded by the Rabi
     envelope O^2/(O^2 + D^2).
     """
-    if dt_i <= 0:
+    if not dt_i > 0:
         raise ValueError("dt_i must be positive")
     omega = np.asarray(omega_i, dtype=float)
     delta = np.asarray(delta_i, dtype=float)

@@ -22,6 +22,7 @@ from .params import (
     NoiseChain,
     ProbeConfig,
     TransitionSet,
+    check_bounds,
 )
 from .transmission import simulate_flythrough, steady_transmission
 
@@ -51,6 +52,11 @@ class Flags:
     detuning_rel_uncertainty: float | None = None  # required by trueness budgets
     pointlike_uncertainty: float | None = None  # required by trueness budgets
     interaction_spacing: float | None = None  # required by trueness budgets, m
+
+    BOUNDS = {"systematic_offset": "finite", "g_eff": ">0", "n_crit": ">0",
+              "detuning_rel_uncertainty": ">=0", "pointlike_uncertainty": ">=0",
+              "interaction_spacing": ">0"}
+    __post_init__ = check_bounds
 
 
 # Per scenario type, the settings without a default that its run needs,
@@ -83,11 +89,8 @@ class Scenario:
     flags: Flags = field(default_factory=Flags)
     type: str | None = None
 
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not np.all(np.isfinite(np.asarray(self.sweep_values, dtype=float))):
-            raise ValueError("sweep values must be finite")
+    BOUNDS = {"shots": ">0", "sweep_values": "finite", "master_seed": ">=0"}
+    __post_init__ = check_bounds
 
     @property
     def kappa(self) -> float:
@@ -174,7 +177,7 @@ def pointlike_correction(sigma_z, sigma_x, cavity: CavitySpec):
     :func:`rydcav.core.cloud_mode_average`.  Negative: a spread-out cloud
     couples more weakly.
     """
-    if sigma_z < 0 or sigma_x < 0:
+    if not (sigma_z >= 0 and sigma_x >= 0):
         raise ValueError("cloud sizes must be >= 0")
     p = cavity.mode_antinodes
     k = int(np.round(p / 2.0 - 0.5))
@@ -456,10 +459,8 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     """
     per_setting = []
     blocks = list(campaign_blocks(scenario, per_setting, threads))
-    chi1, n_crit = effective_chi_per_atom(scenario)
-    return {"name": scenario.name, "per_setting": per_setting, "n_crit": n_crit,
-            "records": {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]},
-            "photon_curve": precision_vs_photon_number(scenario), "chi_per_atom": chi1}
+    return {"per_setting": per_setting, "photon_curve": precision_vs_photon_number(scenario),
+            "records": {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
 
 
 def precision_vs_photon_number(scenario: Scenario):
@@ -472,9 +473,4 @@ def precision_vs_photon_number(scenario: Scenario):
     sigma_dphi = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
                                               scenario.probe, scenario.noise)
     sigma_n = sigma_dphi * kappa * core.power_reduction(n_c, n_crit) / (2.0 * chi1)
-    return {
-        "n_c": n_c,
-        "sigma_dphi_rad": sigma_dphi,
-        "sigma_n": sigma_n,
-        "n_ref": N_REF,
-    }
+    return {"n_c": n_c, "sigma_dphi_rad": sigma_dphi, "sigma_n": sigma_n}

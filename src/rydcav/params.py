@@ -25,6 +25,29 @@ class DispersiveValidityError(ValueError):
     """Raised when detunings are too small for the second-order expansion."""
 
 
+# Bounds by name, for the ``BOUNDS`` (field -> name) of each model class;
+# each also asks for a finite value, so NaN and inf fail all of them.
+_BOUNDS = {">0": lambda x: x > 0, ">=0": lambda x: x >= 0, "!=0": lambda x: x != 0,
+           "finite": lambda x: True, "in (0.5, 1.5]": lambda x: 0.5 < x <= 1.5,
+           "in (0, 1]": lambda x: 0 < x <= 1}
+
+
+def within(value, bound) -> bool:
+    """Whether ``value``, a number or a sequence of numbers, is finite and
+    meets ``bound`` (a key of ``_BOUNDS``) throughout."""
+    values = np.asarray(value, dtype=float).ravel().tolist()
+    return all(abs(x) < np.inf and _BOUNDS[bound](x) for x in values)
+
+
+def check_bounds(self):
+    """Raise :class:`ParameterError`, naming the field, unless each field in
+    ``BOUNDS`` is :func:`within` its bound or None (an optional setting not given)."""
+    for name, bound in self.BOUNDS.items():
+        value = getattr(self, name)
+        if value is not None and not within(value, bound):
+            raise ParameterError(f"{name}: must be {bound}, got {value!r}")
+
+
 @dataclass
 class CavitySpec:
     """Cavity geometry and rates.
@@ -45,25 +68,16 @@ class CavitySpec:
     mode_correction: float = 1.0
     width_x: float | None = None
 
+    BOUNDS = {"omega_c": ">0", "kappa": ">0", "kappa_out": ">0", "length_z": ">0", "g_max": ">0",
+              "mode_antinodes": ">0", "mode_correction": "in (0.5, 1.5]", "width_x": ">0"}
+
     def __post_init__(self):
-        if not (self.kappa >= self.kappa_out > 0):
-            raise ParameterError(
-                "kappa must satisfy kappa >= kappa_out > 0, got "
-                f"kappa={self.kappa}, kappa_out={self.kappa_out}"
-            )
-        if not self.g_max > 0:
-            raise ParameterError(f"g_max must be positive, got {self.g_max}")
-        if not (0.5 < self.mode_correction <= 1.5):
-            raise ParameterError(
-                f"mode_correction must lie in (0.5, 1.5], got {self.mode_correction}"
-            )
-        if not self.length_z > 0:
-            raise ParameterError(f"length_z must be positive, got {self.length_z}")
-        if not self.mode_antinodes >= 1:
-            raise ParameterError("mode_antinodes must be a positive integer")
         if self.width_x is None:
             # default to a half wavelength at the cavity frequency
             self.width_x = np.pi * SPEED_OF_LIGHT / self.omega_c
+        check_bounds(self)
+        if not self.kappa >= self.kappa_out:
+            raise ParameterError(f"kappa must be >= kappa_out: {self.kappa} < {self.kappa_out}")
 
 
 @dataclass
@@ -85,18 +99,14 @@ class EnsembleState:
     velocity: float = 950.0
     entry_time: float = 0.0
 
+    BOUNDS = {"n_atoms": ">=0", "p_s": ">=0", "p_p_plus": ">=0", "p_p_minus": ">=0",
+              "sigma_z": ">=0", "sigma_x": ">=0", "velocity": ">0", "entry_time": "finite"}
+
     def __post_init__(self):
-        fr = (self.p_s, self.p_p_plus, self.p_p_minus)
-        if not all(f >= 0 for f in fr):
-            raise ParameterError(f"populations must be >= 0, got {fr}")
-        if sum(fr) > 1.0 + 1e-9:
-            raise ParameterError(f"populations must sum to at most 1, got {sum(fr)}")
-        if not self.n_atoms >= 0:
-            raise ParameterError("n_atoms must be >= 0")
-        if not (self.sigma_z >= 0 and self.sigma_x >= 0):
-            raise ParameterError("cloud sizes must be >= 0")
-        if not self.velocity > 0:
-            raise ParameterError("velocity must be positive")
+        check_bounds(self)
+        total = self.p_s + self.p_p_plus + self.p_p_minus
+        if total > 1.0 + 1e-9:
+            raise ParameterError(f"populations must sum to at most 1, got {total}")
 
 
 @dataclass
@@ -107,23 +117,21 @@ class TransitionSet:
     delta_plus: float
     delta_minus: float
 
+    BOUNDS = {"delta_plus": "!=0", "delta_minus": "!=0"}
+    __post_init__ = check_bounds
+
 
 @dataclass
 class ProbeConfig:
     """Microwave probe settings and integration windows."""
 
     delta_m: float = 0.0
-    n_c: float = 5.9e4
+    n_c: float = 5.9e4  # 0 is valid, but fails the SNR rule of every run that reads it
     tau_i: float = 6.2e-6
     alpha: float = 4.0
 
-    def __post_init__(self):
-        if not self.n_c >= 0:
-            raise ParameterError("n_c must be >= 0")
-        if not self.tau_i > 0:
-            raise ParameterError("tau_i must be positive")
-        if not self.alpha > 0:
-            raise ParameterError("alpha must be positive")
+    BOUNDS = {"delta_m": "finite", "n_c": ">=0", "tau_i": ">0", "alpha": ">0"}
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -138,11 +146,8 @@ class NoiseChain:
     n_noise: float = 23.0
     digitizer_phase_floor: float = 0.0
 
-    def __post_init__(self):
-        if not self.n_noise > 0:
-            raise ParameterError("n_noise must be positive")
-        if not self.digitizer_phase_floor >= 0:
-            raise ParameterError("digitizer_phase_floor must be >= 0")
+    BOUNDS = {"n_noise": ">0", "digitizer_phase_floor": ">=0"}
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -157,15 +162,13 @@ class McpModel:
     beta_p: float = 0.222
     dt_md: float = 35.5e-6
 
+    BOUNDS = {"eta": "in (0, 1]", "sigma_a_rel": ">=0", "s1_atom": ">0",
+              "alpha_p": "in (0, 1]", "beta_s": ">0", "beta_p": ">0", "dt_md": ">=0"}
+
     def __post_init__(self):
-        if not (0 < self.eta <= 1):
-            raise ParameterError("eta must lie in (0, 1]")
-        if not self.sigma_a_rel >= 0:
-            raise ParameterError("sigma_a_rel must be >= 0")
-        if not (0 < self.beta_p < self.beta_s < 1):
-            raise ParameterError("window coefficients must satisfy 0 < beta_p < beta_s < 1")
-        if not (0 < self.alpha_p <= 1):
-            raise ParameterError("alpha_p must lie in (0, 1]")
+        check_bounds(self)
+        if not self.beta_p < self.beta_s < 1:
+            raise ParameterError(f"need beta_p < beta_s < 1, got {self.beta_p}, {self.beta_s}")
 
     @property
     def decay_correction(self) -> float:

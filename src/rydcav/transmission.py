@@ -116,7 +116,7 @@ def steady_transmission(chi, delta_m, kappa):
 
     Normalized to 1 at the pulled resonance Delta_m = chi.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     return 1.0 / (1.0 - 2j * (delta_m - np.asarray(chi, dtype=float)) / kappa)
 
@@ -127,7 +127,7 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
     For constant chi the output equals :func:`steady_transmission`; a
     pulse-like chi(t) produces a phase extremum delayed by about 2/kappa.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     dt = shift.dt
     if dt > (2.0 / kappa) / 20.0 * (1 + 1e-12):

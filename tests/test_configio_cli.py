@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, cli, experiments,
-                    fitting, run_flythrough, transmission)
-from rydcav.params import TWO_PI
+from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, Scenario, cli,
+                    experiments, fitting, run_flythrough, transmission)
+from rydcav.params import TWO_PI, within
 from rydcav.configio import (
     FLAGS,
     SCENARIO,
@@ -156,25 +156,47 @@ class TestLoadScenario:
         assert (sc.shots, sc.master_seed, sc.sweep_values) == (1, 0, [])
 
 
-SCHEMA = {"scenario": SCENARIO, "scenario.flags": FLAGS,
-          **{name: table for name, (_build, table) in SECTIONS.items()}}
+# config section -> (the model class of its keys' fields, its rows)
+SCHEMA = {"scenario": (Scenario, SCENARIO), "scenario.flags": (Flags, FLAGS), **SECTIONS}
+# (section, row, bound) of every key whose field has a bound
+BOUNDED = [(section, row, build.BOUNDS[row[1]]) for section, (build, table) in SCHEMA.items()
+           for row in table if row[1] in build.BOUNDS]
+# values just outside each bound; NaN is the one value "finite" rejects
+OUTSIDE = {">0": [0], ">=0": [-5e-324], "!=0": [0], "finite": [float("nan")],
+           "in (0.5, 1.5]": [0.5, np.nextafter(1.5, 2.0).item()],
+           "in (0, 1]": [0, np.nextafter(1.0, 2.0).item()]}
+# (section, row, bound, value) for each bounded key; an integer key takes -1
+OUT_OF_BOUND = [(section, row, bound, -1 if row[2] == "int" and value < 0 else value)
+                for section, row, bound in BOUNDED for value in OUTSIDE[bound]]
+# the README's text of a bound; an interval reads as it is named
+README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0"}
 
 
 def test_readme_documents_every_config_key():
-    # the README tables list exactly the keys of the schema, none extra
+    # the README tables list exactly the keys of the schema, none extra, and
+    # each bound cell (before any note after ";") states the model's bound
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
     documented, prev = {}, ""
     for line in section.splitlines():
         heading = re.match(r"`([\w.]+)`[ :]", line)
         if heading and not prev:  # a paragraph that opens with a section name
-            keys = documented.setdefault(heading.group(1), [])
+            keys = documented.setdefault(heading.group(1), {})
         prev = line
-        row = re.match(r"\| `(\w+)` \|", line)
+        row = re.match(r"\| `(\w+)` \|[^|]*\|[^|]*\| ([^|]*) \|", line)
         if row:
-            keys.append(row.group(1))
+            keys[row.group(1)] = row.group(2).split(";")[0]
     assert {name: sorted(keys) for name, keys in documented.items()} == {
-        name: sorted(key for key, *_ in table) for name, table in SCHEMA.items()}
+        name: sorted(key for key, *_ in table) for name, (_build, table) in SCHEMA.items()}
+    for section, (build, table) in SCHEMA.items():
+        for key, fld, kind in table:
+            cell = documented[section][key]
+            if fld not in build.BOUNDS:
+                assert not re.search(r"[<>≥≠]|finite|\(", cell), f"{section}.{key}"
+                continue
+            bound = README_BOUNDS.get(build.BOUNDS[fld], build.BOUNDS[fld])
+            assert cell == {"int": f"integer {bound}", "nums": f"list of {bound} numbers"}.get(
+                kind, bound), f"{section}.{key}"
 
 
 # Every (command, packaged config) task, cheapest first (in process, without
@@ -222,12 +244,13 @@ def _task_digest(command, path):
     return digest.hexdigest()
 
 
-def _perturbations(section, key, fld, kind, bound, raw, scenario):
+def _perturbations(section, key, fld, kind, raw, scenario):
     """Changed values of ``key`` for one packaged config, each as a dict of
     the keys to set in ``section``: the config's own value, or the default
     it resolves to, moved in each direction that can keep the config
-    valid.  A p population moves 0.1 from or to ``p_s``, so that the
-    populations keep their sum; ``p_s`` moves alone."""
+    valid, within the bound of its field in the model class.  A p
+    population moves 0.1 from or to ``p_s``, so that the populations keep
+    their sum; ``p_s`` moves alone."""
     if key in POPULATIONS:
         resolved = {k: getattr(scenario.ensemble, k) for k in (key, "p_s")}
         return [{key: resolved[key] + d, "p_s": resolved["p_s"] - d} for d in (0.1, -0.1)]
@@ -240,8 +263,8 @@ def _perturbations(section, key, fld, kind, bound, raw, scenario):
             return []
         if kind == "hz":
             value = value / TWO_PI
-    if isinstance(bound, tuple):
-        values = [v for v in bound if v != value]
+    if isinstance(kind, tuple):  # one of the listed strings
+        values = [v for v in kind if v != value]
     elif kind == "bool":
         values = [not value]
     elif kind == "str":
@@ -254,7 +277,8 @@ def _perturbations(section, key, fld, kind, bound, raw, scenario):
         values = [1e3 if kind == "hz" else 1e-6]
     else:
         values = [1.1 * value, 0.9 * value]
-    return [{key: v} for v in values if v != value]
+    bound = SCHEMA[section][0].BOUNDS.get(fld)
+    return [{key: v} for v in values if v != value and (bound is None or within(v, bound))]
 
 
 def test_every_config_key_moves_an_output(config_dir, tmp_path):
@@ -271,8 +295,8 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     # every change as a moved output
     assert baseline == {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
                         for pair in PROBE_ORDER}
-    keys = [(section, row) for section, table in SCHEMA.items() for row in table
-            if not isinstance(row[2], tuple)]  # scenario.flags is a section
+    keys = [(section, row) for section, (_build, table) in SCHEMA.items() for row in table
+            if row[2] != (Flags, FLAGS)]  # scenario.flags is a section
 
     def moves(section, row, command, cfg):
         part = reduce(lambda d, name: d.get(name, {}), section.split("."), raws[cfg])
@@ -452,6 +476,49 @@ class TestCli:
         code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, row, bound, value", OUT_OF_BOUND,
+                             ids=[f"{s}.{row[0]}={v!r}" for s, row, _, v in OUT_OF_BOUND])
+    def test_value_outside_bound_exit_2(self, tmp_path, config_dir, capsys, section, row,
+                                        bound, value):
+        # the model's bound, checked on the value as written under the key path
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        target = reduce(lambda d, name: d.setdefault(name, {}), section.split("."), raw)
+        key, path = row[0], f"{section}.{row[0]}"
+        if row[2] == "nums":
+            target[key], path = [value], f"{path}[0]"
+        else:
+            target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        if np.isfinite(value):
+            message = f"{path}: must be {bound}, got {value!r}"
+        else:
+            message = f"{path}: expected a finite number, got {value!r}"
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(bad)
+        assert str(exc.value) == message
+        code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_closed_bound_ends_load(self, tmp_path, config_dir, capsys):
+        # the closed end of each interval loads, and so does n_c = 0; a run
+        # that reads n_c then fails the SNR rule (R > 10) and exits 1
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw["cavity"]["mode_correction"] = 1.5
+        raw.setdefault("mcp", {}).update(eta=1, alpha_p=1)
+        raw.setdefault("probe", {})["n_c"] = 0
+        path = tmp_path / "ends.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
+        assert (sc.cavity.mode_correction, sc.mcp.eta, sc.mcp.alpha_p, sc.probe.n_c) == (
+            1.5, 1.0, 1.0, 0.0)
+        code = run_cli(["campaign", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "phase_precision requires R > 10" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config", MISMATCHED)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -10,11 +11,19 @@ from rydcav import (
     CavitySpec,
     DispersiveValidityError,
     EnsembleState,
+    Flags,
     McpModel,
     NoiseChain,
     ProbeConfig,
+    Scenario,
+    TransitionSet,
     core,
+    detection,
+    estimation,
+    experiments,
+    params,
     steady_transmission,
+    transmission,
 )
 from rydcav.core import SingularityError
 from rydcav.params import ParameterError
@@ -185,27 +194,75 @@ class TestPhaseMap:
             core.power_reduction(1.0, 0.0)
 
 
-# every checked field of each model class, with the other arguments valid
-CHECKED_FIELDS = [
-    (CavitySpec, dict(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3,
-                      kappa_out=TWO_PI * 150e3, length_z=0.014, g_max=TWO_PI * 14.3e3),
-     ("kappa", "kappa_out", "length_z", "g_max", "mode_antinodes", "mode_correction")),
-    (EnsembleState, dict(n_atoms=261.0),
-     ("n_atoms", "p_s", "p_p_plus", "p_p_minus", "sigma_z", "sigma_x", "velocity")),
-    (ProbeConfig, {}, ("n_c", "tau_i", "alpha")),
-    (NoiseChain, {}, ("n_noise", "digitizer_phase_floor")),
-    (McpModel, {}, ("eta", "sigma_a_rel", "alpha_p", "beta_s", "beta_p")),
-]
+# each model class with valid arguments for its required fields
+CAVITY_KW = dict(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3, kappa_out=TWO_PI * 150e3,
+                 length_z=0.014, g_max=TWO_PI * 14.3e3)
+TRANSITIONS_KW = dict(delta_plus=-TWO_PI * 8e6, delta_minus=-TWO_PI * 26e6)
+CAVITY = CavitySpec(**CAVITY_KW)
+MODELS = {
+    CavitySpec: CAVITY_KW,
+    EnsembleState: dict(n_atoms=261.0),
+    TransitionSet: TRANSITIONS_KW,
+    ProbeConfig: {},
+    NoiseChain: {},
+    McpModel: {},
+    Flags: {},
+    Scenario: dict(name="s", cavity=CAVITY, ensemble=EnsembleState(n_atoms=261.0),
+                   transitions=TransitionSet(**TRANSITIONS_KW), probe=ProbeConfig(),
+                   noise=NoiseChain(),
+                   mcp=McpModel()),
+}
+# every bounded field of each model class
+CHECKED_FIELDS = [(cls, kwargs, name) for cls, kwargs in MODELS.items() for name in cls.BOUNDS]
 
 
-@pytest.mark.parametrize("cls, kwargs, name", [
-    (cls, kwargs, name) for cls, kwargs, names in CHECKED_FIELDS for name in names],
-    ids=[f"{cls.__name__}.{name}" for cls, _, names in CHECKED_FIELDS for name in names])
+def test_every_model_class_states_its_bounds():
+    # MODELS holds each class with BOUNDS, whose keys are fields; BOUNDS
+    # itself is a class attribute, so equality, asdict and replace skip it
+    bounded = {obj for module in (params, experiments) for obj in vars(module).values()
+               if isinstance(obj, type) and hasattr(obj, "BOUNDS")}
+    assert bounded == set(MODELS)
+    for cls in MODELS:
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert "BOUNDS" not in names
+        assert set(cls.BOUNDS) <= set(names)
+        assert set(cls.BOUNDS.values()) <= set(params._BOUNDS)
+
+
+@pytest.mark.parametrize("cls, kwargs, name", CHECKED_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in CHECKED_FIELDS])
 def test_nan_parameter_rejected(cls, kwargs, name):
     # NaN fails every comparison, so a check written as "x < 0" lets it through
     cls(**kwargs)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=f"^{name}: must be "):
         cls(**{**kwargs, name: float("nan")})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: core.mode_amplitude(np.array([0.0, np.nan]), CAVITY),
+                 id="mode_amplitude"),
+    pytest.param(lambda: core.power_reduction(np.nan, 4.4e4), id="power_reduction-n_c"),
+    pytest.param(lambda: core.power_reduction(1e4, np.nan), id="power_reduction-n_crit"),
+    pytest.param(lambda: core.excited_fraction(1e4, np.nan), id="excited_fraction"),
+    pytest.param(lambda: detection.snr(1e4, np.nan, 6.2e-6, 23.0), id="snr"),
+    pytest.param(lambda: detection.phase_precision(np.array([100.0, np.nan])),
+                 id="phase_precision"),
+    pytest.param(lambda: detection.mcp_signal(np.nan, 0.0, McpModel(),
+                                              np.random.default_rng(0)), id="mcp_signal"),
+    pytest.param(lambda: estimation.spectroscopy_transfer(1.0, 0.0, np.nan),
+                 id="spectroscopy_transfer"),
+    pytest.param(lambda: experiments.pointlike_correction(np.nan, 0.0, CAVITY),
+                 id="pointlike_correction"),
+    pytest.param(lambda: transmission.steady_transmission(0.0, 0.0, np.nan),
+                 id="steady_transmission"),
+    pytest.param(lambda: transmission.transmission_response(
+        transmission.ShiftTrace(np.arange(4) * 1e-8, np.zeros(4)), 0.0, np.nan),
+                 id="transmission_response"),
+])
+def test_nan_argument_rejected(call):
+    # each guard is written so that NaN fails it instead of returning NaN
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_readout_formulas_have_one_home():

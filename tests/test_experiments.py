@@ -173,7 +173,7 @@ def test_numpy_sweep_values_checked_by_value(config_dir):
     sc = load_scenario(config_dir / "power.json")
     swept = dataclasses.replace(sc, sweep_values=np.array([200.0, 400.0]))
     assert np.array_equal(swept.sweep_values, [200.0, 400.0])
-    with pytest.raises(ValueError, match="sweep values must be finite"):
+    with pytest.raises(ValueError, match="^sweep_values: must be finite"):
         dataclasses.replace(sc, sweep_values=np.array([200.0, np.nan]))
 
 
