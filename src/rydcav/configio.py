@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import Flags, Scenario
+from .experiments import SCENARIO_TYPES, Flags, Scenario
 from .params import (
     TWO_PI,
     CavitySpec,
@@ -38,8 +38,6 @@ from .params import (
     TransitionSet,
     within,
 )
-
-SCENARIO_TYPES = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 
 
 class ConfigError(ValueError):

@@ -111,9 +111,12 @@ def shift_from_phase(phase, kappa, reduction=1.0):
 
 def critical_photon_number(g, delta):
     """n_crit = Delta^2 / (4 g^2), threshold of the dispersive approximation."""
-    if np.any(np.asarray(g) == 0):
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g must be finite")
+    if np.any(g == 0):
         raise SingularityError("g = 0 in critical_photon_number")
-    return np.asarray(delta, dtype=float) ** 2 / (4.0 * np.asarray(g, dtype=float) ** 2)
+    return np.asarray(delta, dtype=float) ** 2 / (4.0 * g ** 2)
 
 
 def excited_fraction(n_c, n_crit):

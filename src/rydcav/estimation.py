@@ -1,6 +1,10 @@
 """Fit tasks built on the least-squares engine: trace fit for the atom
 number, entry-time fit, power-dependence fit, MCP Rabi calibration and
 the spectroscopy population fit.
+
+The trace fits evaluate the fly-through model on the data's own times,
+so their data share one uniform grid with dt <= (2/kappa)/20 that starts
+no later than the entry: the model starts from the empty cavity there.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 from . import core, transmission
 from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
 from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
-from .transmission import simulate_flythrough
+from .transmission import phase_change, simulate_flythrough
 
 DT_I = 0.3e-6  # s, length of the intracavity spectroscopy pulse
 
@@ -50,14 +54,6 @@ def spectroscopy_transfer(omega_i, delta_i, dt_i):
 # trace fits
 
 
-def resample(times, grid, values):
-    """``np.interp(times, grid, values)``, which is ``values`` itself when
-    ``times`` is ``grid`` sample for sample."""
-    if np.array_equal(times, grid):
-        return values
-    return np.interp(times, grid, values)
-
-
 def fit_entry_time(
     times,
     dphi_deg,
@@ -71,19 +67,23 @@ def fit_entry_time(
 ) -> FitResult:
     """Preliminary single-parameter fit of the time origin of the transit.
 
-    All other parameters are held at their configured values.  Raises
-    :class:`UnidentifiableError` for a flat trace.
+    All other parameters are held at their configured values; a flat trace raises
+    :class:`UnidentifiableError`.  ``times`` is the one uniform grid the model is
+    evaluated on, dt <= (2/kappa)/20, and the entry time stays >= ``times[0]``.
     """
     times = np.asarray(times, dtype=float)
+    if times[0] > ensemble.entry_time:
+        raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
+    ref = np.angle(transmission.steady_transmission(0.0, delta_m, kappa))
 
     def model(params):
-        trace, dphi = simulate_flythrough(replace(ensemble, **params), cavity, transitions,
-                                          delta_m, kappa, **model_kw)
-        return np.interp(times, trace.times, dphi)
+        shift = transmission.fly_through_shift_trace(replace(ensemble, **params), cavity,
+                                                     transitions, times, **model_kw)
+        return phase_change(transmission.transmission_response(shift, delta_m, kappa), ref)
 
     try:
         return least_squares_fit(model, dphi_deg, {"entry_time": ensemble.entry_time},
-                                 sigma=sigma_deg)
+                                 sigma=sigma_deg, bounds={"entry_time": (times[0], np.inf)})
     except RankDeficiencyError as exc:
         raise UnidentifiableError("flat trace: entry time unidentifiable") from exc
 
@@ -101,29 +101,27 @@ def fit_atom_number(
 
     ``traces`` is a list of dicts with keys delta_m, times, amplitude,
     phase (radians, referenced model output: unwrapped transmission
-    phase), and optional sigma_amp / sigma_phase.
+    phase), and optional sigma_amp / sigma_phase.  Their times are the one uniform
+    grid the model is evaluated on: dt <= (2/kappa)/20, starting no later than the entry.
     """
-    y_parts, s_parts = [], []
-    for tr in traces:
-        n = len(tr["times"])
-        y_parts += [np.asarray(tr["amplitude"], dtype=float),
-                    np.asarray(tr["phase"], dtype=float)]
-        s_parts += [np.full(n, tr.get("sigma_amp", 1.0)),
-                    np.full(n, tr.get("sigma_phase", 1.0))]
-    y = np.concatenate(y_parts)
-    sig = np.concatenate(s_parts)
-    data_times = [np.asarray(tr["times"], dtype=float) for tr in traces]
+    if not traces:
+        raise ValueError("traces: no trace given")
+    times = np.asarray(traces[0]["times"], dtype=float)
+    for i, tr in enumerate(traces):
+        if not np.array_equal(tr["times"], times):
+            raise ValueError(f"traces[{i}]: times differ from those of traces[0]")
+    if times[0] > ensemble.entry_time:
+        raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
+    y = np.concatenate([tr[key] for tr in traces for key in ("amplitude", "phase")], dtype=float)
+    sig = np.concatenate([np.full(times.size, tr.get(key, 1.0))
+                          for tr in traces for key in ("sigma_amp", "sigma_phase")])
 
     def model(params):
-        # chi(t) does not depend on the probe: one trace serves every probe
-        shift = transmission.flythrough_shift(replace(ensemble, **params), cavity,
-                                              transitions, kappa, **model_kw)
-        out = []
-        for tr, t in zip(traces, data_times):
-            trace = transmission.transmission_response(shift, tr["delta_m"], kappa)
-            out.append(resample(t, trace.times, trace.amplitude))
-            out.append(resample(t, trace.times, trace.unwrapped_phase))
-        return np.concatenate(out)
+        # chi(t) does not depend on the probe: one build serves every probe
+        shift = transmission.fly_through_shift_trace(replace(ensemble, **params), cavity,
+                                                     transitions, times, **model_kw)
+        out = [transmission.transmission_response(shift, tr["delta_m"], kappa) for tr in traces]
+        return np.concatenate([part for r in out for part in (r.amplitude, r.unwrapped_phase)])
 
     init = {"n_atoms": float(ensemble.n_atoms)}
     try:
@@ -150,7 +148,8 @@ def init_n_crit_from_half_signal(n_c, dphi_deg):
     if np.all(above):
         return float(n_c[-1])  # no decay visible; caller beware
     i = int(np.argmax(~above))
-    n_half = np.interp(half, mag[[i, i - 1]], n_c[[i, i - 1]])
+    slope = (n_c[i - 1] - n_c[i]) / (mag[i - 1] - mag[i])  # mag[i] < half <= mag[i - 1]
+    n_half = slope * (half - mag[i]) + n_c[i]
     return float(n_half / 3.0)
 
 

@@ -20,6 +20,7 @@ from .params import (
     EnsembleState,
     McpModel,
     NoiseChain,
+    ParameterError,
     ProbeConfig,
     TransitionSet,
     check_bounds,
@@ -59,6 +60,8 @@ class Flags:
     __post_init__ = check_bounds
 
 
+# The types a scenario can name; None (a scenario built in Python) is also allowed.
+SCENARIO_TYPES = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 # Per scenario type, the settings without a default that its run needs,
 # each with the least number of distinct values it takes (a sensitivity
 # line fit needs two atom numbers).
@@ -89,8 +92,12 @@ class Scenario:
     flags: Flags = field(default_factory=Flags)
     type: str | None = None
 
-    BOUNDS = {"shots": ">0", "sweep_values": "finite", "master_seed": ">=0"}
-    __post_init__ = check_bounds
+    BOUNDS = {"shots": "integer >0", "sweep_values": "finite", "master_seed": "integer >=0"}
+
+    def __post_init__(self):
+        check_bounds(self)
+        if self.type is not None and self.type not in SCENARIO_TYPES:
+            raise ParameterError(f"type: {self.type!r} not one of {', '.join(SCENARIO_TYPES)}")
 
     @property
     def kappa(self) -> float:

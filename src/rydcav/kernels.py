@@ -41,6 +41,8 @@ def response_filter(z, dt, b0):
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
     dt = float(dt)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n = z.shape[0]
     out = np.empty(n, dtype=np.complex128)
     out[0] = b = complex(b0)

@@ -29,7 +29,9 @@ class DispersiveValidityError(ValueError):
 # each also asks for a finite value, so NaN and inf fail all of them.
 _BOUNDS = {">0": lambda x: x > 0, ">=0": lambda x: x >= 0, "!=0": lambda x: x != 0,
            "finite": lambda x: True, "in (0.5, 1.5]": lambda x: 0.5 < x <= 1.5,
-           "in (0, 1]": lambda x: 0 < x <= 1}
+           "in (0, 1]": lambda x: 0 < x <= 1,
+           "integer >0": lambda x: x > 0 and x.is_integer(),
+           "integer >=0": lambda x: x >= 0 and x.is_integer()}
 
 
 def within(value, bound) -> bool:
@@ -69,7 +71,7 @@ class CavitySpec:
     width_x: float | None = None
 
     BOUNDS = {"omega_c": ">0", "kappa": ">0", "kappa_out": ">0", "length_z": ">0", "g_max": ">0",
-              "mode_antinodes": ">0", "mode_correction": "in (0.5, 1.5]", "width_x": ">0"}
+              "mode_antinodes": "integer >0", "mode_correction": "in (0.5, 1.5]", "width_x": ">0"}
 
     def __post_init__(self):
         if self.width_x is None:

@@ -61,6 +61,8 @@ class ShiftTrace:
             raise ValueError("times must be uniformly spaced")
         if self.chi.shape != self.times.shape:
             raise ValueError("chi must match times in shape")
+        if not np.all(np.isfinite(self.chi)):
+            raise ValueError("chi must be finite")
 
     @property
     def dt(self) -> float:
@@ -118,6 +120,8 @@ def steady_transmission(chi, delta_m, kappa):
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if not np.all(np.isfinite(delta_m)):
+        raise ValueError("delta_m must be finite")
     return 1.0 / (1.0 - 2j * (delta_m - np.asarray(chi, dtype=float)) / kappa)
 
 
@@ -129,6 +133,8 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if not np.isfinite(delta_m):
+        raise ValueError("delta_m must be finite")
     dt = shift.dt
     if dt > (2.0 / kappa) / 20.0 * (1 + 1e-12):
         raise GridAccuracyError(

@@ -164,12 +164,14 @@ BOUNDED = [(section, row, build.BOUNDS[row[1]]) for section, (build, table) in S
 # values just outside each bound; NaN is the one value "finite" rejects
 OUTSIDE = {">0": [0], ">=0": [-5e-324], "!=0": [0], "finite": [float("nan")],
            "in (0.5, 1.5]": [0.5, np.nextafter(1.5, 2.0).item()],
-           "in (0, 1]": [0, np.nextafter(1.0, 2.0).item()]}
-# (section, row, bound, value) for each bounded key; an integer key takes -1
-OUT_OF_BOUND = [(section, row, bound, -1 if row[2] == "int" and value < 0 else value)
+           "in (0, 1]": [0, np.nextafter(1.0, 2.0).item()],
+           "integer >0": [0], "integer >=0": [-1]}
+# (section, row, bound, value) for each bounded key
+OUT_OF_BOUND = [(section, row, bound, value)
                 for section, row, bound in BOUNDED for value in OUTSIDE[bound]]
 # the README's text of a bound; an interval reads as it is named
-README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0"}
+README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0",
+                 "integer >0": "integer > 0", "integer >=0": "integer ≥ 0"}
 
 
 def test_readme_documents_every_config_key():
@@ -194,9 +196,11 @@ def test_readme_documents_every_config_key():
             if fld not in build.BOUNDS:
                 assert not re.search(r"[<>≥≠]|finite|\(", cell), f"{section}.{key}"
                 continue
+            # an integer key's field has an integer bound, from Python too
+            assert (kind == "int") == build.BOUNDS[fld].startswith("integer"), f"{section}.{key}"
             bound = README_BOUNDS.get(build.BOUNDS[fld], build.BOUNDS[fld])
-            assert cell == {"int": f"integer {bound}", "nums": f"list of {bound} numbers"}.get(
-                kind, bound), f"{section}.{key}"
+            assert cell == (f"list of {bound} numbers" if kind == "nums" else bound), \
+                f"{section}.{key}"
 
 
 # Every (command, packaged config) task, cheapest first (in process, without

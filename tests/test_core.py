@@ -21,6 +21,7 @@ from rydcav import (
     detection,
     estimation,
     experiments,
+    kernels,
     params,
     steady_transmission,
     transmission,
@@ -263,6 +264,49 @@ def test_nan_argument_rejected(call):
     # each guard is written so that NaN fails it instead of returning NaN
     with pytest.raises(ValueError):
         call()
+
+
+GRID = np.arange(4) * 1e-8
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: transmission.ShiftTrace(GRID, [0.0, np.nan, 0.0, 0.0]), "chi",
+                 id="ShiftTrace"),
+    pytest.param(lambda: transmission.transmission_response(
+        transmission.ShiftTrace(GRID, np.zeros(4)), np.nan, TWO_PI * 236e3), "delta_m",
+                 id="transmission_response"),
+    pytest.param(lambda: transmission.steady_transmission(0.0, np.nan, TWO_PI * 236e3),
+                 "delta_m", id="steady_transmission"),
+    pytest.param(lambda: kernels.response_filter(np.full(4, -1e6 + 0j), np.nan, 1e-6), "dt",
+                 id="response_filter"),
+    pytest.param(lambda: core.critical_photon_number(np.nan, TWO_PI * 8e6), "g",
+                 id="critical_photon_number"),
+])
+def test_nan_on_trace_path_named(call, name):
+    # a NaN that reaches the trace path is named instead of becoming a NaN trace
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (Scenario, dict(type="bogus"), "^type: 'bogus' not one of flythrough, "),
+    (CavitySpec, dict(mode_antinodes=1.5), r"^mode_antinodes: must be integer >0, got 1\.5"),
+    (CavitySpec, dict(mode_antinodes=0.5), r"^mode_antinodes: must be integer >0, got 0\.5"),
+    (Scenario, dict(shots=2.5), r"^shots: must be integer >0, got 2\.5"),
+    (Scenario, dict(master_seed=1.5), r"^master_seed: must be integer >=0, got 1\.5"),
+])
+def test_model_invariant_rejected(cls, kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        cls(**MODELS[cls], **kwargs)
+
+
+def test_numpy_integers_and_known_types_accepted():
+    for stype in (None, *experiments.SCENARIO_TYPES):
+        assert Scenario(**MODELS[Scenario], type=stype).type == stype
+    sc = Scenario(**MODELS[Scenario], shots=np.int32(3), master_seed=np.uint64(2**64 - 1))
+    assert (sc.shots, sc.master_seed) == (3, 2**64 - 1)
+    assert Scenario(**MODELS[Scenario], shots=4.0, master_seed=np.int64(0)).shots == 4
+    assert CavitySpec(**CAVITY_KW, mode_antinodes=np.int64(3)).mode_antinodes == 3
 
 
 def test_readout_formulas_have_one_home():

@@ -79,6 +79,24 @@ def _flythrough_traces(cavity, ensemble, transitions, detunings=(0.0,), **kw):
     return traces
 
 
+def _offset_grid(sc):
+    """The default model grid of scenario ``sc``'s fly-through, moved by half a sample."""
+    grid = transmission.flythrough_shift(sc.ensemble, sc.cavity, sc.transitions, sc.kappa).times
+    return grid + 0.5 * (grid[1] - grid[0])
+
+
+def _traces_on(times, ensemble, sc, detunings):
+    """Noiseless traces of ``ensemble`` in scenario ``sc``, simulated on ``times`` themselves."""
+    shift = transmission.fly_through_shift_trace(ensemble, sc.cavity, sc.transitions, times,
+                                                 **sc.model_kw)
+    traces = []
+    for dm in detunings:
+        trace = transmission.transmission_response(shift, dm, sc.kappa)
+        traces.append({"delta_m": dm, "times": times, "amplitude": trace.amplitude,
+                       "phase": trace.unwrapped_phase})
+    return traces
+
+
 class TestNoiselessRoundTrips:
     def test_atom_number(self, cavity, ensemble261, transitions):
         traces = _flythrough_traces(cavity, ensemble261, transitions,
@@ -124,27 +142,6 @@ class TestNoiselessRoundTrips:
         got = models[0]({"n_atoms": n_atoms})
         assert np.array_equal(got, np.concatenate(want))
 
-    def test_atom_number_fit_same_with_interp_on_the_model_grid(self, cavity, ensemble261,
-                                                                transitions, monkeypatch):
-        # on the model's own grid the model skips np.interp, which would
-        # return the trace bit for bit there
-        rng = np.random.default_rng(5)
-        traces = _flythrough_traces(cavity, ensemble261, transitions, (0.0, cavity.kappa / 2))
-        for tr in traces:
-            n = tr["times"].size
-            tr["amplitude"] = tr["amplitude"] + 1e-3 * rng.standard_normal(n)
-            tr["phase"] = tr["phase"] + 1e-3 * rng.standard_normal(n)
-            tr["sigma_amp"] = tr["sigma_phase"] = 1e-3
-        start = dataclasses.replace(ensemble261, n_atoms=180)
-        grid = transmission.flythrough_shift(start, cavity, transitions, cavity.kappa).times
-        assert np.array_equal(traces[0]["times"], grid)
-        skipped = fit_atom_number(traces, start, cavity, transitions, cavity.kappa)
-        monkeypatch.setattr(estimation, "resample", lambda t, grid, v: np.interp(t, grid, v))
-        interpolated = fit_atom_number(traces, start, cavity, transitions, cavity.kappa)
-        assert skipped["n_atoms"] == interpolated["n_atoms"]
-        assert np.array_equal(skipped.covariance, interpolated.covariance)
-        assert skipped.iterations == interpolated.iterations
-
     def test_entry_time(self, cavity, ensemble261, transitions):
         truth = dataclasses.replace(ensemble261, entry_time=1.0e-6)
         trace, dphi = simulate_flythrough(truth, cavity, transitions, 0.0, cavity.kappa)
@@ -163,6 +160,85 @@ class TestNoiselessRoundTrips:
         f1 = fit_entry_time(t1.times, d1, dataclasses.replace(shifted, entry_time=1.7e-6),
                             cavity, transitions, 0.0, cavity.kappa)
         assert f1["entry_time"] - f0["entry_time"] == pytest.approx(1.0e-6, abs=2e-9)
+
+    def test_atom_number_on_offset_grid(self, config_dir):
+        # data half a sample off the model's default grid: the model is
+        # evaluated on the data's samples, so no interpolation error remains
+        fly = load_scenario(config_dir / "flythrough.json")
+        times = _offset_grid(fly)
+        traces = _traces_on(times, fly.ensemble, fly, (0.0, fly.kappa / 2))
+        fit = fit_atom_number(traces, dataclasses.replace(fly.ensemble, n_atoms=180),
+                              fly.cavity, fly.transitions, fly.kappa, **fly.model_kw)
+        assert abs(fit["n_atoms"] - fly.ensemble.n_atoms) <= 1e-3
+
+    def test_entry_time_on_offset_grid(self, config_dir):
+        fly = load_scenario(config_dir / "flythrough.json")
+        times = _offset_grid(fly)
+        truth = dataclasses.replace(fly.ensemble, entry_time=1.0e-6)
+        (trace,) = _traces_on(times, truth, fly, (0.0,))
+        ref = np.angle(transmission.steady_transmission(0.0, 0.0, fly.kappa))
+        dphi = np.degrees(trace["phase"] - ref)
+        fit = fit_entry_time(times, dphi, dataclasses.replace(truth, entry_time=1.3e-6),
+                             fly.cavity, fly.transitions, 0.0, fly.kappa, **fly.model_kw)
+        assert abs(fit["entry_time"] - 1.0e-6) <= 1e-12
+
+    def test_traces_on_two_grids_rejected(self, config_dir):
+        fly = load_scenario(config_dir / "flythrough.json")
+        grid = _offset_grid(fly)
+        traces = (_traces_on(grid, fly.ensemble, fly, (0.0,))
+                  + _traces_on(grid[1:], fly.ensemble, fly, (fly.kappa / 2,)))
+        with pytest.raises(ValueError, match=r"^traces\[1\]: times differ"):
+            fit_atom_number(traces, fly.ensemble, fly.cavity, fly.transitions, fly.kappa,
+                            **fly.model_kw)
+        with pytest.raises(ValueError, match="^traces: no trace"):
+            fit_atom_number([], fly.ensemble, fly.cavity, fly.transitions, fly.kappa)
+
+    def test_data_after_entry_rejected(self, config_dir):
+        # the model starts from the empty cavity at the first sample
+        fly = load_scenario(config_dir / "flythrough.json")
+        times = _offset_grid(fly)
+        late = dataclasses.replace(fly.ensemble, entry_time=times[0] - 1e-9)
+        traces = _traces_on(times, fly.ensemble, fly, (0.0,))
+        with pytest.raises(ValueError, match="after the entry time"):
+            fit_atom_number(traces, late, fly.cavity, fly.transitions, fly.kappa,
+                            **fly.model_kw)
+        with pytest.raises(ValueError, match="after the entry time"):
+            fit_entry_time(times, np.zeros(times.size), late, fly.cavity, fly.transitions,
+                           0.0, fly.kappa, **fly.model_kw)
+
+    @pytest.mark.parametrize("times, error", [
+        (np.geomspace(1e-7, 20e-6, 400) - 1e-6, "uniformly spaced"),
+        (np.linspace(-1e-6, 20e-6, 200), "exceeds"),
+    ], ids=["non-uniform", "coarse"])
+    def test_grid_rules(self, cavity, ensemble261, transitions, times, error):
+        # the errors of ShiftTrace and GridAccuracyError reach the caller
+        traces = [{"delta_m": 0.0, "times": times, "amplitude": np.ones(times.size),
+                   "phase": np.zeros(times.size)}]
+        with pytest.raises(ValueError, match=error):
+            fit_atom_number(traces, ensemble261, cavity, transitions, cavity.kappa)
+        with pytest.raises(ValueError, match=error):
+            fit_entry_time(times, np.zeros(times.size), ensemble261, cavity, transitions,
+                           0.0, cavity.kappa)
+
+    def test_trace_fits_do_not_interpolate(self, config_dir, monkeypatch):
+        fly = load_scenario(config_dir / "flythrough.json")
+        traces = _flythrough_traces(fly.cavity, fly.ensemble, fly.transitions,
+                                    (0.0, fly.kappa / 2), **fly.model_kw)
+        _, dphi = simulate_flythrough(fly.ensemble, fly.cavity, fly.transitions, 0.0,
+                                      fly.kappa, **fly.model_kw)
+
+        def interp(*args, **kwargs):
+            raise AssertionError("np.interp called")
+
+        monkeypatch.setattr(np, "interp", interp)
+        start = dataclasses.replace(fly.ensemble, n_atoms=180)
+        fit = fit_atom_number(traces, start, fly.cavity, fly.transitions, fly.kappa,
+                              **fly.model_kw)
+        assert fit["n_atoms"] == pytest.approx(fly.ensemble.n_atoms, rel=1e-6)
+        fit = fit_entry_time(traces[0]["times"], dphi,
+                             dataclasses.replace(fly.ensemble, entry_time=0.3e-6),
+                             fly.cavity, fly.transitions, 0.0, fly.kappa, **fly.model_kw)
+        assert fit["entry_time"] == pytest.approx(fly.ensemble.entry_time, abs=1e-9)
 
     def test_power_dependence(self, cavity):
         kappa = cavity.kappa
@@ -418,6 +494,24 @@ class TestHalfSignalInit:
         # small-angle regime: dphi directly proportional to dressed chi
         dphi = -np.degrees(2 * chi0 / np.sqrt(1 + n_c / n_crit) / 1e6)
         assert init_n_crit_from_half_signal(n_c, dphi) == pytest.approx(n_crit, rel=0.05)
+
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12, unique=True),
+           st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0),
+                    min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_half_point_is_linear_interpolation(self, n_c, mag):
+        # the half point interpolates |dphi| linearly, as np.interp does, bit for bit
+        n_c, mag = np.sort(n_c), np.array(mag[:len(n_c)])
+        half = 0.5 * mag[0]
+        if np.all(mag >= half):
+            return
+        i = int(np.argmax(mag < half))
+        want = np.interp(half, mag[[i, i - 1]], n_c[[i, i - 1]]) / 3.0
+        got = init_n_crit_from_half_signal(n_c, mag)
+        if mag[i - 1] == half:  # np.interp returns that sample itself, not the line
+            assert got == pytest.approx(want, rel=1e-15)
+        else:
+            assert got == want
 
 
 class TestFindLineCenters:
