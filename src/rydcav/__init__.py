@@ -46,7 +46,6 @@ from .estimation import (
     spectroscopy_transfer,
 )
 from .experiments import (
-    Flags,
     Scenario,
     TruenessReport,
     fourth_order_error,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import shutil
 import sys
 from itertools import chain
@@ -30,8 +29,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_USAGE = 3
-
-OUT_DIR_ENV = "RYDCAV_OUT_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default: cwd, or ${OUT_DIR_ENV})")
+        p.add_argument("--out", type=Path, default=Path("."),
+                       help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
         if name == "campaign":
@@ -254,7 +251,7 @@ def main(argv=None) -> int:
         threads = {"threads": args.threads} if "threads" in args else {}
         files = task(scenario, **threads)
         # made after the task and removed if a write fails: a failed run leaves no new directory
-        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        out = args.out
         made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
         try:

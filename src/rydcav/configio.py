@@ -14,9 +14,7 @@ range) go through "%.17g" once per distinct value in a batch of rows.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import inspect
 import json
 import time
@@ -27,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SCENARIO_TYPES, Flags, Scenario
+from .experiments import SCENARIO_TYPES, Scenario
 from .params import (
     TWO_PI,
     CavitySpec,
@@ -47,9 +45,9 @@ class ConfigError(ValueError):
 # The config schema: one table per JSON section, one row per key:
 # (JSON key, field, kind).  Kinds: "num" a finite number, "hz" a frequency
 # in Hz stored as an angular rate (x 2 pi), "int" an integral number,
-# "bool", "str", "nums" a list of finite numbers, a tuple of the allowed
-# strings, or a nested section given as (builder, table).  A key's bound
-# and default are its field's in the builder; without a default it is required.
+# "bool", "str", "nums" a list of finite numbers, or a tuple of the allowed
+# strings.  A key's bound and default are its field's in the builder;
+# without a default it is required.
 SECTIONS = {
     "cavity": (CavitySpec, (
         ("frequency_hz", "omega_c", "hz"),
@@ -59,7 +57,6 @@ SECTIONS = {
         ("g_max_hz", "g_max", "hz"),
         ("mode_antinodes", "mode_antinodes", "int"),
         ("mode_correction", "mode_correction", "num"),
-        ("width_x_m", "width_x", "num"),
     )),
     "ensemble": (EnsembleState, (
         ("n_atoms", "n_atoms", "num"),
@@ -95,7 +92,12 @@ SECTIONS = {
         ("dt_md_s", "dt_md", "num"),
     )),
 }
-FLAGS = (
+SCENARIO = (
+    ("name", "name", "str"),
+    ("type", "type", SCENARIO_TYPES),
+    ("shots", "shots", "int"),
+    ("master_seed", "master_seed", "int"),
+    ("sweep_values", "sweep_values", "nums"),
     ("transit_decay", "transit_decay", "bool"),
     ("systematic_offset", "systematic_offset", "num"),
     ("g_eff_hz", "g_eff", "hz"),
@@ -105,21 +107,11 @@ FLAGS = (
     ("pointlike_uncertainty", "pointlike_uncertainty", "num"),
     ("interaction_spacing_m", "interaction_spacing", "num"),
 )
-SCENARIO = (
-    ("name", "name", "str"),
-    ("type", "type", SCENARIO_TYPES),
-    ("shots", "shots", "int"),
-    ("master_seed", "master_seed", "int"),
-    ("sweep_values", "sweep_values", "nums"),
-    ("flags", "flags", (Flags, FLAGS)),
-)
 
 _FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
 
 
 def _value(v, kind, bound, path):
-    if isinstance(kind, tuple) and not isinstance(kind[0], str):  # (builder, table)
-        return _section(v, path, *kind)
     if kind == "nums":
         if not isinstance(v, list):
             raise ConfigError(f"{path}: expected a list of numbers, got {v!r}")
@@ -164,11 +156,21 @@ def _section(raw, path, build, table):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _object(pairs):
+    """A JSON object as a dict; a key given twice in it raises ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{key}: key given twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -185,7 +187,7 @@ def load_scenario(path) -> Scenario:
         scenario.require(scenario.type)
     except ValueError as exc:  # it names a field path; give the config key path
         path, _, rest = str(exc).partition(":")
-        keys = {f"scenario.flags.{fld}": f"scenario.flags.{key}" for key, fld, *_ in FLAGS}
+        keys = {f"scenario.{fld}": f"scenario.{key}" for key, fld, _ in SCENARIO}
         raise ConfigError(keys.get(path, path) + ":" + rest) from exc
     return scenario
 
@@ -194,7 +196,7 @@ def load_scenario(path) -> Scenario:
 # writers
 
 
-CSV_BLOCK_ROWS = 512  # rows formatted per call; bounds the writer's memory
+CSV_BLOCK_ROWS = 512  # most rows formatted per call; bounds the writer's memory
 CSV_FEW_VALUES = 8  # a block column with at most rows/8 distinct values formats each once
 
 # A cell is four little-endian 64-bit words of ASCII, NUL where unused, its
@@ -399,13 +401,12 @@ def _checked(columns, names):
         if a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
             raise TypeError(f"write_csv: column {name!r} has dtype {a.dtype}; "
                             "only int and float up to 64 bits are written")
-        if a.ndim != 1 or len(a) not in (1, n):
-            raise ValueError(f"write_csv: column {name!r} has shape {a.shape}; "
-                             f"expected ({n},) or (1,)")
+        if a.shape != (n,):
+            raise ValueError(f"write_csv: column {name!r} has shape {a.shape}; expected ({n},)")
         if a.dtype.kind in "iu" and a.size and not -2**53 <= int(a.min()) <= int(a.max()) <= 2**53:
             raise ValueError(f"write_csv: column {name!r} has integers outside "
                              "[-2**53, 2**53], which float64 does not hold exactly")
-    return [np.broadcast_to(a, (n,)) for a in arrays]
+    return arrays
 
 
 def write_csv(path, columns: dict):
@@ -415,43 +416,47 @@ def write_csv(path, columns: dict):
 
 def write_csv_blocks(path, blocks):
     """Write an iterable of blocks of rows as one CSV.  Each block is a dict
-    of named 1-D columns (unit-suffixed names); the header is the first
-    block's names, and every block must hold them in the same order.  In a
-    block, a column of one value is repeated on every row.
+    of named 1-D columns of one length (unit-suffixed names); the header is
+    the first block's names, and every block must hold them in the same order.
 
     Every cell is written as "%.17g" writes it, in the way the module
-    docstring describes, :data:`CSV_BLOCK_ROWS` rows at a time.  The
-    columns are floats, or integers in [-2**53, 2**53], which float64 holds
-    exactly and "%.17g" writes as ``str`` does; the cells are numbers, so
-    no cell needs CSV quoting.  Columns of any other dtype (bool and
+    docstring describes, a block of n rows in ceil(n / :data:`CSV_BLOCK_ROWS`)
+    batches whose sizes differ by at most one row.  The columns are floats,
+    or integers in [-2**53, 2**53], which float64 holds exactly and "%.17g"
+    writes as ``str`` does; the cells are numbers, so no cell needs CSV
+    quoting, and a name that would (empty, or holding a comma, a double
+    quote, CR or LF) raises ``ValueError``.  Columns of any other dtype (bool and
     ``longdouble`` among them) raise ``TypeError``; integers out of range,
-    a column that is not 1-D and one whose length is neither 1 nor the
-    block's longest raise ``ValueError``.  Each names the column.  The
-    first block is checked before the file is opened, every later one
-    before its bytes are written; a failure there, or an error raised by
-    ``blocks``, removes the file.  So one block is in memory at a time.
+    a column that is not 1-D and one shorter than the block's longest
+    raise ``ValueError``.  Each names the column.  The first block is
+    checked before the file is opened, every later one before its bytes
+    are written; a failure there, or an error raised by ``blocks``,
+    removes the file.  So one block is in memory at a time.
     """
     path = Path(path)
     blocks = iter(blocks)
     names = list(first := next(blocks, {}))
+    for name in names:
+        if not name or any(c in name for c in ',"\r\n'):
+            raise ValueError(f"write_csv: column name {name!r} would need CSV quoting")
     checked = chain([_checked(first, names)], (_checked(c, names) for c in blocks))
     m = len(names)
     # csv.writer's separators, "\r\n" its line terminator
     seps = np.full(m, ord(","), "<u8") << 56
     seps[-1] = np.uint64(ord("\r")) << 56
-    header = io.StringIO()
-    csv.writer(header).writerow(names)
     with path.open("wb") as fh:
         try:
-            fh.write(header.getvalue().encode())
+            fh.write((",".join(names) + "\r\n").encode())
             for arrays in checked:
                 n = len(arrays[0])
+                batches = -(-n // CSV_BLOCK_ROWS)
                 mat = np.zeros((min(n, CSV_BLOCK_ROWS), 4 * m + 1), "<u8")
                 mat[:, -1] = ord("\n")
                 cells = mat[:, :-1].reshape(len(mat), m, 4)
-                for i in range(0, n, CSV_BLOCK_ROWS):
-                    rows = cells[:n - i]
-                    for j, w in enumerate(_cell_words([a[i:i + len(rows)] for a in arrays])):
+                for b in range(batches):  # rows i to k, the block split evenly
+                    i, k = b * n // batches, (b + 1) * n // batches
+                    rows = cells[:k - i]
+                    for j, w in enumerate(_cell_words([a[i:k] for a in arrays])):
                         for word in range(3):
                             rows[:, j, word] = w[word]
                         np.bitwise_or(w[3], seps[j], out=rows[:, j, 3])

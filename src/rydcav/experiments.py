@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -41,25 +40,6 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
-class Flags:
-    """Scenario-type settings read by the runners; rates in rad/s."""
-
-    transit_decay: bool = True
-    systematic_offset: float = 0.0
-    g_eff: float | None = None  # None: cavity.g_max
-    n_crit: float | None = None  # required by power sweeps and campaigns
-    two_transitions: bool = False
-    detuning_rel_uncertainty: float | None = None  # required by trueness budgets
-    pointlike_uncertainty: float | None = None  # required by trueness budgets
-    interaction_spacing: float | None = None  # required by trueness budgets, m
-
-    BOUNDS = {"systematic_offset": "finite", "g_eff": ">0", "n_crit": ">0",
-              "detuning_rel_uncertainty": ">=0", "pointlike_uncertainty": ">=0",
-              "interaction_spacing": ">0"}
-    __post_init__ = check_bounds
-
-
 # The types a scenario can name; None (a scenario built in Python) is also allowed.
 SCENARIO_TYPES = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 # Per scenario type, the settings without a default that its run needs,
@@ -67,17 +47,18 @@ SCENARIO_TYPES = ("flythrough", "sensitivity", "power", "rabi", "campaign", "tru
 # line fit needs two atom numbers).
 REQUIRED = {
     "sensitivity": {"sweep_values": 2},
-    "power": {"sweep_values": 1, "flags.n_crit": 1},
+    "power": {"sweep_values": 1, "n_crit": 1},
     "rabi": {"sweep_values": 1},
-    "campaign": {"sweep_values": 1, "flags.n_crit": 1},
-    "trueness": {"flags.detuning_rel_uncertainty": 1, "flags.pointlike_uncertainty": 1,
-                 "flags.interaction_spacing": 1},
+    "campaign": {"sweep_values": 1, "n_crit": 1},
+    "trueness": {"detuning_rel_uncertainty": 1, "pointlike_uncertainty": 1,
+                 "interaction_spacing": 1},
 }
 
 
 @dataclass
 class Scenario:
-    """Full parameter bundle for one named run."""
+    """Full parameter bundle for one named run, with the scenario-type
+    settings read by the runners; rates in rad/s."""
 
     name: str
     cavity: CavitySpec
@@ -89,10 +70,20 @@ class Scenario:
     shots: int = 1
     sweep_values: list = field(default_factory=list)
     master_seed: int = 0
-    flags: Flags = field(default_factory=Flags)
     type: str | None = None
+    transit_decay: bool = True
+    systematic_offset: float = 0.0
+    g_eff: float | None = None  # None: cavity.g_max
+    n_crit: float | None = None  # required by power sweeps and campaigns
+    two_transitions: bool = False
+    detuning_rel_uncertainty: float | None = None  # required by trueness budgets
+    pointlike_uncertainty: float | None = None  # required by trueness budgets
+    interaction_spacing: float | None = None  # required by trueness budgets, m
 
-    BOUNDS = {"shots": "integer >0", "sweep_values": "finite", "master_seed": "integer >=0"}
+    BOUNDS = {"shots": "integer >0", "sweep_values": "finite", "master_seed": "integer >=0",
+              "systematic_offset": "finite", "g_eff": ">0", "n_crit": ">0",
+              "detuning_rel_uncertainty": ">=0", "pointlike_uncertainty": ">=0",
+              "interaction_spacing": ">0"}
 
     def __post_init__(self):
         check_bounds(self)
@@ -108,7 +99,7 @@ class Scenario:
         """Fly-through model switches, as keyword arguments: a cloud with a
         nonzero size takes the extended-cloud model."""
         ens = self.ensemble
-        return {"transit_decay": self.flags.transit_decay,
+        return {"transit_decay": self.transit_decay,
                 "extended_cloud": ens.sigma_z > 0 or ens.sigma_x > 0}
 
     def require(self, scenario_type):
@@ -116,7 +107,7 @@ class Scenario:
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`);
         a campaign also needs two shots for its standard deviations."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
-            value = reduce(getattr, key.split("."), self)
+            value = getattr(self, key)
             if value is None or np.size(value) == 0:
                 raise ValueError(f"scenario.{key}: missing required field "
                                  f"for type {scenario_type!r}")
@@ -128,8 +119,8 @@ class Scenario:
                              f"got {self.shots}")
 
     def flag(self, name, default=None):
-        # Read scenario.flags.<name>; this accessor is kept for perfbench/run.py.
-        return getattr(self.flags, name, default)
+        # Read scenario.<name>; this accessor is kept for perfbench/run.py.
+        return getattr(self, name, default)
 
 
 @dataclass
@@ -211,21 +202,21 @@ def trueness_ledger(scenario: Scenario) -> TruenessReport:
     interactions are compared against the detunings.
     """
     scenario.require("trueness")
-    cavity, ens, flags = scenario.cavity, scenario.ensemble, scenario.flags
+    cavity, ens = scenario.cavity, scenario.ensemble
     dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
     items = {}
     # analytic mode vs finite-element field: g^2 low by (1 - mode_correction)
     items["mode_correction"] = (1.0 - cavity.mode_correction, 0.0)
-    items["detuning_uncertainty"] = (0.0, flags.detuning_rel_uncertainty)
+    items["detuning_uncertainty"] = (0.0, scenario.detuning_rel_uncertainty)
     e4 = fourth_order_error(cavity.g_max, ens.n_atoms, dp, dm)
     # worst case over the atom-number range: book half as the bias
     items["dispersive_fourth_order"] = (-e4 / 2.0, e4 / 2.0)
     items["pointlike_cloud"] = (
         pointlike_correction(ens.sigma_z, ens.sigma_x, cavity),
-        flags.pointlike_uncertainty,
+        scenario.pointlike_uncertainty,
     )
-    vdw = interaction_shift(flags.interaction_spacing, C6_MHZ_UM6, 6)
-    dd = interaction_shift(flags.interaction_spacing, C3_MHZ_UM3, 3)
+    vdw = interaction_shift(scenario.interaction_spacing, C6_MHZ_UM6, 6)
+    dd = interaction_shift(scenario.interaction_spacing, C3_MHZ_UM3, 3)
     rel = 2 * np.pi * max(vdw, dd) / min(abs(dp), abs(dm))
     items["interactions"] = (0.0, rel)
     return TruenessReport(items=items)
@@ -297,7 +288,7 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     # expected MCP signal for the same clouds
     s_mcp = scenario.mcp.s1_atom * n_values
     # cavity-extracted atom number carries the systematic offset of the model
-    n_cavity = n_values * (1.0 + scenario.flags.systematic_offset)
+    n_cavity = n_values * (1.0 + scenario.systematic_offset)
 
     phase_line = np.polyfit(n_values, dphi, 1)
     mcp_sensitivity = float(np.polyfit(n_cavity, s_mcp, 1)[0])
@@ -323,14 +314,13 @@ def effective_chi_per_atom(scenario: Scenario):
     either a second transition |delta_plus - delta_minus| further away or
     none (infinite detuning).  Its validity rule rejects n_crit <= 25.
     """
-    flags = scenario.flags
-    g_eff = scenario.cavity.g_max if flags.g_eff is None else flags.g_eff
-    n_crit = flags.n_crit
+    g_eff = scenario.cavity.g_max if scenario.g_eff is None else scenario.g_eff
+    n_crit = scenario.n_crit
     if n_crit is None:
-        raise ValueError("flags.n_crit is not set")
+        raise ValueError("n_crit is not set")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
     dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
-    second = -(delta_eff + abs(dp - dm)) if flags.two_transitions else -np.inf
+    second = -(delta_eff + abs(dp - dm)) if scenario.two_transitions else -np.inf
     chi1 = core.dispersive_shift(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
     return float(chi1), float(n_crit)
 

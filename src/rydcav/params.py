@@ -57,8 +57,6 @@ class CavitySpec:
     ``mode_correction`` is a dimensionless factor applied to g**2; it absorbs
     the deviation of the real field distribution from the analytic
     rectangular-cavity mode (about -1% in the reference setup).
-    ``width_x`` is the transverse mode extent (single antinode); it only
-    enters the extended-cloud averages.
     """
 
     omega_c: float
@@ -68,18 +66,20 @@ class CavitySpec:
     g_max: float
     mode_antinodes: int = 1
     mode_correction: float = 1.0
-    width_x: float | None = None
 
     BOUNDS = {"omega_c": ">0", "kappa": ">0", "kappa_out": ">0", "length_z": ">0", "g_max": ">0",
-              "mode_antinodes": "integer >0", "mode_correction": "in (0.5, 1.5]", "width_x": ">0"}
+              "mode_antinodes": "integer >0", "mode_correction": "in (0.5, 1.5]"}
 
     def __post_init__(self):
-        if self.width_x is None:
-            # default to a half wavelength at the cavity frequency
-            self.width_x = np.pi * SPEED_OF_LIGHT / self.omega_c
         check_bounds(self)
         if not self.kappa >= self.kappa_out:
             raise ParameterError(f"kappa must be >= kappa_out: {self.kappa} < {self.kappa_out}")
+
+    @property
+    def width_x(self) -> float:
+        """Transverse mode extent (single antinode), half a wavelength at the
+        cavity frequency; it only enters the extended-cloud averages."""
+        return np.pi * SPEED_OF_LIGHT / self.omega_c
 
 
 @dataclass

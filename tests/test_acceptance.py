@@ -28,7 +28,6 @@ import pytest
 from rydcav import (
     CavitySpec,
     EnsembleState,
-    Flags,
     McpModel,
     NoiseChain,
     ProbeConfig,
@@ -91,8 +90,9 @@ def campaign_scenario(shots, two_transitions, floor, seed=14, n_c=5.9e4):
         shots=shots,
         sweep_values=[500],
         master_seed=seed,
-        flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
-                    two_transitions=two_transitions),
+        n_crit=4.4e4,
+        g_eff=TWO_PI * 12.9e3,
+        two_transitions=two_transitions,
     )
 
 

@@ -9,17 +9,15 @@ import subprocess
 import sys
 import tracemalloc
 import types
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydcav import (EnsembleState, Flags, McpModel, NoiseChain, ProbeConfig, Scenario, cli,
+from rydcav import (EnsembleState, McpModel, NoiseChain, ProbeConfig, Scenario, cli,
                     experiments, fitting, run_flythrough, transmission)
 from rydcav.params import TWO_PI, within
 from rydcav.configio import (
-    FLAGS,
     SCENARIO,
     SCENARIO_TYPES,
     SECTIONS,
@@ -58,7 +56,7 @@ class TestLoadScenario:
 
     def test_flag_hz_conversion(self, config_dir):
         sc = load_scenario(config_dir / "power.json")
-        assert sc.flags.g_eff == pytest.approx(TWO_PI * 12.9e3)
+        assert sc.g_eff == pytest.approx(TWO_PI * 12.9e3)
 
     def test_missing_required_field_names_key_path(self, config_dir, tmp_path):
         raw = json.loads((config_dir / "flythrough.json").read_text())
@@ -129,12 +127,11 @@ class TestLoadScenario:
         raw = json.loads((config_dir / "power.json").read_text())
         raw["_note"] = "top-level comment"
         raw["cavity"]["_note"] = {"any": "value"}
-        raw["scenario"]["flags"]["_unit"] = [1, 2]
+        raw["scenario"]["_unit"] = [1, 2]
         path = tmp_path / "commented.json"
         path.write_text(json.dumps(raw))
         sc, ref = load_scenario(path), load_scenario(config_dir / "power.json")
-        assert sc.cavity == ref.cavity
-        assert sc.flags == ref.flags
+        assert dataclasses.replace(sc, name=ref.name) == ref
 
     def test_minimal_config_takes_dataclass_defaults(self, tmp_path):
         raw = {
@@ -152,12 +149,14 @@ class TestLoadScenario:
         assert sc.probe == ProbeConfig()
         assert sc.noise == NoiseChain()
         assert sc.mcp == McpModel()
-        assert sc.flags == Flags()
-        assert (sc.shots, sc.master_seed, sc.sweep_values) == (1, 0, [])
+        defaults = [f for f in dataclasses.fields(Scenario)
+                    if f.name != "type" and f.default is not dataclasses.MISSING]
+        assert [getattr(sc, f.name) for f in defaults] == [f.default for f in defaults]
+        assert sc.sweep_values == []
 
 
 # config section -> (the model class of its keys' fields, its rows)
-SCHEMA = {"scenario": (Scenario, SCENARIO), "scenario.flags": (Flags, FLAGS), **SECTIONS}
+SCHEMA = {"scenario": (Scenario, SCENARIO), **SECTIONS}
 # (section, row, bound) of every key whose field has a bound
 BOUNDED = [(section, row, build.BOUNDS[row[1]]) for section, (build, table) in SCHEMA.items()
            for row in table if row[1] in build.BOUNDS]
@@ -172,6 +171,14 @@ OUT_OF_BOUND = [(section, row, bound, value)
 # the README's text of a bound; an interval reads as it is named
 README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0",
                  "integer >0": "integer > 0", "integer >=0": "integer ≥ 0"}
+
+
+def test_config_rows_name_every_model_field():
+    # one config key per setting: the rows of each section name each field
+    # of its model class once (for Scenario, all but the six model sections)
+    for section, (build, table) in SCHEMA.items():
+        fields = {f.name for f in dataclasses.fields(build)} - set(SECTIONS)
+        assert sorted(fld for _, fld, _ in table) == sorted(fields), section
 
 
 def test_readme_documents_every_config_key():
@@ -261,8 +268,7 @@ def _perturbations(section, key, fld, kind, raw, scenario):
     if key in raw:
         value = raw[key]
     else:
-        value = reduce(getattr, [*section.split(".")[1:], fld],
-                       scenario if section.startswith("scenario") else getattr(scenario, section))
+        value = getattr(scenario if section == "scenario" else getattr(scenario, section), fld)
         if value is None:  # a setting this type does not use
             return []
         if kind == "hz":
@@ -299,17 +305,12 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     # every change as a moved output
     assert baseline == {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
                         for pair in PROBE_ORDER}
-    keys = [(section, row) for section, (_build, table) in SCHEMA.items() for row in table
-            if row[2] != (Flags, FLAGS)]  # scenario.flags is a section
+    keys = [(section, row) for section, (_build, table) in SCHEMA.items() for row in table]
 
     def moves(section, row, command, cfg):
-        part = reduce(lambda d, name: d.get(name, {}), section.split("."), raws[cfg])
-        for change in _perturbations(section, *row, part, loaded[cfg]):
+        for change in _perturbations(section, *row, raws[cfg].get(section, {}), loaded[cfg]):
             raw = json.loads(json.dumps(raws[cfg]))
-            target = raw
-            for name in section.split("."):
-                target = target.setdefault(name, {})
-            target.update(change)
+            raw.setdefault(section, {}).update(change)
             path = tmp_path / f"{cfg}.json"
             path.write_text(json.dumps(raw))
             if _task_digest(command, path) not in (None, baseline[command, cfg]):
@@ -319,7 +320,7 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     dead = [f"{section}.{row[0]}" for section, row in keys
             if not any(moves(section, row, command, cfg) for command, cfg in PROBE_ORDER)]
     assert dead == []
-    assert len(keys) == 44
+    assert len(keys) == 43
 
 
 def test_readme_documents_every_task():
@@ -352,12 +353,11 @@ class TestWriters:
         assert header == "time_s,dphi_deg"
 
     def test_csv_cell_text_per_dtype(self, tmp_path):
-        # floats at 17 significant digits, ints as str, and a scalar
-        # repeated on every row
+        # floats at 17 significant digits, ints as str
         path = write_csv(tmp_path / "t.csv", {
             "x": np.array([0.1, -0.0, np.nan, 5e-324, 1e300]),
             "k": np.array([3, -7, 0, 2 ** 53, 1], dtype=np.int64),
-            "s": 2.5,
+            "s": np.full(5, 2.5),
         })
         assert path.read_bytes().decode().split("\r\n") == [
             "x,k,s",
@@ -437,10 +437,11 @@ class TestCli:
         (("noise", "digitizer_phase_floor"), 0.01, "noise.digitizer_phase_floor"),
         (("cavities",), {}, "cavities"),
         (("noise",), 5, "noise"),
+        # the former flags object: its keys are scenario keys
         (("scenario", "flags"), [1, 2], "scenario.flags"),
-        (("scenario", "flags", "two_transitions"), "false", "scenario.flags.two_transitions"),
-        (("scenario", "flags", "photon_grid"), "abc", "scenario.flags.photon_grid"),
-        (("scenario", "flags", "n_crit"), "4e4", "scenario.flags.n_crit"),
+        (("scenario", "two_transitions"), "false", "scenario.two_transitions"),
+        (("scenario", "photon_grid"), "abc", "scenario.photon_grid"),
+        (("scenario", "n_crit"), "4e4", "scenario.n_crit"),
         (("scenario", "sweep_values"), ["200"], "scenario.sweep_values[0]"),
         (("scenario", "sweep_values"), [True], "scenario.sweep_values[0]"),
         (("scenario", "sweep_values"), [100, None], "scenario.sweep_values[1]"),
@@ -448,9 +449,8 @@ class TestCli:
         # keys that no longer exist: the lifetimes are params.TAU_S/TAU_P, the
         # cloud size selects the extended-cloud model
         (("scenario", "sweep_name"), "mean_n", "scenario.sweep_name"),
-        (("scenario", "flags", "extended_cloud"), True, "scenario.flags.extended_cloud"),
-        (("scenario", "flags", "poisson_preparation"), False,
-         "scenario.flags.poisson_preparation"),
+        (("scenario", "extended_cloud"), True, "scenario.extended_cloud"),
+        (("scenario", "poisson_preparation"), False, "scenario.poisson_preparation"),
         (("ensemble", "tau_s_s"), 57.2e-6, "ensemble.tau_s_s"),
         (("ensemble", "tau_p_s"), 102.6e-6, "ensemble.tau_p_s"),
         (("mcp", "tau_s_s"), 57.2e-6, "mcp.tau_s_s"),
@@ -459,11 +459,10 @@ class TestCli:
         # the two detunings, each runner has its own photon grid (the
         # photon_grid case above) and the rest are experiments constants
         (("cavity", "kappa_in_hz"), 74e3, "cavity.kappa_in_hz"),
-        (("scenario", "flags", "transition_spacing_hz"), 18e6,
-         "scenario.flags.transition_spacing_hz"),
-        (("scenario", "flags", "excitation_scale"), 0.038, "scenario.flags.excitation_scale"),
-        (("scenario", "flags", "p_plus"), 0.61, "scenario.flags.p_plus"),
-        (("scenario", "flags", "p_minus"), 0.20, "scenario.flags.p_minus"),
+        (("scenario", "transition_spacing_hz"), 18e6, "scenario.transition_spacing_hz"),
+        (("scenario", "excitation_scale"), 0.038, "scenario.excitation_scale"),
+        (("scenario", "p_plus"), 0.61, "scenario.p_plus"),
+        (("scenario", "p_minus"), 0.20, "scenario.p_minus"),
         # a list of numbers given a string
         (("scenario", "sweep_values"), "abc", "scenario.sweep_values"),
     ])
@@ -488,7 +487,7 @@ class TestCli:
                                         bound, value):
         # the model's bound, checked on the value as written under the key path
         raw = json.loads((config_dir / "campaign.json").read_text())
-        target = reduce(lambda d, name: d.setdefault(name, {}), section.split("."), raw)
+        target = raw.setdefault(section, {})
         key, path = row[0], f"{section}.{row[0]}"
         if row[2] == "nums":
             target[key], path = [value], f"{path}[0]"
@@ -614,21 +613,17 @@ class TestCli:
     @pytest.mark.parametrize("config, key, value", [
         *[(cfg, "sweep_values", value) for cfg in ("sensitivity", "power", "rabi", "campaign")
           for value in (None, [])],
-        ("power", "flags.n_crit", None),
-        ("campaign", "flags.n_crit", None),
-        *[("trueness", f"flags.{key}", None) for key in (
+        ("power", "n_crit", None),
+        ("campaign", "n_crit", None),
+        *[("trueness", key, None) for key in (
             "detuning_rel_uncertainty", "pointlike_uncertainty", "interaction_spacing_m")],
     ])
     def test_required_setting_exit_2(self, tmp_path, config_dir, capsys, config, key, value):
         raw = json.loads((config_dir / f"{config}.json").read_text())
-        *parents, leaf = ["scenario", *key.split(".")]
-        section = raw
-        for name in parents:
-            section = section[name]
         if value is None:
-            del section[leaf]
+            del raw["scenario"][key]
         else:
-            section[leaf] = value
+            raw["scenario"][key] = value
         cfg = tmp_path / f"{config}.json"
         cfg.write_text(json.dumps(raw))
         command = next(c for c, t in cli.TASKS if t == config)
@@ -676,13 +671,38 @@ class TestCli:
     def test_tmax_window_key_exit_2(self, tmp_path, config_dir, capsys):
         # the readout window is the constant transmission.READOUT_WINDOW
         raw = json.loads((config_dir / "sensitivity.json").read_text())
-        raw["scenario"]["flags"]["tmax_window"] = 1e-6
+        raw["scenario"]["tmax_window"] = 1e-6
         cfg = tmp_path / "sensitivity.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error: scenario.flags.tmax_window: unknown key" in err
+        assert "config error: scenario.tmax_window: unknown key" in err
+        assert not out.exists()
+
+    def test_flags_object_exit_2(self, tmp_path, config_dir, capsys):
+        # the settings once under scenario.flags are scenario keys
+        raw = json.loads((config_dir / "power.json").read_text())
+        raw["scenario"]["flags"] = {"n_crit": raw["scenario"].pop("n_crit")}
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: scenario.flags: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("cavity", "kappa_hz"), ("scenario", "n_crit")])
+    def test_key_given_twice_exit_2(self, tmp_path, config_dir, capsys, section, key):
+        # json.loads alone keeps the last of a repeated key's values
+        text = (config_dir / "power.json").read_text()
+        cfg = tmp_path / "power.json"
+        cfg.write_text(re.sub(f'("{key}": [^,\n]+)', f'\\1, "{key}": 9.9e9', text, count=1))
+        assert json.loads(cfg.read_text())[section][key] == 9.9e9
+        with pytest.raises(ConfigError, match=f"^{key}: key given twice"):
+            load_scenario(cfg)
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: key given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_contents(self, tmp_path, config_dir):
@@ -1070,8 +1090,7 @@ class TestCampaignCli:
             == (outb / "precision_vs_photon_number.csv").read_bytes()
         )
 
-    def test_out_dir_env(self, tmp_path, small_campaign, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
+    def test_out_defaults_to_cwd(self, tmp_path, small_campaign, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert run_cli(["campaign", "--config", str(small_campaign)]) == 0
-        assert (target / "shots.csv").exists()
+        assert (tmp_path / "shots.csv").exists()

@@ -11,7 +11,6 @@ from rydcav import (
     CavitySpec,
     DispersiveValidityError,
     EnsembleState,
-    Flags,
     McpModel,
     NoiseChain,
     ProbeConfig,
@@ -207,7 +206,6 @@ MODELS = {
     ProbeConfig: {},
     NoiseChain: {},
     McpModel: {},
-    Flags: {},
     Scenario: dict(name="s", cavity=CAVITY, ensemble=EnsembleState(n_atoms=261.0),
                    transitions=TransitionSet(**TRANSITIONS_KW), probe=ProbeConfig(),
                    noise=NoiseChain(),

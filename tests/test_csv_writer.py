@@ -5,6 +5,7 @@ output of ``write_csv`` must equal its output byte for byte.
 """
 
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rydcav import cli
+from rydcav import cli, configio
 from rydcav.configio import (CSV_BLOCK_ROWS, CSV_FEW_VALUES, _digits17, _float_words,
                              load_scenario, write_csv, write_csv_blocks)
 
@@ -21,9 +22,8 @@ B = CSV_BLOCK_ROWS
 
 def rowwise_write_csv(path, columns: dict):
     """csv.writer rows, floats by ``"{:.17g}".format`` and the rest by ``str``."""
-    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
-    n = max(a.size for a in arrays)
-    arrays = [np.broadcast_to(a, (n,)) for a in arrays]
+    arrays = [np.asarray(v) for v in columns.values()]
+    n = len(arrays[0])
     fmts = ["{:.17g}".format if a.dtype.kind == "f" else str for a in arrays]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -35,10 +35,8 @@ def rowwise_write_csv(path, columns: dict):
 
 def rowwise_write_csv_blocks(path, blocks):
     """``rowwise_write_csv`` of the blocks joined column by column."""
-    blocks = [{k: np.atleast_1d(v) for k, v in block.items()} for block in blocks]
-    n = [max(a.size for a in block.values()) for block in blocks]
-    return rowwise_write_csv(path, {k: np.concatenate([np.broadcast_to(b[k], (m,))
-                                                      for b, m in zip(blocks, n)])
+    blocks = list(blocks)
+    return rowwise_write_csv(path, {k: np.concatenate([b[k] for b in blocks])
                                     for k in blocks[0]})
 
 
@@ -95,8 +93,8 @@ COLUMNS = {
     "uint64": random_uints,
     "uint8": lambda rng, n: rng.integers(0, 256, n, dtype=np.uint8),
     "list": lambda rng, n: random_floats(rng, n).tolist(),
-    "scalar": lambda rng, n: rng.choice(SPECIAL_FLOATS),
-    "int_scalar": lambda rng, n: int(rng.choice(INT64_EXTREMES)),
+    "constant": lambda rng, n: np.full(n, rng.choice(SPECIAL_FLOATS)),
+    "int_constant": lambda rng, n: np.full(n, rng.choice(INT64_EXTREMES)),
 }
 
 
@@ -113,7 +111,6 @@ def assert_same_bytes(tmp_path, columns):
 def test_matches_rowwise_writer(tmp_path_factory, seed, n, kinds):
     rng = np.random.default_rng(seed)
     columns = {f"{kind}_{i}": COLUMNS[kind](rng, n) for i, kind in enumerate(kinds)}
-    # at least one column of full length
     columns["x"] = random_floats(rng, n)
     assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
 
@@ -173,12 +170,40 @@ def test_integers_beyond_float64_rejected(tmp_path, value):
     pytest.param({"bad": np.arange(3.0), "x_s": np.arange(5.0)}, id="shorter-first"),
     pytest.param({"x_s": np.arange(3.0), "bad": np.array([])}, id="empty"),
     pytest.param({"x_s": np.arange(3.0), "bad": np.zeros((3, 2))}, id="2-D"),
+    # one value is not repeated on every row
+    pytest.param({"x_s": np.arange(3.0), "bad": np.array([2.5])}, id="length-1"),
+    pytest.param({"x_s": np.arange(3.0), "bad": 2.5}, id="0-D"),
 ])
 def test_misshapen_column_rejected(tmp_path, columns):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="column 'bad' has shape"):
         write_csv(path, columns)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["", "a,b", 'say "x"', "a\rb", "a\nb"])
+def test_name_needing_csv_quotes_rejected(tmp_path, name):
+    # the header is the names joined by commas, which holds for names that
+    # csv.writer would write unquoted
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"column name {re.escape(repr(name))}"):
+        write_csv(path, {"x_s": np.arange(3.0), name: np.arange(3.0)})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (0, []), (1, [1]), (B, [B]), (B + 1, [B // 2, B // 2 + 1]),
+    (3616, [452] * 8),  # the last block of a packaged campaign setting
+    (4096, [B] * 8),
+])
+def test_block_split_into_equal_batches(tmp_path, monkeypatch, n, sizes):
+    # ceil(n / B) batches whose sizes differ by at most one row
+    seen, cell_words = [], configio._cell_words
+    monkeypatch.setattr(configio, "_cell_words",
+                        lambda columns: seen.append(len(columns[0])) or cell_words(columns))
+    x = np.random.default_rng(n).standard_normal(n)
+    assert_same_bytes(tmp_path, {"x": x, "id": np.arange(n)})
+    assert seen == sizes
 
 
 def test_memory_independent_of_row_count(tmp_path):
@@ -216,7 +241,7 @@ FIRST = {"x_s": np.arange(3.0), "y": np.arange(3)}
                  "column 'y' has dtype bool", id="bool"),
     pytest.param({"x_s": np.arange(3.0), "y": np.arange(2)}, ValueError,
                  "column 'y' has shape", id="shorter"),
-    pytest.param({"x_s": np.arange(3.0), "y": np.array([2**53 + 1])}, ValueError,
+    pytest.param({"x_s": np.arange(3.0), "y": np.array([0, 2**53 + 1, 1])}, ValueError,
                  "column 'y' has integers outside", id="2**53+1"),
 ])
 def test_later_bad_block_removes_file(tmp_path, bad, error, match):

@@ -7,7 +7,6 @@ from rydcav import (
     CavitySpec,
     DispersiveValidityError,
     EnsembleState,
-    Flags,
     McpModel,
     NoiseChain,
     ProbeConfig,
@@ -140,8 +139,8 @@ class TestTruenessLedger:
             sc,
             cavity=dataclasses.replace(sc.cavity, mode_correction=1.0),
             ensemble=dataclasses.replace(sc.ensemble, sigma_z=0.0, sigma_x=0.0, n_atoms=0),
-            flags=dataclasses.replace(sc.flags, detuning_rel_uncertainty=0.0,
-                                      pointlike_uncertainty=0.0),
+            detuning_rel_uncertainty=0.0,
+            pointlike_uncertainty=0.0,
         ))
         assert rep.total == pytest.approx(0.0, abs=1e-12)
         assert rep.total_uncertainty == pytest.approx(0.0, abs=1e-12)
@@ -179,14 +178,14 @@ def test_numpy_sweep_values_checked_by_value(config_dir):
 
 class TestRunFlythrough:
     def test_delay_band(self, cavity):
-        sc = make_scenario(cavity, flags=Flags(transit_decay=False))
+        sc = make_scenario(cavity, transit_decay=False)
         out = run_flythrough(sc)
         resonant = out["traces"][0]
         assert resonant["delta_m"] == 0.0
         assert 1.20e-6 <= resonant["extremum_delay"] <= 1.50e-6
 
     def test_detuned_trace_smaller_phase(self, cavity):
-        sc = make_scenario(cavity, flags=Flags(transit_decay=False))
+        sc = make_scenario(cavity, transit_decay=False)
         out = run_flythrough(sc)
         res, det = out["traces"]
         assert abs(det["dphi_extremum_deg"]) < abs(res["dphi_extremum_deg"])
@@ -204,7 +203,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags=Flags(transit_decay=False, systematic_offset=-0.024),
+            transit_decay=False, systematic_offset=-0.024,
         )
         out = run_sensitivity_sweep(sc)
         assert abs(out["phase_sensitivity_deg_per_atom"]) == pytest.approx(
@@ -215,7 +214,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags=Flags(transit_decay=False, systematic_offset=-0.024),
+            transit_decay=False, systematic_offset=-0.024,
         )
         out = run_sensitivity_sweep(sc)
         # cavity numbers read 2.4 % low, so the apparent per-atom MCP signal
@@ -227,7 +226,7 @@ class TestSensitivitySweep:
     def test_one_readout_with_rabi_prediction(self, cavity):
         # an all-s Rabi prediction reads the sweep's value at the same N
         sc = make_scenario(cavity, sweep_values=[100.0, 261.0],
-                           flags=Flags(transit_decay=False))
+                           transit_decay=False)
         out = run_sensitivity_sweep(sc)
         for n, dphi in zip(sc.sweep_values, out["dphi_deg"]):
             ens = dataclasses.replace(sc.ensemble, n_atoms=n)
@@ -238,7 +237,7 @@ class TestSensitivitySweep:
         sc = make_scenario(
             cavity,
             sweep_values=list(np.linspace(50, 600, 12)),
-            flags=Flags(transit_decay=False),
+            transit_decay=False,
         )
         out = run_sensitivity_sweep(sc)
         full_scale = abs(out["dphi_deg"][-1] - out["dphi_deg"][0])
@@ -251,7 +250,7 @@ class TestPowerSweep:
             cavity,
             sweep_values=[200, 400, 600],
             shots=500,
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True),
+            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
         )
         out = run_power_sweep(sc)
         below = out["n_c"] <= out["n_crit_true"]
@@ -262,7 +261,7 @@ class TestPowerSweep:
             cavity,
             sweep_values=[500],
             shots=100_000,
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3),
+            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
         )
         out = run_power_sweep(sc)
         ds = out["datasets"][0]
@@ -278,10 +277,10 @@ class TestPowerSweep:
     def test_n_crit_at_most_25_violates_dispersive_limit(self, cavity, two_transitions):
         # Delta = 2 g sqrt(n_crit) <= 10 g sqrt(1) for one atom
         sc = make_scenario(cavity, sweep_values=[200],
-                           flags=Flags(n_crit=25.0, two_transitions=two_transitions))
+                           n_crit=25.0, two_transitions=two_transitions)
         with pytest.raises(DispersiveValidityError, match="delta_plus"):
             run_power_sweep(sc)
-        sc.flags.n_crit = 26.0
+        sc.n_crit = 26.0
         assert run_power_sweep(sc)["n_crit_true"] == 26.0
 
 
@@ -310,7 +309,7 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
         sweep_values=list(sweep),
         master_seed=seed,
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3),
-        flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True),
+        n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
     )
 
 
@@ -393,7 +392,7 @@ class TestCampaign:
         sc = make_scenario(
             cavity, n_atoms=500, shots=20_000, sweep_values=[500], master_seed=14,
             noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
-            flags=Flags(n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions),
+            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions,
         )
         sim = run_single_shot_campaign(sc)["per_setting"][0]["sigma_n_cavity"]
         curve = precision_vs_photon_number(sc)
