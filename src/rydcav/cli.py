@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, detection, estimation, experiments, transmission
+from . import __version__, detection, experiments, transmission
 from .configio import (ConfigError, RunManifest, load_scenario, write_csv, write_csv_blocks,
                        write_json)
+from .params import within
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -142,6 +143,8 @@ def _warn_fit(fit):
 
 
 def _fit_flythrough(scenario):
+    from . import estimation  # loaded by the fit tasks only
+
     rng = experiments.block_rng(scenario.master_seed, 0)
     kappa = scenario.kappa
     kw = scenario.model_kw
@@ -182,6 +185,8 @@ def _fit_flythrough(scenario):
 
 
 def _fit_power(scenario):
+    from . import estimation
+
     res = experiments.run_power_sweep(scenario)
     datasets = [{k: ds[k] for k in ("n_c", "dphi_deg", "sigma_deg")} for ds in res["datasets"]]
     fit = estimation.fit_power_dependence(datasets, scenario.kappa)
@@ -236,12 +241,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "threads" in args and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+    seed_bound = experiments.Scenario.BOUNDS["master_seed"]
+    if args.seed is not None and not within(args.seed, seed_bound):
+        parser.error(f"--seed must be {seed_bound}, got {args.seed}")
     try:
         scenario = load_scenario(args.config)
-        if args.seed is not None:
-            scenario.master_seed = args.seed
+        if args.seed is not None:  # a new scenario, so its bounds are checked
+            scenario = dataclasses.replace(scenario, master_seed=args.seed)
         task = TASKS.get((args.command, scenario.type))
         if task is None:
             types = ", ".join(t for c, t in TASKS if c == args.command)
@@ -265,7 +271,7 @@ def main(argv=None) -> int:
             if made is not None:
                 shutil.rmtree(made, ignore_errors=True)
             raise
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"rydcav: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # model/runtime failures

@@ -27,6 +27,7 @@ import numpy as np
 
 from .experiments import SCENARIO_TYPES, Scenario
 from .params import (
+    FLOAT_MAX,
     TWO_PI,
     CavitySpec,
     EnsembleState,
@@ -108,8 +109,6 @@ SCENARIO = (
     ("interaction_spacing_m", "interaction_spacing", "num"),
 )
 
-_FLOAT_MAX = float(np.finfo(float).max)  # rejects NaN, inf and too large integers
-
 
 def _value(v, kind, bound, path):
     if kind == "nums":
@@ -122,7 +121,7 @@ def _value(v, kind, bound, path):
     elif kind in ("bool", "str"):
         if not isinstance(v, bool if kind == "bool" else str):
             raise ConfigError(f"{path}: expected a {kind}, got {v!r}")
-    elif not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= _FLOAT_MAX:
+    elif not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= FLOAT_MAX:
         raise ConfigError(f"{path}: expected a finite number, got {v!r}")
     elif kind == "int" and v != int(v):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
@@ -171,6 +170,8 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(), object_pairs_hook=_object)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -8,12 +8,11 @@ are bit-identical regardless of execution order or thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import core, detection, estimation, transmission
+from . import core, detection, transmission
 from .params import (
     CavitySpec,
     EnsembleState,
@@ -36,7 +35,7 @@ C3_MHZ_UM3 = 2000.0  # resonant dipole-dipole coefficient, MHz um^3
 
 def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     """Counter-based per-block RNG stream."""
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    key = np.array([master_seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -80,8 +79,9 @@ class Scenario:
     pointlike_uncertainty: float | None = None  # required by trueness budgets
     interaction_spacing: float | None = None  # required by trueness budgets, m
 
-    BOUNDS = {"shots": "integer >0", "sweep_values": "finite", "master_seed": "integer >=0",
-              "systematic_offset": "finite", "g_eff": ">0", "n_crit": ">0",
+    BOUNDS = {"shots": "integer >0", "sweep_values": "finite",
+              "master_seed": "integer in [0, 2**64)", "systematic_offset": "finite",
+              "g_eff": ">0", "n_crit": ">0",
               "detuning_rel_uncertainty": ">=0", "pointlike_uncertainty": ">=0",
               "interaction_spacing": ">0"}
 
@@ -364,6 +364,8 @@ def run_power_sweep(scenario: Scenario) -> dict:
 def run_rabi_scenario(scenario: Scenario) -> dict:
     """Phase change at t_max and p occupation versus normalized Rabi
     frequency, for the pure p,+1 map and the depolarized map."""
+    from . import estimation  # loaded by the runs that use it only
+
     scenario.require("rabi")
     kappa = scenario.kappa
     ratios = np.asarray(scenario.sweep_values, dtype=float)
@@ -425,6 +427,8 @@ def campaign_blocks(scenario: Scenario, per_setting: list, threads: int = 1):
     so at most ``threads`` are computed ahead of the consumer.  Each
     setting's :func:`setting_precision`, from a buffer of its three
     summarized columns, joins ``per_setting`` before its last block."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded by campaigns only
+
     scenario.require("campaign")
     chi1, n_crit = effective_chi_per_atom(scenario)
     shots = scenario.shots

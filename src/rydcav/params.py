@@ -30,15 +30,19 @@ class DispersiveValidityError(ValueError):
 _BOUNDS = {">0": lambda x: x > 0, ">=0": lambda x: x >= 0, "!=0": lambda x: x != 0,
            "finite": lambda x: True, "in (0.5, 1.5]": lambda x: 0.5 < x <= 1.5,
            "in (0, 1]": lambda x: 0 < x <= 1,
-           "integer >0": lambda x: x > 0 and x.is_integer(),
-           "integer >=0": lambda x: x >= 0 and x.is_integer()}
+           "integer >0": lambda x: x > 0 and x % 1 == 0,
+           "integer in [0, 2**64)": lambda x: 0 <= x < 2**64 and x % 1 == 0}
+
+
+FLOAT_MAX = float(np.finfo(float).max)  # NaN, inf and larger integers fail x <= FLOAT_MAX
 
 
 def within(value, bound) -> bool:
     """Whether ``value``, a number or a sequence of numbers, is finite and
-    meets ``bound`` (a key of ``_BOUNDS``) throughout."""
-    values = np.asarray(value, dtype=float).ravel().tolist()
-    return all(abs(x) < np.inf and _BOUNDS[bound](x) for x in values)
+    meets ``bound`` (a key of ``_BOUNDS``) throughout.  Each number is
+    compared as itself: the integer 2**64 - 1, whose nearest float is 2**64,
+    is below 2**64."""
+    return all(abs(x) <= FLOAT_MAX and _BOUNDS[bound](x) for x in np.ravel(value).tolist())
 
 
 def check_bounds(self):

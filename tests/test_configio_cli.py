@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -164,13 +165,13 @@ BOUNDED = [(section, row, build.BOUNDS[row[1]]) for section, (build, table) in S
 OUTSIDE = {">0": [0], ">=0": [-5e-324], "!=0": [0], "finite": [float("nan")],
            "in (0.5, 1.5]": [0.5, np.nextafter(1.5, 2.0).item()],
            "in (0, 1]": [0, np.nextafter(1.0, 2.0).item()],
-           "integer >0": [0], "integer >=0": [-1]}
+           "integer >0": [0], "integer in [0, 2**64)": [-1, 2**64]}
 # (section, row, bound, value) for each bounded key
 OUT_OF_BOUND = [(section, row, bound, value)
                 for section, row, bound in BOUNDED for value in OUTSIDE[bound]]
 # the README's text of a bound; an interval reads as it is named
 README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0",
-                 "integer >0": "integer > 0", "integer >=0": "integer ≥ 0"}
+                 "integer >0": "integer > 0", "integer in [0, 2**64)": "integer in [0, 2⁶⁴)"}
 
 
 def test_config_rows_name_every_model_field():
@@ -424,8 +425,17 @@ class TestCli:
                         "--out", str(tmp_path)])
         assert code == 2
 
+    def test_unreadable_config_exit_2(self, tmp_path, config_dir, capsys):
+        # a config that cannot be read (here a directory) is a config error
+        # naming the path, and the run leaves no output directory
+        code = run_cli(["trueness", "--config", str(config_dir), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"rydcav: config error: {config_dir}: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"],
-                                      ["--seed", "-1"]])
+                                      ["--seed", "-1"], ["--seed", str(2**64)],
+                                      ["--seed", str(10**400)]])
     def test_out_of_range_option_exit_3(self, tmp_path, config_dir, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(["campaign", "--config", str(config_dir / "campaign.json"),
@@ -495,7 +505,7 @@ class TestCli:
             target[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        if np.isfinite(value):
+        if math.isfinite(value):  # 2**64 is too large for np.isfinite
             message = f"{path}: must be {bound}, got {value!r}"
         else:
             message = f"{path}: expected a finite number, got {value!r}"
@@ -713,20 +723,48 @@ class TestCli:
         assert "trueness.json" in manifest["outputs"]
         assert len(manifest["config_sha256"]) == 64
 
-    def test_import_needs_numpy_only(self):
+    def test_import_needs_numpy_only(self, tmp_path, config_dir):
         # A fresh interpreter that finds the package tested here imports the
-        # CLI without pulling in scipy or numba.
-        code = (
-            "import sys, rydcav.cli; "
-            "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
-        )
+        # CLI without pulling in scipy or numba, and loads the estimators, the
+        # fitter and the campaign's thread pool only for the runs that use them.
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_dir),
+                               str(tmp_path), *ALL_CONFIGS], capture_output=True, text=True,
                               env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import": [], "load_scenario": [], "simulate": [], "trueness": [],
+            "fit": ["rydcav.estimation", "rydcav.fitting"]}
+
+
+# Run in a fresh interpreter by test_import_needs_numpy_only: the optional
+# modules loaded after import, after loading every config, and after each run.
+IMPORT_PROBE = """
+import json, sys
+import rydcav.cli
+from rydcav.configio import load_scenario
+
+LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures")
+
+
+def loaded(names=LAZY):
+    return sorted(m for m in names if m in sys.modules)
+
+
+config_dir, out, *configs = sys.argv[1:]
+seen = {"import": loaded(("scipy", "numba", *LAZY))}
+for name in configs:
+    load_scenario(f"{config_dir}/{name}.json")
+seen["load_scenario"] = loaded()
+for command, config in (("simulate", "flythrough"), ("trueness", "trueness"),
+                        ("fit", "flythrough")):
+    argv = [command, "--config", f"{config_dir}/{config}.json", "--out", f"{out}/{command}"]
+    assert rydcav.cli.main(argv) == 0
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
 
 
 @pytest.fixture
@@ -1089,6 +1127,22 @@ class TestCampaignCli:
             (outa / "precision_vs_photon_number.csv").read_bytes()
             == (outb / "precision_vs_photon_number.csv").read_bytes()
         )
+
+    def test_largest_seed_is_kept(self, tmp_path, small_campaign):
+        # 2**64 - 1, the largest Philox key, is a seed by --seed and in the
+        # config alike (2**64 is rejected on both paths: it would wrap to 0)
+        seed = 2**64 - 1
+        raw = json.loads(small_campaign.read_text())
+        raw["scenario"]["master_seed"] = seed
+        config = tmp_path / "largest_seed.json"
+        config.write_text(json.dumps(raw))
+        outa, outb = tmp_path / "sa", tmp_path / "sb"
+        assert run_cli(["campaign", "--config", str(small_campaign), "--out", str(outa),
+                        "--seed", str(seed)]) == 0
+        assert run_cli(["campaign", "--config", str(config), "--out", str(outb)]) == 0
+        assert (outa / "shots.csv").read_bytes() == (outb / "shots.csv").read_bytes()
+        for out in (outa, outb):
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
     def test_out_defaults_to_cwd(self, tmp_path, small_campaign, monkeypatch):
         monkeypatch.chdir(tmp_path)

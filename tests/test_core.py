@@ -291,7 +291,10 @@ def test_nan_on_trace_path_named(call, name):
     (CavitySpec, dict(mode_antinodes=1.5), r"^mode_antinodes: must be integer >0, got 1\.5"),
     (CavitySpec, dict(mode_antinodes=0.5), r"^mode_antinodes: must be integer >0, got 0\.5"),
     (Scenario, dict(shots=2.5), r"^shots: must be integer >0, got 2\.5"),
-    (Scenario, dict(master_seed=1.5), r"^master_seed: must be integer >=0, got 1\.5"),
+    (Scenario, dict(master_seed=1.5),
+     r"^master_seed: must be integer in \[0, 2\*\*64\), got 1\.5"),
+    (Scenario, dict(master_seed=2**64),  # compared as an integer, not as the float 2.0**64
+     r"^master_seed: must be integer in \[0, 2\*\*64\), got 18446744073709551616$"),
 ])
 def test_model_invariant_rejected(cls, kwargs, message):
     with pytest.raises(ParameterError, match=message):
@@ -303,6 +306,7 @@ def test_numpy_integers_and_known_types_accepted():
         assert Scenario(**MODELS[Scenario], type=stype).type == stype
     sc = Scenario(**MODELS[Scenario], shots=np.int32(3), master_seed=np.uint64(2**64 - 1))
     assert (sc.shots, sc.master_seed) == (3, 2**64 - 1)
+    assert Scenario(**MODELS[Scenario], master_seed=2**64 - 1).master_seed == 2**64 - 1
     assert Scenario(**MODELS[Scenario], shots=4.0, master_seed=np.int64(0)).shots == 4
     assert CavitySpec(**CAVITY_KW, mode_antinodes=np.int64(3)).mode_antinodes == 3
 
