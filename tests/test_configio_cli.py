@@ -409,6 +409,34 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+# Run in a fresh interpreter by test_import_needs_numpy_only: the optional
+# modules loaded after import, after loading every config, and after each run.
+IMPORT_PROBE = """
+import json, sys
+import rydcav.cli
+from rydcav.configio import load_scenario
+
+LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures")
+
+
+def loaded(names=LAZY):
+    return sorted(m for m in names if m in sys.modules)
+
+
+config_dir, out, *configs = sys.argv[1:]
+seen = {"import": loaded(("scipy", "numba", *LAZY))}
+for name in configs:
+    load_scenario(f"{config_dir}/{name}.json")
+seen["load_scenario"] = loaded()
+for command, config in (("simulate", "flythrough"), ("trueness", "trueness"),
+                        ("fit", "flythrough")):
+    argv = [command, "--config", f"{config_dir}/{config}.json", "--out", f"{out}/{command}"]
+    assert rydcav.cli.main(argv) == 0
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
 class TestCli:
     def test_usage_error_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -737,34 +765,6 @@ class TestCli:
         assert json.loads(proc.stdout.splitlines()[-1]) == {
             "import": [], "load_scenario": [], "simulate": [], "trueness": [],
             "fit": ["rydcav.estimation", "rydcav.fitting"]}
-
-
-# Run in a fresh interpreter by test_import_needs_numpy_only: the optional
-# modules loaded after import, after loading every config, and after each run.
-IMPORT_PROBE = """
-import json, sys
-import rydcav.cli
-from rydcav.configio import load_scenario
-
-LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures")
-
-
-def loaded(names=LAZY):
-    return sorted(m for m in names if m in sys.modules)
-
-
-config_dir, out, *configs = sys.argv[1:]
-seen = {"import": loaded(("scipy", "numba", *LAZY))}
-for name in configs:
-    load_scenario(f"{config_dir}/{name}.json")
-seen["load_scenario"] = loaded()
-for command, config in (("simulate", "flythrough"), ("trueness", "trueness"),
-                        ("fit", "flythrough")):
-    argv = [command, "--config", f"{config_dir}/{config}.json", "--out", f"{out}/{command}"]
-    assert rydcav.cli.main(argv) == 0
-    seen[command] = loaded()
-print(json.dumps(seen))
-"""
 
 
 @pytest.fixture
