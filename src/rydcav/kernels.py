@@ -18,16 +18,16 @@ and memory beyond the output stays O(BLOCK) at any trace length.
 Blocks also keep ``exp`` in range: 1/D_k grows as exp(kappa/2 * k dt), and
 with dt <= (2/kappa)/20 (the grid limit of
 :func:`rydcav.transmission.transmission_response`) one block spans at most
-exp(0.05 * BLOCK), about 1.7e22 for BLOCK = 1024, where a whole-trace scan
-of 1e6 samples would overflow.  Coarser inputs get shorter blocks, so that
-no block spans more than exp(:data:`EXP_SPAN`).
+exp(0.05 * BLOCK), about 1e89 for BLOCK = 4096 (under exp(:data:`EXP_SPAN`)),
+where a whole-trace scan of 1e6 samples would overflow.  Coarser inputs get
+shorter blocks, so that no block spans more than exp(:data:`EXP_SPAN`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK = 1024  # steps per scan block
+BLOCK = 4096  # steps per scan block
 EXP_SPAN = 600.0  # largest |Re(a_1 + ... + a_k)| within one block (exp overflows past 709)
 
 

@@ -12,12 +12,12 @@ holding chi at its first defined value.
 
 The update runs over the transit only: from the last zero of chi before
 its first nonzero sample to the first zero after its last one.  Outside
-that span chi = 0, z = z0 = i Delta_m - kappa/2 is constant, and the
-integral b = A / (kappa/2) has a closed form: b = -1/z0 before the transit
-(the stationary seed), and b = -1/z0 + (b_exit + 1/z0) exp(z0 (t - t_exit))
-after it, which is what the update's own step gives for constant z.  A chi
-that is nonzero at its first sample is seeded at its own stationary value
-and updated from there.
+that span chi = 0 and z = z0 = i Delta_m - kappa/2, so the integral
+b = A / (kappa/2) is written straight into the output, with no whole-trace
+temporary: the constant -1/z0 before the transit (the stationary seed), and
+-1/z0 + (b_exit + 1/z0) exp(z0 (t - t_exit)) after it, the update's own step
+for constant z, built in place.  A chi nonzero at its first sample is seeded
+at its own stationary value and updated from there.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ class ShiftTrace:
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("times must be a 1-d grid with >= 2 samples")
         steps = np.diff(self.times)
-        if np.any(steps <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
+        s0, tol = steps[0], 1e-9 * steps[0]  # every step within tol of s0 > 0 is positive
+        if not (s0 > 0 and np.max(steps) - s0 <= tol and s0 - np.min(steps) <= tol):
+            if np.any(steps <= 0):
+                raise ValueError("times must be strictly increasing")
             raise ValueError("times must be uniformly spaced")
         if self.chi.shape != self.times.shape:
             raise ValueError("chi must match times in shape")
@@ -142,17 +143,21 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
         )
     z0 = 1j * delta_m - kappa / 2.0
     n = shift.chi.size
-    b = np.full(n, -1.0 / z0)  # stationary integral of the empty cavity
+    b = np.empty(n, dtype=complex)
     nonzero = shift.chi != 0
     first = int(np.argmax(nonzero))
+    i0 = n
     if nonzero[first]:
         # the update spans the transit and one zero sample on each side
         last = n - 1 - int(np.argmax(nonzero[::-1]))
         i0, i1 = max(first - 1, 0), min(last + 2, n)
-        z = z0 - 1j * shift.chi[i0:i1]
+        z = np.full(i1 - i0, complex(-kappa / 2.0))  # z0 - i chi, bit for bit
+        np.subtract(delta_m, shift.chi[i0:i1], out=z.imag)
         b[i0:i1] = response_filter(z, dt, -1.0 / z[0])
-        decay = np.arange(1, n - i1 + 1) * (z0 * dt)
-        b[i1:] += (b[i1 - 1] + 1.0 / z0) * np.exp(decay)
+        tail = np.multiply(np.arange(1, n - i1 + 1), z0 * dt, out=b[i1:])
+        np.multiply(b[i1 - 1] + 1.0 / z0, np.exp(tail, out=tail), out=tail)
+        tail += -1.0 / z0
+    b[:i0] = -1.0 / z0  # stationary integral of the empty cavity
     b *= kappa / 2.0
     return ComplexTrace(shift.times, b)
 
@@ -181,24 +186,28 @@ def fly_through_shift_trace(
     chi = np.zeros_like(times)
     transit_time, t_cen = transit(ensemble, cavity)
     t_c = times - ensemble.entry_time
-    inside = (t_c >= 0) & (t_c <= transit_time)
-    if ensemble.n_atoms == 0 or not inside.any():
-        return ShiftTrace(times, chi)
+    try:
+        # on the sorted 1-d grid that ShiftTrace requires, the transit is one slice
+        i0, i1 = np.searchsorted(t_c, 0.0, "left"), np.searchsorted(t_c, transit_time, "right")
+        if ensemble.n_atoms == 0 or i1 <= i0:
+            return ShiftTrace(times, chi)
+        # t_c * v can round past length_z at the exit sample
+        z = np.clip(t_c[i0:i1] * ensemble.velocity, 0.0, cavity.length_z)
+        if extended_cloud:
+            g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
+                z, cavity, ensemble.sigma_z, ensemble.sigma_x))
+        else:
+            g = core.coupling(z, cavity)
 
-    # t_c * v can round past length_z at the exit sample
-    z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
-    if extended_cloud:
-        g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
-            z, cavity, ensemble.sigma_z, ensemble.sigma_x))
-    else:
-        g = core.coupling(z, cavity)
-
-    decay_s = decay_p = 1.0
-    if transit_decay:
-        decay_s = np.exp(-(times[inside] - t_cen) / TAU_S)
-        decay_p = np.exp(-(times[inside] - t_cen) / TAU_P)
-    chi[inside] = core.dispersive_shift(ensemble, g, transitions.delta_plus,
-                                        transitions.delta_minus, decay_s, decay_p)
+        decay_s = decay_p = 1.0
+        if transit_decay:
+            decay_s = np.exp(-(times[i0:i1] - t_cen) / TAU_S)
+            decay_p = np.exp(-(times[i0:i1] - t_cen) / TAU_P)
+        chi[i0:i1] = core.dispersive_shift(ensemble, g, transitions.delta_plus,
+                                            transitions.delta_minus, decay_s, decay_p)
+    except ValueError:  # the physics may raise on a slice of an unsorted grid,
+        ShiftTrace(times, chi)  # which ShiftTrace rejects: its error comes first
+        raise
     return ShiftTrace(times, chi)
 
 
@@ -278,4 +287,5 @@ def readout_phase(times, dphi_deg, ensemble: EnsembleState, cavity: CavitySpec,
 
 def phase_change(trace: ComplexTrace, reference: float) -> np.ndarray:
     """Phase change delta_phi(t) = unwrap(phi(t)) - reference, in degrees."""
-    return np.degrees(trace.unwrapped_phase - reference)
+    dphi = trace.unwrapped_phase
+    return np.degrees(np.subtract(dphi, reference, out=dphi), out=dphi)

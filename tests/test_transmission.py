@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from rydcav import (
     TransitionSet,
     window_samples,
 )
-from rydcav import transmission
+from rydcav import core, transmission
 from rydcav.configio import load_scenario
+from rydcav.params import TAU_P, TAU_S
 from rydcav.transmission import GridAccuracyError, WindowConfigError, flythrough_shift
 
 TWO_PI = 2.0 * np.pi
@@ -88,6 +91,108 @@ class TestShiftTraceGrid:
         times[30] = np.nan
         with pytest.raises(ValueError, match="uniformly spaced"):
             ShiftTrace(times, np.zeros(100))
+
+
+def two_pass_grid_check(times):
+    """The grid check of ShiftTrace as two full passes over the steps, the
+    oracle of its one-pass check: first the sign of every step, then the
+    spread around the first."""
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("times must be a 1-d grid with >= 2 samples")
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
+        raise ValueError("times must be uniformly spaced")
+
+
+def outcome(fn, *args):
+    """The type and message of the exception ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def flythrough_grid(scenario):
+    """The fly-through grid: the transit with PAD on both sides."""
+    return flythrough_shift(scenario.ensemble, scenario.cavity, scenario.transitions,
+                            scenario.kappa).times
+
+
+def jitter(times, rel, at=300):
+    times = times.copy()
+    times[at:] += rel * (times[1] - times[0])  # one step longer by rel
+    return times
+
+
+def with_value(times, at, value):
+    times = times.copy()
+    times[at] = value
+    return times
+
+
+def swapped(times, i, j):
+    times = times.copy()
+    times[[i, j]] = times[[j, i]]
+    return times
+
+
+# the packaged fly-through scenario, for tests that hypothesis drives
+FLY = load_scenario(Path(transmission.__file__).parent / "configs" / "flythrough.json")
+
+BAD_GRIDS = {
+    "jitter 2e-9": lambda t: jitter(t, 2e-9),
+    "jitter 5e-10": lambda t: jitter(t, 5e-10),
+    "jitter -2e-9": lambda t: jitter(t, -2e-9),
+    "zero step": lambda t: with_value(t, 300, t[299]),
+    "zero first step": lambda t: with_value(t, 1, t[0]),
+    "every step zero": lambda t: np.full_like(t, t[0]),
+    "nan time": lambda t: with_value(t, 300, np.nan),
+    "nan first time": lambda t: with_value(t, 0, np.nan),
+    "nan last time": lambda t: with_value(t, -1, np.nan),
+    "swapped inside the transit": lambda t: swapped(t, 250, 400),
+    "swapped across the entry": lambda t: swapped(t, 10, 300),
+    "swapped ends": lambda t: swapped(t, 0, -1),
+    "reversed": lambda t: t[::-1].copy(),
+    "one sample": lambda t: t[:1],
+    "two dimensional": lambda t: t.reshape(2, -1) if t.size % 2 == 0 else t[1:].reshape(2, -1),
+}
+
+
+class TestGridCheckOracle:
+    @pytest.mark.parametrize("case", BAD_GRIDS)
+    def test_same_outcome_as_two_pass_check(self, case):
+        # the same exception type and message, or none, from the oracle, from
+        # ShiftTrace and from the chi(t) build, whose transit slice must not
+        # raise an error of its own on a grid that ShiftTrace rejects
+        times = BAD_GRIDS[case](flythrough_grid(FLY))
+        want = outcome(two_pass_grid_check, times)
+        assert outcome(ShiftTrace, times, np.zeros_like(times)) == want
+        ens = dataclasses.replace(FLY.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
+        for extended_cloud in (False, True):
+            assert outcome(fly_through_shift_trace, ens, FLY.cavity, FLY.transitions, times,
+                           True, extended_cloud) == want
+        assert (want is None) == (case == "jitter 5e-10")
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["jitter", "swap", "nan", "repeat", "shuffle"]),
+           rel=st.floats(-3e-9, 3e-9))
+    def test_random_bad_grids(self, seed, kind, rel):
+        rng = np.random.default_rng(seed)
+        times = flythrough_grid(FLY)
+        i, j = rng.integers(0, times.size, 2)
+        times = {"jitter": lambda: jitter(times, rel, at=max(i, 1)),
+                 "swap": lambda: swapped(times, i, j),
+                 "nan": lambda: with_value(times, i, np.nan),
+                 "repeat": lambda: with_value(times, i, times[j]),
+                 "shuffle": lambda: rng.permutation(times)}[kind]()
+        want = outcome(two_pass_grid_check, times)
+        assert outcome(ShiftTrace, times, np.zeros_like(times)) == want
+        assert outcome(fly_through_shift_trace, FLY.ensemble, FLY.cavity, FLY.transitions,
+                       times) == want
 
 
 def whole_trace_response(shift, delta_m, kappa):
@@ -276,6 +381,92 @@ CHI_GOLDEN = {
 }
 
 
+def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
+                     extended_cloud=False):
+    """chi(t) built over a boolean mask of the samples inside the transit, with
+    a gather and a scatter: the oracle of the slice that
+    fly_through_shift_trace takes of the sorted grid."""
+    times = np.asarray(times, dtype=float)
+    chi = np.zeros_like(times)
+    transit_time, t_cen = transmission.transit(ensemble, cavity)
+    t_c = times - ensemble.entry_time
+    inside = (t_c >= 0) & (t_c <= transit_time)
+    if ensemble.n_atoms == 0 or not inside.any():
+        return chi
+    z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
+    if extended_cloud:
+        g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
+            z, cavity, ensemble.sigma_z, ensemble.sigma_x))
+    else:
+        g = core.coupling(z, cavity)
+    decay_s = decay_p = 1.0
+    if transit_decay:
+        decay_s = np.exp(-(times[inside] - t_cen) / TAU_S)
+        decay_p = np.exp(-(times[inside] - t_cen) / TAU_P)
+    chi[inside] = core.dispersive_shift(ensemble, g, transitions.delta_plus,
+                                        transitions.delta_minus, decay_s, decay_p)
+    return chi
+
+
+class TestTransitSlice:
+    @settings(max_examples=150, deadline=None)
+    @given(n_atoms=st.floats(0.0, 600.0),
+           p_s=st.floats(0.0, 1.0),
+           sigma_z=st.floats(0.0, 1e-3),
+           sigma_x=st.floats(0.0, 5e-4),
+           velocity=st.floats(300.0, 2000.0),
+           entry_time=st.floats(-3e-6, 3e-6),
+           per_transit=st.floats(0.3, 3000.0),
+           n=st.integers(2, 4000),
+           start=st.floats(-1.5, 1.2),
+           anchor=st.sampled_from(["none", "entry", "exit"]),
+           at=st.integers(0, 3999),
+           transit_decay=st.booleans(),
+           extended_cloud=st.booleans())
+    @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
+             entry_time=0.0, per_transit=100.0, n=300, start=0.0, anchor="entry", at=40,
+             transit_decay=False, extended_cloud=False).via("a sample exactly at the entry")
+    @example(n_atoms=261.0, p_s=0.4, sigma_z=6e-4, sigma_x=3e-4, velocity=950.0,
+             entry_time=0.0, per_transit=100.0, n=300, start=0.0, anchor="exit", at=260,
+             transit_decay=True, extended_cloud=True).via("a sample exactly at the exit")
+    @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
+             entry_time=1e-6, per_transit=0.5, n=2, start=-1.2, anchor="none", at=0,
+             transit_decay=True, extended_cloud=False).via("no sample inside")
+    @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
+             entry_time=0.0, per_transit=50.0, n=40, start=-1.5, anchor="none", at=0,
+             transit_decay=False, extended_cloud=True).via("grid before the entry")
+    @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
+             entry_time=0.0, per_transit=50.0, n=40, start=1.01, anchor="none", at=0,
+             transit_decay=True, extended_cloud=True).via("grid after the exit")
+    def test_chi_bit_identical_to_mask_oracle(self, n_atoms, p_s,
+                                              sigma_z, sigma_x, velocity, entry_time,
+                                              per_transit, n, start, anchor, at,
+                                              transit_decay, extended_cloud):
+        cavity, transitions = FLY.cavity, FLY.transitions
+        ens = EnsembleState(n_atoms=n_atoms, p_s=p_s, p_p_plus=(1.0 - p_s) / 2,
+                            p_p_minus=(1.0 - p_s) / 2, sigma_z=sigma_z, sigma_x=sigma_x,
+                            velocity=velocity, entry_time=entry_time)
+        duration, _ = transmission.transit(ens, cavity)
+        dt = duration / per_transit
+        if anchor == "none":
+            times = entry_time + (start * duration + np.arange(n) * dt)
+        else:
+            # sample ``at`` is exactly the entry (t - entry = 0) or, with the
+            # entry at 0, exactly the exit (t - entry = L/v)
+            if anchor == "exit":
+                ens = dataclasses.replace(ens, entry_time=0.0)
+            edge = ens.entry_time if anchor == "entry" else duration
+            times = edge + (np.arange(n) - min(at, n - 1)) * dt
+            assert times[min(at, n - 1)] - ens.entry_time == (0.0 if anchor == "entry"
+                                                              else duration)
+        got = fly_through_shift_trace(ens, cavity, transitions, times,
+                                      transit_decay=transit_decay,
+                                      extended_cloud=extended_cloud).chi
+        want = mask_shift_trace(ens, cavity, transitions, times, transit_decay, extended_cloud)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestFlyThrough:
     def test_zero_atoms_flat(self, cavity, transitions):
         ens = EnsembleState(n_atoms=0)
@@ -398,3 +589,28 @@ class TestPhaseChange:
         with pytest.raises(WindowConfigError, match="t_max window"):
             transmission.readout_phase(t_max + np.arange(-5.0, 6.0, 2.0) * 1e-6, dphi[:6],
                                        ens, cavity, cavity.kappa)
+
+
+@pytest.mark.parametrize("transit_decay", [False, True])
+@pytest.mark.parametrize("extended_cloud", [False, True])
+def test_flythrough_peak_memory_within_bound_of_output(transit_decay, extended_cloud):
+    # At the dt-convergence study's 7th halving (78 759 samples) the traced
+    # peak of simulate_flythrough stays under 1.9 times the bytes it returns
+    # (values, times and dphi: 32 B per sample).  The chi(t) build peaks at
+    # 1.71 times with transit decay (1.27 without), transmission_response at
+    # 1.64 and phase_change at 1.75, so one more whole-trace complex
+    # temporary (16 B per sample, 0.5 times) crosses the bound in each of
+    # them, the chi(t) build without transit decay excepted.
+    ens = dataclasses.replace(FLY.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
+    args = (ens, FLY.cavity, FLY.transitions, 0.3 * FLY.kappa, FLY.kappa,
+            (2.0 / FLY.kappa) / 27.0 / 2**7, transit_decay, extended_cloud)
+    simulate_flythrough(*args)
+    tracemalloc.start()
+    try:
+        trace, dphi = simulate_flythrough(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = trace.values.nbytes + trace.times.nbytes + dphi.nbytes
+    assert trace.times.size == 78_759
+    assert peak <= 1.9 * out, f"peak {peak / out:.3f} times the output"
