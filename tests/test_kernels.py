@@ -76,7 +76,8 @@ def random_z(seed, n, chi_max, noisy, delta_m=0.0):
     return 1j * delta_m - KAPPA / 2 - 1j * chi
 
 
-@pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1])
+# the edges of blocks of the default BLOCK and of 1024 steps, its former value
+@pytest.mark.parametrize("n", sorted({1, 2, 1024, 1025, 2049, B, B + 1, 2 * B + 1}))
 @pytest.mark.parametrize("noisy", [False, True], ids=["smooth", "noisy"])
 @pytest.mark.parametrize("chi_max", [1e4, 1e7])
 def test_matches_loop_oracle_at_block_edges(n, noisy, chi_max):
