@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
         if name == "campaign":
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for campaign blocks")
+            p.add_argument("--threads", type=int, default=1, choices=[1],
+                           help="1 only, kept for perfbench/run.py: blocks run in one thread")
     return parser
 
 
@@ -205,9 +205,9 @@ SHOTS_CSV = {"shot_id": "shot_id", "mean_n": "mean_n", "n_prepared": "n_prep",
              "s_ratio": "s_r", "p_fraction": "p_p", "n_mcp_estimated": "n_mcp_est"}
 
 
-def _campaign(scenario, threads):
+def _campaign(scenario):
     per_setting = []
-    blocks = experiments.campaign_blocks(scenario, per_setting, threads)
+    blocks = experiments.campaign_blocks(scenario, per_setting)
     first = next(blocks)  # setting and model errors raise here, before any output
     chi1, n_crit = experiments.effective_chi_per_atom(scenario)
     return {  # shots.csv is streamed first, so per_setting is full by summary.json
@@ -239,8 +239,6 @@ TASKS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "threads" in args and args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     seed_bound = experiments.Scenario.BOUNDS["master_seed"]
     if args.seed is not None and not within(args.seed, seed_bound):
         parser.error(f"--seed must be {seed_bound}, got {args.seed}")
@@ -254,8 +252,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"scenario.type: {scenario.type!r} has no {args.command} "
                               f"task; {args.command} runs type {types}")
         manifest = RunManifest.start(args.command, args.config, scenario.master_seed)
-        threads = {"threads": args.threads} if "threads" in args else {}
-        files = task(scenario, **threads)
+        files = task(scenario)
         # made after the task and removed if a write fails: a failed run leaves no new directory
         out = args.out
         made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)

@@ -1,9 +1,9 @@
 """Scenario runner: figure-style datasets, single-shot Monte Carlo
 campaigns, and the systematic-error (trueness) budget.
 
-Shots are organized in fixed-size blocks; block ``b`` of a campaign draws
-from a counter-based Philox stream keyed by (master_seed, b), so results
-are bit-identical regardless of execution order or thread count.
+Shots are organized in fixed-size blocks, computed in the caller's thread;
+block ``b`` of a campaign draws from a counter-based Philox stream keyed by
+(master_seed, b), so its results do not depend on when it is computed.
 """
 
 from __future__ import annotations
@@ -420,35 +420,26 @@ def setting_precision(mean_n, dphi_deg, n_est, n_mcp_est) -> dict:
             "sigma_n_mcp": sigma_mcp, "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1)}
 
 
-def campaign_blocks(scenario: Scenario, per_setting: list, threads: int = 1):
+def campaign_blocks(scenario: Scenario, per_setting: list):
     """Yield the campaign's records in row order (setting after setting), as
-    one dict of columns per block of at most :data:`BLOCK_SIZE` shots.  They run
-    on ``threads`` workers one window of ``threads`` blocks after another,
-    so at most ``threads`` are computed ahead of the consumer.  Each
+    one dict of columns per block of at most :data:`BLOCK_SIZE` shots, each
+    computed in the caller's thread when the consumer asks for it.  Each
     setting's :func:`setting_precision`, from a buffer of its three
     summarized columns, joins ``per_setting`` before its last block."""
-    from concurrent.futures import ThreadPoolExecutor  # loaded by campaigns only
-
     scenario.require("campaign")
     chi1, n_crit = effective_chi_per_atom(scenario)
     shots = scenario.shots
     blocks = [(k * shots + done, mean_n, min(BLOCK_SIZE, shots - done))
               for k, mean_n in enumerate(scenario.sweep_values)
               for done in range(0, shots, BLOCK_SIZE)]
-
-    def work(b):
-        return _campaign_block(scenario, chi1, n_crit, b, *blocks[b])
-
     held = np.empty((3, shots))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for w in range(0, len(blocks), threads):
-            for block in ex.map(work, range(w, min(w + threads, len(blocks)))):
-                row = block["shot_id"][-1] % shots + 1  # of the setting, after the block
-                held[:, row - len(block["n_est"]):row] = [block["dphi_deg"], block["n_est"],
-                                                          block["n_mcp_est"]]
-                if row == shots:
-                    per_setting.append(setting_precision(float(block["mean_n"][0]), *held))
-                yield block
+    for b, (row, mean_n, n_shots) in enumerate(blocks):
+        block = _campaign_block(scenario, chi1, n_crit, b, row, mean_n, n_shots)
+        end = row % shots + n_shots  # of the setting, after the block
+        held[:, end - n_shots:end] = [block["dphi_deg"], block["n_est"], block["n_mcp_est"]]
+        if end == shots:
+            per_setting.append(setting_precision(float(mean_n), *held))
+        yield block
 
 
 def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
@@ -457,9 +448,10 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
     The precision summary reports, per prepared atom number, the standard
     deviation of the cavity estimate and of the MCP estimate, and a
     precision-versus-photon-number curve at the reference atom number.
+    ``threads`` is ignored; it is kept for perfbench/run.py, which passes it.
     """
     per_setting = []
-    blocks = list(campaign_blocks(scenario, per_setting, threads))
+    blocks = list(campaign_blocks(scenario, per_setting))
     return {"per_setting": per_setting, "photon_curve": precision_vs_photon_number(scenario),
             "records": {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}}
 

@@ -1,9 +1,9 @@
 """Levenberg-Marquardt nonlinear least squares.
 
 Jacobians are central finite differences with sqrt(machine-epsilon) step
-scaling; bounds are enforced by projection and reported via
-boundary-active flags.  The engine is stateless and deterministic given
-its inputs.
+scaling, one-sided inward at a bound; bounds are enforced by projection
+and reported via boundary-active flags.  The engine is stateless and
+deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ class FitResult:
         return self.params[name]
 
 
-def finite_difference_jacobian(fn, p):
-    """Central-difference Jacobian of fn(p), step sqrt(eps) max(|p_i|, 1)."""
+def finite_difference_jacobian(fn, p, lo=-np.inf, hi=np.inf):
+    """Central-difference Jacobian of fn(p), step h = sqrt(eps) max(|p_i|, 1); where
+    p_i - h < lo_i (or p_i + h > hi_i) column i is the one-sided difference of
+    step h inward, so fn sees no point outside [lo, hi]."""
     p = np.asarray(p, dtype=float)
+    lo, hi = np.broadcast_to(lo, p.shape), np.broadcast_to(hi, p.shape)
     columns = []
     for i in range(p.size):
         h = np.sqrt(_EPS) * max(abs(p[i]), 1.0)
@@ -48,6 +51,10 @@ def finite_difference_jacobian(fn, p):
         pm = p.copy()
         pp[i] += h
         pm[i] -= h
+        if pm[i] < lo[i]:
+            pm = p
+        elif pp[i] > hi[i]:
+            pp = p
         columns.append((np.asarray(fn(pp), dtype=float) - np.asarray(fn(pm), dtype=float))
                        / (pp[i] - pm[i]))
     return np.column_stack(columns)
@@ -116,7 +123,7 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
         raise ValueError("initial residuals must be finite: the model is not finite at init")
     cost = float(r @ r)
     cost_trace = [cost]
-    jac = finite_difference_jacobian(residuals, p)
+    jac = finite_difference_jacobian(residuals, p, lo, hi)
     g, jtj = jac.T @ r, jac.T @ jac
     lam, nu = LAM0, 2.0
     converged = False
@@ -139,7 +146,7 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
             cost_trace.append(cost)
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
-            jac = finite_difference_jacobian(residuals, p)
+            jac = finite_difference_jacobian(residuals, p, lo, hi)
             g, jtj = jac.T @ r, jac.T @ jac
         else:
             lam *= nu

@@ -59,6 +59,7 @@ from rydcav.configio import load_scenario
 from rydcav.estimation import UnidentifiableError  # noqa: F401  (re-export check)
 
 from conftest import CONFIG_DIR
+from test_experiments import compute_blocks_last_first
 
 TWO_PI = 2.0 * np.pi
 KAPPA = TWO_PI * 236e3
@@ -346,22 +347,21 @@ def test_criterion_8_trueness_budget():
     assert ok
 
 
-def test_criterion_9_deterministic_replay(tmp_path):
-    """A campaign re-run with a different thread count reproduces the
-    shot table byte for byte."""
+def test_criterion_9_deterministic_replay(tmp_path, monkeypatch):
+    """A campaign re-run with its blocks computed last to first reproduces
+    the shot table byte for byte."""
     raw = json.loads((CONFIG_DIR / "campaign.json").read_text())
     raw["scenario"]["shots"] = 10_000
     raw["scenario"]["sweep_values"] = [500]
     cfg = tmp_path / "campaign.json"
     cfg.write_text(json.dumps(raw))
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    rc1 = cli.main(["campaign", "--config", str(cfg), "--out", str(out1),
-                    "--threads", "1"])
-    rc4 = cli.main(["campaign", "--config", str(cfg), "--out", str(out4),
-                    "--threads", "4"])
-    same = (out1 / "shots.csv").read_bytes() == (out4 / "shots.csv").read_bytes()
-    ok = rc1 == 0 and rc4 == 0 and same
+    out1 = tmp_path / "in_order"
+    out2 = tmp_path / "last_first"
+    rc1 = cli.main(["campaign", "--config", str(cfg), "--out", str(out1)])
+    compute_blocks_last_first(monkeypatch)
+    rc2 = cli.main(["campaign", "--config", str(cfg), "--out", str(out2)])
+    same = (out1 / "shots.csv").read_bytes() == (out2 / "shots.csv").read_bytes()
+    ok = rc1 == 0 and rc2 == 0 and same
     report("9 determinism", ok,
-           f"exit codes {rc1}/{rc4}, shots.csv byte-identical: {same}")
+           f"exit codes {rc1}/{rc2}, shots.csv byte-identical: {same}")
     assert ok

@@ -29,6 +29,7 @@ from rydcav.configio import (
     write_json,
 )
 from test_csv_writer import rowwise_write_csv, rowwise_write_csv_blocks
+from test_experiments import compute_blocks_last_first
 from test_kernels import loop_filter
 from test_transmission import whole_trace_response
 
@@ -227,7 +228,7 @@ def _task_digest(command, path):
         task = cli.TASKS.get((command, scenario.type))
         if task is None:
             return None
-        files = task(scenario, **({"threads": 1} if command == "campaign" else {}))
+        files = task(scenario)
     except ValueError:  # ConfigError and the model's own validity errors
         return None
     digest = hashlib.sha256()
@@ -416,21 +417,22 @@ import json, sys
 import rydcav.cli
 from rydcav.configio import load_scenario
 
-LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures")
+LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures", "logging", "queue")
 
 
 def loaded(names=LAZY):
     return sorted(m for m in names if m in sys.modules)
 
 
-config_dir, out, *configs = sys.argv[1:]
+config_dir, out, campaign, *configs = sys.argv[1:]
 seen = {"import": loaded(("scipy", "numba", *LAZY))}
 for name in configs:
     load_scenario(f"{config_dir}/{name}.json")
 seen["load_scenario"] = loaded()
-for command, config in (("simulate", "flythrough"), ("trueness", "trueness"),
-                        ("fit", "flythrough")):
-    argv = [command, "--config", f"{config_dir}/{config}.json", "--out", f"{out}/{command}"]
+for command, config in (("simulate", f"{config_dir}/flythrough.json"),
+                        ("trueness", f"{config_dir}/trueness.json"), ("campaign", campaign),
+                        ("fit", f"{config_dir}/flythrough.json")):
+    argv = [command, "--config", config, "--out", f"{out}/{command}"]
     assert rydcav.cli.main(argv) == 0
     seen[command] = loaded()
 print(json.dumps(seen))
@@ -461,7 +463,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"rydcav: config error: {config_dir}: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"],
+    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"], ["--threads", "2"],
                                       ["--seed", "-1"], ["--seed", str(2**64)],
                                       ["--seed", str(10**400)]])
     def test_out_of_range_option_exit_3(self, tmp_path, config_dir, argv):
@@ -751,19 +753,20 @@ class TestCli:
         assert "trueness.json" in manifest["outputs"]
         assert len(manifest["config_sha256"]) == 64
 
-    def test_import_needs_numpy_only(self, tmp_path, config_dir):
+    def test_import_needs_numpy_only(self, tmp_path, config_dir, small_campaign):
         # A fresh interpreter that finds the package tested here imports the
-        # CLI without pulling in scipy or numba, and loads the estimators, the
-        # fitter and the campaign's thread pool only for the runs that use them.
+        # CLI without pulling in scipy or numba, loads the estimators and the
+        # fitter only for the runs that use them, and runs a campaign without
+        # a thread pool (concurrent.futures, with its logging and queue).
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_dir),
-                               str(tmp_path), *ALL_CONFIGS], capture_output=True, text=True,
-                              env=env)
+                               str(tmp_path), str(small_campaign), *ALL_CONFIGS],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "load_scenario": [], "simulate": [], "trueness": [],
+            "import": [], "load_scenario": [], "simulate": [], "trueness": [], "campaign": [],
             "fit": ["rydcav.estimation", "rydcav.fitting"]}
 
 
@@ -995,6 +998,19 @@ def test_fit_on_a_bound_warns(capsys):
         "rydcav: warning: fit not converged after 3 iterations; on a bound: a\n"
 
 
+def test_fit_of_an_empty_cavity_exit_0(tmp_path, config_dir):
+    # no atoms is a valid cloud: the fit starts on its bound N = 0, and its
+    # Jacobian steps inward from there instead of to a negative atom number
+    raw = json.loads((config_dir / "flythrough.json").read_text())
+    raw["ensemble"]["n_atoms"] = 0
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["n_atoms_true"] == 0 and summary["fit"]["converged"]
+    assert 0.0 <= summary["n_atoms_fit"] <= 5.0 * summary["n_atoms_sigma"]
+
+
 SHOTS_GOLDEN = "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946"
 # every output of the packaged campaign at its own seed, 14
 CAMPAIGN_GOLDEN = {
@@ -1033,26 +1049,32 @@ class TestCampaignCli:
         assert packaged_pair_hashes(tmp_path, config_dir, "campaign", "campaign") == \
             CAMPAIGN_GOLDEN
 
-    def test_thread_count_invariance(self, tmp_path, small_campaign):
-        out1 = tmp_path / "t1"
-        out4 = tmp_path / "t4"
-        assert run_cli(["campaign", "--config", str(small_campaign),
-                        "--out", str(out1), "--threads", "1"]) == 0
-        assert run_cli(["campaign", "--config", str(small_campaign),
-                        "--out", str(out4), "--threads", "4"]) == 0
-        assert (out1 / "shots.csv").read_bytes() == (out4 / "shots.csv").read_bytes()
+    def test_block_order_invariance(self, tmp_path, config_dir, monkeypatch):
+        # three blocks of one setting, computed last to first on the second run
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw["scenario"].update(shots=2 * experiments.BLOCK_SIZE + 5, sweep_values=[500])
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        out1 = tmp_path / "in_order"
+        out2 = tmp_path / "last_first"
+        assert run_cli(["campaign", "--config", str(cfg), "--out", str(out1)]) == 0
+        compute_blocks_last_first(monkeypatch)
+        assert run_cli(["campaign", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert (out1 / "shots.csv").read_bytes() == (out2 / "shots.csv").read_bytes()
 
-    def test_thread_count_invariance_across_windows(self, tmp_path, config_dir):
-        # six blocks: one window of four and one of two with four threads
+    def test_block_order_invariance_across_settings(self, tmp_path, config_dir, monkeypatch):
+        # six blocks, two per setting: every output file holds its bytes when
+        # the blocks are computed last to first
         raw = json.loads((config_dir / "campaign.json").read_text())
         raw["scenario"].update(shots=experiments.BLOCK_SIZE + 5, sweep_values=[100, 300, 500])
         cfg = tmp_path / "campaign.json"
         cfg.write_text(json.dumps(raw))
         outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}"
-            assert run_cli(["campaign", "--config", str(cfg), "--out", str(out),
-                            "--threads", threads]) == 0
+        for order in ("in_order", "last_first"):
+            if order == "last_first":
+                compute_blocks_last_first(monkeypatch)
+            out = tmp_path / order
+            assert run_cli(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
             outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
         assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 

@@ -327,7 +327,7 @@ def test_campaign_memory(tmp_path, config_dir):
     np.random.default_rng()  # numpy.random is imported on first use, not counted here
     tracemalloc.start()
     try:
-        write_csv_blocks(tmp_path / "shots.csv", cli._campaign(scenario, 1)["shots.csv"])
+        write_csv_blocks(tmp_path / "shots.csv", cli._campaign(scenario)["shots.csv"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -373,6 +373,35 @@ class TestNoisyRecovery:
             assert fit.converged, draw
             assert abs(fit["entry_time"] - entry) <= 5.0 * fit.uncertainties["entry_time"], draw
 
+    def test_zero_atom_draws_stay_on_the_bound(self, config_dir):
+        # noisy traces of an empty cavity fitted from N = 50: six of twelve
+        # draws reach the bound N = 0, where a central difference in N would
+        # evaluate a cloud of -1.5e-8 atoms, which the model rejects; the six
+        # that end inside keep the N of central differences throughout
+        fly = load_scenario(config_dir / "flythrough.json")
+        empty = dataclasses.replace(fly.ensemble, n_atoms=0.0)
+        trace, _ = simulate_flythrough(empty, fly.cavity, fly.transitions, fly.probe.delta_m,
+                                       fly.kappa, **fly.model_kw)
+        inside = {0: 0.8938450716833211, 1: 0.18160682402316008, 4: 0.27545257833987,
+                  8: 0.5691800589287345, 10: 0.059033781227378186, 11: 0.007979618779208239}
+        on_bound = []
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            noise = 1e-3 * rng.standard_normal((2, trace.times.size))
+            tr = {"delta_m": fly.probe.delta_m, "times": trace.times,
+                  "amplitude": trace.amplitude + noise[0],
+                  "phase": trace.unwrapped_phase + noise[1],
+                  "sigma_amp": 1e-3, "sigma_phase": 1e-3}
+            fit = fit_atom_number([tr], dataclasses.replace(fly.ensemble, n_atoms=50.0),
+                                  fly.cavity, fly.transitions, fly.kappa, **fly.model_kw)
+            assert fit.converged, seed
+            if fit.boundary_active["n_atoms"]:
+                assert fit["n_atoms"] == 0.0, seed
+                on_bound.append(seed)
+            else:
+                assert fit["n_atoms"] == pytest.approx(inside[seed], rel=1e-9), seed
+        assert on_bound == [2, 3, 5, 6, 7, 9]
+
     def test_power_dependence_noisy(self, cavity, probe, noise):
         kappa = cavity.kappa
         n_crit = 4.4e4

@@ -25,7 +25,8 @@ from rydcav import (
 )
 from rydcav import estimation, experiments
 from rydcav.configio import load_scenario
-from rydcav.experiments import BLOCK_SIZE, block_rng, precision_vs_photon_number
+from rydcav.experiments import (BLOCK_SIZE, _campaign_block, block_rng,
+                                precision_vs_photon_number)
 
 TWO_PI = 2.0 * np.pi
 
@@ -313,13 +314,45 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
     )
 
 
+def blocks_last_first(scenario):
+    """The campaign's blocks in row order, as campaign_blocks yields them, each
+    computed by experiments._campaign_block with its own block index, the last
+    block first: a block whose draws depend on when it is computed differs."""
+    chi1, n_crit = experiments.effective_chi_per_atom(scenario)
+    shots = scenario.shots
+    args = [(k * shots + done, mean_n, min(BLOCK_SIZE, shots - done))
+            for k, mean_n in enumerate(scenario.sweep_values)
+            for done in range(0, shots, BLOCK_SIZE)]
+    return [_campaign_block(scenario, chi1, n_crit, b, *args[b])
+            for b in reversed(range(len(args)))][::-1]
+
+
+def compute_blocks_last_first(monkeypatch):
+    """Patch experiments._campaign_block so that a campaign's request for its
+    block 0 computes all its blocks last to first (:func:`blocks_last_first`),
+    and every request is answered from those."""
+    computed = []
+
+    def block(scenario, chi1, n_crit, block_index, *args):
+        if block_index == 0:
+            computed[:] = blocks_last_first(scenario)
+        return computed[block_index]
+
+    monkeypatch.setattr(experiments, "_campaign_block", block)
+
+
 class TestCampaign:
-    def test_thread_count_invariance(self, cavity):
+    def test_block_order_invariance(self, cavity):
+        # each block draws from its own (master_seed, block) stream, so
+        # blocks computed last to first equal the streamed ones bit for bit
         sc = campaign_scenario(cavity, shots=3 * BLOCK_SIZE + 100)
-        a = run_single_shot_campaign(sc, threads=1)
-        b = run_single_shot_campaign(sc, threads=3)
-        for key in ("n_prep", "dphi_deg", "n_est", "s1", "s2"):
-            np.testing.assert_array_equal(a["records"][key], b["records"][key])
+        streamed = list(experiments.campaign_blocks(sc, []))
+        last_first = blocks_last_first(sc)
+        assert len(streamed) == len(last_first) == 4
+        for a, b in zip(streamed, last_first):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert a[key].tobytes() == b[key].tobytes(), key
 
     def test_seed_changes_output(self, cavity):
         a = run_single_shot_campaign(campaign_scenario(cavity, 2000, seed=14))

@@ -29,6 +29,24 @@ def test_jacobian_quadratic():
     assert jac[0, 0] == pytest.approx(6.0, rel=1e-7)
 
 
+def test_jacobian_steps_inward_at_a_bound():
+    # fn is evaluated inside [lo, hi] only: at a bound a column is the
+    # one-sided difference inward, inside the box the central one, bit for bit
+    seen = []
+
+    def fn(p):
+        seen.append(p.copy())
+        return np.array([p[0] ** 2 + p[1] ** 3, p[0] * p[1]])
+
+    lo, hi = np.array([1.0, -np.inf]), np.array([np.inf, 2.0])
+    jac = finite_difference_jacobian(fn, np.array([1.0, 2.0]), lo, hi)
+    assert len(seen) == 4 and all(np.all((lo <= q) & (q <= hi)) for q in seen)
+    np.testing.assert_allclose(jac, [[2.0, 12.0], [2.0, 1.0]], rtol=1e-6)
+    inside = np.array([3.0, -1.0])
+    np.testing.assert_array_equal(finite_difference_jacobian(fn, inside, lo, hi),
+                                  finite_difference_jacobian(fn, inside))
+
+
 def test_linear_problem_exact():
     x = np.linspace(0, 1, 30)
     y = 2.5 * x - 1.3
