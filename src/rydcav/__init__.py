@@ -34,7 +34,7 @@ _EXPORTS = {
         "pointlike_correction", "run_flythrough", "run_power_sweep", "run_rabi_scenario",
         "run_sensitivity_sweep", "run_single_shot_campaign", "trueness_ledger",
     ),
-    "fitting": ("FitResult", "RankDeficiencyError", "least_squares_fit", "multi_start_fit"),
+    "fitting": ("FitResult", "RankDeficiencyError", "least_squares_fit"),
     "kernels": ("response_filter",),
     "params": (
         "CavitySpec", "DispersiveValidityError", "EnsembleState", "McpModel", "NoiseChain",

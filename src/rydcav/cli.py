@@ -147,10 +147,9 @@ def _fit_flythrough(scenario):
 
     rng = experiments.block_rng(scenario.master_seed, 0)
     kappa = scenario.kappa
-    kw = scenario.model_kw
     trace, dphi = transmission.simulate_flythrough(
         scenario.ensemble, scenario.cavity, scenario.transitions,
-        scenario.probe.delta_m, kappa, **kw,
+        scenario.probe.delta_m, kappa, transit_decay=scenario.transit_decay,
     )
     r = float(detection.snr(scenario.probe.n_c, scenario.cavity.kappa_out,
                             trace.dt, scenario.noise.n_noise))
@@ -168,7 +167,8 @@ def _fit_flythrough(scenario):
             "sigma_amp": sigma,
             "sigma_phase": sigma,
         }],
-        scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **kw,
+        scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
+        transit_decay=scenario.transit_decay,
     )
     _warn_fit(fit)
     return {

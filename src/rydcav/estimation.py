@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import core, transmission
-from .fitting import FitResult, least_squares_fit, multi_start_fit, RankDeficiencyError
+from .fitting import FitResult, least_squares_fit, RankDeficiencyError
 from .params import CavitySpec, EnsembleState, McpModel, TransitionSet
 from .transmission import phase_change, simulate_flythrough
 
@@ -63,22 +63,27 @@ def fit_entry_time(
     delta_m: float,
     kappa: float,
     sigma_deg=None,
-    **model_kw,
+    transit_decay: bool = True,
+    extended_cloud=None,
 ) -> FitResult:
     """Preliminary single-parameter fit of the time origin of the transit.
 
     All other parameters are held at their configured values; a flat trace raises
     :class:`UnidentifiableError`.  ``times`` is the one uniform grid the model is
     evaluated on, dt <= (2/kappa)/20, and the entry time stays >= ``times[0]``.
+    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
     """
     times = np.asarray(times, dtype=float)
+    if np.shape(dphi_deg) != times.shape:
+        raise ValueError(f"dphi_deg: {np.size(dphi_deg)} samples, times has {times.size}")
     if times[0] > ensemble.entry_time:
         raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
     ref = np.angle(transmission.steady_transmission(0.0, delta_m, kappa))
 
     def model(params):
         shift = transmission.fly_through_shift_trace(replace(ensemble, **params), cavity,
-                                                     transitions, times, **model_kw)
+                                                     transitions, times,
+                                                     transit_decay=transit_decay)
         return phase_change(transmission.transmission_response(shift, delta_m, kappa), ref)
 
     try:
@@ -94,7 +99,8 @@ def fit_atom_number(
     cavity: CavitySpec,
     transitions: TransitionSet,
     kappa: float,
-    **model_kw,
+    transit_decay: bool = True,
+    extended_cloud=None,
 ) -> FitResult:
     """Joint amplitude+phase fit of the fly-through model with N free,
     started from ``ensemble.n_atoms``.
@@ -103,6 +109,7 @@ def fit_atom_number(
     phase (radians, referenced model output: unwrapped transmission
     phase), and optional sigma_amp / sigma_phase.  Their times are the one uniform
     grid the model is evaluated on: dt <= (2/kappa)/20, starting no later than the entry.
+    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
     """
     if not traces:
         raise ValueError("traces: no trace given")
@@ -110,6 +117,10 @@ def fit_atom_number(
     for i, tr in enumerate(traces):
         if not np.array_equal(tr["times"], times):
             raise ValueError(f"traces[{i}]: times differ from those of traces[0]")
+        for key in ("amplitude", "phase"):
+            if np.shape(tr[key]) != times.shape:
+                raise ValueError(f"traces[{i}].{key}: {np.size(tr[key])} samples, "
+                                 f"times has {times.size}")
     if times[0] > ensemble.entry_time:
         raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
     y = np.concatenate([tr[key] for tr in traces for key in ("amplitude", "phase")], dtype=float)
@@ -119,7 +130,8 @@ def fit_atom_number(
     def model(params):
         # chi(t) does not depend on the probe: one build serves every probe
         shift = transmission.fly_through_shift_trace(replace(ensemble, **params), cavity,
-                                                     transitions, times, **model_kw)
+                                                     transitions, times,
+                                                     transit_decay=transit_decay)
         out = [transmission.transmission_response(shift, tr["delta_m"], kappa) for tr in traces]
         return np.concatenate([part for r in out for part in (r.amplitude, r.unwrapped_phase)])
 
@@ -296,7 +308,7 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
     ``spectra`` is a list of P_p arrays over ``freqs``, one per
     preparation amplitude in ``prep_ratios`` (Omega/Omega_pi, must include
     a 0 baseline).  The two intracavity Rabi frequencies are independent
-    parameters.  Multi-start from 8 perturbed inits.
+    parameters.  One fit from the line centres of the baseline spectrum.
     """
     prep_ratios = list(prep_ratios)
     if 0.0 not in prep_ratios:
@@ -338,8 +350,7 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
         "f_plus": (f_plus0 - 0.2 * span, f_plus0 + 0.2 * span),
         "f_minus": (f_minus0 - 0.2 * span, f_minus0 + 0.2 * span),
     }
-    spreads = {"p_plus": 0.3, "p_minus": 0.3, "omega_i_plus": 0.2, "omega_i_minus": 0.2}
-    return multi_start_fit(model, y, init, spreads, sigma=sigma, bounds=bounds, seeds=8)
+    return least_squares_fit(model, y, init, sigma=sigma, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +365,7 @@ def predict_superposition_phase(
     kappa: float,
     p_plus: float = 1.0,
     p_minus: float = 0.0,
-    **model_kw,
+    transit_decay: bool = True,
 ):
     """Resonant-probe phase change for an ensemble prepared with Rabi ratio
     Omega/Omega_pi: :func:`rydcav.transmission.readout_phase`, the mean over
@@ -372,5 +383,6 @@ def predict_superposition_phase(
         p_p_plus=p_prep * p_plus,
         p_p_minus=p_prep * p_minus,
     )
-    trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa, **model_kw)
+    trace, dphi = simulate_flythrough(ens, cavity, transitions, 0.0, kappa,
+                                      transit_decay=transit_decay)
     return transmission.readout_phase(trace.times, dphi, ens, cavity, kappa)

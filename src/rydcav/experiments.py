@@ -94,14 +94,6 @@ class Scenario:
     def kappa(self) -> float:
         return self.cavity.kappa
 
-    @property
-    def model_kw(self) -> dict:
-        """Fly-through model switches, as keyword arguments: a cloud with a
-        nonzero size takes the extended-cloud model."""
-        ens = self.ensemble
-        return {"transit_decay": self.transit_decay,
-                "extended_cloud": ens.sigma_z > 0 or ens.sigma_x > 0}
-
     def require(self, scenario_type):
         """Raise ValueError, naming the setting, unless the scenario holds
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`);
@@ -231,11 +223,10 @@ def run_flythrough(scenario: Scenario) -> dict:
     alongside the instantaneous-response curves."""
     kappa = scenario.kappa
     out = {"name": scenario.name, "traces": []}
-    model_kw = scenario.model_kw
     _, t_cen = transmission.transit(scenario.ensemble, scenario.cavity)
-    shift = transmission.flythrough_shift(
-        scenario.ensemble, scenario.cavity, scenario.transitions, kappa, **model_kw
-    )
+    shift = transmission.flythrough_shift(scenario.ensemble, scenario.cavity,
+                                          scenario.transitions, kappa,
+                                          transit_decay=scenario.transit_decay)
     for delta_m in (0.0, kappa / 2.0):
         trace = transmission.transmission_response(shift, delta_m, kappa)
         empty = steady_transmission(0.0, delta_m, kappa)
@@ -279,9 +270,8 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
     dphi = []
     for n in n_values:  # s-state clouds of each size
         ens = replace(scenario.ensemble, n_atoms=n)
-        trace, dphi_n = simulate_flythrough(
-            ens, scenario.cavity, scenario.transitions, 0.0, kappa, **scenario.model_kw
-        )
+        trace, dphi_n = simulate_flythrough(ens, scenario.cavity, scenario.transitions, 0.0,
+                                            kappa, transit_decay=scenario.transit_decay)
         dphi.append(transmission.readout_phase(trace.times, dphi_n, ens, scenario.cavity,
                                                kappa))
     dphi = np.array(dphi)
@@ -369,11 +359,10 @@ def run_rabi_scenario(scenario: Scenario) -> dict:
     scenario.require("rabi")
     kappa = scenario.kappa
     ratios = np.asarray(scenario.sweep_values, dtype=float)
-    kw = scenario.model_kw
     pure, depol = (np.array([
         estimation.predict_superposition_phase(
             r, scenario.ensemble, scenario.cavity, scenario.transitions, kappa,
-            p_plus=p_plus, p_minus=p_minus, **kw,
+            p_plus=p_plus, p_minus=p_minus, transit_decay=scenario.transit_decay,
         )
         for r in ratios
     ]) for p_plus, p_minus in ((1.0, 0.0), (P_PLUS, P_MINUS)))

@@ -178,36 +178,3 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
         boundary_active=active,
         cost_trace=cost_trace,
     )
-
-
-def multi_start_fit(model_fn, y, init, spreads, sigma=None, bounds=None, seeds=8,
-                    rng_seed=0):
-    """Run :func:`least_squares_fit` from ``seeds`` (>= 1) perturbed starts.
-
-    ``spreads`` maps parameter names to the relative perturbation applied
-    to the starting point; the first start is unperturbed.  Returns the
-    result with the lowest residual norm among the starts that ended
-    without a linear-algebra error, whether or not it converged (see
-    ``FitResult.converged``); raises :class:`RankDeficiencyError` when
-    every start ended with one.
-    """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    rng = np.random.default_rng(rng_seed)
-    best = None
-    for k in range(seeds):
-        start = dict(init)
-        if k > 0:
-            for name, rel in spreads.items():
-                start[name] = init[name] * (1.0 + rel * rng.standard_normal())
-                if bounds and name in bounds:
-                    start[name] = float(np.clip(start[name], *bounds[name]))
-        try:
-            res = least_squares_fit(model_fn, y, start, sigma=sigma, bounds=bounds)
-        except (RankDeficiencyError, np.linalg.LinAlgError):
-            continue
-        if best is None or res.residual_norm < best.residual_norm:
-            best = res
-    if best is None:
-        raise RankDeficiencyError("all multi-start fits failed")
-    return best

@@ -168,16 +168,16 @@ def fly_through_shift_trace(
     transitions: TransitionSet,
     times,
     transit_decay: bool = True,
-    extended_cloud: bool = False,
 ) -> ShiftTrace:
     """Dispersive-shift trace for a cloud flying through the cavity.
 
     Populations are referenced to the cavity-center time; with
     ``transit_decay`` each state's atom number decays with its radiative
     lifetime (:data:`~rydcav.params.TAU_S`, :data:`~rydcav.params.TAU_P`)
-    during the transit.  With ``extended_cloud`` the squared
-    coupling is replaced by :func:`rydcav.core.cloud_mode_average` over the
-    cloud sizes (sigma_z along the beam, sigma_x transverse).  chi is
+    during the transit.  The cloud size alone selects the model, here and
+    nowhere else: a cloud with sigma_z or sigma_x above 0 (along the beam,
+    transverse) has its squared coupling replaced by
+    :func:`rydcav.core.cloud_mode_average` over the cloud.  chi is
     :func:`rydcav.core.dispersive_shift` at the two detunings of
     ``transitions`` (each |Delta| > 10 g sqrt(N)) on the samples inside
     the transit, and 0 elsewhere, so also on a grid with none inside.
@@ -193,7 +193,7 @@ def fly_through_shift_trace(
             return ShiftTrace(times, chi)
         # t_c * v can round past length_z at the exit sample
         z = np.clip(t_c[i0:i1] * ensemble.velocity, 0.0, cavity.length_z)
-        if extended_cloud:
+        if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
             g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
                 z, cavity, ensemble.sigma_z, ensemble.sigma_x))
         else:
@@ -218,10 +218,10 @@ def flythrough_shift(
     kappa: float,
     dt: float = None,
     transit_decay: bool = True,
-    extended_cloud: bool = False,
 ) -> ShiftTrace:
-    """The chi(t) trace of a fly-through, over the transit with :data:`PAD`
-    seconds of empty cavity on both sides, at dt = (2/kappa)/27 by default.
+    """The chi(t) trace of :func:`fly_through_shift_trace`, over the transit
+    with :data:`PAD` seconds of empty cavity on both sides, at
+    dt = (2/kappa)/27 by default.
 
     chi does not depend on the probe detuning, so one trace serves every
     probe of the same cloud.
@@ -230,10 +230,8 @@ def flythrough_shift(
         dt = (2.0 / kappa) / 27.0
     duration, _ = transit(ensemble, cavity)
     times = np.arange(ensemble.entry_time - PAD, ensemble.entry_time + duration + PAD, dt)
-    return fly_through_shift_trace(
-        ensemble, cavity, transitions, times,
-        transit_decay=transit_decay, extended_cloud=extended_cloud,
-    )
+    return fly_through_shift_trace(ensemble, cavity, transitions, times,
+                                   transit_decay=transit_decay)
 
 
 def simulate_flythrough(
@@ -244,16 +242,17 @@ def simulate_flythrough(
     kappa: float,
     dt: float = None,
     transit_decay: bool = True,
-    extended_cloud: bool = False,
+    extended_cloud=None,
 ):
     """Full fly-through transmission model.
 
     Builds the chi(t) trace with :func:`flythrough_shift` and integrates
     the cavity response.  Returns (ComplexTrace, dphi_deg) where dphi is
     referenced to the empty-cavity phase.
+    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
     """
     shift = flythrough_shift(ensemble, cavity, transitions, kappa, dt,
-                             transit_decay=transit_decay, extended_cloud=extended_cloud)
+                             transit_decay=transit_decay)
     trace = transmission_response(shift, delta_m, kappa)
     ref = np.angle(steady_transmission(0.0, delta_m, kappa))
     return trace, phase_change(trace, ref)

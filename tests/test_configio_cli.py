@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from rydcav import (EnsembleState, McpModel, NoiseChain, ProbeConfig, Scenario, cli,
-                    experiments, fitting, run_flythrough, transmission)
+                    experiments, fitting, pointlike_correction, run_flythrough,
+                    transmission)
 from rydcav.params import TWO_PI, within
 from rydcav.configio import (
     SCENARIO,
@@ -92,12 +93,18 @@ class TestLoadScenario:
 
     def test_cloud_size_selects_extended_model(self, config_dir, tmp_path):
         raw = json.loads((config_dir / "flythrough.json").read_text())
-        assert not load_scenario(config_dir / "flythrough.json").model_kw["extended_cloud"]
         raw["ensemble"]["sigma_z_m"] = 3e-3
         path = tmp_path / "cloud.json"
         path.write_text(json.dumps(raw))
-        sc = load_scenario(path)
-        assert sc.model_kw == {"transit_decay": False, "extended_cloud": True}
+        point, sc = load_scenario(config_dir / "flythrough.json"), load_scenario(path)
+        # chi(t) of the sized cloud peaks the closed-form cloud average below
+        # the point cloud's, on the same samples
+        point_chi, chi = (transmission.flythrough_shift(
+            s.ensemble, s.cavity, s.transitions, s.kappa, transit_decay=s.transit_decay).chi
+            for s in (point, sc))
+        assert np.array_equal(chi != 0, point_chi != 0)
+        assert chi.max() / point_chi.max() - 1.0 == pytest.approx(
+            pointlike_correction(3e-3, 0.0, sc.cavity), rel=1e-4)
         resonant = run_flythrough(sc)["traces"][0]["dphi_extremum_deg"]
         assert resonant == pytest.approx(-2.8558, abs=1e-4)  # point cloud: -3.9505
 

@@ -30,6 +30,7 @@ from rydcav import (
 from rydcav import estimation, transmission
 from rydcav.configio import load_scenario
 from rydcav.estimation import find_line_centers
+from rydcav.experiments import run_flythrough
 from rydcav.fitting import least_squares_fit
 
 TWO_PI = 2.0 * np.pi
@@ -88,7 +89,7 @@ def _offset_grid(sc):
 def _traces_on(times, ensemble, sc, detunings):
     """Noiseless traces of ``ensemble`` in scenario ``sc``, simulated on ``times`` themselves."""
     shift = transmission.fly_through_shift_trace(ensemble, sc.cavity, sc.transitions, times,
-                                                 **sc.model_kw)
+                                                 transit_decay=sc.transit_decay)
     traces = []
     for dm in detunings:
         trace = transmission.transmission_response(shift, dm, sc.kappa)
@@ -168,7 +169,8 @@ class TestNoiselessRoundTrips:
         times = _offset_grid(fly)
         traces = _traces_on(times, fly.ensemble, fly, (0.0, fly.kappa / 2))
         fit = fit_atom_number(traces, dataclasses.replace(fly.ensemble, n_atoms=180),
-                              fly.cavity, fly.transitions, fly.kappa, **fly.model_kw)
+                              fly.cavity, fly.transitions, fly.kappa,
+                              transit_decay=fly.transit_decay)
         assert abs(fit["n_atoms"] - fly.ensemble.n_atoms) <= 1e-3
 
     def test_entry_time_on_offset_grid(self, config_dir):
@@ -179,7 +181,8 @@ class TestNoiselessRoundTrips:
         ref = np.angle(transmission.steady_transmission(0.0, 0.0, fly.kappa))
         dphi = np.degrees(trace["phase"] - ref)
         fit = fit_entry_time(times, dphi, dataclasses.replace(truth, entry_time=1.3e-6),
-                             fly.cavity, fly.transitions, 0.0, fly.kappa, **fly.model_kw)
+                             fly.cavity, fly.transitions, 0.0, fly.kappa,
+                             transit_decay=fly.transit_decay)
         assert abs(fit["entry_time"] - 1.0e-6) <= 1e-12
 
     def test_traces_on_two_grids_rejected(self, config_dir):
@@ -189,9 +192,39 @@ class TestNoiselessRoundTrips:
                   + _traces_on(grid[1:], fly.ensemble, fly, (fly.kappa / 2,)))
         with pytest.raises(ValueError, match=r"^traces\[1\]: times differ"):
             fit_atom_number(traces, fly.ensemble, fly.cavity, fly.transitions, fly.kappa,
-                            **fly.model_kw)
+                            transit_decay=fly.transit_decay)
         with pytest.raises(ValueError, match="^traces: no trace"):
             fit_atom_number([], fly.ensemble, fly.cavity, fly.transitions, fly.kappa)
+
+    def test_data_length_mismatch_named(self, config_dir):
+        fly = load_scenario(config_dir / "flythrough.json")
+        times = _offset_grid(fly)
+        traces = _traces_on(times, fly.ensemble, fly, (0.0, fly.kappa / 2))
+        n = times.size
+        short = [dict(traces[0], amplitude=traces[0]["amplitude"][:-2]), traces[1]]
+        with pytest.raises(ValueError,
+                           match=rf"^traces\[0\]\.amplitude: {n - 2} samples, times has {n}$"):
+            fit_atom_number(short, fly.ensemble, fly.cavity, fly.transitions, fly.kappa)
+        short = [traces[0], dict(traces[1], phase=traces[1]["phase"][:-1])]
+        with pytest.raises(ValueError,
+                           match=rf"^traces\[1\]\.phase: {n - 1} samples, times has {n}$"):
+            fit_atom_number(short, fly.ensemble, fly.cavity, fly.transitions, fly.kappa)
+        with pytest.raises(ValueError, match=rf"^dphi_deg: {n - 2} samples, times has {n}$"):
+            fit_entry_time(times, np.zeros(n - 2), fly.ensemble, fly.cavity, fly.transitions,
+                           0.0, fly.kappa)
+
+    def test_ignored_switch_keeps_the_cloud_model(self, config_dir):
+        # perfbench/run.py binds extended_cloud=False; the cloud size still
+        # selects the model, so noiseless traces of the trueness cloud fit back
+        fly = load_scenario(config_dir / "flythrough.json")
+        sized = dataclasses.replace(fly.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
+        traces = [{"delta_m": tr["delta_m"], "times": tr["times"], "amplitude": tr["amp"],
+                   "phase": tr["phase_rad"]}
+                  for tr in run_flythrough(dataclasses.replace(fly, ensemble=sized))["traces"]]
+        fit = fit_atom_number(traces, dataclasses.replace(sized, n_atoms=180), fly.cavity,
+                              fly.transitions, fly.kappa, transit_decay=fly.transit_decay,
+                              extended_cloud=False)
+        assert fit["n_atoms"] == pytest.approx(sized.n_atoms, rel=1e-6)
 
     def test_data_after_entry_rejected(self, config_dir):
         # the model starts from the empty cavity at the first sample
@@ -201,10 +234,10 @@ class TestNoiselessRoundTrips:
         traces = _traces_on(times, fly.ensemble, fly, (0.0,))
         with pytest.raises(ValueError, match="after the entry time"):
             fit_atom_number(traces, late, fly.cavity, fly.transitions, fly.kappa,
-                            **fly.model_kw)
+                            transit_decay=fly.transit_decay)
         with pytest.raises(ValueError, match="after the entry time"):
             fit_entry_time(times, np.zeros(times.size), late, fly.cavity, fly.transitions,
-                           0.0, fly.kappa, **fly.model_kw)
+                           0.0, fly.kappa, transit_decay=fly.transit_decay)
 
     @pytest.mark.parametrize("times, error", [
         (np.geomspace(1e-7, 20e-6, 400) - 1e-6, "uniformly spaced"),
@@ -223,9 +256,9 @@ class TestNoiselessRoundTrips:
     def test_trace_fits_do_not_interpolate(self, config_dir, monkeypatch):
         fly = load_scenario(config_dir / "flythrough.json")
         traces = _flythrough_traces(fly.cavity, fly.ensemble, fly.transitions,
-                                    (0.0, fly.kappa / 2), **fly.model_kw)
+                                    (0.0, fly.kappa / 2), transit_decay=fly.transit_decay)
         _, dphi = simulate_flythrough(fly.ensemble, fly.cavity, fly.transitions, 0.0,
-                                      fly.kappa, **fly.model_kw)
+                                      fly.kappa, transit_decay=fly.transit_decay)
 
         def interp(*args, **kwargs):
             raise AssertionError("np.interp called")
@@ -233,11 +266,12 @@ class TestNoiselessRoundTrips:
         monkeypatch.setattr(np, "interp", interp)
         start = dataclasses.replace(fly.ensemble, n_atoms=180)
         fit = fit_atom_number(traces, start, fly.cavity, fly.transitions, fly.kappa,
-                              **fly.model_kw)
+                              transit_decay=fly.transit_decay)
         assert fit["n_atoms"] == pytest.approx(fly.ensemble.n_atoms, rel=1e-6)
         fit = fit_entry_time(traces[0]["times"], dphi,
                              dataclasses.replace(fly.ensemble, entry_time=0.3e-6),
-                             fly.cavity, fly.transitions, 0.0, fly.kappa, **fly.model_kw)
+                             fly.cavity, fly.transitions, 0.0, fly.kappa,
+                             transit_decay=fly.transit_decay)
         assert fit["entry_time"] == pytest.approx(fly.ensemble.entry_time, abs=1e-9)
 
     def test_power_dependence(self, cavity):
@@ -351,8 +385,7 @@ class TestNoisyRecovery:
         # retry loop that gave up after 30 damping increases left 14 of
         # them unconverged, each at an optimum flat to rounding or kinked
         fly = load_scenario(config_dir / "flythrough.json")
-        kw = {"transit_decay": fly.flag("transit_decay", True),
-              "extended_cloud": fly.flag("extended_cloud", False)}
+        kw = {"transit_decay": fly.flag("transit_decay", True)}
         rng = np.random.default_rng(1122255510)
         for draw in range(60):
             n_true = float(rng.uniform(50.0, 600.0))
@@ -381,7 +414,7 @@ class TestNoisyRecovery:
         fly = load_scenario(config_dir / "flythrough.json")
         empty = dataclasses.replace(fly.ensemble, n_atoms=0.0)
         trace, _ = simulate_flythrough(empty, fly.cavity, fly.transitions, fly.probe.delta_m,
-                                       fly.kappa, **fly.model_kw)
+                                       fly.kappa, transit_decay=fly.transit_decay)
         inside = {0: 0.8938450716833211, 1: 0.18160682402316008, 4: 0.27545257833987,
                   8: 0.5691800589287345, 10: 0.059033781227378186, 11: 0.007979618779208239}
         on_bound = []
@@ -393,7 +426,8 @@ class TestNoisyRecovery:
                   "phase": trace.unwrapped_phase + noise[1],
                   "sigma_amp": 1e-3, "sigma_phase": 1e-3}
             fit = fit_atom_number([tr], dataclasses.replace(fly.ensemble, n_atoms=50.0),
-                                  fly.cavity, fly.transitions, fly.kappa, **fly.model_kw)
+                                  fly.cavity, fly.transitions, fly.kappa,
+                                  transit_decay=fly.transit_decay)
             assert fit.converged, seed
             if fit.boundary_active["n_atoms"]:
                 assert fit["n_atoms"] == 0.0, seed

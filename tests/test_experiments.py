@@ -232,7 +232,8 @@ class TestSensitivitySweep:
         for n, dphi in zip(sc.sweep_values, out["dphi_deg"]):
             ens = dataclasses.replace(sc.ensemble, n_atoms=n)
             assert estimation.predict_superposition_phase(
-                0.0, ens, sc.cavity, sc.transitions, sc.kappa, **sc.model_kw) == dphi
+                0.0, ens, sc.cavity, sc.transitions, sc.kappa,
+                transit_decay=sc.transit_decay) == dphi
 
     def test_linearity(self, cavity):
         sc = make_scenario(

@@ -5,7 +5,6 @@ from rydcav.fitting import (
     RankDeficiencyError,
     finite_difference_jacobian,
     least_squares_fit,
-    multi_start_fit,
 )
 
 
@@ -167,50 +166,6 @@ def test_too_few_points_rejected():
 
     with pytest.raises(ValueError):
         least_squares_fit(model, np.array([2.0]), {"a": 0.0, "b": 0.0})
-
-
-def test_multi_start_escapes_local_minimum():
-    x = np.linspace(0, 4 * np.pi, 200)
-    y = np.sin(1.0 * x)
-
-    def model(p):
-        return np.sin(p["f"] * x)
-
-    # a start at f=1.8 converges to a wrong local minimum; spread lets a
-    # restart find the global one
-    fit = multi_start_fit(model, y, {"f": 1.8}, {"f": 0.5}, rng_seed=3)
-    assert fit["f"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_multi_start_not_worse_than_single():
-    x = np.linspace(0, 4 * np.pi, 200)
-    y = np.sin(1.0 * x)
-
-    def model(p):
-        return np.sin(p["f"] * x)
-
-    single = least_squares_fit(model, y, {"f": 1.8})
-    multi = multi_start_fit(model, y, {"f": 1.8}, {"f": 0.5}, rng_seed=3)
-    assert multi.residual_norm <= single.residual_norm + 1e-12
-
-
-def test_multi_start_runs_every_start(monkeypatch):
-    from rydcav import fitting
-
-    calls = []
-
-    def counting_fit(*args, **kwargs):
-        calls.append(kwargs)
-        return least_squares_fit(*args, **kwargs)
-
-    monkeypatch.setattr(fitting, "least_squares_fit", counting_fit)
-    x = np.linspace(0.0, 1.0, 20)
-    multi_start_fit(linear_model(x), 2.0 * x + 1.0, {"a": 1.0, "b": 0.0},
-                    {"a": 0.1}, seeds=12)
-    assert len(calls) == 12
-    with pytest.raises(ValueError, match="seeds"):
-        multi_start_fit(linear_model(x), 2.0 * x + 1.0, {"a": 1.0, "b": 0.0},
-                        {"a": 0.1}, seeds=0)
 
 
 def test_interp_shift_fits_converge():

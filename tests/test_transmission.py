@@ -142,6 +142,17 @@ def swapped(times, i, j):
 # the packaged fly-through scenario, for tests that hypothesis drives
 FLY = load_scenario(Path(transmission.__file__).parent / "configs" / "flythrough.json")
 
+# (sigma_z, sigma_x) of a cloud, keyed by whether it has a size: the point
+# cloud and the packaged trueness cloud.  The size alone selects the model.
+CLOUDS = {False: (0.0, 0.0), True: (0.6e-3, 0.3e-3)}
+
+
+def with_cloud(ensemble, sized):
+    """``ensemble`` with the point cloud or the trueness cloud of CLOUDS."""
+    sigma_z, sigma_x = CLOUDS[sized]
+    return dataclasses.replace(ensemble, sigma_z=sigma_z, sigma_x=sigma_x)
+
+
 BAD_GRIDS = {
     "jitter 2e-9": lambda t: jitter(t, 2e-9),
     "jitter 5e-10": lambda t: jitter(t, 5e-10),
@@ -170,10 +181,9 @@ class TestGridCheckOracle:
         times = BAD_GRIDS[case](flythrough_grid(FLY))
         want = outcome(two_pass_grid_check, times)
         assert outcome(ShiftTrace, times, np.zeros_like(times)) == want
-        ens = dataclasses.replace(FLY.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
-        for extended_cloud in (False, True):
-            assert outcome(fly_through_shift_trace, ens, FLY.cavity, FLY.transitions, times,
-                           True, extended_cloud) == want
+        for sized in CLOUDS:
+            assert outcome(fly_through_shift_trace, with_cloud(FLY.ensemble, sized), FLY.cavity,
+                           FLY.transitions, times, True) == want
         assert (want is None) == (case == "jitter 5e-10")
 
     @settings(max_examples=200, deadline=None)
@@ -371,21 +381,22 @@ class TestTransmissionResponse:
 
 
 # SHA-256 of the float64 bytes of flythrough_shift(...).chi on the packaged
-# flythrough.json (616 samples), per (transit_decay, extended_cloud): the
-# chi(t) build is pinned bit for bit, not only through the traces it feeds.
+# flythrough.json (616 samples), per (transit_decay, sized) with the cloud of
+# CLOUDS: the chi(t) build is pinned bit for bit, not only through the traces
+# it feeds.
 CHI_GOLDEN = {
     (False, False): "e7711d632e26ba16c2e7c5db1e2779175dcbde63d7bf0aa7c060f3fff682fa3c",
-    (False, True): "8c91ed0e32fae4319ae33333e4f5d4e859261cc06de5e97fe89b1e4a2551a2b8",
+    (False, True): "8b8721cd231bd3439c4c5db2517da3d1fbb5b2e8c7eaadef0bc825a76087e7dc",
     (True, False): "c3871482b19d45e1b88757606b1ecd78c0ef250a94e4fe08541481bd491bead5",
-    (True, True): "87f7b7d5c14472af73846ad3d8668a94bf29a6376acad0de9a128c21df18dca5",
+    (True, True): "885cf06e1c1cb8da6a4852ead61831f3c14753b7fa53fb3434c4971713a4c0d8",
 }
 
 
-def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
-                     extended_cloud=False):
+def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True):
     """chi(t) built over a boolean mask of the samples inside the transit, with
     a gather and a scatter: the oracle of the slice that
-    fly_through_shift_trace takes of the sorted grid."""
+    fly_through_shift_trace takes of the sorted grid.  A cloud with a size
+    takes the extended-cloud model."""
     times = np.asarray(times, dtype=float)
     chi = np.zeros_like(times)
     transit_time, t_cen = transmission.transit(ensemble, cavity)
@@ -394,7 +405,7 @@ def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
     if ensemble.n_atoms == 0 or not inside.any():
         return chi
     z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
-    if extended_cloud:
+    if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
         g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
             z, cavity, ensemble.sigma_z, ensemble.sigma_x))
     else:
@@ -421,27 +432,26 @@ class TestTransitSlice:
            start=st.floats(-1.5, 1.2),
            anchor=st.sampled_from(["none", "entry", "exit"]),
            at=st.integers(0, 3999),
-           transit_decay=st.booleans(),
-           extended_cloud=st.booleans())
+           transit_decay=st.booleans())
     @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
              entry_time=0.0, per_transit=100.0, n=300, start=0.0, anchor="entry", at=40,
-             transit_decay=False, extended_cloud=False).via("a sample exactly at the entry")
+             transit_decay=False).via("a sample exactly at the entry")
     @example(n_atoms=261.0, p_s=0.4, sigma_z=6e-4, sigma_x=3e-4, velocity=950.0,
              entry_time=0.0, per_transit=100.0, n=300, start=0.0, anchor="exit", at=260,
-             transit_decay=True, extended_cloud=True).via("a sample exactly at the exit")
+             transit_decay=True).via("a sample exactly at the exit")
     @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
              entry_time=1e-6, per_transit=0.5, n=2, start=-1.2, anchor="none", at=0,
-             transit_decay=True, extended_cloud=False).via("no sample inside")
+             transit_decay=True).via("no sample inside")
     @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
              entry_time=0.0, per_transit=50.0, n=40, start=-1.5, anchor="none", at=0,
-             transit_decay=False, extended_cloud=True).via("grid before the entry")
+             transit_decay=False).via("grid before the entry")
     @example(n_atoms=261.0, p_s=1.0, sigma_z=0.0, sigma_x=0.0, velocity=950.0,
              entry_time=0.0, per_transit=50.0, n=40, start=1.01, anchor="none", at=0,
-             transit_decay=True, extended_cloud=True).via("grid after the exit")
+             transit_decay=True).via("grid after the exit")
     def test_chi_bit_identical_to_mask_oracle(self, n_atoms, p_s,
                                               sigma_z, sigma_x, velocity, entry_time,
                                               per_transit, n, start, anchor, at,
-                                              transit_decay, extended_cloud):
+                                              transit_decay):
         cavity, transitions = FLY.cavity, FLY.transitions
         ens = EnsembleState(n_atoms=n_atoms, p_s=p_s, p_p_plus=(1.0 - p_s) / 2,
                             p_p_minus=(1.0 - p_s) / 2, sigma_z=sigma_z, sigma_x=sigma_x,
@@ -460,9 +470,8 @@ class TestTransitSlice:
             assert times[min(at, n - 1)] - ens.entry_time == (0.0 if anchor == "entry"
                                                               else duration)
         got = fly_through_shift_trace(ens, cavity, transitions, times,
-                                      transit_decay=transit_decay,
-                                      extended_cloud=extended_cloud).chi
-        want = mask_shift_trace(ens, cavity, transitions, times, transit_decay, extended_cloud)
+                                      transit_decay=transit_decay).chi
+        want = mask_shift_trace(ens, cavity, transitions, times, transit_decay)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -512,15 +521,24 @@ class TestFlyThrough:
         times = np.linspace(0, cavity.length_z / ensemble261.velocity, 2001)
         point = fly_through_shift_trace(ensemble261, cavity, transitions, times,
                                         transit_decay=False)
-        ext = fly_through_shift_trace(
-            dataclasses.replace(ensemble261, sigma_z=0.6e-3, sigma_x=0.3e-3),
-            cavity, transitions, times, transit_decay=False, extended_cloud=True,
-        )
+        ext = fly_through_shift_trace(with_cloud(ensemble261, True), cavity, transitions,
+                                      times, transit_decay=False)
         reduction = ext.chi.max() / point.chi.max() - 1.0
         assert reduction == pytest.approx(-0.033, abs=0.004)
         # the trace and the trueness item share one closed-form cloud average
         assert reduction == pytest.approx(pointlike_correction(0.6e-3, 0.3e-3, cavity),
                                           rel=1e-12)
+
+    def test_ignored_switch_keeps_the_cloud_model(self, config_dir):
+        # perfbench/run.py binds extended_cloud=False; the cloud size still
+        # selects the model, so the trueness cloud's phase peak sits the
+        # ledger's point-like correction below the point cloud's
+        sc = load_scenario(config_dir / "flythrough.json")
+        peaks = [np.max(np.abs(simulate_flythrough(
+            with_cloud(sc.ensemble, sized), sc.cavity, sc.transitions, 0.0, sc.kappa,
+            transit_decay=sc.transit_decay, extended_cloud=False)[1])) for sized in CLOUDS]
+        assert peaks[1] / peaks[0] - 1.0 == pytest.approx(
+            pointlike_correction(*CLOUDS[True], sc.cavity), abs=2e-3)
 
     def test_power_dressing_is_not_a_flythrough_option(self, cavity, ensemble261,
                                                        transitions):
@@ -535,14 +553,12 @@ class TestFlyThrough:
         with pytest.raises(DispersiveValidityError):
             simulate_flythrough(ensemble261, cavity, close, 0.0, cavity.kappa)
 
-    @pytest.mark.parametrize("transit_decay, extended_cloud", CHI_GOLDEN)
-    def test_packaged_shift_trace_golden_bits(self, config_dir, transit_decay,
-                                              extended_cloud):
+    @pytest.mark.parametrize("transit_decay, sized", CHI_GOLDEN)
+    def test_packaged_shift_trace_golden_bits(self, config_dir, transit_decay, sized):
         sc = load_scenario(config_dir / "flythrough.json")
-        chi = flythrough_shift(sc.ensemble, sc.cavity, sc.transitions, sc.kappa,
-                               transit_decay=transit_decay, extended_cloud=extended_cloud).chi
-        assert hashlib.sha256(chi.tobytes()).hexdigest() == \
-            CHI_GOLDEN[transit_decay, extended_cloud]
+        chi = flythrough_shift(with_cloud(sc.ensemble, sized), sc.cavity, sc.transitions,
+                               sc.kappa, transit_decay=transit_decay).chi
+        assert hashlib.sha256(chi.tobytes()).hexdigest() == CHI_GOLDEN[transit_decay, sized]
 
     def test_grid_before_entry_has_no_shift(self, cavity, ensemble261, transitions):
         times = ensemble261.entry_time - np.linspace(2e-6, 1e-6, 50)
@@ -592,8 +608,8 @@ class TestPhaseChange:
 
 
 @pytest.mark.parametrize("transit_decay", [False, True])
-@pytest.mark.parametrize("extended_cloud", [False, True])
-def test_flythrough_peak_memory_within_bound_of_output(transit_decay, extended_cloud):
+@pytest.mark.parametrize("sized", [False, True])
+def test_flythrough_peak_memory_within_bound_of_output(transit_decay, sized):
     # At the dt-convergence study's 7th halving (78 759 samples) the traced
     # peak of simulate_flythrough stays under 1.9 times the bytes it returns
     # (values, times and dphi: 32 B per sample).  The chi(t) build peaks at
@@ -601,9 +617,8 @@ def test_flythrough_peak_memory_within_bound_of_output(transit_decay, extended_c
     # 1.64 and phase_change at 1.75, so one more whole-trace complex
     # temporary (16 B per sample, 0.5 times) crosses the bound in each of
     # them, the chi(t) build without transit decay excepted.
-    ens = dataclasses.replace(FLY.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
-    args = (ens, FLY.cavity, FLY.transitions, 0.3 * FLY.kappa, FLY.kappa,
-            (2.0 / FLY.kappa) / 27.0 / 2**7, transit_decay, extended_cloud)
+    args = (with_cloud(FLY.ensemble, sized), FLY.cavity, FLY.transitions, 0.3 * FLY.kappa,
+            FLY.kappa, (2.0 / FLY.kappa) / 27.0 / 2**7, transit_decay)
     simulate_flythrough(*args)
     tracemalloc.start()
     try:
