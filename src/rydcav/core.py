@@ -19,7 +19,7 @@ def mode_amplitude(z, cavity: CavitySpec):
     Vanishes at both walls, reaches 1 at the antinodes.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all((z >= 0) & (z <= cavity.length_z)):
+    if z.size and not (np.min(z) >= 0 and np.max(z) <= cavity.length_z):  # NaN fails both
         raise ValueError("z outside cavity [0, length_z]")
     return np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
 

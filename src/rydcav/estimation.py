@@ -76,6 +76,8 @@ def fit_entry_time(
     times = np.asarray(times, dtype=float)
     if np.shape(dphi_deg) != times.shape:
         raise ValueError(f"dphi_deg: {np.size(dphi_deg)} samples, times has {times.size}")
+    if np.size(sigma_deg) not in (1, times.size):
+        raise ValueError(f"sigma_deg: {np.size(sigma_deg)} values, times has {times.size}")
     if times[0] > ensemble.entry_time:
         raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
     ref = np.angle(transmission.steady_transmission(0.0, delta_m, kappa))
@@ -120,6 +122,10 @@ def fit_atom_number(
         for key in ("amplitude", "phase"):
             if np.shape(tr[key]) != times.shape:
                 raise ValueError(f"traces[{i}].{key}: {np.size(tr[key])} samples, "
+                                 f"times has {times.size}")
+        for key in ("sigma_amp", "sigma_phase"):
+            if np.size(tr.get(key, 1.0)) not in (1, times.size):
+                raise ValueError(f"traces[{i}].{key}: {np.size(tr[key])} values, "
                                  f"times has {times.size}")
     if times[0] > ensemble.entry_time:
         raise ValueError(f"times start at {times[0]:.6g} s, after the entry time")
@@ -171,9 +177,12 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     One shared n_crit, one chi0 per dataset.  ``datasets`` is a list of
     dicts with keys n_c, dphi_deg and optional sigma_deg.
     """
-    for ds in datasets:
+    for j, ds in enumerate(datasets):
         if len(np.unique(ds["n_c"])) < 2:
             raise UnidentifiableError("single-power dataset cannot constrain n_crit")
+        if np.size(ds.get("sigma_deg", 1.0)) not in (1, len(ds["n_c"])):
+            raise ValueError(f"datasets[{j}].sigma_deg: {np.size(ds['sigma_deg'])} values, "
+                             f"n_c has {len(ds['n_c'])}")
 
     y = np.concatenate([np.asarray(ds["dphi_deg"], dtype=float) for ds in datasets])
     sig = np.concatenate([

@@ -68,8 +68,9 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
     ----------
     y : finite data, compared with the flattened model output.
     init : dict of parameter name -> starting value (defines the order).
-    sigma : optional per-point (or scalar) uncertainty of ``y``, finite and
-        > 0; the residuals are divided by it, otherwise unweighted.
+    sigma : optional per-point (``y.size`` values) or scalar uncertainty of
+        ``y``, finite and > 0; the residuals are divided by it, otherwise
+        unweighted.
     bounds : optional dict name -> (lo, hi); enforced by projecting trial
         steps into the box.
 
@@ -95,6 +96,8 @@ def least_squares_fit(model_fn, y, init, sigma=None, bounds=None):
     sigma = np.ones(1) if sigma is None else np.asarray(sigma, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
+    if sigma.size not in (1, y.size):
+        raise ValueError(f"sigma: {sigma.size} values, y has {y.size}")
     if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise ValueError("sigma must be finite and > 0")
     w = 1.0 / sigma

@@ -98,7 +98,8 @@ class ComplexTrace:
         computing the correction.
         """
         phase = self.phase
-        if not np.max(np.abs(np.diff(phase)), initial=0.0) < np.pi:
+        step = np.diff(phase)
+        if not np.max(np.abs(step, out=step), initial=0.0) < np.pi:
             return np.unwrap(phase)
         phase[1:] += 0.0  # -0.0 + 0.0 is +0.0, as in np.unwrap
         return phase

@@ -799,13 +799,13 @@ def fast_flythrough(tmp_path, config_dir):
 # pair writes at --seed 14; the campaign's shots.csv is pinned below.
 GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "3487e50f8e37bea33e54c8df49d2f0abab3379e3af2e7efd167e7ad4217b49e6",
-        "trace_detuned.csv": "29053649e47ae5dddd6bff052998c76aeac2fcf26d5f219a5f0ab95ee4777498",
-        "trace_resonant.csv": "c473e0427d231cc342ce2561e6d14036f5bd8f0d419cf2e9d32802a496c3a443",
+        "summary.json": "9a6f4d723a2b2d1e6ad20155c26ebdd1d7664f331baf9676c2932a120bf05cb8",
+        "trace_detuned.csv": "e94820575aaf82e96a4a7c35261a12e2675e2215dff144c53c765f3a0a1523fb",
+        "trace_resonant.csv": "a6d7a11af1803428b8c97662b60f63f5b065850ca1a10403820cce1edb77f735",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "69f0efd6967204a4cabdb67d6da82dc5fe4e5771c8564d41dfccd2c7855bd41b",
-        "summary.json": "f532571860e0b85bf332c3358b914a99702a021b71b5c396915c23482feddae4",
+        "sensitivity.csv": "473a0ec126fd5df5f00aa04f71c463806475fe7a04a5ee315d7cf143f7b4a32b",
+        "summary.json": "d016314673f88d4af946b8ca1e474827dc9cefe64ef3dd21780b5d177cac75fd",
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
@@ -815,12 +815,12 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "a1d3d98e678df476e1c3933d35756010fea9baba8538d2f0f123745f9fead31b",
+        "rabi.csv": "8c14a02a0396188d41fb723fa5fe4db4f36b8ad34fc1383cff335ba64291f8e0",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "e67b1c980e6d95d2f3b4c803fc1247d6cda93a5e07acb0f0ff82fe36d5690625",
-        "trace_fit_input.csv": "3d02bfb981de2812b8faa8a790da854057c220b8710c47b5039bb52c6f0c454b",
+        "summary.json": "c9794afc587bafc5b43524c6ef5ecc2ae1a0bc2fcf444e9d2ec91928dfdb54f1",
+        "trace_fit_input.csv": "df151e4d537e7a08700beaafa9f5d0d914ae9e392fe6d17231e54ae29736aaa5",
     },
     ("fit", "power"): {
         "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
@@ -834,7 +834,8 @@ GOLDEN = {
 # The 4 pairs above that call the response kernel, as written with the
 # per-sample loop kernel (tests/test_kernels.py::loop_filter) in its place.
 # The blocked scan moved their outputs by at most 6e-13 deg in the traces
-# and 9.2e-10 relative in the fitted N; with the loop they must stay these
+# and 9.2e-10 relative in the fitted N, and its half-angle running product
+# by at most 6.1e-13 deg and 6e-7 sigma; with the loop they must stay these
 # bytes, which shows that nothing outside the kernel moved.
 LOOP_GOLDEN = {
     ("simulate", "flythrough"): {
@@ -865,21 +866,21 @@ LOOP_GOLDEN = {
 # bytes, which shows that nothing outside transmission_response moved.
 WHOLE_TRACE_GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "bcaa92a48edca35f2cad9d256c1f5421f6bee294626d819cb43fa9e837ec0ba0",
-        "trace_detuned.csv": "229627221e7e1ed61488187b5041564c182ab5c2251e97510f6bcff6aa8b4a75",
-        "trace_resonant.csv": "4b49defbe067fbe71fb2e9f2b2f2397c8d93021ea4b97ed07355467a2a6fe1cc",
+        "summary.json": "aa9b7ea030fd2194306ef2589f3101ee8a46e6a2a17774d73947c433752b5ce4",
+        "trace_detuned.csv": "ffc081ee827e5ed9eded4de50ce240ad60a9c58dab8887d4d626036925f387fc",
+        "trace_resonant.csv": "2df3a52e7d15bd8677f4db422c65d83d6fbbac8e752da98920f7690a14809ff0",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "72fad0fc9bc7ff665aaefc2ce4cfd0e3198f5febce8583ca7dae1cb95ca25a8c",
-        "summary.json": "37022bdcca3d9ec4fa79e115f424f6f3bd705a4d0da450139c6d8de3dad1c2f2",
+        "sensitivity.csv": "d897395749abfcc5228df6e011c5c9462479ba7b3fb010629b0476ad34d319ff",
+        "summary.json": "611a229c74a09b1ff64922ae36dc732fc9f7782edd64b7c6c1c56ebcba9afafd",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "1a649cc577b7db23fbda4b9fd30695c655cf2a7c1fdfac1b74c4330530c1f0b9",
+        "rabi.csv": "1af6ca0dea84283c8d8b796dab822d2e119577e6087b29417f5cf7e28e7db110",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "eeea8ec694fffffcbcca9a73a7dcd843c02e47558cdd6ef926117ba14e12a3d7",
-        "trace_fit_input.csv": "45a354d19a5d18cf16b4b0d36a6fecd830bf0cd7b562ec73ac9b7b45189a5c37",
+        "summary.json": "d47d53765f7d43a64524b7166923969256db5e5ff17fc4ce4cc1dabba2dc9bc2",
+        "trace_fit_input.csv": "e68369fad05f0a3caca37c9b90871031e93ce25badb472fc2d8cb6a2d733d01f",
     },
 }
 

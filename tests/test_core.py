@@ -50,6 +50,12 @@ class TestModeAmplitude:
         with pytest.raises(ValueError):
             core.mode_amplitude(cavity.length_z + 1e-3, cavity)
 
+    def test_scalar_and_empty_accepted(self, cavity):
+        assert core.mode_amplitude(np.float64(0.0), cavity).shape == ()
+        assert core.mode_amplitude(np.empty((0, 3)), cavity).shape == (0, 3)
+        with pytest.raises(ValueError, match="^z outside cavity"):
+            core.mode_amplitude(np.nan, cavity)
+
     def test_mode_sq_lobe_average(self, cavity):
         # sin^2 averages to 1/2 over one lobe
         z = np.linspace(0, cavity.length_z, 200001)

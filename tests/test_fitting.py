@@ -241,6 +241,14 @@ def test_bad_sigma_rejected(sigma):
                           sigma=sigma)
 
 
+@pytest.mark.parametrize("size", [0, 19, 21])
+def test_sigma_of_wrong_length_rejected(size):
+    x = np.linspace(0, 1, 20)
+    with pytest.raises(ValueError, match=rf"^sigma: {size} values, y has 20$"):
+        least_squares_fit(linear_model(x), 2.0 * x + 1.0, {"a": 0.0, "b": 0.0},
+                          sigma=np.ones(size))
+
+
 def test_non_finite_initial_residuals_rejected():
     x = np.linspace(0, 1, 20)
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcav import kernels
+from rydcav import kernels, transmission
+from rydcav.configio import load_scenario
 from rydcav.kernels import response_filter
 
 
@@ -111,6 +112,43 @@ def test_steps_beyond_exp_range_take_shorter_blocks():
     out = response_filter(z, dt, b0)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, loop_filter(z, dt, b0), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("re_a, n", [(-3.0, 3000), (0.3, 2100)], ids=["decaying", "growing"])
+def test_running_product_in_range_at_block_limit(re_a, n):
+    # |Re a| per step sets the block to EXP_SPAN / |Re a| steps, over which
+    # the running product spans exp(+-EXP_SPAN); the growing z (not a passive
+    # cavity) leaves an output of about exp(0.3 * 2100), still finite
+    chi = random_z(5, n, 1e7, True).imag
+    z = np.sign(re_a) * KAPPA / 2 + 1j * chi
+    dt = 2.0 * abs(re_a) / KAPPA
+    b0 = 0.5 / KAPPA + 0j
+    with np.errstate(all="raise"):
+        out = response_filter(z, dt, b0)
+        ref = loop_filter(z, dt, b0)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, ref, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("detuning", [-0.5, 0.0, 0.5])
+def test_matches_loop_oracle_on_finest_benchmark_grid(config_dir, monkeypatch, detuning):
+    # the finest grid of perfbench long_trace: dt = (2/kappa)/27/256 over the
+    # packaged fly-through, 157 517 samples, transit decay on
+    fly = load_scenario(config_dir / "flythrough.json")
+    calls = []
+
+    def recorded(z, dt, b0):
+        calls.append((z, dt, b0))
+        return response_filter(z, dt, b0)
+
+    monkeypatch.setattr(transmission, "response_filter", recorded)
+    trace, _ = transmission.simulate_flythrough(
+        fly.ensemble, fly.cavity, fly.transitions, detuning * fly.kappa, fly.kappa,
+        dt=(2.0 / fly.kappa) / 27.0 / 256, transit_decay=True)
+    assert trace.times.size == 157517
+    ((z, dt, b0),) = calls
+    np.testing.assert_allclose(response_filter(z, dt, b0), loop_filter(z, dt, b0),
+                               rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
