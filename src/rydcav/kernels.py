@@ -8,24 +8,30 @@ with ``zm_k`` the midpoint of z over step k and ``a_k = zm_k dt``.  Over a
 block of steps it has the closed form (a scan; Blelloch 1990,
 CMU-CS-90-190; Martin & Cundy 2018, arXiv:1709.04057)
 
-    b_k = D_k (b_0 + sum_{j<=k} c_j / D_j),   D_k = d_1 d_2 ... d_k,
+    b_k = D_k (b_0 + sum_{j<=k} e_j / (zm_j D_j)),   D_k = d_1 d_2 ... d_k,
 
-which numpy evaluates with one ``cumprod`` for the running product D_k and
-one ``cumsum`` for the sum.  A running product of k factors has a relative
-error bound of order k*u (Higham 2002, sec. 3.1), under 1e-12 for
-k <= :data:`BLOCK`.
+which numpy evaluates with one ``cumprod`` for the running product D_k, one
+complex division per step and one ``cumsum`` for the sum.  A running
+product of k factors has a relative error bound of order k*u (Higham 2002,
+sec. 3.1), under 1e-12 for k <= :data:`BLOCK`.
 The trace is walked one block of :data:`BLOCK` steps at a time, the last
 value of a block seeding the next, so every temporary holds one block and
 memory beyond the output stays O(BLOCK) at any trace length.
 
-No complex transcendental is called.  With x = Re a_k and h = Im(a_k)/2,
+No complex transcendental is called.  With x = Re a_k, h = Im(a_k)/2,
+t = tan h and r = 2 e^x / (1 + t^2) (the tangent half-angle substitution),
 
-    expm1(a_k) = expm1(x) - 2 e^x sin^2 h + 2i e^x sin h cos h,
+    expm1(a_k) = expm1(x) - r t^2 + i r t,
 
-built from the real ``exp`` and ``expm1`` and one ``sin`` and one ``cos``,
-each far cheaper than numpy's complex ``exp`` and ``expm1``.  For x <= 0, as
-for every passive cavity, the two real terms have the same sign, so nothing
-cancels.
+built from the real ``exp`` and ``expm1`` and one ``tan``: numpy runs
+``tan`` as a SIMD loop, its ``sin`` and ``cos`` (and its complex ``exp``
+and ``expm1``) through scalar libm calls.  For x <= 0, as for every passive
+cavity, the two real terms have the same sign, so nothing cancels.  No
+double lies closer than about 2^-60.9 to a multiple of pi/2 (the worst
+case of argument reduction; Muller, Elementary Functions), so |t| stays
+below about 1e19 (1.6e16 at h = pi/2 rounded) and t^2 never overflows.
+The closed-form tail of :func:`rydcav.transmission.transmission_response`
+is built from the same helper, as exp(a) = 1 + expm1(a).
 
 Blocks also keep the product in range: |D_k| = exp(Re(a_1 + ... + a_k)) to
 the same k*u, which falls as exp(-kappa/2 * k dt) for a passive cavity.
@@ -34,8 +40,10 @@ With dt <= (2/kappa)/20 (the grid limit of
 to no less than exp(-0.05 * BLOCK), about 1e-89 for BLOCK = 4096 (above
 exp(-:data:`EXP_SPAN`)), where a whole-trace product of 1e6 samples would
 underflow to zero.  Coarser inputs get shorter blocks, so that within a
-block exp(-EXP_SPAN) <= |D_k| <= exp(EXP_SPAN), inside the float range, and
-so is every c_j / D_j.
+block exp(-EXP_SPAN) <= |D_k| <= exp(EXP_SPAN), inside the float range.  The
+divisor zm_j D_j is then within a factor exp(EXP_SPAN), about 4e260, of
+zm_j: a normal double for any |zm_j| between 1e-47 and 1e47 (a passive
+cavity has |zm_j| >= kappa/2), and so is every quotient e_j / (zm_j D_j).
 """
 
 from __future__ import annotations
@@ -46,6 +54,27 @@ BLOCK = 4096  # steps per scan block
 EXP_SPAN = 600.0  # largest |log |D_k|| within one block (doubles overflow past e**709)
 
 
+def _expm1_tan(x, h, out):
+    """expm1(x + 2ih) into the complex array ``out``, from one ``tan``.
+
+    expm1(x + 2ih) = expm1(x) - r t^2 + i r t with t = tan h and
+    r = 2 e^x / (1 + t^2).  ``x`` and ``h`` are real arrays of out's
+    shape, both overwritten; ``h`` may be ``out.imag``.
+    """
+    t = np.tan(h, out=h)
+    np.expm1(x, out=out.real)
+    r = np.exp(x, out=x)
+    r *= 2.0
+    q = np.multiply(t, t)
+    q += 1.0
+    r /= q
+    np.multiply(r, t, out=q)
+    q *= t  # r t^2
+    out.real -= q
+    np.multiply(r, t, out=out.imag)
+    return out
+
+
 def response_filter(z, dt, b0):
     """Recursive update of the input-output response integral.
 
@@ -53,38 +82,40 @@ def response_filter(z, dt, b0):
     initial value of the integral.  Each step treats z as constant at its
     midpoint value, so the per-step propagator is exact for piecewise
     constant z and second-order accurate for smooth chi(t).
+
+    Raises ValueError, naming the argument, unless z is a 1-d array of at
+    least one finite sample, dt is finite and positive, and b0 is finite.
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError(f"z must be 1-d with at least one sample, got shape {z.shape}")
     dt = float(dt)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = z.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    out[0] = b = complex(b0)
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    b = complex(b0)
+    if not np.isfinite(b):
+        raise ValueError(f"b0 must be finite, got {b}")
+    # a sum of finite samples is finite unless it overflows: only then look closer
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = z.sum()
+    if not (np.isfinite(total) or np.all(np.isfinite(z))):
+        raise ValueError("z must be finite")
     growth = dt * max(z.real.max(), -z.real.min())  # largest |Re(a_k)|
     block = max(1, int(EXP_SPAN / growth)) if growth * BLOCK > EXP_SPAN else BLOCK
+    n = z.shape[0]
+    out = np.empty(n, dtype=np.complex128)
+    out[0] = b
     for s0 in range(1, n, block):
         s1 = min(s0 + block, n)
         zm = z[s0:s1] + z[s0 - 1:s1 - 1]
         zm *= 0.5
-        x = zm.real * dt  # Re a
-        h = zm.imag * (0.5 * dt)  # Im(a) / 2
-        sin_h = np.sin(h)
-        cos_h = np.cos(h, out=h)
-        e = np.empty_like(zm)  # expm1(a)
-        np.expm1(x, out=e.real)
-        np.exp(x, out=x)
-        x *= 2.0
-        x *= sin_h  # 2 e^x sin h
-        np.multiply(x, cos_h, out=e.imag)
-        x *= sin_h
-        e.real -= x
-        c = np.divide(e, zm, out=zm)
-        e += 1.0
-        d = np.cumprod(e, out=e)  # D_k
-        c /= d
+        e = _expm1_tan(zm.real * dt, zm.imag * (0.5 * dt), np.empty_like(zm))  # expm1(a)
+        d = np.add(e, 1.0, out=out[s0:s1])
+        np.cumprod(d, out=d)  # D_k
+        zm *= d
+        c = np.divide(e, zm, out=e)  # e_k / (zm_k D_k)
         np.cumsum(c, out=c)
         c += b
-        np.multiply(c, d, out=out[s0:s1])
+        d *= c
         b = out[s1 - 1]
     return out

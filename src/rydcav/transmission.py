@@ -16,8 +16,13 @@ that span chi = 0 and z = z0 = i Delta_m - kappa/2, so the integral
 b = A / (kappa/2) is written straight into the output, with no whole-trace
 temporary: the constant -1/z0 before the transit (the stationary seed), and
 -1/z0 + (b_exit + 1/z0) exp(z0 (t - t_exit)) after it, the update's own step
-for constant z, built in place.  A chi nonzero at its first sample is seeded
-at its own stationary value and updated from there.
+for constant z, built in place.  At t - t_exit = k dt the exponential is
+1 + expm1(k z0 dt), with expm1 from the kernel's tangent half-angle helper
+(x = -k kappa/2 dt, h = k Delta_m dt / 2): one real ``tan``, ``exp`` and
+``expm1`` per sample and no complex ``exp``, with two real temporaries of
+the tail's length, x and 1 + tan(h)^2 (h itself lives in the output's
+imaginary part).  A chi nonzero at its first sample is seeded at its own
+stationary value and updated from there.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .kernels import response_filter
+from .kernels import _expm1_tan, response_filter
 from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, TransitionSet
 
 PAD = 8e-6  # s of empty cavity before and after a simulated transit
@@ -155,8 +160,14 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
         z = np.full(i1 - i0, complex(-kappa / 2.0))  # z0 - i chi, bit for bit
         np.subtract(delta_m, shift.chi[i0:i1], out=z.imag)
         b[i0:i1] = response_filter(z, dt, -1.0 / z[0])
-        tail = np.multiply(np.arange(1, n - i1 + 1), z0 * dt, out=b[i1:])
-        np.multiply(b[i1 - 1] + 1.0 / z0, np.exp(tail, out=tail), out=tail)
+        # exp(k z0 dt) = 1 + expm1(k z0 dt) for k = 1, 2, ... after the exit
+        tail = b[i1:]
+        x = np.arange(1.0, n - i1 + 1)
+        np.multiply(x, 0.5 * delta_m * dt, out=tail.imag)  # Im(k z0 dt) / 2
+        x *= -kappa / 2.0 * dt  # Re(k z0 dt)
+        _expm1_tan(x, tail.imag, tail)
+        tail += 1.0
+        tail *= b[i1 - 1] + 1.0 / z0
         tail += -1.0 / z0
     b[:i0] = -1.0 / z0  # stationary integral of the empty cavity
     b *= kappa / 2.0
@@ -184,16 +195,19 @@ def fly_through_shift_trace(
     the transit, and 0 elsewhere, so also on a grid with none inside.
     """
     times = np.asarray(times, dtype=float)
-    chi = np.zeros_like(times)
     transit_time, t_cen = transit(ensemble, cavity)
-    t_c = times - ensemble.entry_time
+    # chi's own buffer first holds the time since entry t_c, which locates the
+    # transit, and is zeroed outside it once z is built
+    chi = t_c = np.subtract(times, ensemble.entry_time)
     try:
         # on the sorted 1-d grid that ShiftTrace requires, the transit is one slice
         i0, i1 = np.searchsorted(t_c, 0.0, "left"), np.searchsorted(t_c, transit_time, "right")
         if ensemble.n_atoms == 0 or i1 <= i0:
+            chi.fill(0.0)
             return ShiftTrace(times, chi)
         # t_c * v can round past length_z at the exit sample
         z = np.clip(t_c[i0:i1] * ensemble.velocity, 0.0, cavity.length_z)
+        chi[:i0] = chi[i1:] = 0.0
         if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
             g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
                 z, cavity, ensemble.sigma_z, ensemble.sigma_x))
@@ -252,9 +266,10 @@ def simulate_flythrough(
     referenced to the empty-cavity phase.
     ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
     """
-    shift = flythrough_shift(ensemble, cavity, transitions, kappa, dt,
-                             transit_decay=transit_decay)
-    trace = transmission_response(shift, delta_m, kappa)
+    # no name holds the chi(t) trace, so it is freed before phase_change (peak memory)
+    trace = transmission_response(flythrough_shift(ensemble, cavity, transitions, kappa, dt,
+                                                   transit_decay=transit_decay),
+                                  delta_m, kappa)
     ref = np.angle(steady_transmission(0.0, delta_m, kappa))
     return trace, phase_change(trace, ref)
 

@@ -799,13 +799,13 @@ def fast_flythrough(tmp_path, config_dir):
 # pair writes at --seed 14; the campaign's shots.csv is pinned below.
 GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "9a6f4d723a2b2d1e6ad20155c26ebdd1d7664f331baf9676c2932a120bf05cb8",
-        "trace_detuned.csv": "e94820575aaf82e96a4a7c35261a12e2675e2215dff144c53c765f3a0a1523fb",
-        "trace_resonant.csv": "a6d7a11af1803428b8c97662b60f63f5b065850ca1a10403820cce1edb77f735",
+        "summary.json": "faec6e7c2e4b87bc66cdee76ba15e6265332d8b0e9e7a85c942392932d4de374",
+        "trace_detuned.csv": "660662049ec1f2fb01d73ddf8476cb7625d03ddd39b4d6600758dc99182fff71",
+        "trace_resonant.csv": "e3eab6f44c6ef66a3511a05e6912d015e0f07e8a18742c46d35f8a783300b35f",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "473a0ec126fd5df5f00aa04f71c463806475fe7a04a5ee315d7cf143f7b4a32b",
-        "summary.json": "d016314673f88d4af946b8ca1e474827dc9cefe64ef3dd21780b5d177cac75fd",
+        "sensitivity.csv": "529ad882e89fc1bc103282b85d160331d4f733f1aeb12f5c076357a82c738884",
+        "summary.json": "be371a3693810545f18eb34fb1425d91106c764a69ccf6ba9f052ba7a9813f18",
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
@@ -815,12 +815,12 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "8c14a02a0396188d41fb723fa5fe4db4f36b8ad34fc1383cff335ba64291f8e0",
+        "rabi.csv": "7e5dcf7b43cd16be28ee1844e003d6d1cb6d2f7fe7ebb2a50a03ed8ab0c84850",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "c9794afc587bafc5b43524c6ef5ecc2ae1a0bc2fcf444e9d2ec91928dfdb54f1",
-        "trace_fit_input.csv": "df151e4d537e7a08700beaafa9f5d0d914ae9e392fe6d17231e54ae29736aaa5",
+        "summary.json": "34710717f678595d474b218b5b68a4094f53f3473e05626137d2c0b2164a8e49",
+        "trace_fit_input.csv": "a9b792aba3b2b83bfb5cde1aa420c36823844048789bd3298766d346043b0965",
     },
     ("fit", "power"): {
         "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
@@ -834,14 +834,17 @@ GOLDEN = {
 # The 4 pairs above that call the response kernel, as written with the
 # per-sample loop kernel (tests/test_kernels.py::loop_filter) in its place.
 # The blocked scan moved their outputs by at most 6e-13 deg in the traces
-# and 9.2e-10 relative in the fitted N, and its half-angle running product
-# by at most 6.1e-13 deg and 6e-7 sigma; with the loop they must stay these
-# bytes, which shows that nothing outside the kernel moved.
+# and 9.2e-10 relative in the fitted N, its half-angle running product by at
+# most 6.1e-13 deg and 6e-7 sigma, and its tan steps by at most 5.1e-14 deg
+# and 1.2e-6 sigma; with the loop they must stay these bytes, which shows that
+# nothing outside the kernel and the closed-form tail after the transit moved.
+# The tail's tan form moved the two fly-through pairs here by at most
+# 1.1e-16 deg and 1.2e-7 sigma.
 LOOP_GOLDEN = {
     ("simulate", "flythrough"): {
         "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
         "trace_detuned.csv": "5aa1f8e59ce1f74425cd405bf978377d22c09de241df488dc6b84d18938b6c08",
-        "trace_resonant.csv": "65d54800c04c1c99fd3b3b52bda7215293ef020f07a900d46e50aa8238e5e0e9",
+        "trace_resonant.csv": "60db573893658874c19c044e2f9608faf276317e6682b92ce7a952bdabcae2a9",
     },
     ("simulate", "sensitivity"): {
         "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
@@ -852,8 +855,8 @@ LOOP_GOLDEN = {
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "11d1f7b4a4fe074d9785e28e0667e9e207702a17490dc5c9e445846d7c43e705",
-        "trace_fit_input.csv": "d25592d7cdb0801ca8aa665ff51cd4935c9a03c0d27a4e7e167d2b29b2c0a4f7",
+        "summary.json": "75f55733e704d3513a23fbcb75aa254b822abbd13a97df2f2672b77143e441fb",
+        "trace_fit_input.csv": "2beec0ab4aaed59caa92b0beb4f11fa3d8501093fd2b1dd2a0c07f38a38077b1",
     },
 }
 
@@ -863,24 +866,26 @@ LOOP_GOLDEN = {
 # transmission_response; and with the loop kernel as well.  Filling the pads
 # in closed form moved their outputs by at most 8.6e-13 deg in the traces and
 # 4e-7 sigma in the fitted N; with the whole-trace update they must stay these
-# bytes, which shows that nothing outside transmission_response moved.
+# bytes, which shows that nothing outside transmission_response moved.  The
+# whole-trace-and-loop table calls neither the blocked scan nor the tail, so
+# it kept its bytes when both took the tan form.
 WHOLE_TRACE_GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "aa9b7ea030fd2194306ef2589f3101ee8a46e6a2a17774d73947c433752b5ce4",
-        "trace_detuned.csv": "ffc081ee827e5ed9eded4de50ce240ad60a9c58dab8887d4d626036925f387fc",
-        "trace_resonant.csv": "2df3a52e7d15bd8677f4db422c65d83d6fbbac8e752da98920f7690a14809ff0",
+        "summary.json": "353ee9e893388382aefc21608779eb0133518815a5ac568a42f4fe650ea9adc2",
+        "trace_detuned.csv": "de134cd428e3855756e1f3f5776dbc87f531bf51ea93ec7f5c45067967926560",
+        "trace_resonant.csv": "738223668b848643b574150d4b1bbcec11b392dcd8ea78f188d355a8c967d0a4",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "d897395749abfcc5228df6e011c5c9462479ba7b3fb010629b0476ad34d319ff",
-        "summary.json": "611a229c74a09b1ff64922ae36dc732fc9f7782edd64b7c6c1c56ebcba9afafd",
+        "sensitivity.csv": "1ef3837dfe47bdef9539225c9dd0a9a40d4b338da0de185d0ef1b0f74549feef",
+        "summary.json": "7a58b952b1bec25451a2168861d18ebc416e3075cae27ec8873b67f31f835c67",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "1af6ca0dea84283c8d8b796dab822d2e119577e6087b29417f5cf7e28e7db110",
+        "rabi.csv": "ba1800b194f006b4407f895edbe97be145d62d95dd1880f2f7a52279cc37fae8",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "d47d53765f7d43a64524b7166923969256db5e5ff17fc4ce4cc1dabba2dc9bc2",
-        "trace_fit_input.csv": "e68369fad05f0a3caca37c9b90871031e93ce25badb472fc2d8cb6a2d733d01f",
+        "summary.json": "502a94fde3656aa6a7a8aba276da914cafb168924a40ed3f6c7c8574daee0ba1",
+        "trace_fit_input.csv": "53445d45909c21f6adcbc9bfb9c68c63373222fdac7c5ca0f7174139b5da749c",
     },
 }
 

@@ -325,7 +325,19 @@ def test_readout_formulas_have_one_home():
     def homes(text):
         return sorted(name for name, src in sources.items() if text in src)
 
-    assert homes("np.arctan(") == homes("np.tan(") == ["core.py"]
+    assert homes("np.arctan(") == homes("-np.tan(phase) * kappa") == ["core.py"]
+    # np.tan also builds the response steps, from the half angle; the
+    # response path calls no np.sin or np.cos, and np.exp and np.expm1 on
+    # real arrays only
+    assert homes("np.tan(") == ["core.py", "kernels.py"]
+    path = {"kernels.py", "transmission.py"}
+    assert not path & {*homes("np.sin("), *homes("np.cos(")}
+    exp_args = {name: re.findall(r"np\.exp(?:m1)?\((.*?)(?:, out=.*)?\)$", sources[name], re.M)
+                for name in sorted(path)}
+    assert exp_args == {"kernels.py": ["x", "x"],
+                        "transmission.py": ["-(times[i0:i1] - t_cen) / TAU_S",
+                                            "-(times[i0:i1] - t_cen) / TAU_P"]}
+    assert [sources[name].count("np.exp") for name in sorted(path)] == [2, 2]
     assert homes("digitizer_phase_floor ** 2") == ["detection.py"]
     assert homes("57.2e-6") == homes("102.6e-6") == ["params.py"]
     # the Gaussian cloud average is closed form, in core only; the SNR

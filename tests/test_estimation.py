@@ -446,8 +446,8 @@ class TestNoisyRecovery:
         empty = dataclasses.replace(fly.ensemble, n_atoms=0.0)
         trace, _ = simulate_flythrough(empty, fly.cavity, fly.transitions, fly.probe.delta_m,
                                        fly.kappa, transit_decay=fly.transit_decay)
-        inside = {0: 0.8938375312681089, 1: 0.1816082082470937, 4: 0.2754598579785587,
-                  8: 0.5691823986960367, 10: 0.059043357450445144, 11: 0.0079775081846678}
+        inside = {0: 0.8938463529646075, 1: 0.1816139426890545, 4: 0.2754392069697688,
+                  8: 0.5691855472866351, 10: 0.0590333321044134, 11: 0.007979089058948839}
         on_bound = []
         for seed in range(12):
             rng = np.random.default_rng(seed)

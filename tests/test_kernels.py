@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydcav import kernels, transmission
@@ -223,3 +223,59 @@ def test_block_length_invariance(seed, n, log_chi, noisy):
             mp.setattr(kernels, "BLOCK", block)
             np.testing.assert_allclose(response_filter(z, DT_MAX, b0), ref,
                                        rtol=1e-11, atol=0, err_msg=f"BLOCK = {block}")
+
+
+# ---------------------------------------------------------------------------
+# the step factors from one tan
+
+
+def expm1_sin_cos(x, h):
+    """expm1(x + 2ih) = expm1(x) - 2 e^x sin^2 h + 2i e^x sin h cos h, the
+    half-angle sine and cosine form the tan form replaced."""
+    two_exp_sin = 2.0 * np.exp(x) * np.sin(h)
+    return complex(np.expm1(x) - two_exp_sin * np.sin(h), two_exp_sin * np.cos(h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-40.0, 0.5), h=st.floats(-1e3, 1e3))
+@example(x=-0.05, h=0.0).via("h = 0")
+@example(x=-0.05, h=np.pi / 2).via("h just below pi/2")
+@example(x=-0.05, h=-np.pi / 2).via("h just above -pi/2")
+@example(x=-0.05, h=2.0).via("|Im a| > pi")
+@example(x=0.3, h=0.7).via("Re a = +0.3")
+@example(x=-3.0, h=0.7).via("Re a = -3")
+def test_tan_steps_match_half_angle_sine_cosine(x, h):
+    want = expm1_sin_cos(x, h)
+    got = kernels._expm1_tan(np.array([x]), np.array([h]), np.empty(1, complex))
+    assert abs(got[0] - want) <= 1e-14 * abs(want)
+    # the same bits with h given as out.imag, as the closed-form tail does
+    out = np.empty(1, complex)
+    out.imag = h
+    kernels._expm1_tan(np.array([x]), out.imag, out)
+    assert out.tobytes() == got.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bad inputs are named
+
+
+@pytest.mark.parametrize("z, dt, b0, message", [
+    (np.empty(0, complex), DT_MAX, 0j, r"^z must be 1-d with at least one sample"),
+    (np.full((2, 3), -KAPPA / 2 + 0j), DT_MAX, 0j, r"^z must be 1-d with at least one sample"),
+    (np.array([-KAPPA / 2, np.nan, -KAPPA / 2]), DT_MAX, 0j, r"^z must be finite"),
+    (np.array([-KAPPA / 2, -KAPPA / 2 + 1j * np.inf]), DT_MAX, 0j, r"^z must be finite"),
+    (np.full(3, -KAPPA / 2 + 0j), DT_MAX, complex(np.nan, 0.0), r"^b0 must be finite"),
+    (np.full(3, -KAPPA / 2 + 0j), np.inf, 0j, r"^dt must be finite and positive"),
+    (np.full(3, -KAPPA / 2 + 0j), 0.0, 0j, r"^dt must be finite and positive"),
+], ids=["empty z", "2-d z", "nan in z", "inf in z", "nan b0", "inf dt", "zero dt"])
+def test_bad_input_named(z, dt, b0, message):
+    with pytest.raises(ValueError, match=message):
+        response_filter(z, dt, b0)
+
+
+def test_finite_z_whose_sum_overflows_accepted():
+    # the finiteness check sums z; a sum past the float range is checked again
+    z = -KAPPA / 2 + 6e307j * np.ones(4)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(z.sum())
+    assert np.all(np.isfinite(response_filter(z, DT_MAX, 0j)))

@@ -295,6 +295,34 @@ class TestTransitOnlyResponse:
         assert calls == [52]
 
 
+class TestClosedFormTail:
+    # After the exit the response is A_inf + (A_exit - A_inf) exp(k z0 dt),
+    # k = 1, 2, ..., with exp(k z0 dt) built from one tan per sample; here
+    # against the complex exponential, on the coarsest and the finest grid of
+    # the dt-convergence study.  At +-10 kappa the tail's phase k Delta_m dt
+    # passes many odd multiples of pi, the poles of tan(k Delta_m dt / 2); the
+    # "pole" detuning puts one sample within rounding of pi.
+    @pytest.mark.parametrize("halvings", [0, 8], ids=["coarsest", "finest"])
+    @pytest.mark.parametrize("detuning", [-10.0, -3.7, -1.0, 0.0, 0.45, 2.3, 10.0, "pole"])
+    def test_tail_matches_complex_exp(self, halvings, detuning):
+        dt = (2.0 / FLY.kappa) / 27.0 / 2**halvings
+        k_pole = 100 * 2**halvings
+        delta_m = np.pi / (k_pole * dt) if detuning == "pole" else detuning * FLY.kappa
+        assert abs(delta_m) <= 10.0 * FLY.kappa
+        shift = flythrough_shift(FLY.ensemble, FLY.cavity, FLY.transitions, FLY.kappa, dt)
+        values = transmission_response(shift, delta_m, FLY.kappa).values
+        i1 = np.flatnonzero(shift.chi)[-1] + 2  # the first sample after the update
+        k = np.arange(1, values.size - i1 + 1)
+        if detuning == "pole":
+            assert abs(np.tan(k_pole * (0.5 * delta_m * dt))) > 1e12
+        elif abs(detuning) == 10.0:
+            assert abs(delta_m) * dt * k.size > 30 * np.pi
+        z0 = 1j * delta_m - FLY.kappa / 2.0
+        a_inf = (FLY.kappa / 2.0) * (-1.0 / z0)
+        want = a_inf + (values[i1 - 1] - a_inf) * np.exp(k * (z0 * dt))
+        np.testing.assert_allclose(values[i1:], want, rtol=1e-13, atol=0)
+
+
 def phases_with_signed_zeros(steps, zeros):
     """Phases of a walk with the given steps, wrapped into (-pi, pi], with
     -0.0 at the ``zeros`` positions, as the angles of unit complex values."""
@@ -613,10 +641,11 @@ def test_flythrough_peak_memory_within_bound_of_output(transit_decay, sized):
     # At the dt-convergence study's 7th halving (78 759 samples) the traced
     # peak of simulate_flythrough stays under 1.9 times the bytes it returns
     # (values, times and dphi: 32 B per sample).  The chi(t) build peaks at
-    # 1.71 times with transit decay (1.27 without), transmission_response at
-    # 1.64 and phase_change at 1.75, so one more whole-trace complex
-    # temporary (16 B per sample, 0.5 times) crosses the bound in each of
-    # them, the chi(t) build without transit decay excepted.
+    # 1.46 times with transit decay (1.02 without), transmission_response at
+    # 1.63 and phase_change, after the chi(t) trace is dropped, at 1.25, so
+    # one more whole-trace complex temporary (16 B per sample, 0.5 times)
+    # crosses the bound in transmission_response and in the chi(t) build
+    # with transit decay.
     args = (with_cloud(FLY.ensemble, sized), FLY.cavity, FLY.transitions, 0.3 * FLY.kappa,
             FLY.kappa, (2.0 / FLY.kappa) / 27.0 / 2**7, transit_decay)
     simulate_flythrough(*args)
