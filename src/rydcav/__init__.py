@@ -14,8 +14,8 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "core": (
-        "SingularityError", "cavity_phase", "cloud_mode_average", "coupling",
-        "critical_photon_number", "dispersive_shift", "excited_fraction", "mode_amplitude",
+        "SingularityError", "cavity_phase", "cloud_mode_average", "critical_photon_number",
+        "dispersive_shift", "excited_fraction", "mode_profile", "population_coefficients",
         "power_dependent_shift", "power_reduction", "shift_from_phase",
     ),
     "detection": (

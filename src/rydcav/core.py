@@ -1,4 +1,4 @@
-"""Static cavity-atom physics: coupling profile, dispersive shift and
+"""Static cavity-atom physics: mode profile, dispersive shift and
 its power dependence, critical photon number and measurement backaction.
 """
 
@@ -13,21 +13,23 @@ class SingularityError(ZeroDivisionError):
     pass
 
 
-def mode_amplitude(z, cavity: CavitySpec):
-    """Normalized field amplitude |sin(p pi z / L)| along the beam axis.
-
-    Vanishes at both walls, reaches 1 at the antinodes.
-    """
+def mode_profile(z, cavity: CavitySpec, out=None):
+    """Squared mode profile sin^2(p pi z / L) along the beam axis, in ``out``
+    (which may be ``z``) when given: 1 / (1 + 1/tau^2), tau = tan(p pi z / L),
+    from numpy's SIMD ``tan`` (its ``sin`` is a libm call per sample).  It is
+    0 at both walls (1/tau^2 = inf) and 1 at the antinodes, where tau stays
+    finite: no double lies within 2^-60.9 of a multiple of pi/2."""
     z = np.asarray(z, dtype=float)
     if z.size and not (np.min(z) >= 0 and np.max(z) <= cavity.length_z):  # NaN fails both
         raise ValueError("z outside cavity [0, length_z]")
-    return np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
-
-
-def coupling(z, cavity: CavitySpec):
-    """Single-atom coupling g(z) = g_max * |mode| * sqrt(mode_correction), rad/s."""
-    g = cavity.g_max * mode_amplitude(z, cavity) * np.sqrt(cavity.mode_correction)
-    return g
+    t = np.multiply(z, cavity.mode_antinodes * np.pi / cavity.length_z,
+                    out=np.empty_like(z) if out is None else out)
+    np.tan(t, out=t)
+    t *= t
+    with np.errstate(divide="ignore", over="ignore"):
+        np.reciprocal(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
 
 
 def _gaussian_sin_sq(a, x, sigma):
@@ -39,46 +41,46 @@ def _gaussian_sin_sq(a, x, sigma):
 
 
 def cloud_mode_average(z, cavity: CavitySpec, sigma_z, sigma_x):
-    """Squared mode profile averaged over a Gaussian cloud centered at z.
-
+    """Squared mode profile averaged over a Gaussian cloud centered at z:
     E[sin^2(p pi z / L)] E[sin^2(pi x / W)], closed form, with the cloud
     spread sigma_z along the beam and sigma_x transverse around the
-    transverse antinode x = W/2.  Equals mode_amplitude(z)^2 for a point
-    cloud.
+    transverse antinode x = W/2; :func:`mode_profile` for a point cloud.
     """
     axial = _gaussian_sin_sq(2.0 * cavity.mode_antinodes * np.pi / cavity.length_z, z, sigma_z)
     transverse = _gaussian_sin_sq(2.0 * np.pi / cavity.width_x, cavity.width_x / 2.0, sigma_x)
     return axial * transverse
 
 
-def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
-                     decay_s=1.0, decay_p=1.0):
-    """Two-transition dispersive shift of the cavity frequency, rad/s.
+def population_coefficients(ensemble: EnsembleState, g_peak, delta_plus, delta_minus):
+    """Terms (a_s, a_p) of the two-transition dispersive shift per unit g^2,
+    chi = g^2 (a_s w_s + a_p w_p), second order in g sqrt(N)/Delta (Blais et
+    al., PRA 69, 062320 (2004), sec. III), with weights w (decay in transit):
 
-    chi = g^2 N [(P_p+1 w_p - P_s w_s)/Delta_+1 + (P_p-1 w_p - P_s w_s)/Delta_-1]
+        a_s = -N P_s (1/Delta_+1 + 1/Delta_-1),  a_p = N (P_p+1/Delta_+1 + P_p-1/Delta_-1)
 
-    The m_l = 0 sublevel is uncoupled and contributes nothing.  The
-    weights w_s = ``decay_s`` and w_p = ``decay_p`` scale the s and p
-    populations (radiative decay during a transit).  Detunings with
-    |Delta| <= 10 max(g) sqrt(N) are rejected: the formula is a
-    second-order expansion in g sqrt(N)/Delta.
+    (m_l = 0 adds nothing).  Raises unless each |Delta| > 10 g_peak sqrt(N), g_peak the peak g.
     """
-    g = np.asarray(g, dtype=float)
     dp = np.asarray(delta_plus, dtype=float)
     dm = np.asarray(delta_minus, dtype=float)
     if np.any(dp == 0) or np.any(dm == 0):
         raise SingularityError("zero detuning in dispersive_shift")
-    lim = 10.0 * np.max(g) * np.sqrt(max(ensemble.n_atoms, 1.0))
+    lim = 10.0 * g_peak * np.sqrt(max(ensemble.n_atoms, 1.0))
     for name, d in (("delta_plus", dp), ("delta_minus", dm)):
         if np.any(np.abs(d) <= lim):
             raise DispersiveValidityError(
                 f"{name} reaches {np.min(np.abs(d)):.3g} rad/s, violating "
                 f"|Delta| > 10 g sqrt(N) = {lim:.3g} rad/s; dispersive expansion invalid"
             )
-    return g ** 2 * ensemble.n_atoms * (
-        (ensemble.p_p_plus * decay_p - ensemble.p_s * decay_s) / dp
-        + (ensemble.p_p_minus * decay_p - ensemble.p_s * decay_s) / dm
-    )
+    return (-ensemble.n_atoms * ensemble.p_s * (1.0 / dp + 1.0 / dm),
+            ensemble.n_atoms * (ensemble.p_p_plus / dp + ensemble.p_p_minus / dm))
+
+
+def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
+                     decay_s=1.0, decay_p=1.0):
+    """Dispersive shift g^2 (a_s ``decay_s`` + a_p ``decay_p``) of the cavity
+    frequency, rad/s, with the :func:`population_coefficients` at max(g)."""
+    a_s, a_p = population_coefficients(ensemble, np.max(g), delta_plus, delta_minus)
+    return np.asarray(g, dtype=float) ** 2 * (a_s * decay_s + a_p * decay_p)
 
 
 def power_reduction(n_c, n_crit):

@@ -11,12 +11,12 @@ CMU-CS-90-190; Martin & Cundy 2018, arXiv:1709.04057)
     b_k = D_k (b_0 + sum_{j<=k} e_j / (zm_j D_j)),   D_k = d_1 d_2 ... d_k,
 
 which numpy evaluates with one ``cumprod`` for the running product D_k, one
-complex division per step and one ``cumsum`` for the sum.  A running
-product of k factors has a relative error bound of order k*u (Higham 2002,
-sec. 3.1), under 1e-12 for k <= :data:`BLOCK`.
-The trace is walked one block of :data:`BLOCK` steps at a time, the last
-value of a block seeding the next, so every temporary holds one block and
-memory beyond the output stays O(BLOCK) at any trace length.
+complex division per step and one ``cumsum`` for the sum, in the output
+itself: the caller's ``out`` array when one is given.  A running product of
+k factors has a relative error bound of order k*u (Higham 2002, sec. 3.1),
+under 1e-12 for k <= :data:`BLOCK`.  The trace is walked one block of
+:data:`BLOCK` steps at a time, the last value of a block seeding the next,
+so memory beyond the output stays O(BLOCK) at any trace length.
 
 No complex transcendental is called.  With x = Re a_k, h = Im(a_k)/2,
 t = tan h and r = 2 e^x / (1 + t^2) (the tangent half-angle substitution),
@@ -24,26 +24,22 @@ t = tan h and r = 2 e^x / (1 + t^2) (the tangent half-angle substitution),
     expm1(a_k) = expm1(x) - r t^2 + i r t,
 
 built from the real ``exp`` and ``expm1`` and one ``tan``: numpy runs
-``tan`` as a SIMD loop, its ``sin`` and ``cos`` (and its complex ``exp``
-and ``expm1``) through scalar libm calls.  For x <= 0, as for every passive
-cavity, the two real terms have the same sign, so nothing cancels.  No
-double lies closer than about 2^-60.9 to a multiple of pi/2 (the worst
-case of argument reduction; Muller, Elementary Functions), so |t| stays
-below about 1e19 (1.6e16 at h = pi/2 rounded) and t^2 never overflows.
-The closed-form tail of :func:`rydcav.transmission.transmission_response`
-is built from the same helper, as exp(a) = 1 + expm1(a).
+``tan`` as a SIMD loop, its ``sin``, ``cos`` and complex ``exp`` and
+``expm1`` through scalar libm calls.  For x <= 0 (a passive cavity) the two
+real terms share a sign, so nothing cancels.  No double lies closer than
+about 2^-60.9 to a multiple of pi/2 (Muller, Elementary Functions), so |t|
+stays below about 1e19 and t^2 never overflows.  The closed-form tail of
+:func:`rydcav.transmission.transmission_response` uses the same helper.
 
 Blocks also keep the product in range: |D_k| = exp(Re(a_1 + ... + a_k)) to
-the same k*u, which falls as exp(-kappa/2 * k dt) for a passive cavity.
-With dt <= (2/kappa)/20 (the grid limit of
-:func:`rydcav.transmission.transmission_response`) it falls within one block
-to no less than exp(-0.05 * BLOCK), about 1e-89 for BLOCK = 4096 (above
-exp(-:data:`EXP_SPAN`)), where a whole-trace product of 1e6 samples would
-underflow to zero.  Coarser inputs get shorter blocks, so that within a
-block exp(-EXP_SPAN) <= |D_k| <= exp(EXP_SPAN), inside the float range.  The
-divisor zm_j D_j is then within a factor exp(EXP_SPAN), about 4e260, of
-zm_j: a normal double for any |zm_j| between 1e-47 and 1e47 (a passive
-cavity has |zm_j| >= kappa/2), and so is every quotient e_j / (zm_j D_j).
+the same k*u, falling as exp(-kappa/2 * k dt) for a passive cavity.  At the
+grid limit dt <= (2/kappa)/20 of :func:`rydcav.transmission.transmission_response`
+one block ends above exp(-0.05 * BLOCK), about 1e-89, where a whole-trace
+product of 1e6 samples would underflow.  Coarser inputs get shorter blocks,
+so that exp(-EXP_SPAN) <= |D_k| <= exp(EXP_SPAN) within a block.  Each
+divisor zm_j D_j is then within a factor exp(EXP_SPAN), about 4e260, of zm_j:
+a normal double for 1e-47 < |zm_j| < 1e47 (a passive cavity has |zm_j| >=
+kappa/2), and so is every quotient e_j / (zm_j D_j).
 """
 
 from __future__ import annotations
@@ -75,16 +71,19 @@ def _expm1_tan(x, h, out):
     return out
 
 
-def response_filter(z, dt, b0):
+def response_filter(z, dt, b0, out=None):
     """Recursive update of the input-output response integral.
 
     ``z[n] = i*delta_m - kappa/2 - i*chi[n]`` per sample; ``b0`` is the
     initial value of the integral.  Each step treats z as constant at its
     midpoint value, so the per-step propagator is exact for piecewise
-    constant z and second-order accurate for smooth chi(t).
+    constant z and second-order accurate for smooth chi(t).  The integral
+    is returned in ``out`` if given, which must be a writeable complex128
+    1-d array of z's length (possibly strided) sharing no memory with z.
 
     Raises ValueError, naming the argument, unless z is a 1-d array of at
-    least one finite sample, dt is finite and positive, and b0 is finite.
+    least one finite sample, dt is finite and positive, b0 is finite and
+    out is None or as stated.
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.size == 0:
@@ -103,7 +102,10 @@ def response_filter(z, dt, b0):
     growth = dt * max(z.real.max(), -z.real.min())  # largest |Re(a_k)|
     block = max(1, int(EXP_SPAN / growth)) if growth * BLOCK > EXP_SPAN else BLOCK
     n = z.shape[0]
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(n, dtype=np.complex128) if out is None else out
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.shape == (n,)
+            and out.flags.writeable and not np.shares_memory(out, z)):
+        raise ValueError(f"out must be a writeable complex128 1-d array of {n} samples, not in z")
     out[0] = b
     for s0 in range(1, n, block):
         s1 = min(s0 + block, n)

@@ -21,15 +21,16 @@ PUBLIC = [
     "GridAccuracyError", "McpModel", "NoiseChain", "ParameterError", "ProbeConfig",
     "RankDeficiencyError", "Scenario", "ShiftTrace", "SingularityError", "SnrValidityError",
     "TransitionSet", "TruenessReport", "UnidentifiableError", "WindowConfigError",
-    "atom_number_precision", "cavity_phase", "cloud_mode_average", "core", "coupling",
+    "atom_number_precision", "cavity_phase", "cloud_mode_average", "core",
     "critical_photon_number", "detection", "dispersive_shift", "estimation", "excited_fraction",
     "experiments", "fit_atom_number", "fit_entry_time", "fit_power_dependence",
     "fit_rabi_calibration", "fit_spectroscopy", "fitting", "fly_through_shift_trace",
     "fourth_order_error", "init_n_crit_from_half_signal", "interaction_shift", "kernels",
-    "least_squares_fit", "mcp_relative_precision", "mcp_signal", "mode_amplitude",
+    "least_squares_fit", "mcp_relative_precision", "mcp_signal", "mode_profile",
     "p_fraction_from_ratio", "params", "phase_change",
     "phase_change_precision", "phase_change_sigma", "phase_precision", "pointlike_correction",
-    "power_dependent_shift", "power_reduction", "predict_superposition_phase",
+    "population_coefficients", "power_dependent_shift", "power_reduction",
+    "predict_superposition_phase",
     "rabi_calibration_model", "readout_phase", "response_filter", "run_flythrough",
     "run_power_sweep", "run_rabi_scenario", "run_sensitivity_sweep", "run_single_shot_campaign",
     "shift_from_phase", "simulate_flythrough", "simulate_phase_shot_batch", "snr",

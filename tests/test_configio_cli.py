@@ -32,7 +32,7 @@ from rydcav.configio import (
 from test_csv_writer import rowwise_write_csv, rowwise_write_csv_blocks
 from test_experiments import compute_blocks_last_first
 from test_kernels import loop_filter
-from test_transmission import whole_trace_response
+from test_transmission import reference_shift_trace, whole_trace_response
 
 ALL_CONFIGS = ("flythrough", "sensitivity", "power", "rabi", "campaign", "trueness")
 COMMANDS = ("simulate", "fit", "campaign", "trueness")
@@ -799,13 +799,13 @@ def fast_flythrough(tmp_path, config_dir):
 # pair writes at --seed 14; the campaign's shots.csv is pinned below.
 GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "faec6e7c2e4b87bc66cdee76ba15e6265332d8b0e9e7a85c942392932d4de374",
-        "trace_detuned.csv": "660662049ec1f2fb01d73ddf8476cb7625d03ddd39b4d6600758dc99182fff71",
-        "trace_resonant.csv": "e3eab6f44c6ef66a3511a05e6912d015e0f07e8a18742c46d35f8a783300b35f",
+        "summary.json": "7c7308da61e77db27d9748238f7b66225c9c5cdcde259b0a820dc4ee88cbe034",
+        "trace_detuned.csv": "719bb8e2e9832a91dcc1706277e25379a87e2ac0615b289d1159f43aa733b235",
+        "trace_resonant.csv": "56bc79324b61e55623c75fae7c32932fd48d6d4a4b2ed3fd3fe04fd51f635cc5",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "529ad882e89fc1bc103282b85d160331d4f733f1aeb12f5c076357a82c738884",
-        "summary.json": "be371a3693810545f18eb34fb1425d91106c764a69ccf6ba9f052ba7a9813f18",
+        "sensitivity.csv": "3d169bf074e8d84291b61327081f0a749583c4f0024d36f4dc9bc079b161d830",
+        "summary.json": "a8f3c9cf755ddf8516b82209b1ff7fcad477dcc04e7242252dc378d49c3ba17d",
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
@@ -815,18 +815,45 @@ GOLDEN = {
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "7e5dcf7b43cd16be28ee1844e003d6d1cb6d2f7fe7ebb2a50a03ed8ab0c84850",
+        "rabi.csv": "6b977fe2aeab3babeb17e341e7b7fb422ba1f25e048db0969f4a1e3d8c866533",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "34710717f678595d474b218b5b68a4094f53f3473e05626137d2c0b2164a8e49",
-        "trace_fit_input.csv": "a9b792aba3b2b83bfb5cde1aa420c36823844048789bd3298766d346043b0965",
+        "summary.json": "e516b710859049f86d44ed2e3d558f655271eb5b40b7cc9e6121fe67c215cf09",
+        "trace_fit_input.csv": "588c70d002ffafe324f53ab3e1987b04c102f78f7ee1a0f9067c1c05c7dff099",
     },
     ("fit", "power"): {
         "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
     },
     ("trueness", "trueness"): {
         "trueness.json": "32361225466f4cf05730d56313b1aad99125352b23873c94ec81180b427313d4",
+    },
+}
+
+
+# The 4 pairs above that build chi(t), as written with the reference chi(t)
+# build (tests/test_transmission.py::reference_shift_trace: the libm-sin
+# coupling and the population sum g^2 N [(P_p w_p - P_s w_s)/Delta + ...]) in
+# place of fly_through_shift_trace: the bytes of GOLDEN before chi(t) took the
+# tan form sin^2 (A_s w_s + A_p w_p), which shows that nothing outside the
+# chi(t) build moved.
+REFERENCE_CHI_GOLDEN = {
+    ("simulate", "flythrough"): {
+        "summary.json": "faec6e7c2e4b87bc66cdee76ba15e6265332d8b0e9e7a85c942392932d4de374",
+        "trace_detuned.csv": "660662049ec1f2fb01d73ddf8476cb7625d03ddd39b4d6600758dc99182fff71",
+        "trace_resonant.csv": "e3eab6f44c6ef66a3511a05e6912d015e0f07e8a18742c46d35f8a783300b35f",
+    },
+    ("simulate", "sensitivity"): {
+        "sensitivity.csv": "529ad882e89fc1bc103282b85d160331d4f733f1aeb12f5c076357a82c738884",
+        "summary.json": "be371a3693810545f18eb34fb1425d91106c764a69ccf6ba9f052ba7a9813f18",
+    },
+    ("simulate", "rabi"): {
+        "rabi.csv": "7e5dcf7b43cd16be28ee1844e003d6d1cb6d2f7fe7ebb2a50a03ed8ab0c84850",
+        "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
+    },
+    ("fit", "flythrough"): {
+        "summary.json": "34710717f678595d474b218b5b68a4094f53f3473e05626137d2c0b2164a8e49",
+        "trace_fit_input.csv": "a9b792aba3b2b83bfb5cde1aa420c36823844048789bd3298766d346043b0965",
     },
 }
 
@@ -839,24 +866,27 @@ GOLDEN = {
 # and 1.2e-6 sigma; with the loop they must stay these bytes, which shows that
 # nothing outside the kernel and the closed-form tail after the transit moved.
 # The tail's tan form moved the two fly-through pairs here by at most
-# 1.1e-16 deg and 1.2e-7 sigma.
+# 1.1e-16 deg and 1.2e-7 sigma.  The chi(t) build's tan form moved all 4
+# pairs, here and in the tables below, by at most 3.2e-14 deg in the traces
+# and 1.1e-6 sigma in the fitted N (REFERENCE_CHI_GOLDEN keeps the old bytes
+# of GOLDEN through the reference build).
 LOOP_GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
-        "trace_detuned.csv": "5aa1f8e59ce1f74425cd405bf978377d22c09de241df488dc6b84d18938b6c08",
-        "trace_resonant.csv": "60db573893658874c19c044e2f9608faf276317e6682b92ce7a952bdabcae2a9",
+        "summary.json": "98efd3d36d0ef45064a057002d887a353dae101497dc7ea5e6e151d31d87268f",
+        "trace_detuned.csv": "c3cbff382fe165cd4891ea53a87ff46aa7279cfd85ea687af27d5110590fcdf0",
+        "trace_resonant.csv": "9e21812db673db6b44fa59b8c49a623212686fcc3289060974530b8f3061db99",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
-        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+        "sensitivity.csv": "8890aa7d339d984b4666853f65a8c64fe593bf9aab9ee9d3bec73cfad399817f",
+        "summary.json": "1881deac475a1e6e879ce1a5d91765eac9fd3c93f30201875b5479aa23ade510",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "5a319779b1cfdc871d4811d28cb3a953bd794a1dccecd185a1bb904d00696a68",
+        "rabi.csv": "8456bc4133bdfbcc5e4876e37f59fd555630ee828fc75012226ff217e3f26746",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "75f55733e704d3513a23fbcb75aa254b822abbd13a97df2f2672b77143e441fb",
-        "trace_fit_input.csv": "2beec0ab4aaed59caa92b0beb4f11fa3d8501093fd2b1dd2a0c07f38a38077b1",
+        "summary.json": "176861ad1932a527d56b1a703174e989157ed540a1bb112c65e3d641a01f30cf",
+        "trace_fit_input.csv": "b644f00948d97c3be28b398ff682ebb58e90a953f4df79bc9fd4264d5f09c1e4",
     },
 }
 
@@ -868,44 +898,44 @@ LOOP_GOLDEN = {
 # 4e-7 sigma in the fitted N; with the whole-trace update they must stay these
 # bytes, which shows that nothing outside transmission_response moved.  The
 # whole-trace-and-loop table calls neither the blocked scan nor the tail, so
-# it kept its bytes when both took the tan form.
+# it kept its bytes when both took the tan form; it moved with chi(t).
 WHOLE_TRACE_GOLDEN = {
     ("simulate", "flythrough"): {
         "summary.json": "353ee9e893388382aefc21608779eb0133518815a5ac568a42f4fe650ea9adc2",
-        "trace_detuned.csv": "de134cd428e3855756e1f3f5776dbc87f531bf51ea93ec7f5c45067967926560",
-        "trace_resonant.csv": "738223668b848643b574150d4b1bbcec11b392dcd8ea78f188d355a8c967d0a4",
+        "trace_detuned.csv": "f67aa227dcc843cf2d50f36a511f7f5baee2872a320be92d7ead50b95a9926aa",
+        "trace_resonant.csv": "a4de62029447d5ff59f67ff751ead289f8e397f66966c7472db96847a3699b0d",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "1ef3837dfe47bdef9539225c9dd0a9a40d4b338da0de185d0ef1b0f74549feef",
-        "summary.json": "7a58b952b1bec25451a2168861d18ebc416e3075cae27ec8873b67f31f835c67",
+        "sensitivity.csv": "d385253515201ba33c731391f534d860eb52a4ca8fb34e8369a7ce171a29c749",
+        "summary.json": "856f66ae22cbb1db3cf46bd26651e95aa24b0afd1768edd6ca7967b49b864c31",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "ba1800b194f006b4407f895edbe97be145d62d95dd1880f2f7a52279cc37fae8",
+        "rabi.csv": "e6e325e3e18769ab5322027b188d1388e895277162e990db8a9329abe4a1b9c2",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "502a94fde3656aa6a7a8aba276da914cafb168924a40ed3f6c7c8574daee0ba1",
-        "trace_fit_input.csv": "53445d45909c21f6adcbc9bfb9c68c63373222fdac7c5ca0f7174139b5da749c",
+        "summary.json": "ffa9efe469160bc4f275d761dd139592c0bf04bf34ed260ca4ee4a52ec1d6926",
+        "trace_fit_input.csv": "ed39a6d051b51cf9422b3b4b296d19ffff3b6bcf12b7d8acf2270f68b3c2c34a",
     },
 }
 
 WHOLE_TRACE_LOOP_GOLDEN = {
     ("simulate", "flythrough"): {
-        "summary.json": "c83de2cc5369377006b62506a030fab26956ef9d6735b63d086fb6951e64d765",
-        "trace_detuned.csv": "0c83e3b590d001604ce86bd823cc29958a7a013905332a9f148c0b7dbc88be8e",
-        "trace_resonant.csv": "a058bf0f7a9456cb0506a752c521e759fd74e98b2bb920d91382f2641991487a",
+        "summary.json": "98efd3d36d0ef45064a057002d887a353dae101497dc7ea5e6e151d31d87268f",
+        "trace_detuned.csv": "43184164aa4c44ed296e3376a0de81059fdb09eca0e357387f5ec2aca124ba2b",
+        "trace_resonant.csv": "739f6c950d6e43f776c8db45787fb086cf3c6d1e774b54da20ea1be5df489a77",
     },
     ("simulate", "sensitivity"): {
-        "sensitivity.csv": "18e2c4f6cccc04eb33caa37b1fac5ac144bb47b7648ba8dda5dc4d93606872bc",
-        "summary.json": "7d9575b04e0b49ef2da5912c628071a7348387c2a016cce3bd32263ff4d9f6ab",
+        "sensitivity.csv": "8890aa7d339d984b4666853f65a8c64fe593bf9aab9ee9d3bec73cfad399817f",
+        "summary.json": "1881deac475a1e6e879ce1a5d91765eac9fd3c93f30201875b5479aa23ade510",
     },
     ("simulate", "rabi"): {
-        "rabi.csv": "5a319779b1cfdc871d4811d28cb3a953bd794a1dccecd185a1bb904d00696a68",
+        "rabi.csv": "8456bc4133bdfbcc5e4876e37f59fd555630ee828fc75012226ff217e3f26746",
         "summary.json": "a31ed480d1aa85fd65ac9f8323fc736cb67ac1c86f161d20a08ef9e913ad6879",
     },
     ("fit", "flythrough"): {
-        "summary.json": "e468ea1c364c861dd14f5cda21dd8f41da5af96e03a694367e4f13a52f2681e9",
-        "trace_fit_input.csv": "d74f2dde7dda376fdd2f8e162efd0ab927676a09693c4d1cc3c9f15657beedd0",
+        "summary.json": "80e0b156c511bd76f44bec461464d625310c35883598f14a568021b0f926e315",
+        "trace_fit_input.csv": "2e46ad2a1bc41834ca36bc51028ea99104c807e8f93091122b55b55b1d3ce435",
     },
 }
 
@@ -928,6 +958,14 @@ def test_packaged_pair_golden_bytes_with_rowwise_writer(tmp_path, config_dir, mo
     # the same bytes from the csv.writer that write_csv replaced
     monkeypatch.setattr(cli, "write_csv", rowwise_write_csv)
     assert packaged_pair_hashes(tmp_path, config_dir, command, config) == GOLDEN[command, config]
+
+
+@pytest.mark.parametrize("command, config", REFERENCE_CHI_GOLDEN)
+def test_packaged_pair_golden_bytes_with_reference_chi(tmp_path, config_dir, monkeypatch,
+                                                       command, config):
+    monkeypatch.setattr(transmission, "fly_through_shift_trace", reference_shift_trace)
+    assert packaged_pair_hashes(tmp_path, config_dir, command, config) == \
+        REFERENCE_CHI_GOLDEN[command, config]
 
 
 @pytest.mark.parametrize("command, config", LOOP_GOLDEN)

@@ -32,51 +32,65 @@ TWO_PI = 2.0 * np.pi
 
 
 class TestModeAmplitude:
+    # the squared amplitude sin^2(p pi z / L), core.mode_profile
     def test_antinode(self, cavity):
-        assert core.mode_amplitude(cavity.length_z / 2, cavity) == pytest.approx(1.0)
+        assert core.mode_profile(cavity.length_z / 2, cavity) == pytest.approx(1.0)
 
     def test_wall(self, cavity):
-        assert core.mode_amplitude(0.0, cavity) == pytest.approx(0.0)
-        assert core.mode_amplitude(cavity.length_z, cavity) == pytest.approx(0.0, abs=1e-12)
+        assert core.mode_profile(0.0, cavity) == 0.0
+        assert core.mode_profile(cavity.length_z, cavity) == pytest.approx(0.0, abs=1e-24)
 
     def test_quarter(self, cavity):
-        assert core.mode_amplitude(cavity.length_z / 4, cavity) == pytest.approx(
-            np.sin(np.pi / 4), rel=1e-12
-        )
+        assert core.mode_profile(cavity.length_z / 4, cavity) == pytest.approx(0.5, rel=1e-12)
 
     def test_outside_rejected(self, cavity):
         with pytest.raises(ValueError):
-            core.mode_amplitude(-1e-3, cavity)
+            core.mode_profile(-1e-3, cavity)
         with pytest.raises(ValueError):
-            core.mode_amplitude(cavity.length_z + 1e-3, cavity)
+            core.mode_profile(cavity.length_z + 1e-3, cavity)
 
     def test_scalar_and_empty_accepted(self, cavity):
-        assert core.mode_amplitude(np.float64(0.0), cavity).shape == ()
-        assert core.mode_amplitude(np.empty((0, 3)), cavity).shape == (0, 3)
+        assert core.mode_profile(np.float64(0.0), cavity).shape == ()
+        assert core.mode_profile(np.empty((0, 3)), cavity).shape == (0, 3)
         with pytest.raises(ValueError, match="^z outside cavity"):
-            core.mode_amplitude(np.nan, cavity)
+            core.mode_profile(np.nan, cavity)
 
     def test_mode_sq_lobe_average(self, cavity):
         # sin^2 averages to 1/2 over one lobe
         z = np.linspace(0, cavity.length_z, 200001)
-        avg = np.trapezoid(core.mode_amplitude(z, cavity) ** 2, z) / cavity.length_z
+        avg = np.trapezoid(core.mode_profile(z, cavity), z) / cavity.length_z
         assert avg == pytest.approx(0.5, abs=1e-6)
+
+    @given(p=st.integers(1, 3), z_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_libm_sin_squared(self, p, z_frac):
+        cav = dataclasses.replace(CAVITY, mode_antinodes=p)
+        z = z_frac * cav.length_z
+        want = np.sin(p * np.pi * z / cav.length_z) ** 2
+        # within the rounding of theta = p pi z / L, which the two forms round apart
+        assert abs(core.mode_profile(z, cav) - want) <= 4 * np.spacing(p * np.pi)
+
+    def test_written_into_out(self, cavity):
+        z = np.linspace(0, cavity.length_z, 11)
+        want = core.mode_profile(z, cavity)
+        assert core.mode_profile(z, cavity, out=z) is z
+        assert z.tobytes() == want.tobytes()
 
 
 class TestCoupling:
+    # g = g_max sqrt(mode_correction mode_profile), the coupling whose square
+    # the population coefficients multiply
     def test_center_value(self, cavity):
-        assert core.coupling(cavity.length_z / 2, cavity) / TWO_PI == pytest.approx(14.3e3)
+        g = cavity.g_max * np.sqrt(core.mode_profile(cavity.length_z / 2, cavity))
+        assert g / TWO_PI == pytest.approx(14.3e3)
 
     def test_wall_zero(self, cavity):
-        assert core.coupling(0.0, cavity) == 0.0
+        assert cavity.g_max * np.sqrt(core.mode_profile(0.0, cavity)) == 0.0
 
     def test_mode_correction(self, cavity):
-        import dataclasses
-
         cav = dataclasses.replace(cavity, mode_correction=0.99)
-        assert core.coupling(cav.length_z / 2, cav) / TWO_PI == pytest.approx(
-            14.22837e3, rel=1e-5
-        )
+        g = cav.g_max * np.sqrt(cav.mode_correction * core.mode_profile(cav.length_z / 2, cav))
+        assert g / TWO_PI == pytest.approx(14.22837e3, rel=1e-5)
 
 
 class TestDispersiveShift:
@@ -244,8 +258,8 @@ def test_nan_parameter_rejected(cls, kwargs, name):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: core.mode_amplitude(np.array([0.0, np.nan]), CAVITY),
-                 id="mode_amplitude"),
+    pytest.param(lambda: core.mode_profile(np.array([0.0, np.nan]), CAVITY),
+                 id="mode_profile"),
     pytest.param(lambda: core.power_reduction(np.nan, 4.4e4), id="power_reduction-n_c"),
     pytest.param(lambda: core.power_reduction(1e4, np.nan), id="power_reduction-n_crit"),
     pytest.param(lambda: core.excited_fraction(1e4, np.nan), id="excited_fraction"),
@@ -326,12 +340,14 @@ def test_readout_formulas_have_one_home():
         return sorted(name for name, src in sources.items() if text in src)
 
     assert homes("np.arctan(") == homes("-np.tan(phase) * kappa") == ["core.py"]
-    # np.tan also builds the response steps, from the half angle; the
-    # response path calls no np.sin or np.cos, and np.exp and np.expm1 on
-    # real arrays only
+    # np.tan also builds the response steps, from the half angle, and the
+    # mode profile of chi(t); the response path calls no np.sin or np.cos,
+    # the chi(t) path (core's profile) no np.sin, and np.exp and np.expm1
+    # run on real arrays only
     assert homes("np.tan(") == ["core.py", "kernels.py"]
     path = {"kernels.py", "transmission.py"}
     assert not path & {*homes("np.sin("), *homes("np.cos(")}
+    assert "core.py" not in homes("np.sin(")
     exp_args = {name: re.findall(r"np\.exp(?:m1)?\((.*?)(?:, out=.*)?\)$", sources[name], re.M)
                 for name in sorted(path)}
     assert exp_args == {"kernels.py": ["x", "x"],
@@ -385,7 +401,7 @@ class TestCloudModeAverage:
     def test_point_cloud_is_mode_squared(self, cavity):
         z = np.linspace(0.0, cavity.length_z, 101)
         np.testing.assert_allclose(core.cloud_mode_average(z, cavity, 0.0, 0.0),
-                                   core.mode_amplitude(z, cavity) ** 2, atol=1e-15)
+                                   core.mode_profile(z, cavity), atol=1e-15)
 
     @given(
         p=st.integers(1, 3),

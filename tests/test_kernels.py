@@ -46,12 +46,13 @@ DT_MAX = (2.0 / KAPPA) / 20.0  # coarsest grid transmission_response accepts
 B = kernels.BLOCK
 
 
-def loop_filter(z, dt, b0):
-    """The recurrence b_k = d_k b_{k-1} + (d_k - 1)/zm_k, one sample at a time."""
+def loop_filter(z, dt, b0, out=None):
+    """The recurrence b_k = d_k b_{k-1} + (d_k - 1)/zm_k, one sample at a time,
+    into ``out`` when given."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
     dt = float(dt)
     n = z.shape[0]
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(n, dtype=np.complex128) if out is None else out
     b = complex(b0)
     out[0] = b
     for k in range(1, n):
@@ -137,9 +138,9 @@ def test_matches_loop_oracle_on_finest_benchmark_grid(config_dir, monkeypatch, d
     fly = load_scenario(config_dir / "flythrough.json")
     calls = []
 
-    def recorded(z, dt, b0):
+    def recorded(z, dt, b0, out=None):
         calls.append((z, dt, b0))
-        return response_filter(z, dt, b0)
+        return response_filter(z, dt, b0, out=out)
 
     monkeypatch.setattr(transmission, "response_filter", recorded)
     trace, _ = transmission.simulate_flythrough(
@@ -271,6 +272,41 @@ def test_tan_steps_match_half_angle_sine_cosine(x, h):
 def test_bad_input_named(z, dt, b0, message):
     with pytest.raises(ValueError, match=message):
         response_filter(z, dt, b0)
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda z: np.empty(3, np.complex64),
+    lambda z: np.empty(2, complex),
+    lambda z: np.empty((3, 1), complex),
+    lambda z: np.empty(3, float),
+    lambda z: [0j, 0j, 0j],
+    lambda z: np.broadcast_to(np.zeros(1, complex), (3,)),
+    lambda z: z,
+    lambda z: z[::-1],
+    lambda z: z.base[2:5],
+], ids=["complex64", "short", "2-d", "float", "list", "read-only", "z", "z reversed",
+        "overlaps z"])
+def test_bad_out_named(make_out):
+    z = np.full(6, -KAPPA / 2 + 0j)[:3]
+    with pytest.raises(ValueError, match="^out must be a writeable complex128 1-d array of 3 "):
+        response_filter(z, DT_MAX, 0j, out=make_out(z))
+
+
+@pytest.mark.parametrize("n", [1, 2, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_out_is_written_and_returned_with_the_same_bits(n, stride):
+    # the scan writes the integral into the caller's array, also a strided
+    # slice of a larger buffer, bit for bit as into its own
+    z = random_z(11, n, 1e6, False, delta_m=0.3 * KAPPA)
+    want = response_filter(z, DT_MAX, 0.5 / KAPPA + 0j)
+    buf = np.full(stride * n + 2, np.nan + 0j)
+    out = buf[1:1 + stride * n:stride]
+    got = response_filter(z, DT_MAX, 0.5 / KAPPA + 0j, out=out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    untouched = np.ones(buf.size, bool)
+    untouched[1:1 + stride * n:stride] = False
+    assert np.all(np.isnan(buf[untouched]))
 
 
 def test_finite_z_whose_sum_overflows_accepted():

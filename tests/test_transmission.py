@@ -279,9 +279,9 @@ class TestTransitOnlyResponse:
         shift = padded_shift(7, 300, 50, 200, 1e6, False, False, (2.0 / KAPPA) / 27)
         calls = []
 
-        def spy(z, dt, b0):
+        def spy(z, dt, b0, out=None):
             calls.append(len(z))
-            return kernel(z, dt, b0)
+            return kernel(z, dt, b0, out=out)
 
         kernel = transmission.response_filter
         monkeypatch.setattr(transmission, "response_filter", spy)
@@ -413,6 +413,15 @@ class TestTransmissionResponse:
 # CLOUDS: the chi(t) build is pinned bit for bit, not only through the traces
 # it feeds.
 CHI_GOLDEN = {
+    (False, False): "486c6adcd7c588cf9fd99ed6cdd052b71826383be8ed5fd0e1f7ccb95d5b55e4",
+    (False, True): "40184a39485166fcd7b3778ef53e215c158f5e5a2cbc3d2908443fb5a26d4f9b",
+    (True, False): "505dfc869233559883cadb754cd1c49a189aa4bd61fa1564054924dcd8d21e18",
+    (True, True): "8c9bf10cf1144c55d39700e2645d7333a4d09ab6943ecf043ecc646667fe0e5a",
+}
+
+# The same with the reference chi(t) build (reference_shift_trace): the
+# bits of CHI_GOLDEN before chi(t) took the tan form.
+REFERENCE_CHI_GOLDEN = {
     (False, False): "e7711d632e26ba16c2e7c5db1e2779175dcbde63d7bf0aa7c060f3fff682fa3c",
     (False, True): "8b8721cd231bd3439c4c5db2517da3d1fbb5b2e8c7eaadef0bc825a76087e7dc",
     (True, False): "c3871482b19d45e1b88757606b1ecd78c0ef250a94e4fe08541481bd491bead5",
@@ -420,11 +429,33 @@ CHI_GOLDEN = {
 }
 
 
-def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True):
+def reference_coupling(z, cavity):
+    """g(z) = g_max |sin(p pi z / L)| sqrt(mode_correction), from libm sin: the
+    point-cloud coupling of the chi(t) build before the tan form."""
+    mode = np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
+    return cavity.g_max * mode * np.sqrt(cavity.mode_correction)
+
+
+def reference_dispersive_shift(ensemble, g, delta_plus, delta_minus, decay_s, decay_p):
+    """chi = g^2 N [(P_p+1 w_p - P_s w_s)/Delta_+1 + (P_p-1 w_p - P_s w_s)/Delta_-1]
+    under the array rule |Delta| > 10 max(g) sqrt(N): the dispersive shift as
+    the chi(t) build computed it before the tan form."""
+    lim = 10.0 * np.max(g) * np.sqrt(max(ensemble.n_atoms, 1.0))
+    if min(abs(delta_plus), abs(delta_minus)) <= lim:
+        raise DispersiveValidityError(f"reference rule: |Delta| <= {lim}")
+    return g ** 2 * ensemble.n_atoms * (
+        (ensemble.p_p_plus * decay_p - ensemble.p_s * decay_s) / delta_plus
+        + (ensemble.p_p_minus * decay_p - ensemble.p_s * decay_s) / delta_minus)
+
+
+def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
+                     reference=False):
     """chi(t) built over a boolean mask of the samples inside the transit, with
     a gather and a scatter: the oracle of the slice that
-    fly_through_shift_trace takes of the sorted grid.  A cloud with a size
-    takes the extended-cloud model."""
+    fly_through_shift_trace takes of the sorted grid, from core's formulas.
+    With ``reference`` it takes the reference build instead (reference_coupling
+    and reference_dispersive_shift).  A cloud with a size takes the
+    extended-cloud model."""
     times = np.asarray(times, dtype=float)
     chi = np.zeros_like(times)
     transit_time, t_cen = transmission.transit(ensemble, cavity)
@@ -434,17 +465,55 @@ def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True):
         return chi
     z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
     if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
-        g = cavity.g_max * np.sqrt(cavity.mode_correction * core.cloud_mode_average(
-            z, cavity, ensemble.sigma_z, ensemble.sigma_x))
+        profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x)
+        g = cavity.g_max * np.sqrt(cavity.mode_correction * profile)
     else:
-        g = core.coupling(z, cavity)
+        profile, g = core.mode_profile(z, cavity), reference_coupling(z, cavity)
     decay_s = decay_p = 1.0
     if transit_decay:
         decay_s = np.exp(-(times[inside] - t_cen) / TAU_S)
         decay_p = np.exp(-(times[inside] - t_cen) / TAU_P)
-    chi[inside] = core.dispersive_shift(ensemble, g, transitions.delta_plus,
-                                        transitions.delta_minus, decay_s, decay_p)
+    if reference:
+        chi[inside] = reference_dispersive_shift(ensemble, g, transitions.delta_plus,
+                                                 transitions.delta_minus, decay_s, decay_p)
+        return chi
+    g2 = cavity.g_max ** 2 * cavity.mode_correction
+    a_s, a_p = (g2 * a for a in core.population_coefficients(
+        ensemble, cavity.g_max * np.sqrt(cavity.mode_correction * np.max(profile)),
+        transitions.delta_plus, transitions.delta_minus))
+    chi[inside] = profile * (a_s * decay_s + a_p * decay_p)
     return chi
+
+
+def reference_shift_trace(ensemble, cavity, transitions, times, transit_decay=True):
+    """fly_through_shift_trace with the reference chi(t) build."""
+    return ShiftTrace(times, mask_shift_trace(ensemble, cavity, transitions, times,
+                                              transit_decay, reference=True))
+
+
+# A dyadic cavity length and velocity put grid samples exactly at both walls
+# and at every antinode, where tan(p pi z / L) is at its pole.
+DYADIC_LENGTH, DYADIC_VELOCITY = 2.0 ** -6, 2.0 ** 10
+
+
+def node_case(p, mode_correction, n_atoms, p_s, split, sized, per_lobe, offset):
+    """(ensemble, cavity, times) over a transit of p antinodes, sampled at
+    ``per_lobe`` steps per half lobe from one step before the entry to one
+    after the exit, shifted by ``offset`` steps (0 hits every node)."""
+    cavity = dataclasses.replace(FLY.cavity, length_z=DYADIC_LENGTH, mode_antinodes=p,
+                                 mode_correction=mode_correction)
+    ens = with_cloud(EnsembleState(n_atoms=n_atoms, p_s=p_s, p_p_plus=(1.0 - p_s) * split,
+                                   p_p_minus=(1.0 - p_s) * (1.0 - split),
+                                   velocity=DYADIC_VELOCITY, entry_time=0.0), sized)
+    dt = DYADIC_LENGTH / DYADIC_VELOCITY / (2 * p * per_lobe)
+    return ens, cavity, (np.arange(2 * p * per_lobe + 3) - 1.0 + offset) * dt
+
+
+NODE_CASE = dict(p=st.integers(1, 3), mode_correction=st.floats(0.5, 1.5, exclude_min=True),
+                 n_atoms=st.floats(0.0, 600.0), p_s=st.floats(0.0, 1.0),
+                 split=st.floats(0.0, 1.0), sized=st.booleans(),
+                 per_lobe=st.sampled_from([1, 2, 4, 16, 64, 256]),
+                 offset=st.just(0.0) | st.floats(0.0, 1.0))
 
 
 class TestTransitSlice:
@@ -504,7 +573,94 @@ class TestTransitSlice:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestReferenceBuild:
+    # chi(t) from one tan, sin^2 = tau^2 / (1 + tau^2), against the libm-sin
+    # coupling and the population sum it replaced
+
+    @settings(max_examples=200, deadline=None)
+    @given(transit_decay=st.booleans(), **NODE_CASE)
+    def test_chi_matches_reference_build(self, transit_decay, **case):
+        ens, cavity, times = node_case(**case)
+        got = fly_through_shift_trace(ens, cavity, FLY.transitions, times,
+                                      transit_decay=transit_decay).chi
+        want = mask_shift_trace(ens, cavity, FLY.transitions, times, transit_decay,
+                                reference=True)
+        # within 1e-13 of the largest |s term| + |p term|, which is the peak
+        # |chi| unless the two cancel (and within rounding of subnormal chi)
+        terms = [mask_shift_trace(dataclasses.replace(ens, **pop), cavity, FLY.transitions,
+                                  times, transit_decay, reference=True)
+                 for pop in (dict(p_p_plus=0.0, p_p_minus=0.0), dict(p_s=0.0))]
+        scale = np.max(np.abs(terms[0]) + np.abs(terms[1]))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale + np.finfo(float).smallest_normal
+        if case["offset"] == 0.0:
+            # on the nodes the profile is 0 to rounding, on the antinodes 1
+            lobe, p = case["per_lobe"], case["p"]
+            z = (times[1:2 + 2 * p * lobe] - times[1]) * ens.velocity
+            profile = core.mode_profile(z, cavity)
+            assert z[-1] == cavity.length_z
+            assert np.max(profile[::2 * lobe]) <= 1e-30
+            assert np.all(profile[lobe::2 * lobe] == 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ulps=st.integers(-3, 3), rel=st.sampled_from([0.0, -1e-9, 1e-9]),
+           name=st.sampled_from(["delta_plus", "delta_minus"]), **NODE_CASE)
+    def test_validity_rule_is_the_array_rule(self, ulps, rel, name, **case):
+        # the build checks g_max sqrt(m max(profile)); the array rule
+        # |Delta| > 10 max(g) sqrt(N) on g = g_max sqrt(m profile) raises on
+        # exactly the same detunings, including within a few ulp of the
+        # limit, and so does the reference for a sized cloud (whose g it is)
+        ens, cavity, times = node_case(**case)
+        t_c = times - ens.entry_time
+        z = np.clip(t_c[(t_c >= 0) & (t_c <= cavity.length_z / ens.velocity)] * ens.velocity,
+                    0.0, cavity.length_z)
+        profile = (core.cloud_mode_average(z, cavity, ens.sigma_z, ens.sigma_x)
+                   if case["sized"] else core.mode_profile(z, cavity))
+        g = cavity.g_max * np.sqrt(cavity.mode_correction * profile)
+        lim = 10.0 * np.max(g) * np.sqrt(max(ens.n_atoms, 1.0))
+        delta = -lim * (1.0 + rel)
+        for _ in range(abs(ulps)):
+            delta = np.nextafter(delta, -np.inf if ulps > 0 else 0.0)
+        transitions = dataclasses.replace(FLY.transitions, **{name: float(delta)})
+        assert (abs(delta) <= lim) == (rel < 0 or (rel == 0 and ulps <= 0))
+        raises = ens.n_atoms > 0 and abs(delta) <= lim  # no cloud, no rule
+        outcomes = []
+        for build in (fly_through_shift_trace, reference_shift_trace):
+            try:
+                build(ens, cavity, transitions, times)
+                outcomes.append(None)
+            except DispersiveValidityError as exc:
+                outcomes.append(str(exc))
+        assert (outcomes[0] is not None) == raises
+        if raises:
+            assert outcomes[0].startswith(f"{name} reaches ")
+        if case["sized"] or rel != 0.0:
+            assert (outcomes[1] is not None) == raises
+
+    @pytest.mark.parametrize("transit_decay, sized", CHI_GOLDEN)
+    def test_traces_within_tolerance_of_reference_build(self, monkeypatch, transit_decay,
+                                                         sized):
+        ens = with_cloud(FLY.ensemble, sized)
+        traces = {}
+        for build in ("new", "reference"):
+            if build == "reference":
+                monkeypatch.setattr(transmission, "fly_through_shift_trace",
+                                    reference_shift_trace)
+            traces[build] = [simulate_flythrough(ens, FLY.cavity, FLY.transitions,
+                                                 frac * FLY.kappa, FLY.kappa,
+                                                 transit_decay=transit_decay)[0].values
+                             for frac in (-0.5, -0.1, 0.0, 0.37, 0.5)]
+        for got, want in zip(traces["new"], traces["reference"]):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestFlyThrough:
+    @pytest.mark.parametrize("dt", [0.0, np.nan, -1e-9, np.inf])
+    def test_bad_dt_named(self, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and positive, got "):
+            flythrough_shift(FLY.ensemble, FLY.cavity, FLY.transitions, FLY.kappa, dt)
+        with pytest.raises(ValueError, match="^dt must be finite and positive, got "):
+            simulate_flythrough(FLY.ensemble, FLY.cavity, FLY.transitions, 0.0, FLY.kappa, dt)
+
     def test_zero_atoms_flat(self, cavity, transitions):
         ens = EnsembleState(n_atoms=0)
         times = np.linspace(0, 20e-6, 500)
@@ -587,6 +743,17 @@ class TestFlyThrough:
         chi = flythrough_shift(with_cloud(sc.ensemble, sized), sc.cavity, sc.transitions,
                                sc.kappa, transit_decay=transit_decay).chi
         assert hashlib.sha256(chi.tobytes()).hexdigest() == CHI_GOLDEN[transit_decay, sized]
+
+    @pytest.mark.parametrize("transit_decay, sized", REFERENCE_CHI_GOLDEN)
+    def test_packaged_shift_trace_golden_bits_with_reference_build(self, config_dir,
+                                                                    monkeypatch,
+                                                                    transit_decay, sized):
+        monkeypatch.setattr(transmission, "fly_through_shift_trace", reference_shift_trace)
+        sc = load_scenario(config_dir / "flythrough.json")
+        chi = flythrough_shift(with_cloud(sc.ensemble, sized), sc.cavity, sc.transitions,
+                               sc.kappa, transit_decay=transit_decay).chi
+        assert hashlib.sha256(chi.tobytes()).hexdigest() == \
+            REFERENCE_CHI_GOLDEN[transit_decay, sized]
 
     def test_grid_before_entry_has_no_shift(self, cavity, ensemble261, transitions):
         times = ensemble261.entry_time - np.linspace(2e-6, 1e-6, 50)
