@@ -426,7 +426,8 @@ def write_csv_blocks(path, blocks):
     or integers in [-2**53, 2**53], which float64 holds exactly and "%.17g"
     writes as ``str`` does; the cells are numbers, so no cell needs CSV
     quoting, and a name that would (empty, or holding a comma, a double
-    quote, CR or LF) raises ``ValueError``.  Columns of any other dtype (bool and
+    quote, CR or LF) raises ``ValueError``, as does a first block with no
+    columns (or no block).  Columns of any other dtype (bool and
     ``longdouble`` among them) raise ``TypeError``; integers out of range,
     a column that is not 1-D and one shorter than the block's longest
     raise ``ValueError``.  Each names the column.  The first block is
@@ -437,6 +438,8 @@ def write_csv_blocks(path, blocks):
     path = Path(path)
     blocks = iter(blocks)
     names = list(first := next(blocks, {}))
+    if not names:
+        raise ValueError("write_csv: the first block has no columns")
     for name in names:
         if not name or any(c in name for c in ',"\r\n'):
             raise ValueError(f"write_csv: column name {name!r} would need CSV quoting")

@@ -52,6 +52,8 @@ REQUIRED = {
     "trueness": {"detuning_rel_uncertainty": 1, "pointlike_uncertainty": 1,
                  "interaction_spacing": 1},
 }
+# The types whose sweep values are atom numbers (a Rabi scan's are signed ratios).
+ATOM_SWEEPS = ("sensitivity", "power", "campaign")
 
 
 @dataclass
@@ -96,8 +98,10 @@ class Scenario:
 
     def require(self, scenario_type):
         """Raise ValueError, naming the setting, unless the scenario holds
-        every setting a run of ``scenario_type`` needs (:data:`REQUIRED`);
-        a campaign also needs two shots for its standard deviations."""
+        every setting a run of ``scenario_type`` needs (:data:`REQUIRED`),
+        with no negative atom number among the sweep values of the types
+        in :data:`ATOM_SWEEPS`; a campaign also needs two shots for its
+        standard deviations."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
             value = getattr(self, key)
             if value is None or np.size(value) == 0:
@@ -106,6 +110,9 @@ class Scenario:
             if len(set(np.atleast_1d(value))) < least:
                 raise ValueError(f"scenario.{key}: type {scenario_type!r} needs at least "
                                  f"{least} distinct values, got {value}")
+            if key == "sweep_values" and scenario_type in ATOM_SWEEPS and np.min(value) < 0:
+                raise ValueError(f"scenario.{key}: type {scenario_type!r} sweeps atom "
+                                 f"numbers, which must be >= 0, got {value}")
         if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
             raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "
                              f"got {self.shots}")
@@ -400,35 +407,71 @@ def _campaign_block(scenario, chi1, n_crit, block_index, row, mean_n, n_shots):
             "s_r": s_r, "p_p": p_p, "n_mcp_est": s1 / scenario.mcp.s1_atom}
 
 
-def setting_precision(mean_n, dphi_deg, n_est, n_mcp_est) -> dict:
-    """Sample standard deviations of one setting's phase changes and cavity and MCP
-    estimates, each one contiguous array of its shots, so every sum has one order."""
-    sigma_n, sigma_mcp = (float(np.std(x, ddof=1)) for x in (n_est, n_mcp_est))
-    return {"mean_n": mean_n, "sigma_dphi_deg": float(np.std(dphi_deg, ddof=1)),
-            "sigma_n_cavity": sigma_n, "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
-            "sigma_n_mcp": sigma_mcp, "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1)}
+# the record columns whose per-setting standard deviations summary.json reports
+SUMMARIZED = ("dphi_deg", "n_est", "n_mcp_est")
+
+
+class _SettingMoments:
+    """Shot count, means and M2 (sums of squared deviations from the mean) of
+    one setting's :data:`SUMMARIZED` columns, and its degenerate shots: those
+    where the MCP detects no atom (S1 = 0, so the window ratio is NaN) and
+    those whose ratio :func:`detection.p_fraction_from_ratio` clips.
+
+    Each block adds its own two-pass mean and M2, merged in row order by
+    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983),
+    so the memory held does not grow with the shot count."""
+
+    def __init__(self):
+        self.n = self.no_atom = self.clipped = 0
+        self.mean = self.m2 = None
+
+    def add(self, block, mcp):
+        n_b = len(block["s1"])
+        mean_b = np.array([block[k].mean() for k in SUMMARIZED])
+        m2_b = np.array([np.square(block[k] - m).sum() for k, m in zip(SUMMARIZED, mean_b)])
+        if self.n == 0:  # taken as they are, so a one-block setting keeps np.std's bits
+            self.mean, self.m2 = mean_b, m2_b
+        else:
+            n = self.n + n_b
+            delta = mean_b - self.mean
+            self.mean = self.mean + delta * n_b / n
+            self.m2 = self.m2 + m2_b + delta**2 * self.n * n_b / n
+        self.n += n_b
+        self.no_atom += int(np.count_nonzero(block["s1"] == 0))
+        _, clipped = detection.p_fraction_from_ratio(block["s_r"], mcp)
+        self.clipped += int(np.count_nonzero(clipped))
+
+    def summary(self, mean_n) -> dict:
+        """Sample standard deviations of the phase change and of the cavity and
+        MCP estimates, and the counts of degenerate shots."""
+        sigma_dphi, sigma_n, sigma_mcp = (float(s) for s in np.sqrt(self.m2 / (self.n - 1)))
+        return {"mean_n": mean_n, "sigma_dphi_deg": sigma_dphi,
+                "sigma_n_cavity": sigma_n, "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
+                "sigma_n_mcp": sigma_mcp, "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1),
+                "shots_no_atom_detected": self.no_atom, "shots_ratio_clipped": self.clipped}
 
 
 def campaign_blocks(scenario: Scenario, per_setting: list):
     """Yield the campaign's records in row order (setting after setting), as
     one dict of columns per block of at most :data:`BLOCK_SIZE` shots, each
     computed in the caller's thread when the consumer asks for it.  Each
-    setting's :func:`setting_precision`, from a buffer of its three
-    summarized columns, joins ``per_setting`` before its last block."""
+    setting's summary (:class:`_SettingMoments`), merged from its blocks'
+    moments, joins ``per_setting`` before its last block."""
     scenario.require("campaign")
     chi1, n_crit = effective_chi_per_atom(scenario)
     shots = scenario.shots
-    blocks = [(k * shots + done, mean_n, min(BLOCK_SIZE, shots - done))
-              for k, mean_n in enumerate(scenario.sweep_values)
-              for done in range(0, shots, BLOCK_SIZE)]
-    held = np.empty((3, shots))
-    for b, (row, mean_n, n_shots) in enumerate(blocks):
-        block = _campaign_block(scenario, chi1, n_crit, b, row, mean_n, n_shots)
-        end = row % shots + n_shots  # of the setting, after the block
-        held[:, end - n_shots:end] = [block["dphi_deg"], block["n_est"], block["n_mcp_est"]]
-        if end == shots:
-            per_setting.append(setting_precision(float(mean_n), *held))
-        yield block
+    per = -(-shots // BLOCK_SIZE)  # blocks per setting
+    for k, mean_n in enumerate(scenario.sweep_values):
+        moments = _SettingMoments()
+        for j in range(per):
+            done = j * BLOCK_SIZE  # shots of the setting before the block
+            n_shots = min(BLOCK_SIZE, shots - done)
+            block = _campaign_block(scenario, chi1, n_crit, k * per + j, k * shots + done,
+                                    mean_n, n_shots)
+            moments.add(block, scenario.mcp)
+            if j == per - 1:
+                per_setting.append(moments.summary(float(mean_n)))
+            yield block
 
 
 def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:

@@ -715,6 +715,29 @@ class TestCli:
         assert "config error: scenario.sweep_values:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config", [("simulate", "sensitivity"),
+                                                 ("simulate", "power"),
+                                                 ("campaign", "campaign")])
+    def test_negative_atom_number_exit_2(self, tmp_path, config_dir, capsys, command, config):
+        # the sweep values of these types are atom numbers
+        raw = json.loads((config_dir / f"{config}.json").read_text())
+        raw["scenario"]["sweep_values"][0] *= -1
+        cfg = tmp_path / f"{config}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: scenario.sweep_values: type {config!r} sweeps atom numbers, " \
+            "which must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_rabi_ratio_accepted(self, tmp_path, config_dir):
+        # a Rabi scan's sweep values are signed ratios
+        raw = json.loads((config_dir / "rabi.json").read_text())
+        raw["scenario"]["sweep_values"] = [-v for v in raw["scenario"]["sweep_values"]]
+        cfg = tmp_path / "rabi.json"
+        cfg.write_text(json.dumps(raw))
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_tmax_window_key_exit_2(self, tmp_path, config_dir, capsys):
         # the readout window is the constant transmission.READOUT_WINDOW
         raw = json.loads((config_dir / "sensitivity.json").read_text())
@@ -1068,7 +1091,7 @@ CAMPAIGN_GOLDEN = {
     "precision_vs_photon_number.csv":
         "bdee1ebbafaae430cf89c16de654b54c09875a249235fba1b4217ec10e3af14b",
     "shots.csv": SHOTS_GOLDEN,
-    "summary.json": "f4b4e726c4597d3f870c7fdb393b144bf0282959342657af1d0aca66498972ce",
+    "summary.json": "6252298f5ff47d5b6ff58be7eb60cd833601b2ad7c4b1147e4b1a07ae6f973aa",
 }
 
 

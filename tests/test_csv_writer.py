@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rydcav import cli, configio
 from rydcav.configio import (CSV_BLOCK_ROWS, CSV_FEW_VALUES, _digits17, _float_words,
                              load_scenario, write_csv, write_csv_blocks)
+from rydcav.experiments import BLOCK_SIZE
 
 B = CSV_BLOCK_ROWS
 
@@ -191,6 +192,17 @@ def test_name_needing_csv_quotes_rejected(tmp_path, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: write_csv(path, {}), id="write_csv-no-columns"),
+    pytest.param(lambda path: write_csv_blocks(path, []), id="write_csv_blocks-no-block"),
+])
+def test_no_columns_rejected(tmp_path, write):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="write_csv: the first block has no columns"):
+        write(path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("n, sizes", [
     (0, []), (1, [1]), (B, [B]), (B + 1, [B // 2, B // 2 + 1]),
     (3616, [452] * 8),  # the last block of a packaged campaign setting
@@ -331,4 +343,21 @@ def test_campaign_memory(tmp_path, config_dir):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5e6
+    assert peak <= 2.0e6
+
+
+def test_campaign_memory_independent_of_shot_count(tmp_path, config_dir):
+    # each setting's standard deviations are merged from its blocks' moments,
+    # so no buffer of the setting's shots is held while they stream out
+    def peak(blocks):
+        scenario = load_scenario(config_dir / "campaign.json")
+        scenario.shots, scenario.sweep_values = blocks * BLOCK_SIZE + 5, [500]
+        np.random.default_rng()  # numpy.random is imported on first use, not counted here
+        tracemalloc.start()
+        try:
+            write_csv_blocks(tmp_path / f"{blocks}.csv", cli._campaign(scenario)["shots.csv"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.1 * peak(4)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rydcav import (
     CavitySpec,
@@ -23,7 +25,7 @@ from rydcav import (
     run_single_shot_campaign,
     trueness_ledger,
 )
-from rydcav import estimation, experiments
+from rydcav import detection, estimation, experiments
 from rydcav.configio import load_scenario
 from rydcav.experiments import (BLOCK_SIZE, _campaign_block, block_rng,
                                 precision_vs_photon_number)
@@ -315,6 +317,24 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
     )
 
 
+def setting_precision(mean_n, dphi_deg, n_est, n_mcp_est) -> dict:
+    """Sample standard deviations of one setting's phase changes and cavity and
+    MCP estimates, each by numpy's two-pass std over the setting's contiguous
+    rows: the oracle of the summaries merged from per-block moments."""
+    sigma_n, sigma_mcp = (float(np.std(x, ddof=1)) for x in (n_est, n_mcp_est))
+    return {"mean_n": mean_n, "sigma_dphi_deg": float(np.std(dphi_deg, ddof=1)),
+            "sigma_n_cavity": sigma_n, "sigma_n_rel_cavity": sigma_n / max(mean_n, 1),
+            "sigma_n_mcp": sigma_mcp, "sigma_n_rel_mcp": sigma_mcp / max(mean_n, 1)}
+
+
+def degenerate_shots(rec, rows, mcp):
+    """The counts of degenerate shots among the records' ``rows``: no atom
+    detected, and a window ratio that p_fraction_from_ratio clips."""
+    _, clipped = detection.p_fraction_from_ratio(rec["s_r"][rows], mcp)
+    return {"shots_no_atom_detected": int(np.count_nonzero(rec["s1"][rows] == 0)),
+            "shots_ratio_clipped": int(np.count_nonzero(clipped))}
+
+
 def blocks_last_first(scenario):
     """The campaign's blocks in row order, as campaign_blocks yields them, each
     computed by experiments._campaign_block with its own block index, the last
@@ -418,6 +438,52 @@ class TestCampaign:
         no_atom = rec["s1"] == 0
         assert np.count_nonzero(no_atom) > 0
         np.testing.assert_array_equal(np.isnan(rec["p_p"]), no_atom)
+
+    # the cavity fixture is only read
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shots=st.sampled_from([2, 3, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                  2 * BLOCK_SIZE + 17]),
+           sweep=st.lists(st.integers(0, 600), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_merged_sigma_matches_two_pass_oracle(self, cavity, shots, sweep, seed):
+        # each setting's summary, merged from per-block moments in row order,
+        # against the two-pass std over the setting's concatenated records
+        sc = campaign_scenario(cavity, shots, seed=seed, sweep=sweep)
+        out = run_single_shot_campaign(sc)
+        rec = out["records"]
+        assert len(out["per_setting"]) == len(sweep)
+        for k, (mean_n, got) in enumerate(zip(sweep, out["per_setting"])):
+            rows = slice(k * shots, (k + 1) * shots)
+            want = setting_precision(float(mean_n), rec["dphi_deg"][rows], rec["n_est"][rows],
+                                     rec["n_mcp_est"][rows])
+            want.update(degenerate_shots(rec, rows, sc.mcp))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-15 * abs(value), key
+
+    def test_degenerate_shots_counted(self, cavity, monkeypatch):
+        # at one atom per cloud the MCP (eta = 0.55) detects nothing in about
+        # 45% of the shots; with s atoms only S2/S1 is beta_s, so every third
+        # shot's S2 is scaled out of the band here to give clipped ratios
+        mcp_signal = detection.mcp_signal
+
+        def every_third_out_of_band(*args):
+            s1, s2 = mcp_signal(*args)
+            return s1, s2 * np.where(np.arange(s2.size) % 3 == 0, 1.5, 1.0)
+
+        monkeypatch.setattr(detection, "mcp_signal", every_third_out_of_band)
+        shots = 2 * BLOCK_SIZE + 17
+        sc = campaign_scenario(cavity, shots, sweep=(1, 500))
+        out = run_single_shot_campaign(sc)
+        rec = out["records"]
+        for k, entry in enumerate(out["per_setting"]):
+            rows = slice(k * shots, (k + 1) * shots)
+            want = degenerate_shots(rec, rows, sc.mcp)
+            assert {key: entry[key] for key in want} == want
+        one, many = (entry["shots_no_atom_detected"] for entry in out["per_setting"])
+        assert one == pytest.approx(0.45 * shots, rel=0.05) and many == 0
+        assert all(entry["shots_ratio_clipped"] > 0 for entry in out["per_setting"])
 
     @pytest.mark.parametrize("two_transitions, floor", [(False, 0.0), (True, 9.88e-3)])
     def test_sigma_n_matches_propagated_noise_model(self, cavity, two_transitions, floor):
