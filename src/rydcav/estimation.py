@@ -177,12 +177,29 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     One shared n_crit, one chi0 per dataset.  ``datasets`` is a list of
     dicts with keys n_c, dphi_deg and optional sigma_deg.
     """
+    if not datasets:
+        raise ValueError("datasets: no dataset given")
     for j, ds in enumerate(datasets):
-        if len(np.unique(ds["n_c"])) < 2:
+        for key in ("n_c", "dphi_deg"):
+            if key not in ds:
+                raise ValueError(f"datasets[{j}].{key}: missing")
+        n_c = np.asarray(ds["n_c"], dtype=float)
+        dphi = np.asarray(ds["dphi_deg"], dtype=float)
+        if n_c.ndim != 1:
+            raise ValueError(f"datasets[{j}].n_c: {n_c.ndim}-d, must be 1-d")
+        if not np.all(np.isfinite(n_c) & (n_c >= 0)):
+            raise ValueError(f"datasets[{j}].n_c: must be finite and >= 0")
+        if dphi.shape != n_c.shape:
+            raise ValueError(f"datasets[{j}].dphi_deg: {dphi.size} samples, "
+                             f"n_c has {n_c.size}")
+        if not np.all(np.isfinite(dphi)):
+            raise ValueError(f"datasets[{j}].dphi_deg: must be finite")
+        # np.ptp, not np.unique: numpy's unique imports numpy.ma (8 ms, 0.6 MB)
+        if n_c.size < 2 or np.ptp(n_c) == 0:
             raise UnidentifiableError("single-power dataset cannot constrain n_crit")
-        if np.size(ds.get("sigma_deg", 1.0)) not in (1, len(ds["n_c"])):
+        if np.size(ds.get("sigma_deg", 1.0)) not in (1, n_c.size):
             raise ValueError(f"datasets[{j}].sigma_deg: {np.size(ds['sigma_deg'])} values, "
-                             f"n_c has {len(ds['n_c'])}")
+                             f"n_c has {n_c.size}")
 
     y = np.concatenate([np.asarray(ds["dphi_deg"], dtype=float) for ds in datasets])
     sig = np.concatenate([

@@ -417,33 +417,44 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-# Run in a fresh interpreter by test_import_needs_numpy_only: the optional
-# modules loaded after import, after loading every config, and after each run.
+# Run in a fresh interpreter per (command, config) pair by
+# test_import_needs_numpy_only: the optional modules loaded after import, after
+# loading every config, and after the one run.
 IMPORT_PROBE = """
 import json, sys
 import rydcav.cli
 from rydcav.configio import load_scenario
 
-LAZY = ("rydcav.estimation", "rydcav.fitting", "concurrent.futures", "logging", "queue")
+LAZY = ("rydcav.estimation", "rydcav.fitting", "numpy.ma", "numpy.random",
+        "concurrent.futures", "logging", "queue")
 
 
 def loaded(names=LAZY):
     return sorted(m for m in names if m in sys.modules)
 
 
-config_dir, out, campaign, *configs = sys.argv[1:]
+config_dir, out, command, config, *configs = sys.argv[1:]
 seen = {"import": loaded(("scipy", "numba", *LAZY))}
 for name in configs:
     load_scenario(f"{config_dir}/{name}.json")
 seen["load_scenario"] = loaded()
-for command, config in (("simulate", f"{config_dir}/flythrough.json"),
-                        ("trueness", f"{config_dir}/trueness.json"), ("campaign", campaign),
-                        ("fit", f"{config_dir}/flythrough.json")):
-    argv = [command, "--config", config, "--out", f"{out}/{command}"]
-    assert rydcav.cli.main(argv) == 0
-    seen[command] = loaded()
+assert rydcav.cli.main([command, "--config", config, "--out", out]) == 0
+seen["run"] = loaded()
 print(json.dumps(seen))
 """
+
+# The optional modules that each packaged pair's run loads: no run loads
+# numpy.ma, only the runs that draw noise load numpy.random.
+RUN_LOADS = {
+    ("simulate", "flythrough"): [],
+    ("simulate", "sensitivity"): [],
+    ("simulate", "power"): ["numpy.random"],
+    ("simulate", "rabi"): ["rydcav.estimation", "rydcav.fitting"],
+    ("fit", "flythrough"): ["numpy.random", "rydcav.estimation", "rydcav.fitting"],
+    ("fit", "power"): ["numpy.random", "rydcav.estimation", "rydcav.fitting"],
+    ("campaign", "campaign"): ["numpy.random"],
+    ("trueness", "trueness"): [],
+}
 
 
 class TestCli:
@@ -784,20 +795,26 @@ class TestCli:
         assert len(manifest["config_sha256"]) == 64
 
     def test_import_needs_numpy_only(self, tmp_path, config_dir, small_campaign):
-        # A fresh interpreter that finds the package tested here imports the
-        # CLI without pulling in scipy or numba, loads the estimators and the
-        # fitter only for the runs that use them, and runs a campaign without
-        # a thread pool (concurrent.futures, with its logging and queue).
+        # A fresh interpreter per packaged pair, so that no earlier run hides a
+        # later run's import, imports the CLI without pulling in scipy or numba,
+        # loads the estimators and the fitter only for the runs that use them,
+        # and runs a campaign without a thread pool (concurrent.futures, with
+        # its logging and queue).
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_dir),
-                               str(tmp_path), str(small_campaign), *ALL_CONFIGS],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {
-            "import": [], "load_scenario": [], "simulate": [], "trueness": [], "campaign": [],
-            "fit": ["rydcav.estimation", "rydcav.fitting"]}
+        run_loads = {}
+        for command, name in cli.TASKS:
+            config = small_campaign if command == "campaign" else config_dir / f"{name}.json"
+            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_dir),
+                                   str(tmp_path / command / name), command, str(config),
+                                   *ALL_CONFIGS],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            seen = json.loads(proc.stdout.splitlines()[-1])
+            assert seen["import"] == [] and seen["load_scenario"] == [], (command, name)
+            run_loads[command, name] = seen["run"]
+        assert run_loads == RUN_LOADS
 
 
 @pytest.fixture

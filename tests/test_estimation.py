@@ -244,6 +244,31 @@ class TestNoiselessRoundTrips:
                            match=r"^datasets\[1\]\.sigma_deg: 13 values, n_c has 15$"):
             fit_power_dependence(datasets, cavity.kappa)
 
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(lambda ds: [], r"^datasets: no dataset given$", id="no-dataset"),
+        pytest.param(lambda ds: [ds[0], {"n_c": ds[1]["n_c"]}],
+                     r"^datasets\[1\]\.dphi_deg: missing$", id="dphi-missing"),
+        pytest.param(lambda ds: [ds[0], dict(ds[1], dphi_deg=ds[1]["dphi_deg"][:-1])],
+                     r"^datasets\[1\]\.dphi_deg: 14 samples, n_c has 15$", id="dphi-short"),
+        pytest.param(lambda ds: [ds[0], dict(ds[1], n_c=np.r_[ds[1]["n_c"][:-1], np.nan])],
+                     r"^datasets\[1\]\.n_c: must be finite and >= 0$", id="n_c-one-nan"),
+        pytest.param(lambda ds: [dict(ds[0], n_c=np.full(15, np.nan)), ds[1]],
+                     r"^datasets\[0\]\.n_c: must be finite and >= 0$", id="n_c-all-nan"),
+        pytest.param(lambda ds: [ds[0], dict(ds[1], n_c=np.r_[ds[1]["n_c"][:-1], np.inf])],
+                     r"^datasets\[1\]\.n_c: must be finite and >= 0$", id="n_c-inf"),
+        pytest.param(lambda ds: [ds[0], dict(ds[1],
+                                             dphi_deg=np.r_[np.nan, ds[1]["dphi_deg"][1:]])],
+                     r"^datasets\[1\]\.dphi_deg: must be finite$", id="dphi-nan"),
+        pytest.param(lambda ds: [ds[0], dict(ds[1], n_c=ds[1]["n_c"].reshape(3, 5))],
+                     r"^datasets\[1\]\.n_c: 2-d, must be 1-d$", id="n_c-2d"),
+    ])
+    def test_power_bad_dataset_named(self, cavity, bad, message):
+        n_c = np.geomspace(2e3, 4e5, 15)
+        dphi = -3.0 / np.sqrt(1 + n_c / 4.4e4)
+        datasets = [{"n_c": n_c, "dphi_deg": dphi}, {"n_c": n_c, "dphi_deg": 2 * dphi}]
+        with pytest.raises(ValueError, match=message):
+            fit_power_dependence(bad(datasets), cavity.kappa)
+
     def test_ignored_switch_keeps_the_cloud_model(self, config_dir):
         # perfbench/run.py binds extended_cloud=False; the cloud size still
         # selects the model, so noiseless traces of the trueness cloud fit back
