@@ -15,8 +15,8 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "core": (
         "SingularityError", "cavity_phase", "cloud_mode_average", "critical_photon_number",
-        "dispersive_shift", "excited_fraction", "mode_profile", "population_coefficients",
-        "power_dependent_shift", "power_reduction", "shift_from_phase",
+        "excited_fraction", "mode_profile", "population_coefficients", "power_dependent_shift",
+        "power_reduction", "shift_from_phase",
     ),
     "detection": (
         "SnrValidityError", "atom_number_precision", "mcp_relative_precision", "mcp_signal",

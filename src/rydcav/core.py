@@ -32,23 +32,21 @@ def mode_profile(z, cavity: CavitySpec, out=None):
     return np.reciprocal(t, out=t)
 
 
-def _gaussian_sin_sq(a, x, sigma):
-    """E[sin^2(a (x + d) / 2)] for a Gaussian displacement d of std sigma.
-
-    Uses E[cos(a(x + d))] = cos(a x) exp(-a^2 sigma^2 / 2).
-    """
-    return 0.5 * (1.0 - np.cos(a * x) * np.exp(-0.5 * (a * sigma) ** 2))
-
-
-def cloud_mode_average(z, cavity: CavitySpec, sigma_z, sigma_x):
-    """Squared mode profile averaged over a Gaussian cloud centered at z:
-    E[sin^2(p pi z / L)] E[sin^2(pi x / W)], closed form, with the cloud
-    spread sigma_z along the beam and sigma_x transverse around the
-    transverse antinode x = W/2; :func:`mode_profile` for a point cloud.
-    """
-    axial = _gaussian_sin_sq(2.0 * cavity.mode_antinodes * np.pi / cavity.length_z, z, sigma_z)
-    transverse = _gaussian_sin_sq(2.0 * np.pi / cavity.width_x, cavity.width_x / 2.0, sigma_x)
-    return axial * transverse
+def cloud_mode_average(z, cavity: CavitySpec, sigma_z, sigma_x, out=None):
+    """:func:`mode_profile` averaged over a Gaussian cloud centred at z, in ``out``
+    as there: E[sin^2] = e sin^2 + (1 - e)/2, e = exp(-(a sigma)^2 / 2), along the
+    beam (a = 2 p pi / L, sigma_z) times across it at the antinode x = W/2 (a = 2 pi / W,
+    sigma_x).  One model: a point cloud is sigma = 0, :func:`mode_profile` bit for bit."""
+    profile = mode_profile(z, cavity, out=out)
+    if sigma_z == 0 and sigma_x == 0:
+        return profile  # the map is the identity; skip its passes
+    e_z = np.exp(-0.5 * (2.0 * cavity.mode_antinodes * np.pi / cavity.length_z * sigma_z) ** 2)
+    e_x = np.exp(-0.5 * (2.0 * np.pi / cavity.width_x * sigma_x) ** 2)
+    # this order keeps e = 1 exact, and an antinode's e + (1 - e)/2 the former (1 + e)/2
+    profile *= e_z
+    profile += 0.5 * (1.0 - e_z)
+    profile *= e_x + 0.5 * (1.0 - e_x)
+    return profile
 
 
 def population_coefficients(ensemble: EnsembleState, g_peak, delta_plus, delta_minus):
@@ -63,7 +61,7 @@ def population_coefficients(ensemble: EnsembleState, g_peak, delta_plus, delta_m
     dp = np.asarray(delta_plus, dtype=float)
     dm = np.asarray(delta_minus, dtype=float)
     if np.any(dp == 0) or np.any(dm == 0):
-        raise SingularityError("zero detuning in dispersive_shift")
+        raise SingularityError("zero detuning in population_coefficients")
     lim = 10.0 * g_peak * np.sqrt(max(ensemble.n_atoms, 1.0))
     for name, d in (("delta_plus", dp), ("delta_minus", dm)):
         if np.any(np.abs(d) <= lim):
@@ -73,14 +71,6 @@ def population_coefficients(ensemble: EnsembleState, g_peak, delta_plus, delta_m
             )
     return (-ensemble.n_atoms * ensemble.p_s * (1.0 / dp + 1.0 / dm),
             ensemble.n_atoms * (ensemble.p_p_plus / dp + ensemble.p_p_minus / dm))
-
-
-def dispersive_shift(ensemble: EnsembleState, g, delta_plus, delta_minus,
-                     decay_s=1.0, decay_p=1.0):
-    """Dispersive shift g^2 (a_s ``decay_s`` + a_p ``decay_p``) of the cavity
-    frequency, rad/s, with the :func:`population_coefficients` at max(g)."""
-    a_s, a_p = population_coefficients(ensemble, np.max(g), delta_plus, delta_minus)
-    return np.asarray(g, dtype=float) ** 2 * (a_s * decay_s + a_p * decay_p)
 
 
 def power_reduction(n_c, n_crit):

@@ -71,7 +71,7 @@ def fit_entry_time(
     All other parameters are held at their configured values; a flat trace raises
     :class:`UnidentifiableError`.  ``times`` is the one uniform grid the model is
     evaluated on, dt <= (2/kappa)/20, and the entry time stays >= ``times[0]``.
-    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
+    ``extended_cloud`` is ignored (one model: a point cloud is sigma = 0); kept for perfbench.
     """
     times = np.asarray(times, dtype=float)
     if np.shape(dphi_deg) != times.shape:
@@ -111,7 +111,7 @@ def fit_atom_number(
     phase (radians, referenced model output: unwrapped transmission
     phase), and optional sigma_amp / sigma_phase.  Their times are the one uniform
     grid the model is evaluated on: dt <= (2/kappa)/20, starting no later than the entry.
-    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
+    ``extended_cloud`` is ignored (one model: a point cloud is sigma = 0); kept for perfbench.
     """
     if not traces:
         raise ValueError("traces: no trace given")
@@ -245,14 +245,19 @@ def rabi_calibration_model(theta, amp, alpha_p, beta_s, beta_p, decay_correction
 def fit_rabi_calibration(theta, s1, s2, sr, mcp: McpModel, sigma=None) -> FitResult:
     """Joint fit of S1, S2 and S_r versus pulse area for the window
     coefficients (alpha_p, beta_s, beta_p) plus a shared amplitude and an
-    area-scale calibration.
+    area-scale calibration; ``sigma``, scalar or per theta, serves all three signals.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.max() - theta.min() < 2.0 * np.pi:
-        raise UnidentifiableError("data must span at least one Rabi period")
+    for name, data in (("s1", s1), ("s2", s2), ("sr", sr)):
+        if np.shape(data) != theta.shape:
+            raise ValueError(f"{name}: {np.size(data)} samples, theta has {theta.size}")
+    if np.size(sigma) not in (1, theta.size):
+        raise ValueError(f"sigma: {np.size(sigma)} values, theta has {theta.size}")
+    if theta.size == 0 or np.ptp(theta) < 2.0 * np.pi:
+        raise UnidentifiableError("theta: must span at least one Rabi period")
     d = mcp.decay_correction
     y = np.concatenate([s1, s2, sr])
-    sig = None if sigma is None else np.concatenate([sigma, sigma, sigma])
+    sig = sigma if np.size(sigma) == 1 else np.tile(sigma, 3)
 
     def model(params):
         a, b, c = rabi_calibration_model(
@@ -341,7 +346,12 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
         raise UnidentifiableError("a zero-preparation baseline spectrum is required")
     if len(prep_ratios) < 2:
         raise UnidentifiableError("need at least two preparation amplitudes")
+    if len(spectra) != len(prep_ratios):
+        raise ValueError(f"spectra: {len(spectra)} given, prep_ratios has {len(prep_ratios)}")
     freqs = np.asarray(freqs, dtype=float)
+    for j, sp in enumerate(spectra):
+        if np.shape(sp) != freqs.shape:
+            raise ValueError(f"spectra[{j}]: {np.size(sp)} samples, freqs has {freqs.size}")
     y = np.concatenate([np.asarray(sp, dtype=float) for sp in spectra])
 
     base = spectra[prep_ratios.index(0.0)]

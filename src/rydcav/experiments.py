@@ -305,8 +305,8 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
 def effective_chi_per_atom(scenario: Scenario):
     """Low-power per-atom dispersive shift used by power sweeps and campaigns.
 
-    :func:`rydcav.core.dispersive_shift` of one s atom at the time-averaged
-    coupling, with the detuning Delta = 2 g sqrt(n_crit) back-solved from
+    g_eff^2 a_s (:func:`rydcav.core.population_coefficients`) of one s atom at
+    the time-averaged coupling, with the detuning Delta = 2 g sqrt(n_crit) back-solved from
     n_crit (the inverse of :func:`rydcav.core.critical_photon_number`) and
     either a second transition |delta_plus - delta_minus| further away or
     none (infinite detuning).  Its validity rule rejects n_crit <= 25.
@@ -318,8 +318,8 @@ def effective_chi_per_atom(scenario: Scenario):
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
     dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
     second = -(delta_eff + abs(dp - dm)) if scenario.two_transitions else -np.inf
-    chi1 = core.dispersive_shift(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
-    return float(chi1), float(n_crit)
+    a_s, _ = core.population_coefficients(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
+    return float(np.square(g_eff) * a_s), float(n_crit)
 
 
 def run_power_sweep(scenario: Scenario) -> dict:
@@ -401,10 +401,11 @@ def _campaign_block(scenario, chi1, n_crit, block_index, row, mean_n, n_shots):
     s1, s2 = detection.mcp_signal(n_prep, np.zeros_like(n_prep), scenario.mcp, rng)
     with np.errstate(invalid="ignore", divide="ignore"):
         s_r = np.where(s1 > 0, s2 / np.where(s1 > 0, s1, 1.0), np.nan)
-    p_p, _ = detection.p_fraction_from_ratio(s_r, scenario.mcp)
+    p_p, clipped = detection.p_fraction_from_ratio(s_r, scenario.mcp)
+    # the block's records, and its clip flags, which _SettingMoments counts (no column)
     return {"shot_id": np.arange(row, row + n_shots), "mean_n": np.full(n_shots, float(mean_n)),
             "n_prep": n_prep, "dphi_deg": dphi_meas, "n_est": n_est, "s1": s1, "s2": s2,
-            "s_r": s_r, "p_p": p_p, "n_mcp_est": s1 / scenario.mcp.s1_atom}
+            "s_r": s_r, "p_p": p_p, "n_mcp_est": s1 / scenario.mcp.s1_atom}, clipped
 
 
 # the record columns whose per-setting standard deviations summary.json reports
@@ -415,7 +416,7 @@ class _SettingMoments:
     """Shot count, means and M2 (sums of squared deviations from the mean) of
     one setting's :data:`SUMMARIZED` columns, and its degenerate shots: those
     where the MCP detects no atom (S1 = 0, so the window ratio is NaN) and
-    those whose ratio :func:`detection.p_fraction_from_ratio` clips.
+    those whose ratio :func:`detection.p_fraction_from_ratio` clipped in the block.
 
     Each block adds its own two-pass mean and M2, merged in row order by
     the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983),
@@ -425,7 +426,7 @@ class _SettingMoments:
         self.n = self.no_atom = self.clipped = 0
         self.mean = self.m2 = None
 
-    def add(self, block, mcp):
+    def add(self, block, clipped):
         n_b = len(block["s1"])
         mean_b = np.array([block[k].mean() for k in SUMMARIZED])
         m2_b = np.array([np.square(block[k] - m).sum() for k, m in zip(SUMMARIZED, mean_b)])
@@ -438,7 +439,6 @@ class _SettingMoments:
             self.m2 = self.m2 + m2_b + delta**2 * self.n * n_b / n
         self.n += n_b
         self.no_atom += int(np.count_nonzero(block["s1"] == 0))
-        _, clipped = detection.p_fraction_from_ratio(block["s_r"], mcp)
         self.clipped += int(np.count_nonzero(clipped))
 
     def summary(self, mean_n) -> dict:
@@ -466,9 +466,9 @@ def campaign_blocks(scenario: Scenario, per_setting: list):
         for j in range(per):
             done = j * BLOCK_SIZE  # shots of the setting before the block
             n_shots = min(BLOCK_SIZE, shots - done)
-            block = _campaign_block(scenario, chi1, n_crit, k * per + j, k * shots + done,
-                                    mean_n, n_shots)
-            moments.add(block, scenario.mcp)
+            block, clipped = _campaign_block(scenario, chi1, n_crit, k * per + j,
+                                             k * shots + done, mean_n, n_shots)
+            moments.add(block, clipped)
             if j == per - 1:
                 per_setting.append(moments.summary(float(mean_n)))
             yield block

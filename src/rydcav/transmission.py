@@ -186,14 +186,13 @@ def fly_through_shift_trace(
     during the transit.  Inside the transit chi = g^2 (a_s w_s + a_p w_p)
     (:func:`rydcav.core.population_coefficients`, each |Delta| > 10 g
     sqrt(N)), and 0 elsewhere, also on a grid with none inside.  g^2 is
-    g_max^2 mode_correction times :func:`rydcav.core.mode_profile`, or,
-    when sigma_z or sigma_x is above 0, :func:`rydcav.core.cloud_mode_average`:
-    the cloud size alone selects the model, here and nowhere else.
+    g_max^2 mode_correction times :func:`rydcav.core.cloud_mode_average`:
+    one model; a point cloud is sigma = 0.
     """
     times = np.asarray(times, dtype=float)
     transit_time, t_cen = transit(ensemble, cavity)
     # chi's own buffer holds the time since entry t_c, which locates the
-    # transit, then z and a point cloud's profile inside it, and 0 outside
+    # transit, then z and the cloud's profile inside it, and 0 outside
     chi = t_c = np.subtract(times, ensemble.entry_time)
     try:
         # on the sorted 1-d grid that ShiftTrace requires, the transit is one slice
@@ -205,10 +204,7 @@ def fly_through_shift_trace(
         z = np.clip(np.multiply(t_c[i0:i1], ensemble.velocity, out=chi[i0:i1]), 0.0,
                     cavity.length_z, out=chi[i0:i1])
         chi[:i0] = chi[i1:] = 0.0
-        if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
-            profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x)
-        else:
-            profile = core.mode_profile(z, cavity, out=z)
+        profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x, out=z)
         # chi = profile (A_s w_s + A_p w_p), A = g_max^2 m a, at largest g
         g2 = cavity.g_max ** 2 * cavity.mode_correction
         a_s, a_p = (g2 * a for a in core.population_coefficients(
@@ -260,7 +256,7 @@ def simulate_flythrough(
     """Full fly-through transmission model: the chi(t) trace of
     :func:`flythrough_shift` (which checks ``dt``) through the cavity response.
     Returns (ComplexTrace, dphi_deg), dphi referenced to the empty-cavity phase.
-    ``extended_cloud`` is ignored: the cloud size selects the model; kept for perfbench/run.py.
+    ``extended_cloud`` is ignored (one model: a point cloud is sigma = 0); kept for perfbench.
     """
     # no name holds the chi(t) trace, so it is freed before phase_change (peak memory)
     trace = transmission_response(flythrough_shift(ensemble, cavity, transitions, kappa, dt,

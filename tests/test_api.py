@@ -1,5 +1,5 @@
 """The public names of ``import rydcav``, which loads each submodule on
-first use: the same 74 names, each the object its defining module holds,
+first use: the same 73 names, each the object its defining module holds,
 the public functions that no CLI run calls, each with its reason, and the
 inputs each public function states."""
 
@@ -22,7 +22,7 @@ PUBLIC = [
     "RankDeficiencyError", "Scenario", "ShiftTrace", "SingularityError", "SnrValidityError",
     "TransitionSet", "TruenessReport", "UnidentifiableError", "WindowConfigError",
     "atom_number_precision", "cavity_phase", "cloud_mode_average", "core",
-    "critical_photon_number", "detection", "dispersive_shift", "estimation", "excited_fraction",
+    "critical_photon_number", "detection", "estimation", "excited_fraction",
     "experiments", "fit_atom_number", "fit_entry_time", "fit_power_dependence",
     "fit_rabi_calibration", "fit_spectroscopy", "fitting", "fly_through_shift_trace",
     "fourth_order_error", "init_n_crit_from_half_signal", "interaction_shift", "kernels",
@@ -41,7 +41,7 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert rydcav.__all__ == PUBLIC
-    assert len(PUBLIC) == 74 and set(SUBMODULES) <= set(PUBLIC)
+    assert len(PUBLIC) == 73 and set(SUBMODULES) <= set(PUBLIC)
 
 
 def test_each_name_is_its_defining_modules_object():
@@ -107,7 +107,7 @@ def test_unreached_public_functions_are_listed(tmp_path):
 
 
 # The functions that keep an ``extended_cloud`` keyword: perfbench/run.py
-# binds it, and each ignores it, since the cloud size selects the model.
+# binds it, and each ignores it: one model; a point cloud is sigma = 0.
 IGNORED_EXTENDED_CLOUD = {"transmission.simulate_flythrough", "estimation.fit_atom_number",
                           "estimation.fit_entry_time"}
 

@@ -400,6 +400,8 @@ class TestWriters:
             '  "zero_d": 2.5\n'
             '}\n'
         )
+        with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+            write_json(tmp_path / "t.json", {"s": {1, 2}})
 
     def test_digest_of_file_spanning_several_chunks(self, tmp_path):
         # 10 chunks of 256 KiB and 3 bytes: the last read is partial
@@ -504,8 +506,8 @@ class TestCli:
         (("scenario", "sweep_values"), [True], "scenario.sweep_values[0]"),
         (("scenario", "sweep_values"), [100, None], "scenario.sweep_values[1]"),
         pytest.param(("probe", "n_c"), 10 ** 400, "probe.n_c", id="int-beyond-float"),
-        # keys that no longer exist: the lifetimes are params.TAU_S/TAU_P, the
-        # cloud size selects the extended-cloud model
+        # keys that no longer exist: the lifetimes are params.TAU_S/TAU_P, and
+        # there is one cloud model (a point cloud is sigma = 0)
         (("scenario", "sweep_name"), "mean_n", "scenario.sweep_name"),
         (("scenario", "extended_cloud"), True, "scenario.extended_cloud"),
         (("scenario", "poisson_preparation"), False, "scenario.poisson_preparation"),
@@ -523,15 +525,22 @@ class TestCli:
         (("scenario", "p_minus"), 0.20, "scenario.p_minus"),
         # a list of numbers given a string
         (("scenario", "sweep_values"), "abc", "scenario.sweep_values"),
+        # a config that states no scenario type, and one that is not an object
+        (("scenario",), {}, "scenario.type"),
+        ((), [1, 2], "{file}"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, config_dir, capsys, keys, value, path):
         raw = json.loads((config_dir / "campaign.json").read_text())
         section = raw
         for key in keys[:-1]:
             section = section[key]
-        section[keys[-1]] = value
+        if keys:
+            section[keys[-1]] = value
+        else:
+            raw = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
+        path = path.format(file=bad)
         with pytest.raises(ConfigError, match=re.escape(path + ":")):
             load_scenario(bad)
         code = run_cli(["campaign", "--config", str(bad), "--out", str(tmp_path / "out")])

@@ -93,25 +93,30 @@ class TestCoupling:
         assert g / TWO_PI == pytest.approx(14.22837e3, rel=1e-5)
 
 
+def _shift(ensemble, g, delta_plus, delta_minus, w_s=1.0, w_p=1.0):
+    """chi = g^2 (a_s w_s + a_p w_p) from the population coefficients at g."""
+    a_s, a_p = core.population_coefficients(ensemble, g, delta_plus, delta_minus)
+    return g ** 2 * (a_s * w_s + a_p * w_p)
+
+
 class TestDispersiveShift:
+    # the dispersive shift chi = g^2 (a_s w_s + a_p w_p) of one coupling g
     def test_reference_value(self, cavity, ensemble261, transitions):
         ens = EnsembleState(n_atoms=1)
-        chi = core.dispersive_shift(
-            ens, TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
-        )
+        chi = _shift(ens, TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6)
         assert chi / TWO_PI == pytest.approx(33.43, rel=1e-3)
 
     def test_equal_populations_cancel(self):
         ens = EnsembleState(n_atoms=100, p_s=1 / 3, p_p_plus=1 / 3, p_p_minus=1 / 3)
-        chi = core.dispersive_shift(ens, TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6)
+        chi = _shift(ens, TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6)
         assert chi == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_p_opposite_sign_single_term(self):
         s = EnsembleState(n_atoms=50, p_s=1.0)
         p = EnsembleState(n_atoms=50, p_s=0.0, p_p_plus=1.0)
         g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
-        chi_s = core.dispersive_shift(s, g, dp, dm)
-        chi_p = core.dispersive_shift(p, g, dp, dm)
+        chi_s = _shift(s, g, dp, dm)
+        chi_p = _shift(p, g, dp, dm)
         assert np.sign(chi_p) == -np.sign(chi_s)
         assert chi_p == pytest.approx(g ** 2 * 50 / dp, rel=1e-12)
 
@@ -119,35 +124,33 @@ class TestDispersiveShift:
         s = EnsembleState(n_atoms=50, p_s=1.0)
         p = EnsembleState(n_atoms=50, p_s=0.0, p_p_plus=1.0)
         g, d = TWO_PI * 14.3e3, -TWO_PI * 8e6
-        assert abs(core.dispersive_shift(p, g, d, d)) == pytest.approx(
-            0.5 * abs(core.dispersive_shift(s, g, d, d)), rel=1e-12
-        )
+        assert abs(_shift(p, g, d, d)) == pytest.approx(0.5 * abs(_shift(s, g, d, d)),
+                                                         rel=1e-12)
 
     def test_uncoupled_sublevel_contributes_zero(self):
         a = EnsembleState(n_atoms=50, p_s=0.7)
         # only the s population enters; the m_l = 0 fraction is inert
         g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
-        chi_a = core.dispersive_shift(a, g, dp, dm)
+        chi_a = _shift(a, g, dp, dm)
         expect = g ** 2 * 50 * (-0.7 / dp - 0.7 / dm)
         assert chi_a == pytest.approx(expect, rel=1e-12)
 
     def test_zero_detuning_rejected(self):
         ens = EnsembleState(n_atoms=10)
-        with pytest.raises(SingularityError):
-            core.dispersive_shift(ens, TWO_PI * 14.3e3, 0.0, -TWO_PI * 26e6)
+        with pytest.raises(SingularityError, match="^zero detuning in population_coefficients$"):
+            core.population_coefficients(ens, TWO_PI * 14.3e3, 0.0, -TWO_PI * 26e6)
 
     def test_small_detuning_rejected(self):
         ens = EnsembleState(n_atoms=1e4)
         with pytest.raises(DispersiveValidityError):
-            core.dispersive_shift(ens, TWO_PI * 14.3e3, -TWO_PI * 1e6, -TWO_PI * 26e6)
+            core.population_coefficients(ens, TWO_PI * 14.3e3, -TWO_PI * 1e6, -TWO_PI * 26e6)
 
     def test_decay_weights_scale_each_population(self):
         g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 8e6, -TWO_PI * 26e6
-        chi_s = core.dispersive_shift(EnsembleState(n_atoms=261), g, dp, dm)
-        chi_p = core.dispersive_shift(
-            EnsembleState(n_atoms=261, p_s=0.0, p_p_plus=1.0), g, dp, dm)
+        chi_s = _shift(EnsembleState(n_atoms=261), g, dp, dm)
+        chi_p = _shift(EnsembleState(n_atoms=261, p_s=0.0, p_p_plus=1.0), g, dp, dm)
         mixed = EnsembleState(n_atoms=261, p_s=0.6, p_p_plus=0.4)
-        chi = core.dispersive_shift(mixed, g, dp, dm, decay_s=0.5, decay_p=0.25)
+        chi = _shift(mixed, g, dp, dm, w_s=0.5, w_p=0.25)
         assert chi == pytest.approx(0.6 * 0.5 * chi_s + 0.4 * 0.25 * chi_p, rel=1e-12)
 
     @given(
@@ -159,8 +162,8 @@ class TestDispersiveShift:
         ens1 = EnsembleState(n_atoms=n, p_s=ps, p_p_plus=1.0 - ps)
         ens2 = EnsembleState(n_atoms=2 * n, p_s=ps, p_p_plus=1.0 - ps)
         g, dp, dm = TWO_PI * 14.3e3, -TWO_PI * 9e6, -TWO_PI * 27e6
-        c1 = core.dispersive_shift(ens1, g, dp, dm)
-        c2 = core.dispersive_shift(ens2, g, dp, dm)
+        c1 = _shift(ens1, g, dp, dm)
+        c2 = _shift(ens2, g, dp, dm)
         assert c2 == pytest.approx(2 * c1, rel=1e-12, abs=1e-15)
 
 
@@ -315,10 +318,12 @@ def test_nan_on_trace_path_named(call, name):
      r"^master_seed: must be integer in \[0, 2\*\*64\), got 1\.5"),
     (Scenario, dict(master_seed=2**64),  # compared as an integer, not as the float 2.0**64
      r"^master_seed: must be integer in \[0, 2\*\*64\), got 18446744073709551616$"),
+    (CavitySpec, dict(kappa=TWO_PI * 100e3), r"^kappa must be >= kappa_out: "),
+    (McpModel, dict(beta_p=0.439), r"^need beta_p < beta_s < 1, got 0\.439, 0\.439$"),
 ])
 def test_model_invariant_rejected(cls, kwargs, message):
     with pytest.raises(ParameterError, match=message):
-        cls(**MODELS[cls], **kwargs)
+        cls(**{**MODELS[cls], **kwargs})
 
 
 def test_numpy_integers_and_known_types_accepted():
@@ -342,12 +347,12 @@ def test_readout_formulas_have_one_home():
     assert homes("np.arctan(") == homes("-np.tan(phase) * kappa") == ["core.py"]
     # np.tan also builds the response steps, from the half angle, and the
     # mode profile of chi(t); the response path calls no np.sin or np.cos,
-    # the chi(t) path (core's profile) no np.sin, and np.exp and np.expm1
-    # run on real arrays only
+    # the chi(t) path (core's profile and cloud average) neither, and np.exp
+    # and np.expm1 run on real arrays only
     assert homes("np.tan(") == ["core.py", "kernels.py"]
     path = {"kernels.py", "transmission.py"}
     assert not path & {*homes("np.sin("), *homes("np.cos(")}
-    assert "core.py" not in homes("np.sin(")
+    assert "core.py" not in {*homes("np.sin("), *homes("np.cos(")}
     exp_args = {name: re.findall(r"np\.exp(?:m1)?\((.*?)(?:, out=.*)?\)$", sources[name], re.M)
                 for name in sorted(path)}
     assert exp_args == {"kernels.py": ["x", "x"],
@@ -356,10 +361,9 @@ def test_readout_formulas_have_one_home():
     assert [sources[name].count("np.exp") for name in sorted(path)] == [2, 2]
     assert homes("digitizer_phase_floor ** 2") == ["detection.py"]
     assert homes("57.2e-6") == homes("102.6e-6") == ["params.py"]
-    # the Gaussian cloud average is closed form, in core only; the SNR
-    # R = n_c kappa_out tau / n_noise is written only in detection.snr
+    # the Gaussian cloud average is closed form, a map of core's one mode
+    # profile; the SNR R = n_c kappa_out tau / n_noise is written only in detection.snr
     assert homes("np.trapezoid(") == []
-    assert homes("exp(-0.5 * (a * sigma") == ["core.py"]
     assert homes("n_noise /") == []
     # the transit duration L/v lives in transmission.transit, and the
     # preparation transfer sin^2(pi r / 2) in estimation.rabi_transfer
@@ -399,9 +403,18 @@ def _quadrature_mode_average(z, cavity, sigma_z, sigma_x, n_quad=2001):
 
 class TestCloudModeAverage:
     def test_point_cloud_is_mode_squared(self, cavity):
-        z = np.linspace(0.0, cavity.length_z, 101)
-        np.testing.assert_allclose(core.cloud_mode_average(z, cavity, 0.0, 0.0),
-                                   core.mode_profile(z, cavity), atol=1e-15)
+        # bit for bit; sigma = 1e-300 runs the map, whose e = exp(-(a sigma)^2 / 2) is 1
+        want = core.mode_profile(np.linspace(0.0, cavity.length_z, 101), cavity)
+        for sigma in (0.0, 1e-300):
+            z = np.linspace(0.0, cavity.length_z, 101)
+            assert core.cloud_mode_average(z, cavity, sigma, sigma).tobytes() == want.tobytes()
+            assert core.cloud_mode_average(z, cavity, sigma, sigma, out=z) is z
+            assert z.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("z", [-1e-3, 0.0141, np.nan])
+    def test_outside_rejected(self, cavity, z):
+        with pytest.raises(ValueError, match="^z outside cavity"):
+            core.cloud_mode_average(z, cavity, 6e-4, 3e-4)
 
     @given(
         p=st.integers(1, 3),

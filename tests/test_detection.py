@@ -328,6 +328,15 @@ class TestMcpSignal:
             mcp_relative_precision(500, mcp.eta, mcp.sigma_a_rel), rel=0.05
         )
 
+    def test_no_gain_spread_counts_detected_atoms(self, mcp):
+        # sigma_a_rel = 0: every detected atom adds exactly s1_atom / eta
+        n = 1000
+        exact = dataclasses.replace(mcp, sigma_a_rel=0.0)
+        s1, s2 = mcp_signal(np.full(n, 500), np.zeros(n), exact, np.random.default_rng(10))
+        detected = np.random.default_rng(10).binomial(500, mcp.eta, n)
+        assert s1.tobytes() == (mcp.s1_atom / mcp.eta * (detected + mcp.alpha_p * 0.0)).tobytes()
+        assert np.array_equal(s2, mcp.s1_atom / mcp.eta * (mcp.beta_s * detected + 0.0))
+
     def test_variance_linear_in_n(self, mcp):
         rng = np.random.default_rng(9)
         n = 60_000

@@ -269,9 +269,56 @@ class TestNoiselessRoundTrips:
         with pytest.raises(ValueError, match=message):
             fit_power_dependence(bad(datasets), cavity.kappa)
 
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(lambda a: dict(a, theta=[], s1=[], s2=[], sr=[]),
+                     r"^theta: must span at least one Rabi period$", id="theta-empty"),
+        pytest.param(lambda a: dict(a, s1=a["s1"][:-1]), r"^s1: 79 samples, theta has 80$",
+                     id="s1-short"),
+        pytest.param(lambda a: dict(a, s2=a["s2"][:-3]), r"^s2: 77 samples, theta has 80$",
+                     id="s2-short"),
+        pytest.param(lambda a: dict(a, sr=np.r_[a["sr"], 0.3]), r"^sr: 81 samples, theta has 80$",
+                     id="sr-long"),
+        pytest.param(lambda a: dict(a, sigma=np.full(78, 0.01)),
+                     r"^sigma: 78 values, theta has 80$", id="sigma-short"),
+    ])
+    def test_rabi_bad_input_named(self, mcp, bad, message):
+        theta = np.linspace(0, 3 * TWO_PI, 80)
+        s1, s2, sr = rabi_calibration_model(theta, 12.0, mcp.alpha_p, mcp.beta_s,
+                                            mcp.beta_p, mcp.decay_correction)
+        args = bad(dict(theta=theta, s1=s1, s2=s2, sr=sr, sigma=None))
+        with pytest.raises(ValueError, match=message):
+            fit_rabi_calibration(mcp=mcp, **args)
+
+    def test_rabi_scalar_sigma_applies_to_every_sample(self, mcp):
+        theta = np.linspace(0, 3 * TWO_PI, 80)
+        s1, s2, sr = rabi_calibration_model(theta, 12.0, mcp.alpha_p, mcp.beta_s,
+                                            mcp.beta_p, mcp.decay_correction)
+        scalar = fit_rabi_calibration(theta, s1, s2, sr, mcp, sigma=0.01)
+        full = fit_rabi_calibration(theta, s1, s2, sr, mcp, sigma=np.full(80, 0.01))
+        assert scalar.params == full.params
+        assert np.array_equal(scalar.covariance, full.covariance)
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(lambda sp: sp[:2], r"^spectra: 2 given, prep_ratios has 3$",
+                     id="spectra-fewer"),
+        pytest.param(lambda sp: [*sp, sp[0]], r"^spectra: 4 given, prep_ratios has 3$",
+                     id="spectra-more"),
+        pytest.param(lambda sp: [sp[0], sp[1][:-5], sp[2]],
+                     r"^spectra\[1\]: 236 samples, freqs has 241$", id="spectrum-short"),
+    ])
+    def test_spectroscopy_bad_input_named(self, bad, message):
+        freqs = np.linspace(-20e6, 20e6, 241)
+        truth = dict(p_plus=0.61, p_minus=0.20,
+                     omega_i_plus=TWO_PI * 1.3333e6, omega_i_minus=TWO_PI * 1.6e6,
+                     f_plus=8e6, f_minus=-8e6)
+        ratios = [0.0, 0.5, 1.0]
+        spectra = [spectroscopy_spectrum(freqs, r, **truth) for r in ratios]
+        with pytest.raises(ValueError, match=message):
+            fit_spectroscopy(freqs, bad(spectra), ratios)
+
     def test_ignored_switch_keeps_the_cloud_model(self, config_dir):
-        # perfbench/run.py binds extended_cloud=False; the cloud size still
-        # selects the model, so noiseless traces of the trueness cloud fit back
+        # perfbench/run.py binds extended_cloud=False, which changes nothing:
+        # noiseless traces of the trueness cloud fit back
         fly = load_scenario(config_dir / "flythrough.json")
         sized = dataclasses.replace(fly.ensemble, sigma_z=0.6e-3, sigma_x=0.3e-3)
         traces = [{"delta_m": tr["delta_m"], "times": tr["times"], "amplitude": tr["amp"],
@@ -593,6 +640,21 @@ class TestUnidentifiable:
         with pytest.raises(UnidentifiableError):
             fit_spectroscopy(freqs, spectra, [0.5, 1.0])
 
+    def test_single_preparation_ratio(self):
+        freqs = np.linspace(-20e6, 20e6, 101)
+        with pytest.raises(UnidentifiableError,
+                           match="^need at least two preparation amplitudes$"):
+            fit_spectroscopy(freqs, [np.zeros(101)], [0.0])
+
+    def test_traces_before_the_entry(self, config_dir):
+        # a grid that ends before the cloud enters sees an empty cavity
+        fly = load_scenario(config_dir / "flythrough.json")
+        times = fly.ensemble.entry_time - np.arange(200, 0, -1) * (2.0 / fly.kappa) / 27.0
+        traces = _traces_on(times, fly.ensemble, fly, (0.0,))
+        with pytest.raises(UnidentifiableError,
+                           match="^traces carry no atom-number information$"):
+            fit_atom_number(traces, fly.ensemble, fly.cavity, fly.transitions, fly.kappa)
+
     def test_short_rabi_span(self, mcp):
         theta = np.linspace(0, np.pi, 40)
         s1, s2, sr = rabi_calibration_model(theta, 12.0, mcp.alpha_p, mcp.beta_s,
@@ -613,6 +675,10 @@ class TestHalfSignalInit:
         # small-angle regime: dphi directly proportional to dressed chi
         dphi = -np.degrees(2 * chi0 / np.sqrt(1 + n_c / n_crit) / 1e6)
         assert init_n_crit_from_half_signal(n_c, dphi) == pytest.approx(n_crit, rel=0.05)
+
+    def test_no_half_point_gives_the_highest_power(self):
+        n_c = np.array([3e4, 1e3, 2e5, 5e4])
+        assert init_n_crit_from_half_signal(n_c, [-2.0, -2.0, -1.0, -1.5]) == 2e5
 
     @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12, unique=True),
            st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0),

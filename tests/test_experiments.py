@@ -277,6 +277,10 @@ class TestPowerSweep:
         expect = 0.5 * np.sqrt(1 + 1e3 / 4.4e4)
         assert ratio == pytest.approx(expect, abs=5e-3)
 
+    def test_n_crit_unset_rejected(self, cavity):
+        with pytest.raises(ValueError, match="^n_crit is not set$"):
+            experiments.effective_chi_per_atom(make_scenario(cavity, sweep_values=[200]))
+
     @pytest.mark.parametrize("two_transitions", [False, True])
     def test_n_crit_at_most_25_violates_dispersive_limit(self, cavity, two_transitions):
         # Delta = 2 g sqrt(n_crit) <= 10 g sqrt(1) for one atom
@@ -336,9 +340,9 @@ def degenerate_shots(rec, rows, mcp):
 
 
 def blocks_last_first(scenario):
-    """The campaign's blocks in row order, as campaign_blocks yields them, each
-    computed by experiments._campaign_block with its own block index, the last
-    block first: a block whose draws depend on when it is computed differs."""
+    """The campaign's (block, clip flags) in row order, each computed by
+    experiments._campaign_block with its own block index, the last block
+    first: a block whose draws depend on when it is computed differs."""
     chi1, n_crit = experiments.effective_chi_per_atom(scenario)
     shots = scenario.shots
     args = [(k * shots + done, mean_n, min(BLOCK_SIZE, shots - done))
@@ -370,10 +374,12 @@ class TestCampaign:
         streamed = list(experiments.campaign_blocks(sc, []))
         last_first = blocks_last_first(sc)
         assert len(streamed) == len(last_first) == 4
-        for a, b in zip(streamed, last_first):
+        for a, (b, clipped) in zip(streamed, last_first):
             assert a.keys() == b.keys()
             for key in a:
                 assert a[key].tobytes() == b[key].tobytes(), key
+            assert clipped.tobytes() == detection.p_fraction_from_ratio(
+                a["s_r"], sc.mcp)[1].tobytes()
 
     def test_seed_changes_output(self, cavity):
         a = run_single_shot_campaign(campaign_scenario(cavity, 2000, seed=14))

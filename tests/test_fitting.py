@@ -232,6 +232,13 @@ def test_non_finite_y_rejected(y_bad):
         least_squares_fit(linear_model(x), y, {"a": 0.0, "b": 0.0})
 
 
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_non_finite_start_rejected(start):
+    x = np.linspace(0, 1, 20)
+    with pytest.raises(ValueError, match="^initial parameters must be finite$"):
+        least_squares_fit(linear_model(x), 2.0 * x + 1.0, {"a": start, "b": 0.0})
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf,
                                    np.r_[np.ones(19), 0.0]])
 def test_bad_sigma_rejected(sigma):

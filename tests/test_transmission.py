@@ -92,6 +92,10 @@ class TestShiftTraceGrid:
         with pytest.raises(ValueError, match="uniformly spaced"):
             ShiftTrace(times, np.zeros(100))
 
+    def test_chi_of_other_shape_rejected(self):
+        with pytest.raises(ValueError, match="^chi must match times in shape$"):
+            ShiftTrace(self.times_with_step_jitter(0.0), np.zeros(99))
+
 
 def two_pass_grid_check(times):
     """The grid check of ShiftTrace as two full passes over the steps, the
@@ -143,7 +147,7 @@ def swapped(times, i, j):
 FLY = load_scenario(Path(transmission.__file__).parent / "configs" / "flythrough.json")
 
 # (sigma_z, sigma_x) of a cloud, keyed by whether it has a size: the point
-# cloud and the packaged trueness cloud.  The size alone selects the model.
+# cloud and the packaged trueness cloud.  One model; a point cloud is sigma = 0.
 CLOUDS = {False: (0.0, 0.0), True: (0.6e-3, 0.3e-3)}
 
 
@@ -414,9 +418,9 @@ class TestTransmissionResponse:
 # it feeds.
 CHI_GOLDEN = {
     (False, False): "486c6adcd7c588cf9fd99ed6cdd052b71826383be8ed5fd0e1f7ccb95d5b55e4",
-    (False, True): "40184a39485166fcd7b3778ef53e215c158f5e5a2cbc3d2908443fb5a26d4f9b",
+    (False, True): "2d370be4adf2a3619746513aba01783c76df9ace05b21c6119087f10532a7b86",
     (True, False): "505dfc869233559883cadb754cd1c49a189aa4bd61fa1564054924dcd8d21e18",
-    (True, True): "8c9bf10cf1144c55d39700e2645d7333a4d09ab6943ecf043ecc646667fe0e5a",
+    (True, True): "234f9406996f7e52981c8227a72d43adebb8eb36753f1e4171269a0de28a78dc",
 }
 
 # The same with the reference chi(t) build (reference_shift_trace): the
@@ -429,9 +433,22 @@ REFERENCE_CHI_GOLDEN = {
 }
 
 
-def reference_coupling(z, cavity):
-    """g(z) = g_max |sin(p pi z / L)| sqrt(mode_correction), from libm sin: the
-    point-cloud coupling of the chi(t) build before the tan form."""
+def reference_coupling(z, cavity, ensemble):
+    """g(z) of the chi(t) build before the tan form: g_max |sin(p pi z / L)|
+    sqrt(mode_correction) from libm sin for a point cloud, and for a cloud with
+    a size g_max sqrt(mode_correction E[sin^2]) with E[sin^2(p pi z / L)]
+    E[sin^2(pi x / W)] as (1 - cos(a x) e)/2 per axis, e = exp(-(a sigma)^2 / 2),
+    the cloud average before it became a map of the tan-form mode profile."""
+
+    def gaussian_sin_sq(a, x, sigma):
+        return 0.5 * (1.0 - np.cos(a * x) * np.exp(-0.5 * (a * sigma) ** 2))
+
+    if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
+        axial = gaussian_sin_sq(2.0 * cavity.mode_antinodes * np.pi / cavity.length_z, z,
+                                ensemble.sigma_z)
+        transverse = gaussian_sin_sq(2.0 * np.pi / cavity.width_x, cavity.width_x / 2.0,
+                                     ensemble.sigma_x)
+        return cavity.g_max * np.sqrt(cavity.mode_correction * axial * transverse)
     mode = np.abs(np.sin(cavity.mode_antinodes * np.pi * z / cavity.length_z))
     return cavity.g_max * mode * np.sqrt(cavity.mode_correction)
 
@@ -454,8 +471,7 @@ def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
     a gather and a scatter: the oracle of the slice that
     fly_through_shift_trace takes of the sorted grid, from core's formulas.
     With ``reference`` it takes the reference build instead (reference_coupling
-    and reference_dispersive_shift).  A cloud with a size takes the
-    extended-cloud model."""
+    and reference_dispersive_shift)."""
     times = np.asarray(times, dtype=float)
     chi = np.zeros_like(times)
     transit_time, t_cen = transmission.transit(ensemble, cavity)
@@ -464,11 +480,8 @@ def mask_shift_trace(ensemble, cavity, transitions, times, transit_decay=True,
     if ensemble.n_atoms == 0 or not inside.any():
         return chi
     z = np.clip(t_c[inside] * ensemble.velocity, 0.0, cavity.length_z)
-    if ensemble.sigma_z > 0 or ensemble.sigma_x > 0:
-        profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x)
-        g = cavity.g_max * np.sqrt(cavity.mode_correction * profile)
-    else:
-        profile, g = core.mode_profile(z, cavity), reference_coupling(z, cavity)
+    profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x)
+    g = reference_coupling(z, cavity, ensemble)
     decay_s = decay_p = 1.0
     if transit_decay:
         decay_s = np.exp(-(times[inside] - t_cen) / TAU_S)
@@ -608,13 +621,12 @@ class TestReferenceBuild:
         # the build checks g_max sqrt(m max(profile)); the array rule
         # |Delta| > 10 max(g) sqrt(N) on g = g_max sqrt(m profile) raises on
         # exactly the same detunings, including within a few ulp of the
-        # limit, and so does the reference for a sized cloud (whose g it is)
+        # limit, and so does the reference on its own coupling
         ens, cavity, times = node_case(**case)
         t_c = times - ens.entry_time
         z = np.clip(t_c[(t_c >= 0) & (t_c <= cavity.length_z / ens.velocity)] * ens.velocity,
                     0.0, cavity.length_z)
-        profile = (core.cloud_mode_average(z, cavity, ens.sigma_z, ens.sigma_x)
-                   if case["sized"] else core.mode_profile(z, cavity))
+        profile = core.cloud_mode_average(z, cavity, ens.sigma_z, ens.sigma_x)
         g = cavity.g_max * np.sqrt(cavity.mode_correction * profile)
         lim = 10.0 * np.max(g) * np.sqrt(max(ens.n_atoms, 1.0))
         delta = -lim * (1.0 + rel)
@@ -623,6 +635,8 @@ class TestReferenceBuild:
         transitions = dataclasses.replace(FLY.transitions, **{name: float(delta)})
         assert (abs(delta) <= lim) == (rel < 0 or (rel == 0 and ulps <= 0))
         raises = ens.n_atoms > 0 and abs(delta) <= lim  # no cloud, no rule
+        ref_g = reference_coupling(z, cavity, ens)
+        ref_lim = 10.0 * np.max(ref_g) * np.sqrt(max(ens.n_atoms, 1.0))
         outcomes = []
         for build in (fly_through_shift_trace, reference_shift_trace):
             try:
@@ -633,8 +647,7 @@ class TestReferenceBuild:
         assert (outcomes[0] is not None) == raises
         if raises:
             assert outcomes[0].startswith(f"{name} reaches ")
-        if case["sized"] or rel != 0.0:
-            assert (outcomes[1] is not None) == raises
+        assert (outcomes[1] is not None) == (ens.n_atoms > 0 and abs(delta) <= ref_lim)
 
     @pytest.mark.parametrize("transit_decay, sized", CHI_GOLDEN)
     def test_traces_within_tolerance_of_reference_build(self, monkeypatch, transit_decay,
@@ -714,9 +727,9 @@ class TestFlyThrough:
                                           rel=1e-12)
 
     def test_ignored_switch_keeps_the_cloud_model(self, config_dir):
-        # perfbench/run.py binds extended_cloud=False; the cloud size still
-        # selects the model, so the trueness cloud's phase peak sits the
-        # ledger's point-like correction below the point cloud's
+        # perfbench/run.py binds extended_cloud=False, which changes nothing:
+        # the trueness cloud's phase peak sits the ledger's point-like
+        # correction below the point cloud's
         sc = load_scenario(config_dir / "flythrough.json")
         peaks = [np.max(np.abs(simulate_flythrough(
             with_cloud(sc.ensemble, sized), sc.cavity, sc.transitions, 0.0, sc.kappa,
