@@ -43,7 +43,7 @@ _EXPORTS = {
     "transmission": (
         "ComplexTrace", "GridAccuracyError", "ShiftTrace", "WindowConfigError",
         "fly_through_shift_trace", "phase_change", "readout_phase", "simulate_flythrough",
-        "steady_transmission", "transmission_response", "window_samples",
+        "steady_transmission", "transmission_response",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,10 +16,12 @@ class SnrValidityError(ValueError):
 
 
 def snr(n_c, kappa_out, tau_i, n_noise):
-    """Power SNR of the heterodyne detection, R = n_c kappa_out tau_i / n_noise.
-
-    kappa_out is an angular rate (rad/s), consistent with kappa elsewhere.
-    """
+    """Power SNR of the heterodyne detection, R = n_c kappa_out tau_i / n_noise, kappa_out
+    in rad/s as kappa elsewhere.  The model gives one window a phase variance of 1/R, which
+    holds when n_noise counts the added noise of the one quadrature that the phase reads; over
+    both quadratures of a phase-preserving amplifier (Caves, PRD 26, 1817 (1982); Clerk et al.,
+    RMP 82, 1155 (2010), sec. VI) it is 1/(2R), as in :func:`atom_number_precision`.  That
+    factor is criterion 5b's sqrt(2); which one the packaged n_noise = 23 follows is open."""
     if not (kappa_out > 0 and tau_i > 0 and n_noise > 0):
         raise ValueError("kappa_out, tau_i and n_noise must be positive")
     return np.asarray(n_c, dtype=float) * kappa_out * tau_i / n_noise

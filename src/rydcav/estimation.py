@@ -159,6 +159,8 @@ def init_n_crit_from_half_signal(n_c, dphi_deg):
     """
     n_c = np.asarray(n_c, dtype=float)
     mag = np.abs(np.asarray(dphi_deg, dtype=float))
+    if mag.shape != n_c.shape:
+        raise ValueError(f"dphi_deg: {mag.size} samples, n_c has {n_c.size}")
     order = np.argsort(n_c)
     n_c, mag = n_c[order], mag[order]
     half = 0.5 * mag[0]

@@ -142,11 +142,10 @@ class ProbeConfig:
 
 @dataclass
 class NoiseChain:
-    """Heterodyne detection noise parameters.
-
-    ``digitizer_phase_floor`` is an additive phase noise (std, radians)
-    independent of probe power; it models the saturation of the phase
-    precision at large photon number.
+    """Heterodyne detection noise parameters: ``n_noise`` in the convention that
+    :func:`rydcav.detection.snr` states; ``digitizer_phase_floor`` is an additive phase
+    noise (std, radians) independent of probe power, which models the saturation of
+    the phase precision at large photon number.
     """
 
     n_noise: float = 23.0

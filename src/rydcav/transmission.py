@@ -189,36 +189,33 @@ def fly_through_shift_trace(
     g_max^2 mode_correction times :func:`rydcav.core.cloud_mode_average`:
     one model; a point cloud is sigma = 0.
     """
-    times = np.asarray(times, dtype=float)
     transit_time, t_cen = transit(ensemble, cavity)
     # chi's own buffer holds the time since entry t_c, which locates the
     # transit, then z and the cloud's profile inside it, and 0 outside
-    chi = t_c = np.subtract(times, ensemble.entry_time)
-    try:
-        # on the sorted 1-d grid that ShiftTrace requires, the transit is one slice
-        i0, i1 = np.searchsorted(t_c, 0.0, "left"), np.searchsorted(t_c, transit_time, "right")
-        if ensemble.n_atoms == 0 or i1 <= i0:
-            chi.fill(0.0)
-            return ShiftTrace(times, chi)
-        # t_c * v can round past length_z at the exit sample
-        z = np.clip(np.multiply(t_c[i0:i1], ensemble.velocity, out=chi[i0:i1]), 0.0,
-                    cavity.length_z, out=chi[i0:i1])
-        chi[:i0] = chi[i1:] = 0.0
-        profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x, out=z)
-        # chi = profile (A_s w_s + A_p w_p), A = g_max^2 m a, at largest g
-        g2 = cavity.g_max ** 2 * cavity.mode_correction
-        a_s, a_p = (g2 * a for a in core.population_coefficients(
-            ensemble, cavity.g_max * np.sqrt(cavity.mode_correction * np.max(profile)),
-            transitions.delta_plus, transitions.delta_minus))
-        w = a_s + a_p
-        if transit_decay:
-            w = a_s * np.exp(-(times[i0:i1] - t_cen) / TAU_S)
-            w += a_p * np.exp(-(times[i0:i1] - t_cen) / TAU_P)
-        np.multiply(profile, w, out=chi[i0:i1])
-    except ValueError:  # the physics may raise on a slice of an unsorted grid,
-        ShiftTrace(times, chi)  # which ShiftTrace rejects: its error comes first
-        raise
-    return ShiftTrace(times, chi)
+    shift = ShiftTrace(times, np.subtract(times, ensemble.entry_time, dtype=float))
+    times, chi = shift.times, shift.chi
+    t_c = chi
+    # on the sorted 1-d grid that ShiftTrace requires, the transit is one slice
+    i0, i1 = np.searchsorted(t_c, 0.0, "left"), np.searchsorted(t_c, transit_time, "right")
+    if ensemble.n_atoms == 0 or i1 <= i0:
+        chi.fill(0.0)
+        return shift
+    # t_c * v can round past length_z at the exit sample
+    z = np.clip(np.multiply(t_c[i0:i1], ensemble.velocity, out=chi[i0:i1]), 0.0,
+                cavity.length_z, out=chi[i0:i1])
+    chi[:i0] = chi[i1:] = 0.0
+    profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x, out=z)
+    # chi = profile (A_s w_s + A_p w_p), A = g_max^2 m a, at largest g
+    g2 = cavity.g_max ** 2 * cavity.mode_correction
+    a_s, a_p = (g2 * a for a in core.population_coefficients(
+        ensemble, cavity.g_max * np.sqrt(cavity.mode_correction * np.max(profile)),
+        transitions.delta_plus, transitions.delta_minus))
+    w = a_s + a_p
+    if transit_decay:
+        w = a_s * np.exp(-(times[i0:i1] - t_cen) / TAU_S)
+        w += a_p * np.exp(-(times[i0:i1] - t_cen) / TAU_P)
+    np.multiply(profile, w, out=chi[i0:i1])
+    return shift
 
 
 def flythrough_shift(
@@ -266,18 +263,6 @@ def simulate_flythrough(
     return trace, phase_change(trace, ref)
 
 
-def window_samples(times, window, name):
-    """Mask of the samples of ``times`` inside the closed ``window`` (t0, t1).
-
-    Raises :class:`WindowConfigError`, naming the window, when it holds no sample.
-    """
-    t0, t1 = window
-    sel = (times >= t0) & (times <= t1)
-    if not np.any(sel):
-        raise WindowConfigError(f"{name} [{t0:.6g}, {t1:.6g}] s contains no samples")
-    return sel
-
-
 def readout_phase(times, dphi_deg, ensemble: EnsembleState, cavity: CavitySpec,
                   kappa: float) -> float:
     """Phase change of a simulated trace read out at t_max = t_cen + 2/kappa:
@@ -286,9 +271,13 @@ def readout_phase(times, dphi_deg, ensemble: EnsembleState, cavity: CavitySpec,
     The one readout of the sensitivity sweep and the Rabi prediction; the
     single-shot campaign simulates no trace and reads the stationary phase.
     """
+    if np.shape(dphi_deg) != np.shape(times):
+        raise ValueError(f"dphi_deg: {np.size(dphi_deg)} samples, times has {np.size(times)}")
     t_max = transit(ensemble, cavity)[1] + 2.0 / kappa
-    sel = window_samples(times, (t_max - READOUT_WINDOW / 2.0, t_max + READOUT_WINDOW / 2.0),
-                         "t_max window")
+    t0, t1 = t_max - READOUT_WINDOW / 2.0, t_max + READOUT_WINDOW / 2.0
+    sel = (times >= t0) & (times <= t1)
+    if not np.any(sel):
+        raise WindowConfigError(f"t_max window [{t0:.6g}, {t1:.6g}] s contains no samples")
     return float(np.mean(dphi_deg[sel]))
 
 

@@ -1,5 +1,5 @@
 """The public names of ``import rydcav``, which loads each submodule on
-first use: the same 73 names, each the object its defining module holds,
+first use: the same 72 names, each the object its defining module holds,
 the public functions that no CLI run calls, each with its reason, and the
 inputs each public function states."""
 
@@ -35,13 +35,13 @@ PUBLIC = [
     "run_power_sweep", "run_rabi_scenario", "run_sensitivity_sweep", "run_single_shot_campaign",
     "shift_from_phase", "simulate_flythrough", "simulate_phase_shot_batch", "snr",
     "spectroscopy_spectrum", "spectroscopy_transfer", "steady_transmission", "transmission",
-    "transmission_response", "trueness_ledger", "window_samples",
+    "transmission_response", "trueness_ledger",
 ]
 
 
 def test_all_is_pinned():
     assert rydcav.__all__ == PUBLIC
-    assert len(PUBLIC) == 73 and set(SUBMODULES) <= set(PUBLIC)
+    assert len(PUBLIC) == 72 and set(SUBMODULES) <= set(PUBLIC)
 
 
 def test_each_name_is_its_defining_modules_object():

@@ -419,6 +419,13 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def process_env():
+    """The environment of a fresh interpreter that imports this rydcav."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # Run in a fresh interpreter per (command, config) pair by
 # test_import_needs_numpy_only: the optional modules loaded after import, after
 # loading every config, and after the one run.
@@ -809,9 +816,7 @@ class TestCli:
         # loads the estimators and the fitter only for the runs that use them,
         # and runs a campaign without a thread pool (concurrent.futures, with
         # its logging and queue).
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = process_env()
         run_loads = {}
         for command, name in cli.TASKS:
             config = small_campaign if command == "campaign" else config_dir / f"{name}.json"
@@ -824,6 +829,38 @@ class TestCli:
             assert seen["import"] == [] and seen["load_scenario"] == [], (command, name)
             run_loads[command, name] = seen["run"]
         assert run_loads == RUN_LOADS
+
+    def test_module_run_as_a_process(self, tmp_path, config_dir, capsys):
+        # python -m rydcav.cli exits with main()'s code and prints main()'s
+        # stdout and "rydcav: ..." stderr line, one case per exit code
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw.setdefault("probe", {})["n_c"] = 0  # loads, then fails the SNR rule
+        no_photons = tmp_path / "no_photons.json"
+        no_photons.write_text(json.dumps(raw))
+        cases = [
+            (0, ["trueness", "--config", str(config_dir / "trueness.json")]),
+            (2, ["trueness", "--config", str(tmp_path / "nope.json")]),
+            (2, ["simulate", "--config", str(config_dir / "trueness.json")]),
+            (3, ["campaign", "--config", str(config_dir / "campaign.json"), "--seed", "-1"]),
+            (1, ["campaign", "--config", str(no_photons)]),
+        ]
+        for i, (code, argv) in enumerate(cases):
+            proc = subprocess.run([sys.executable, "-m", "rydcav.cli", *argv,
+                                   "--out", str(tmp_path / f"process{i}")],
+                                  capture_output=True, text=True, env=process_env())
+            try:
+                got = run_cli([*argv, "--out", str(tmp_path / f"main{i}")])
+            except SystemExit as exc:
+                got = exc.code
+            out, err = capsys.readouterr()
+            assert (proc.returncode, got) == (code, code), proc.stderr
+            said = [line for line in err.splitlines() if line.startswith("rydcav: ")]
+            assert len(said) == (code != 0), err
+            assert [line for line in proc.stderr.splitlines()
+                    if line.startswith("rydcav: ")] == said
+            assert proc.stdout == out
+        assert (tmp_path / "process0" / "trueness.json").read_bytes() == \
+            (tmp_path / "main0" / "trueness.json").read_bytes()
 
 
 @pytest.fixture

@@ -216,6 +216,28 @@ class TestPhaseMap:
         with pytest.raises(ValueError):
             core.power_reduction(1.0, 0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_reduction_is_the_jaynes_cummings_shift(self, sign):
+        # In the one-excitation block {|m-1, e>, |m, g>}, with energies
+        # relative to m w_c - w_c/2, H = [[D/2, g sqrt(m)], [g sqrt(m), -D/2]],
+        # D = w_a - w_c.  The dressed state that continues |m, g> is the lower
+        # eigenvalue for D > 0 and the upper for D < 0; its per-photon cavity
+        # shift lam(m + 1) - lam(m), over the ground-state pull chi0 = -g^2/D
+        # (a_s of core.population_coefficients), is 1/power_reduction(m + 1/2)
+        # with n_crit = D^2/(4 g^2).  At m or m + 1 it is off by up to 5.7e-6.
+        g, n_crit = TWO_PI * 14.3e3, 4.4e4
+        delta = sign * 2.0 * g * np.sqrt(n_crit)
+        m = np.array([1, 2, 10, 100, 1_000, 10_000, 44_000, 100_000, 1_000_000])
+
+        def lam(m):
+            root = g * np.sqrt(m)
+            blocks = np.array([[[delta / 2, r], [r, -delta / 2]] for r in root])
+            return np.linalg.eigvalsh(blocks)[:, 0 if delta > 0 else 1]
+
+        shift = (lam(m + 1) - lam(m)) / (-g ** 2 / delta)
+        np.testing.assert_allclose(shift, 1.0 / core.power_reduction(m + 0.5, n_crit),
+                                   rtol=1e-9, atol=0)
+
 
 # each model class with valid arguments for its required fields
 CAVITY_KW = dict(omega_c=TWO_PI * 20.5583e9, kappa=TWO_PI * 236e3, kappa_out=TWO_PI * 150e3,

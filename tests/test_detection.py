@@ -20,7 +20,6 @@ from rydcav import (
     simulate_phase_shot_batch,
     snr,
     steady_transmission,
-    window_samples,
 )
 from rydcav.detection import SnrValidityError
 from rydcav.params import TAU_P, TAU_S
@@ -163,8 +162,8 @@ def per_sample_phase_shot(true_trace, probe, noise, rng, kappa_out, signal_windo
     sigma_q = 1.0 / np.sqrt(snr(probe.n_c, kappa_out, true_trace.dt, noise.n_noise))
 
     values = true_trace.values
-    sig = window_samples(times, signal_window, "signal window")
-    ref = window_samples(times, reference_window, "reference window")
+    sig = (times >= signal_window[0]) & (times <= signal_window[1])
+    ref = (times >= reference_window[0]) & (times <= reference_window[1])
     phi_sig = _noisy_window_phase(values[sig], sigma_q, rng)
     phi_ref = _noisy_window_phase(values[ref], sigma_q, rng)
     dphi = phi_sig - phi_ref

@@ -680,6 +680,14 @@ class TestHalfSignalInit:
         n_c = np.array([3e4, 1e3, 2e5, 5e4])
         assert init_n_crit_from_half_signal(n_c, [-2.0, -2.0, -1.0, -1.5]) == 2e5
 
+    @pytest.mark.parametrize("n_c, dphi, msg", [
+        ([1e3, 1e4, 1e5], [1.0, 0.2], "dphi_deg: 2 samples, n_c has 3"),
+        ([1e3, 1e4], [1.0, 0.6, 0.2], "dphi_deg: 3 samples, n_c has 2"),
+    ])
+    def test_mismatched_inputs_named(self, n_c, dphi, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            init_n_crit_from_half_signal(n_c, dphi)
+
     @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12, unique=True),
            st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0),
                     min_size=12, max_size=12))

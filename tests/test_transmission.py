@@ -20,7 +20,6 @@ from rydcav import (
     steady_transmission,
     transmission_response,
     TransitionSet,
-    window_samples,
 )
 from rydcav import core, transmission
 from rydcav.configio import load_scenario
@@ -797,12 +796,6 @@ class TestPhaseChange:
         expected = -np.degrees(2 * chi / KAPPA)
         assert np.degrees(np.angle(a)) == pytest.approx(expected, rel=0.01)
 
-    def test_empty_window_named(self):
-        times = np.arange(11) * 1e-6
-        assert window_samples(times, (2e-6, 5e-6), "signal window").sum() == 4
-        with pytest.raises(WindowConfigError, match=r"t_max window \[2\.1e-06, 2\.2e-06\]"):
-            window_samples(times, (2.1e-6, 2.2e-6), "t_max window")
-
     def test_readout_phase_is_the_mean_around_t_max(self, cavity):
         ens = EnsembleState(n_atoms=100)
         t_max = transmission.transit(ens, cavity)[1] + 2.0 / cavity.kappa
@@ -810,9 +803,18 @@ class TestPhaseChange:
         dphi = np.arange(21.0)
         # t_max +- READOUT_WINDOW/2 holds the samples at 0 and +-0.3 us
         assert transmission.readout_phase(times, dphi, ens, cavity, cavity.kappa) == 10.0
-        with pytest.raises(WindowConfigError, match="t_max window"):
+        # t_max = 14 mm / (950 m/s) / 2 + 2/kappa = 8.71719 us, and no sample within 0.5 us
+        with pytest.raises(WindowConfigError, match=r"^t_max window \[8\.21719e-06, "
+                                                    r"9\.21719e-06\] s contains no samples$"):
             transmission.readout_phase(t_max + np.arange(-5.0, 6.0, 2.0) * 1e-6, dphi[:6],
                                        ens, cavity, cavity.kappa)
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_readout_phase_names_mismatched_samples(self, cavity, n):
+        ens = EnsembleState(n_atoms=100)
+        times = transmission.transit(ens, cavity)[1] + np.arange(-10, 11) * 0.3e-6
+        with pytest.raises(ValueError, match=rf"^dphi_deg: {n} samples, times has 21$"):
+            transmission.readout_phase(times, np.zeros(n), ens, cavity, cavity.kappa)
 
 
 @pytest.mark.parametrize("transit_decay", [False, True])
