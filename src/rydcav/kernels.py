@@ -12,7 +12,9 @@ CMU-CS-90-190; Martin & Cundy 2018, arXiv:1709.04057)
 
 which numpy evaluates with one ``cumprod`` for the running product D_k, one
 complex division per step and one ``cumsum`` for the sum, in the output
-itself: the caller's ``out`` array when one is given.  A running product of
+itself: the caller's ``out`` array when one is given, which may be z (the
+scan then runs in place: before a block is overwritten, its last z sample is
+kept for the next block's first midpoint).  A running product of
 k factors has a relative error bound of order k*u (Higham 2002, sec. 3.1),
 under 1e-12 for k <= :data:`BLOCK`.  The trace is walked one block of
 :data:`BLOCK` steps at a time, the last value of a block seeding the next,
@@ -50,6 +52,15 @@ BLOCK = 4096  # steps per scan block
 EXP_SPAN = 600.0  # largest |log |D_k|| within one block (doubles overflow past e**709)
 
 
+def _all_finite(a):
+    """Whether every sample of ``a`` is finite, with no temporary of a's size
+    unless it overflows: a sum of finite samples is finite unless it overflows,
+    and only then is each sample looked at."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    return bool(np.isfinite(total) or np.all(np.isfinite(a)))
+
+
 def _expm1_tan(x, h, out):
     """expm1(x + 2ih) into the complex array ``out``, from one ``tan``.
 
@@ -79,7 +90,8 @@ def response_filter(z, dt, b0, out=None):
     midpoint value, so the per-step propagator is exact for piecewise
     constant z and second-order accurate for smooth chi(t).  The integral
     is returned in ``out`` if given, which must be a writeable complex128
-    1-d array of z's length (possibly strided) sharing no memory with z.
+    1-d array of z's length (possibly strided) that is z itself or shares no
+    memory with it.
 
     Raises ValueError, naming the argument, unless z is a 1-d array of at
     least one finite sample, dt is finite and positive, b0 is finite and
@@ -94,22 +106,23 @@ def response_filter(z, dt, b0, out=None):
     b = complex(b0)
     if not np.isfinite(b):
         raise ValueError(f"b0 must be finite, got {b}")
-    # a sum of finite samples is finite unless it overflows: only then look closer
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = z.sum()
-    if not (np.isfinite(total) or np.all(np.isfinite(z))):
+    if not _all_finite(z):
         raise ValueError("z must be finite")
     growth = dt * max(z.real.max(), -z.real.min())  # largest |Re(a_k)|
     block = max(1, int(EXP_SPAN / growth)) if growth * BLOCK > EXP_SPAN else BLOCK
     n = z.shape[0]
     out = np.empty(n, dtype=np.complex128) if out is None else out
     if not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.shape == (n,)
-            and out.flags.writeable and not np.shares_memory(out, z)):
-        raise ValueError(f"out must be a writeable complex128 1-d array of {n} samples, not in z")
+            and out.flags.writeable and (out is z or not np.shares_memory(out, z))):
+        raise ValueError(f"out must be a writeable complex128 1-d array of {n} samples, "
+                         "z itself or not in z")
+    z_prev = z[0]  # the z sample before each block, kept before out overwrites it
     out[0] = b
     for s0 in range(1, n, block):
         s1 = min(s0 + block, n)
         zm = z[s0:s1] + z[s0 - 1:s1 - 1]
+        zm[0] = z[s0] + z_prev  # z[s0 - 1] already holds the integral when out is z
+        z_prev = z[s1 - 1]
         zm *= 0.5
         e = _expm1_tan(zm.real * dt, zm.imag * (0.5 * dt), np.empty_like(zm))  # expm1(a)
         d = np.add(e, 1.0, out=out[s0:s1])

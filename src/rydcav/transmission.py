@@ -16,8 +16,10 @@ integral b = A / (kappa/2) straight into the output.  Outside that span
 chi = 0 and z = z0 = i Delta_m - kappa/2, so b is -1/z0 before the transit and
 -1/z0 + (b_exit + 1/z0) exp(z0 (t - t_exit)) after it, built in place with
 exp(k z0 dt) = 1 + expm1(k z0 dt) from the kernel's tangent half-angle
-helper: one real ``tan``, ``exp`` and ``expm1`` per sample and two real
-temporaries of the tail's length.
+helper: one real ``tan``, ``exp`` and ``expm1`` per sample, one block of
+:data:`~rydcav.kernels.BLOCK` samples at a time.  z itself is written into
+the output's transit span and scanned there, so a trace needs no array of
+its length beyond chi(t) and the output.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .kernels import _expm1_tan, response_filter
+from .kernels import BLOCK, _all_finite, _expm1_tan, response_filter
 from .params import TAU_P, TAU_S, CavitySpec, EnsembleState, TransitionSet
 
 PAD = 8e-6  # s of empty cavity before and after a simulated transit
@@ -52,17 +54,26 @@ class ShiftTrace:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.chi = np.asarray(self.chi, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2:
+        times = self.times
+        if times.ndim != 1 or times.size < 2:
             raise ValueError("times must be a 1-d grid with >= 2 samples")
-        steps = np.diff(self.times)
-        s0, tol = steps[0], 1e-9 * steps[0]  # every step within tol of s0 > 0 is positive
-        if not (s0 > 0 and np.max(steps) - s0 <= tol and s0 - np.min(steps) <= tol):
-            if np.any(steps <= 0):
+
+        buf = np.empty(min(BLOCK, times.size - 1))
+
+        def steps():  # np.diff(times), one block at a time, in buf
+            for j in range(0, times.size - 1, BLOCK):
+                k = min(j + BLOCK, times.size - 1)
+                yield np.subtract(times[j + 1:k + 1], times[j:k], out=buf[:k - j])
+
+        s0 = times[1] - times[0]
+        tol = 1e-9 * s0  # every step within tol of s0 > 0 is positive
+        if not (s0 > 0 and all(s.max() - s0 <= tol and s0 - s.min() <= tol for s in steps())):
+            if any((s <= 0).any() for s in steps()):
                 raise ValueError("times must be strictly increasing")
             raise ValueError("times must be uniformly spaced")
-        if self.chi.shape != self.times.shape:
+        if self.chi.shape != times.shape:
             raise ValueError("chi must match times in shape")
-        if not np.all(np.isfinite(self.chi)):
+        if not _all_finite(self.chi):
             raise ValueError("chi must be finite")
 
     @property
@@ -95,12 +106,14 @@ class ComplexTrace:
 
         When no step |dphi| reaches pi, ``np.unwrap`` adds a correction of
         +0.0 to every sample but the first; that is done here without
-        computing the correction.
+        computing the correction.  No step reaches pi where the phase spans
+        less than pi, and only a wider phase has its steps looked at.
         """
         phase = self.phase
-        step = np.diff(phase)
-        if not np.max(np.abs(step, out=step), initial=0.0) < np.pi:
-            return np.unwrap(phase)
+        if not np.max(phase, initial=-np.inf) - np.min(phase, initial=np.inf) < np.pi:
+            step = np.diff(phase)
+            if not np.max(np.abs(step, out=step), initial=0.0) < np.pi:
+                return np.unwrap(phase)
         phase[1:] += 0.0  # -0.0 + 0.0 is +0.0, as in np.unwrap
         return phase
 
@@ -143,31 +156,33 @@ def transmission_response(shift: ShiftTrace, delta_m, kappa) -> ComplexTrace:
             f"dt = {dt:.3g} s exceeds (2/kappa)/20 = {(2.0 / kappa) / 20.0:.3g} s"
         )
     z0 = 1j * delta_m - kappa / 2.0
-    n = shift.chi.size
-    nonzero = shift.chi != 0
+    chi = shift.chi
+    n = chi.size
+    nonzero = chi != 0
     first = int(np.argmax(nonzero))
     i0 = n
+    b = np.empty(n, dtype=complex)
     if nonzero[first]:
         # the update spans the transit and one zero sample on each side
         last = n - 1 - int(np.argmax(nonzero[::-1]))
         i0, i1 = max(first - 1, 0), min(last + 2, n)
-        z = np.full(i1 - i0, complex(-kappa / 2.0))  # z0 - i chi, bit for bit
-        np.subtract(delta_m, shift.chi[i0:i1], out=z.imag)
-    # b comes after z: before it, b let the heap trim deeper (+33% page faults)
-    b = np.empty(n, dtype=complex)
-    if i0 < n:
-        response_filter(z, dt, -1.0 / z[0], out=b[i0:i1])
+        z = b[i0:i1]  # z0 - i chi, bit for bit, scanned in place into b
+        z.real = -kappa / 2.0
+        np.subtract(delta_m, chi[i0:i1], out=z.imag)
+        response_filter(z, dt, -1.0 / z[0], out=z)
         # exp(k z0 dt) = 1 + expm1(k z0 dt) for k = 1, 2, ... after the exit
+        for j in range(i1, n, BLOCK):
+            block = b[j:j + BLOCK]
+            x = np.arange(j - i1 + 1.0, j - i1 + 1 + block.size)
+            np.multiply(x, 0.5 * delta_m * dt, out=block.imag)  # Im(k z0 dt) / 2
+            x *= -kappa / 2.0 * dt  # Re(k z0 dt)
+            _expm1_tan(x, block.imag, block)
         tail = b[i1:]
-        x = np.arange(1.0, n - i1 + 1)
-        np.multiply(x, 0.5 * delta_m * dt, out=tail.imag)  # Im(k z0 dt) / 2
-        x *= -kappa / 2.0 * dt  # Re(k z0 dt)
-        _expm1_tan(x, tail.imag, tail)
         tail += 1.0
         tail *= b[i1 - 1] + 1.0 / z0
         tail += -1.0 / z0
-    b[:i0] = -1.0 / z0  # stationary integral of the empty cavity
-    b *= kappa / 2.0
+    b[:i0] = (kappa / 2.0) * (-1.0 / z0)  # stationary response of the empty cavity
+    b[i0:] *= kappa / 2.0
     return ComplexTrace(shift.times, b)
 
 
@@ -187,7 +202,9 @@ def fly_through_shift_trace(
     (:func:`rydcav.core.population_coefficients`, each |Delta| > 10 g
     sqrt(N)), and 0 elsewhere, also on a grid with none inside.  g^2 is
     g_max^2 mode_correction times :func:`rydcav.core.cloud_mode_average`:
-    one model; a point cloud is sigma = 0.
+    one model; a point cloud is sigma = 0.  Raises ValueError where chi
+    overflows the float range, which an N the validity rule passes can do
+    on a grid whose transit samples no coupling.
     """
     transit_time, t_cen = transit(ensemble, cavity)
     # chi's own buffer holds the time since entry t_c, which locates the
@@ -207,14 +224,27 @@ def fly_through_shift_trace(
     profile = core.cloud_mode_average(z, cavity, ensemble.sigma_z, ensemble.sigma_x, out=z)
     # chi = profile (A_s w_s + A_p w_p), A = g_max^2 m a, at largest g
     g2 = cavity.g_max ** 2 * cavity.mode_correction
-    a_s, a_p = (g2 * a for a in core.population_coefficients(
+    a_s, a_p = core.population_coefficients(
         ensemble, cavity.g_max * np.sqrt(cavity.mode_correction * np.max(profile)),
-        transitions.delta_plus, transitions.delta_minus))
-    w = a_s + a_p
-    if transit_decay:
-        w = a_s * np.exp(-(times[i0:i1] - t_cen) / TAU_S)
-        w += a_p * np.exp(-(times[i0:i1] - t_cen) / TAU_P)
-    np.multiply(profile, w, out=chi[i0:i1])
+        transitions.delta_plus, transitions.delta_minus)
+    # the validity rule passes any N where the sampled coupling is 0, and
+    # there g^2 a can overflow: chi is checked once it is built
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_s, a_p = g2 * a_s, g2 * a_p
+        w = a_s + a_p
+        if transit_decay:  # a_s exp(-(t - t_cen) / TAU_S) + a_p exp(-(t - t_cen) / TAU_P)
+            w = np.subtract(times[i0:i1], t_cen)
+            np.negative(w, out=w)
+            w_p = np.divide(w, TAU_P)
+            w /= TAU_S
+            np.exp(w, out=w)
+            w *= a_s
+            np.exp(w_p, out=w_p)
+            w_p *= a_p
+            w += w_p
+        np.multiply(profile, w, out=chi[i0:i1])
+    if not _all_finite(chi[i0:i1]):
+        raise ValueError(f"chi overflows the float range at n_atoms = {ensemble.n_atoms:.6g}")
     return shift
 
 
@@ -271,8 +301,9 @@ def readout_phase(times, dphi_deg, ensemble: EnsembleState, cavity: CavitySpec,
     The one readout of the sensitivity sweep and the Rabi prediction; the
     single-shot campaign simulates no trace and reads the stationary phase.
     """
-    if np.shape(dphi_deg) != np.shape(times):
-        raise ValueError(f"dphi_deg: {np.size(dphi_deg)} samples, times has {np.size(times)}")
+    times, dphi_deg = np.asarray(times), np.asarray(dphi_deg)
+    if dphi_deg.shape != times.shape:
+        raise ValueError(f"dphi_deg: {dphi_deg.size} samples, times has {times.size}")
     t_max = transit(ensemble, cavity)[1] + 2.0 / kappa
     t0, t1 = t_max - READOUT_WINDOW / 2.0, t_max + READOUT_WINDOW / 2.0
     sel = (times >= t0) & (times <= t1)

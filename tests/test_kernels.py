@@ -48,8 +48,11 @@ B = kernels.BLOCK
 
 def loop_filter(z, dt, b0, out=None):
     """The recurrence b_k = d_k b_{k-1} + (d_k - 1)/zm_k, one sample at a time,
-    into ``out`` when given."""
+    into ``out`` when given, which may be z, as in response_filter: z is then
+    copied first, since the loop reads z[k - 1] after writing out[k - 1]."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
+    if out is not None and np.shares_memory(out, z):
+        z = z.copy()
     dt = float(dt)
     n = z.shape[0]
     out = np.empty(n, dtype=np.complex128) if out is None else out
@@ -139,7 +142,7 @@ def test_matches_loop_oracle_on_finest_benchmark_grid(config_dir, monkeypatch, d
     calls = []
 
     def recorded(z, dt, b0, out=None):
-        calls.append((z, dt, b0))
+        calls.append((z.copy(), dt, b0))  # the scan overwrites z when out is z
         return response_filter(z, dt, b0, out=out)
 
     monkeypatch.setattr(transmission, "response_filter", recorded)
@@ -281,12 +284,13 @@ def test_bad_input_named(z, dt, b0, message):
     lambda z: np.empty(3, float),
     lambda z: [0j, 0j, 0j],
     lambda z: np.broadcast_to(np.zeros(1, complex), (3,)),
-    lambda z: z,
+    lambda z: z.base[1:4],
     lambda z: z[::-1],
     lambda z: z.base[2:5],
-], ids=["complex64", "short", "2-d", "float", "list", "read-only", "z", "z reversed",
-        "overlaps z"])
+], ids=["complex64", "short", "2-d", "float", "list", "read-only", "z shifted one",
+        "z reversed", "overlaps z"])
 def test_bad_out_named(make_out):
+    # out may be z itself (the scan then runs in place), but no other view of z
     z = np.full(6, -KAPPA / 2 + 0j)[:3]
     with pytest.raises(ValueError, match="^out must be a writeable complex128 1-d array of 3 "):
         response_filter(z, DT_MAX, 0j, out=make_out(z))
@@ -307,6 +311,34 @@ def test_out_is_written_and_returned_with_the_same_bits(n, stride):
     untouched = np.ones(buf.size, bool)
     untouched[1:1 + stride * n:stride] = False
     assert np.all(np.isnan(buf[untouched]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 3 * B + 2),
+       log_chi=st.floats(3.0, 7.0),
+       noisy=st.booleans(),
+       dt_frac=st.floats(0.05, 120.0),
+       stride=st.sampled_from([1, 2]))
+@example(seed=1, n=3 * B + 2, log_chi=6.0, noisy=False, dt_frac=1.0, stride=1).via("full blocks")
+@example(seed=2, n=2100, log_chi=7.0, noisy=True, dt_frac=60.0, stride=1).via(
+    "growth-limited blocks of 10 steps")
+@example(seed=3, n=B + 1, log_chi=5.0, noisy=True, dt_frac=0.5, stride=2).via("strided z")
+def test_in_place_matches_out_of_place(seed, n, log_chi, noisy, dt_frac, stride):
+    # out is z: each block keeps its last z sample before it is overwritten,
+    # so the in-place scan writes the bits of the out-of-place one; at
+    # dt_frac > 2.9 the blocks are shorter than BLOCK (EXP_SPAN), and a
+    # strided z is scanned from a contiguous copy
+    z = random_z(seed, n, 10**log_chi, noisy, delta_m=0.3 * KAPPA)
+    dt = dt_frac * DT_MAX
+    b0 = -1.0 / z[0]
+    want = response_filter(z, dt, b0)
+    buf = np.full(stride * n, np.nan + 0j)
+    zz = buf[::stride]
+    zz[:] = z
+    got = response_filter(zz, dt, b0, out=zz)
+    assert got is zz
+    assert got.tobytes() == want.tobytes()
 
 
 def test_finite_z_whose_sum_overflows_accepted():

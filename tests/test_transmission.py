@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from rydcav import (
     transmission_response,
     TransitionSet,
 )
-from rydcav import core, transmission
+from rydcav import core, kernels, transmission
 from rydcav.configio import load_scenario
 from rydcav.params import TAU_P, TAU_S
 from rydcav.transmission import GridAccuracyError, WindowConfigError, flythrough_shift
@@ -223,6 +224,34 @@ def whole_trace_response(shift, delta_m, kappa):
     return ComplexTrace(shift.times, (kappa / 2.0) * b)
 
 
+def out_of_place_response(shift, delta_m, kappa):
+    """transmission_response with z in an array of its own, the scan out of
+    place and the closed-form tail in one pass over two real temporaries of
+    its length: the oracle, bit for bit, of the build in the output trace."""
+    dt = shift.dt
+    z0 = 1j * delta_m - kappa / 2.0
+    n = shift.chi.size
+    nonzero = np.flatnonzero(shift.chi)
+    b = np.empty(n, dtype=complex)
+    i0 = n
+    if nonzero.size:
+        i0, i1 = max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n)
+        z = np.full(i1 - i0, complex(-kappa / 2.0))
+        np.subtract(delta_m, shift.chi[i0:i1], out=z.imag)
+        transmission.response_filter(z, dt, -1.0 / z[0], out=b[i0:i1])
+        tail = b[i1:]
+        x = np.arange(1.0, n - i1 + 1)
+        np.multiply(x, 0.5 * delta_m * dt, out=tail.imag)
+        x *= -kappa / 2.0 * dt
+        kernels._expm1_tan(x, tail.imag, tail)
+        tail += 1.0
+        tail *= b[i1 - 1] + 1.0 / z0
+        tail += -1.0 / z0
+    b[:i0] = -1.0 / z0
+    b *= kappa / 2.0
+    return ComplexTrace(shift.times, b)
+
+
 def padded_shift(seed, lead, transit, trail, chi_max, noisy, node, dt):
     """chi = 0 on ``lead`` and ``trail`` samples around a random ``transit``
     of nonzero samples, with its middle sample zeroed when ``node``."""
@@ -296,6 +325,35 @@ class TestTransitOnlyResponse:
         transmission_response(padded_shift(7, 300, 0, 200, 1e6, False, False,
                                            (2.0 / KAPPA) / 27), 0.0, KAPPA)
         assert calls == [52]
+
+
+class TestBuiltInTheOutput:
+    # simulate_flythrough builds z in the output trace and scans it there,
+    # fills the tail one block at a time and unwraps without np.diff where
+    # the phase spans less than pi: the bits of the out-of-place build and of
+    # np.unwrap, over the dt-convergence study's first 6 grids (616 to 19 690
+    # samples; the tail spans two blocks on the last), and within rounding of
+    # the update over the whole trace
+    @pytest.mark.parametrize("halvings", range(6))
+    @pytest.mark.parametrize("transit_decay", [False, True])
+    @pytest.mark.parametrize("detuning", [0.0, 0.17, 0.5, -0.5])
+    def test_flythrough_bit_identical_to_out_of_place_build(self, monkeypatch, halvings,
+                                                            transit_decay, detuning):
+        args = (FLY.ensemble, FLY.cavity, FLY.transitions, detuning * FLY.kappa, FLY.kappa,
+                (2.0 / FLY.kappa) / 27.0 / 2**halvings, transit_decay)
+        trace, dphi = simulate_flythrough(*args)
+        ref = np.angle(steady_transmission(0.0, detuning * FLY.kappa, FLY.kappa))
+        for oracle in (out_of_place_response, whole_trace_response):
+            monkeypatch.setattr(transmission, "transmission_response", oracle)
+            want, _ = simulate_flythrough(*args)
+            if oracle is out_of_place_response:
+                assert trace.values.tobytes() == want.values.tobytes()
+                assert trace.times.tobytes() == want.times.tobytes()
+                want_dphi = np.degrees(np.unwrap(want.phase) - ref)
+                assert dphi.tobytes() == want_dphi.tobytes()
+            else:
+                err = np.max(np.abs(trace.values - want.values))
+                assert err <= 1e-11 * np.max(np.abs(want.values))
 
 
 class TestClosedFormTail:
@@ -673,6 +731,21 @@ class TestFlyThrough:
         with pytest.raises(ValueError, match="^dt must be finite and positive, got "):
             simulate_flythrough(FLY.ensemble, FLY.cavity, FLY.transitions, 0.0, FLY.kappa, dt)
 
+    def test_overflowing_shift_named(self, cavity, transitions):
+        # the transit holds only the entry sample, where the coupling is 0, so
+        # the validity rule passes any N; g^2 N / Delta then overflows
+        times = np.arange(-5, 6) * 2e-5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^chi overflows the float range at "
+                                                 r"n_atoms = 1e\+308$"):
+                fly_through_shift_trace(EnsembleState(n_atoms=1e308), cavity, transitions,
+                                        times)
+            # a large N that stays in range keeps chi = 0 at zero coupling
+            shift = fly_through_shift_trace(EnsembleState(n_atoms=1e290), cavity,
+                                            transitions, times)
+        assert np.array_equal(shift.chi, np.zeros(11))
+
     def test_zero_atoms_flat(self, cavity, transitions):
         ens = EnsembleState(n_atoms=0)
         times = np.linspace(0, 20e-6, 500)
@@ -809,6 +882,15 @@ class TestPhaseChange:
             transmission.readout_phase(t_max + np.arange(-5.0, 6.0, 2.0) * 1e-6, dphi[:6],
                                        ens, cavity, cavity.kappa)
 
+    def test_readout_phase_takes_lists(self, cavity):
+        ens = EnsembleState(n_atoms=100)
+        t_max = transmission.transit(ens, cavity)[1] + 2.0 / cavity.kappa
+        times = t_max + np.arange(-10, 11) * 0.3e-6
+        dphi = np.arange(21.0)
+        want = transmission.readout_phase(times, dphi, ens, cavity, cavity.kappa)
+        for args in ((list(times), dphi), (times, list(dphi)), (list(times), list(dphi))):
+            assert transmission.readout_phase(*args, ens, cavity, cavity.kappa) == want == 10.0
+
     @pytest.mark.parametrize("n", [20, 22])
     def test_readout_phase_names_mismatched_samples(self, cavity, n):
         ens = EnsembleState(n_atoms=100)
@@ -820,16 +902,17 @@ class TestPhaseChange:
 @pytest.mark.parametrize("transit_decay", [False, True])
 @pytest.mark.parametrize("sized", [False, True])
 def test_flythrough_peak_memory_within_bound_of_output(transit_decay, sized):
-    # At the dt-convergence study's 7th halving (78 759 samples) the traced
-    # peak of simulate_flythrough stays under 1.9 times the bytes it returns
-    # (values, times and dphi: 32 B per sample).  The chi(t) build peaks at
-    # 1.46 times with transit decay (1.02 without), transmission_response at
-    # 1.63 and phase_change, after the chi(t) trace is dropped, at 1.25, so
-    # one more whole-trace complex temporary (16 B per sample, 0.5 times)
-    # crosses the bound in transmission_response and in the chi(t) build
-    # with transit decay.
+    # On the dt-convergence study's finest grid (157 517 samples) the traced
+    # peak of simulate_flythrough stays within 36 B per sample, 4 above the
+    # 32 B per sample it returns (values, times and dphi), which are also its
+    # only arrays of the trace's length but chi(t): z is scanned in the output
+    # and the tail, the grid check and the decay weights take blocks or the
+    # transit only.  It peaks at 34.9 B per sample in transmission_response
+    # (chi(t), the output, its 1 B per sample chi != 0 mask and the scan's
+    # blocks); a z array of its own (16 B per transit sample) or a tail-length
+    # temporary crosses the bound.
     args = (with_cloud(FLY.ensemble, sized), FLY.cavity, FLY.transitions, 0.3 * FLY.kappa,
-            FLY.kappa, (2.0 / FLY.kappa) / 27.0 / 2**7, transit_decay)
+            FLY.kappa, (2.0 / FLY.kappa) / 27.0 / 2**8, transit_decay)
     simulate_flythrough(*args)
     tracemalloc.start()
     try:
@@ -837,6 +920,7 @@ def test_flythrough_peak_memory_within_bound_of_output(transit_decay, sized):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = trace.values.nbytes + trace.times.nbytes + dphi.nbytes
-    assert trace.times.size == 78_759
-    assert peak <= 1.9 * out, f"peak {peak / out:.3f} times the output"
+    n = trace.times.size
+    assert n == 157_517
+    assert trace.values.nbytes + trace.times.nbytes + dphi.nbytes == 32 * n
+    assert peak <= 36 * n, f"peak {peak / n:.2f} B per sample"
