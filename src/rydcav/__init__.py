@@ -15,13 +15,13 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "core": (
         "SingularityError", "cavity_phase", "cloud_mode_average", "critical_photon_number",
-        "excited_fraction", "mode_profile", "population_coefficients", "power_dependent_shift",
-        "power_reduction", "shift_from_phase",
+        "excited_fraction", "mode_profile", "population_coefficients", "power_reduction",
+        "shift_from_phase",
     ),
     "detection": (
         "SnrValidityError", "atom_number_precision", "mcp_relative_precision", "mcp_signal",
-        "p_fraction_from_ratio", "phase_change_precision", "phase_change_sigma",
-        "phase_precision", "simulate_phase_shot_batch", "snr",
+        "p_fraction_from_ratio", "phase_change_sigma", "phase_precision",
+        "simulate_phase_shot_batch", "snr",
     ),
     "estimation": (
         "UnidentifiableError", "fit_atom_number", "fit_entry_time", "fit_power_dependence",

@@ -188,7 +188,9 @@ def load_scenario(path) -> Scenario:
         scenario.require(scenario.type)
     except ValueError as exc:  # it names a field path; give the config key path
         path, _, rest = str(exc).partition(":")
-        keys = {f"scenario.{fld}": f"scenario.{key}" for key, fld, _ in SCENARIO}
+        keys = {f"{name}.{fld}": f"{name}.{key}"
+                for name, (_, table) in {**SECTIONS, "scenario": (None, SCENARIO)}.items()
+                for key, fld, _ in table}
         raise ConfigError(keys.get(path, path) + ":" + rest) from exc
     return scenario
 

@@ -42,7 +42,7 @@ def cloud_mode_average(z, cavity: CavitySpec, sigma_z, sigma_x, out=None):
         return profile  # the map is the identity; skip its passes
     e_z = np.exp(-0.5 * (2.0 * cavity.mode_antinodes * np.pi / cavity.length_z * sigma_z) ** 2)
     e_x = np.exp(-0.5 * (2.0 * np.pi / cavity.width_x * sigma_x) ** 2)
-    # this order keeps e = 1 exact, and an antinode's e + (1 - e)/2 the former (1 + e)/2
+    # this order keeps e = 1 exact; at an antinode the map gives e + (1 - e)/2 = (1 + e)/2
     profile *= e_z
     profile += 0.5 * (1.0 - e_z)
     profile *= e_x + 0.5 * (1.0 - e_x)
@@ -83,11 +83,6 @@ def power_reduction(n_c, n_crit):
     return np.sqrt(1.0 + n_c / n_crit)
 
 
-def power_dependent_shift(chi0, n_c, n_crit):
-    """Dispersive shift reduced by the probe power: chi0 / sqrt(1 + n_c/n_crit)."""
-    return chi0 / power_reduction(n_c, n_crit)
-
-
 def cavity_phase(chi, kappa, reduction=1.0):
     """Transmission phase of a resonant probe, -arctan(2 chi / (kappa r)), radians.
 
@@ -116,8 +111,11 @@ def excited_fraction(n_c, n_crit):
 
     P_e = sin^2(arctan(sqrt((n_c + 1)/n_crit))); strictly increasing in n_c.
     """
+    n_c = np.asarray(n_c, dtype=float)
+    if not np.all(n_c >= 0):
+        raise ValueError("n_c must be >= 0")
     if not n_crit > 0:
         raise ValueError("n_crit must be positive")
-    x = (np.asarray(n_c, dtype=float) + 1.0) / n_crit
+    x = (n_c + 1.0) / n_crit
     # sin^2(arctan(sqrt(x))) = x / (1 + x)
     return x / (1.0 + x)

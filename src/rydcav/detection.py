@@ -38,24 +38,25 @@ def phase_precision(r):
     return 1.0 / np.sqrt(r)
 
 
-def phase_change_precision(r, chi, kappa, alpha):
-    """Precision of the phase change including the reference measurement.
-
-    sigma_dphi = sqrt((1 + (2 chi/kappa)^2 + 1/alpha) / R), radians.
-    """
-    sigma = phase_precision(r)
-    return sigma * np.sqrt(1.0 + (2.0 * np.asarray(chi) / kappa) ** 2 + 1.0 / alpha)
-
-
-def phase_change_sigma(n_c, chi, kappa, kappa_out, probe: ProbeConfig, noise: NoiseChain):
-    """Single-shot phase-change precision at photon number n_c, radians.
-
-    :func:`phase_change_precision` at the heterodyne SNR of ``probe`` and
-    ``noise``, with the digitizer phase floor added in quadrature.
-    """
+def _window_sigmas(n_c, phase, kappa_out, probe: ProbeConfig, noise: NoiseChain):
+    """Phase stds of the two windows of a phase-change measurement at the true
+    phase ``phase`` (radians) and R = :func:`snr`, radians: the signal window's
+    1/(cos(phase) sqrt(R)), as the pulled resonance transmits the amplitude
+    cos(phase), and the empty-cavity reference window's 1/sqrt(alpha R), alpha
+    times longer.  R <= 10 is rejected as in :func:`phase_precision`."""
     r = snr(n_c, kappa_out, probe.tau_i, noise.n_noise)
-    sigma = phase_change_precision(r, chi, kappa, probe.alpha)
-    return np.sqrt(sigma ** 2 + noise.digitizer_phase_floor ** 2)
+    phase_precision(r)  # the SNR validity rule
+    return 1.0 / (np.cos(phase) * np.sqrt(r)), 1.0 / np.sqrt(probe.alpha * r)
+
+
+def phase_change_sigma(n_c, phase, kappa_out, probe: ProbeConfig, noise: NoiseChain):
+    """Single-shot phase-change precision at photon number n_c and true phase
+    ``phase``, radians: the two window stds (the ones
+    :func:`simulate_phase_shot_batch` draws) and the digitizer phase floor in
+    quadrature, sqrt((1/cos^2(phase) + 1/alpha) / R + floor^2).
+    """
+    sigma_sig, sigma_ref = _window_sigmas(n_c, phase, kappa_out, probe, noise)
+    return np.sqrt(sigma_sig ** 2 + sigma_ref ** 2 + noise.digitizer_phase_floor ** 2)
 
 
 def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_crit):
@@ -63,7 +64,7 @@ def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_cri
 
     sigma_N = (kappa/g) sqrt(beta (n_c + n_crit) / (2 R)),  beta = 1 + 1/alpha,
     with R = :func:`snr`.  Propagating sigma_dphi = sqrt(beta/R) (the
-    :func:`phase_change_precision` limit for 2 chi << kappa) through
+    :func:`phase_change_sigma` limit for 2 chi << kappa, with no floor) through
     N = chi / chi_1 gives the same expression without the factor 1/2
     under the root: the published 1/2 is the one difference, and it makes
     this value sqrt(2) smaller than the simulated scatter.
@@ -76,30 +77,19 @@ def atom_number_precision(kappa, g, n_noise, kappa_out, tau_i, alpha, n_c, n_cri
     return (kappa / g) * np.sqrt(beta * (n_c + n_crit) / (2.0 * r))
 
 
-def simulate_phase_shot_batch(
-    dphi_true_rad,
-    amp_signal,
-    probe: ProbeConfig,
-    noise: NoiseChain,
-    rng,
-    kappa_out: float,
-):
+def simulate_phase_shot_batch(dphi_true_rad, probe: ProbeConfig, noise: NoiseChain, rng,
+                              kappa_out: float):
     """Measured phase changes of single shots, in degrees, for campaigns.
 
-    Draws the window-averaged phases directly from their Gaussian limits:
-    signal phase std = 1/(|A| sqrt(R)), reference std = 1/sqrt(alpha R),
-    plus the digitizer floor.  Like :func:`phase_precision`, it rejects
-    R <= 10 with :class:`SnrValidityError`.  Its oracle is the per-sample
-    sampler ``per_sample_phase_shot`` of ``tests/test_detection.py``, which
-    adds complex Gaussian noise to every sample of a trace and averages
-    each window.
+    Draws the window-averaged phases directly from their Gaussian limits,
+    the window stds of :func:`phase_change_sigma` at the true phase, plus the
+    digitizer floor; R <= 10 raises :class:`SnrValidityError`.  Its oracle
+    is the per-sample sampler ``per_sample_phase_shot`` of
+    ``tests/test_detection.py``, which adds complex Gaussian noise to every
+    sample of a trace and averages each window.
     """
     dphi_true_rad = np.asarray(dphi_true_rad, dtype=float)
-    amp_signal = np.broadcast_to(np.asarray(amp_signal, dtype=float), dphi_true_rad.shape)
-    r = float(snr(probe.n_c, kappa_out, probe.tau_i, noise.n_noise))
-    phase_precision(r)  # the SNR validity rule
-    sigma_sig = 1.0 / (amp_signal * np.sqrt(r))
-    sigma_ref = 1.0 / np.sqrt(probe.alpha * r)
+    sigma_sig, sigma_ref = _window_sigmas(probe.n_c, dphi_true_rad, kappa_out, probe, noise)
     out = dphi_true_rad + sigma_sig * rng.standard_normal(dphi_true_rad.shape)
     out = out - sigma_ref * rng.standard_normal(dphi_true_rad.shape)
     if noise.digitizer_phase_floor > 0:

@@ -211,8 +211,8 @@ def fit_power_dependence(datasets, kappa: float) -> FitResult:
     def model(params):
         out = []
         for j, ds in enumerate(datasets):
-            chi = core.power_dependent_shift(params[f"chi0_{j}"], ds["n_c"], params["n_crit"])
-            out.append(np.degrees(core.cavity_phase(chi, kappa)))
+            red = core.power_reduction(ds["n_c"], params["n_crit"])
+            out.append(np.degrees(core.cavity_phase(params[f"chi0_{j}"], kappa, red)))
         return np.concatenate(out)
 
     ref = max(datasets, key=lambda ds: np.max(np.abs(ds["dphi_deg"])))

@@ -101,7 +101,8 @@ class Scenario:
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`),
         with no negative atom number among the sweep values of the types
         in :data:`ATOM_SWEEPS`; a campaign also needs two shots for its
-        standard deviations."""
+        standard deviations, and a sensitivity or Rabi run, which reads the
+        resonant-probe phase, a zero probe detuning."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
             value = getattr(self, key)
             if value is None or np.size(value) == 0:
@@ -116,6 +117,9 @@ class Scenario:
         if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
             raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "
                              f"got {self.shots}")
+        if scenario_type in ("sensitivity", "rabi") and self.probe.delta_m != 0:
+            raise ValueError(f"probe.delta_m: must be 0 for type {scenario_type!r}, "
+                             f"which reads the resonant-probe phase")
 
     def flag(self, name, default=None):
         # Read scenario.<name>; this accessor is kept for perfbench/run.py.
@@ -329,12 +333,12 @@ def run_power_sweep(scenario: Scenario) -> dict:
     kappa = scenario.kappa
     chi1, n_crit = effective_chi_per_atom(scenario)
     n_c = np.geomspace(1e3, 1e6, 25)
+    red = core.power_reduction(n_c, n_crit)
     datasets = []
     rng = block_rng(scenario.master_seed, 0)
     for n_at in scenario.sweep_values:
-        chi = core.power_dependent_shift(chi1 * n_at, n_c, n_crit)
-        dphi_true = core.cavity_phase(chi, kappa)
-        sigma = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
+        dphi_true = core.cavity_phase(chi1 * n_at, kappa, red)
+        sigma = detection.phase_change_sigma(n_c, dphi_true, scenario.cavity.kappa_out,
                                              scenario.probe, scenario.noise)
         sigma_mean = sigma / np.sqrt(scenario.shots)
         dphi_meas = np.degrees(dphi_true + sigma_mean * rng.standard_normal(n_c.shape))
@@ -393,9 +397,8 @@ def _campaign_block(scenario, chi1, n_crit, block_index, row, mean_n, n_shots):
     red = core.power_reduction(probe.n_c, n_crit)
     n_prep = np.full(n_shots, float(np.rint(mean_n)))
     dphi_true = core.cavity_phase(chi1 * n_prep, kappa, red)
-    amp = np.cos(dphi_true)
     dphi_meas = detection.simulate_phase_shot_batch(
-        dphi_true, amp, probe, scenario.noise, rng, scenario.cavity.kappa_out
+        dphi_true, probe, scenario.noise, rng, scenario.cavity.kappa_out
     )
     n_est = core.shift_from_phase(np.radians(dphi_meas), kappa, red) / chi1
     s1, s2 = detection.mcp_signal(n_prep, np.zeros_like(n_prep), scenario.mcp, rng)
@@ -494,8 +497,9 @@ def precision_vs_photon_number(scenario: Scenario):
     chi1, n_crit = effective_chi_per_atom(scenario)
     kappa = scenario.kappa
     n_c = np.geomspace(1e3, 1e6, 31)
-    chi = core.power_dependent_shift(chi1 * N_REF, n_c, n_crit)
-    sigma_dphi = detection.phase_change_sigma(n_c, chi, kappa, scenario.cavity.kappa_out,
-                                              scenario.probe, scenario.noise)
-    sigma_n = sigma_dphi * kappa * core.power_reduction(n_c, n_crit) / (2.0 * chi1)
+    red = core.power_reduction(n_c, n_crit)
+    sigma_dphi = detection.phase_change_sigma(n_c, core.cavity_phase(chi1 * N_REF, kappa, red),
+                                              scenario.cavity.kappa_out, scenario.probe,
+                                              scenario.noise)
+    sigma_n = sigma_dphi * kappa * red / (2.0 * chi1)
     return {"n_c": n_c, "sigma_dphi_rad": sigma_dphi, "sigma_n": sigma_n}

@@ -42,7 +42,7 @@ from rydcav import (
     fit_power_dependence,
     fit_rabi_calibration,
     fit_spectroscopy,
-    phase_change_precision,
+    phase_change_sigma,
     rabi_calibration_model,
     run_flythrough,
     run_sensitivity_sweep,
@@ -244,12 +244,10 @@ def test_criterion_5a_phase_precision_scaling():
         n_c = r_target * 23 / (TWO_PI * 150e3 * 6.2e-6)
         probe = ProbeConfig(n_c=n_c, tau_i=6.2e-6, alpha=4.0)
         rng = np.random.default_rng(50 + i)
-        out = simulate_phase_shot_batch(
-            np.full(200_000, dphi_true), np.cos(dphi_true), probe,
-            NoiseChain(n_noise=23.0), rng, TWO_PI * 150e3,
-        )
-        r = snr(n_c, TWO_PI * 150e3, 6.2e-6, 23.0)
-        expect = np.degrees(phase_change_precision(r, chi, KAPPA, 4.0))
+        noise = NoiseChain(n_noise=23.0)
+        out = simulate_phase_shot_batch(np.full(200_000, dphi_true), probe, noise, rng,
+                                        TWO_PI * 150e3)
+        expect = np.degrees(phase_change_sigma(n_c, dphi_true, TWO_PI * 150e3, probe, noise))
         worst = max(worst, abs(np.std(out, ddof=1) / expect - 1.0))
     ok = worst < 0.03
     report("5a phase-precision", ok, f"max rel dev {worst:.3f} over R 1e2..1e6")

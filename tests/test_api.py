@@ -1,5 +1,5 @@
 """The public names of ``import rydcav``, which loads each submodule on
-first use: the same 72 names, each the object its defining module holds,
+first use: the same 70 names, each the object its defining module holds,
 the public functions that no CLI run calls, each with its reason, and the
 inputs each public function states."""
 
@@ -27,9 +27,8 @@ PUBLIC = [
     "fit_rabi_calibration", "fit_spectroscopy", "fitting", "fly_through_shift_trace",
     "fourth_order_error", "init_n_crit_from_half_signal", "interaction_shift", "kernels",
     "least_squares_fit", "mcp_relative_precision", "mcp_signal", "mode_profile",
-    "p_fraction_from_ratio", "params", "phase_change",
-    "phase_change_precision", "phase_change_sigma", "phase_precision", "pointlike_correction",
-    "population_coefficients", "power_dependent_shift", "power_reduction",
+    "p_fraction_from_ratio", "params", "phase_change", "phase_change_sigma",
+    "phase_precision", "pointlike_correction", "population_coefficients", "power_reduction",
     "predict_superposition_phase",
     "rabi_calibration_model", "readout_phase", "response_filter", "run_flythrough",
     "run_power_sweep", "run_rabi_scenario", "run_sensitivity_sweep", "run_single_shot_campaign",
@@ -41,7 +40,7 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert rydcav.__all__ == PUBLIC
-    assert len(PUBLIC) == 72 and set(SUBMODULES) <= set(PUBLIC)
+    assert len(PUBLIC) == 70 and set(SUBMODULES) <= set(PUBLIC)
 
 
 def test_each_name_is_its_defining_modules_object():

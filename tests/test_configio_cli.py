@@ -719,6 +719,29 @@ class TestCli:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, runner", [
+        ("sensitivity", experiments.run_sensitivity_sweep),
+        ("rabi", experiments.run_rabi_scenario),
+    ])
+    def test_probe_detuning_rejected_for_resonant_readouts(self, tmp_path, config_dir, capsys,
+                                                           config, runner):
+        # a sensitivity or Rabi run reads the resonant-probe phase: a probe
+        # detuning, which it would ignore, is rejected by the CLI and by the runner
+        raw = json.loads((config_dir / f"{config}.json").read_text())
+        raw["probe"]["delta_m_hz"] = 1e3
+        cfg = tmp_path / f"{config}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: probe.delta_m_hz: must be 0 for type '{config}'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        scenario = load_scenario(config_dir / f"{config}.json")
+        detuned = dataclasses.replace(scenario, probe=dataclasses.replace(
+            scenario.probe, delta_m=TWO_PI * 1e3))
+        with pytest.raises(ValueError, match=f"^probe.delta_m: must be 0 for type '{config}'"):
+            runner(detuned)
+
     @pytest.mark.parametrize("values", [[100], [100, 100.0]])
     def test_sensitivity_needs_two_distinct_values(self, tmp_path, config_dir, capsys,
                                                    values):
@@ -895,9 +918,9 @@ GOLDEN = {
     },
     ("simulate", "power"): {
         "excitation.csv": "f43d2db59980c2a43fbb74b62afc3517e0f9e6cf2b35ee5a1eb6962a1e220cf7",
-        "power_n200.csv": "e2a46e98107a84f29b71063bd6f37f941632bc3c864f6efb6c269b8e5cd8a3a4",
-        "power_n400.csv": "4d9ae43e29bf7d95e8df4e3f33709e93860f0d453179bb1ef3fbd2f7e1efd9cf",
-        "power_n600.csv": "779d8b63d1d903a186a67d56d1a24df12c1631e42e5031e34bd9106f734cd4a6",
+        "power_n200.csv": "e49a5bb5f0eacac2d83bec6f4a7054f3b2bbf4a4aae8e113ff8821dea1e78f0d",
+        "power_n400.csv": "b525a32bce5d97b80e28f1497f1a7ab4999d498e4ea8064ed48947915241a5d7",
+        "power_n600.csv": "a23d2c26bc4744dfec2a01f8e500a25e839abbfd5da30f207e09da480312ed88",
         "summary.json": "60b1bd3b93f5b99170291d6045370cd26afba06877cbfd15e6d16689b3fa98af",
     },
     ("simulate", "rabi"): {
@@ -909,7 +932,7 @@ GOLDEN = {
         "trace_fit_input.csv": "588c70d002ffafe324f53ab3e1987b04c102f78f7ee1a0f9067c1c05c7dff099",
     },
     ("fit", "power"): {
-        "summary.json": "ee8c62092f4e496fbbeb34800b628c7a8a24a09db5fc2516eeead6adba84e587",
+        "summary.json": "591398507039413868af6df01ea01c1b87ed82cb4c03c6a21a3c0b1e5529ab3e",
     },
     ("trueness", "trueness"): {
         "trueness.json": "32361225466f4cf05730d56313b1aad99125352b23873c94ec81180b427313d4",
@@ -1152,7 +1175,7 @@ SHOTS_GOLDEN = "961b50fa66c747e1512089d2f82daba1a20c94f0c22caf9426cb707b9d32f946
 # every output of the packaged campaign at its own seed, 14
 CAMPAIGN_GOLDEN = {
     "precision_vs_photon_number.csv":
-        "bdee1ebbafaae430cf89c16de654b54c09875a249235fba1b4217ec10e3af14b",
+        "480303c3c9644b0653972529da91769a04e494a4e21e6a4a55d39a432f3fd5dd",
     "shots.csv": SHOTS_GOLDEN,
     "summary.json": "6252298f5ff47d5b6ff58be7eb60cd833601b2ad7c4b1147e4b1a07ae6f973aa",
 }

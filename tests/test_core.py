@@ -170,21 +170,25 @@ class TestDispersiveShift:
 
 
 class TestPowerDependence:
+    # the probe power divides the shift inside the phase map by power_reduction
+    KAPPA = TWO_PI * 236e3
+
     def test_zero_photons(self):
-        assert core.power_dependent_shift(100.0, 0.0, 1e4) == 100.0
+        assert core.power_reduction(0.0, 1e4) == 1.0
 
     def test_half_signal_point(self):
-        assert core.power_dependent_shift(100.0, 3e4, 1e4) == pytest.approx(50.0)
+        assert core.power_reduction(3e4, 1e4) == pytest.approx(2.0)
 
     def test_sqrt2_point(self):
-        assert core.power_dependent_shift(100.0, 1e4, 1e4) == pytest.approx(100 / np.sqrt(2))
+        assert core.power_reduction(1e4, 1e4) == pytest.approx(np.sqrt(2))
 
     @given(st.floats(0.0, 1e7), st.floats(1e-6, 1e7))
     @settings(max_examples=100, deadline=None)
     def test_monotone_decreasing(self, n_c, dn):
-        lo = core.power_dependent_shift(1.0, n_c, 4.4e4)
-        hi = core.power_dependent_shift(1.0, n_c + dn, 4.4e4)
-        assert hi <= lo <= 1.0
+        chi0 = -TWO_PI * 20e3
+        lo = core.cavity_phase(chi0, self.KAPPA, core.power_reduction(n_c, 4.4e4))
+        hi = core.cavity_phase(chi0, self.KAPPA, core.power_reduction(n_c + dn, 4.4e4))
+        assert 0.0 <= hi <= lo <= core.cavity_phase(chi0, self.KAPPA)
 
 
 class TestPhaseMap:
@@ -208,7 +212,7 @@ class TestPhaseMap:
         chi0 = -TWO_PI * 20e3
         np.testing.assert_allclose(
             core.cavity_phase(chi0, self.KAPPA, core.power_reduction(n_c, 4.4e4)),
-            core.cavity_phase(core.power_dependent_shift(chi0, n_c, 4.4e4), self.KAPPA),
+            core.cavity_phase(chi0 / np.sqrt(1.0 + n_c / 4.4e4), self.KAPPA),
             rtol=1e-14,
         )
 
@@ -290,6 +294,7 @@ def test_nan_parameter_rejected(cls, kwargs, name):
     pytest.param(lambda: core.power_reduction(np.nan, 4.4e4), id="power_reduction-n_c"),
     pytest.param(lambda: core.power_reduction(1e4, np.nan), id="power_reduction-n_crit"),
     pytest.param(lambda: core.excited_fraction(1e4, np.nan), id="excited_fraction"),
+    pytest.param(lambda: core.excited_fraction(np.nan, 4.4e4), id="excited_fraction-n_c"),
     pytest.param(lambda: detection.snr(1e4, np.nan, 6.2e-6, 23.0), id="snr"),
     pytest.param(lambda: detection.phase_precision(np.array([100.0, np.nan])),
                  id="phase_precision"),
@@ -383,6 +388,20 @@ def test_readout_formulas_have_one_home():
     assert exp_args == {"kernels.py": ["x", "x"], "transmission.py": ["w", "w_p"]}
     assert [sources[name].count("np.exp") for name in sorted(path)] == [2, 2]
     assert homes("digitizer_phase_floor ** 2") == ["detection.py"]
+    # the two window sigmas of a phase change, 1/(cos(phase) sqrt(R)) and
+    # 1/sqrt(alpha R), are written once, in detection, for the sampler and
+    # phase_change_sigma alike: no caller passes the amplitude cos(phase), and
+    # no module writes the variance as 1 + (2 chi/kappa)^2
+    cos_phase = re.compile(r"np\.cos\((phase|dphi\w*)\)")
+    assert sorted(name for name, src in sources.items() if cos_phase.search(src)) == [
+        "detection.py"]
+    assert sum(len(cos_phase.findall(src)) for src in sources.values()) == 1
+    assert homes("np.sqrt(probe.alpha * r)") == ["detection.py"]
+    assert homes("/ kappa) ** 2") == []
+    # the probe power reduces the phase inside the phase map, cavity_phase(chi0,
+    # kappa, power_reduction(n_c, n_crit)); no module divides a shift by it first
+    reduced_shift = re.compile(r"/\s*(core\.)?power_reduction\(|\bchi\w*\s*/\s*red\w*\b")
+    assert [name for name, src in sources.items() if reduced_shift.search(src)] == []
     assert homes("57.2e-6") == homes("102.6e-6") == ["params.py"]
     # the Gaussian cloud average is closed form, a map of core's one mode
     # profile; the SNR R = n_c kappa_out tau / n_noise is written only in detection.snr
@@ -537,3 +556,10 @@ class TestExcitedFraction:
         p2 = core.excited_fraction(n_c + dn, 4.4e4)
         assert 0.0 < p1 < 1.0
         assert p2 > p1
+
+    @pytest.mark.parametrize("n_c, n_crit", [(-2.0, 1.0), (-1.0, 4.4e4), (-1e-9, 4.4e4)])
+    def test_negative_photons_rejected(self, n_c, n_crit):
+        # unguarded, n_c = -1 - n_crit would divide by zero and n_c = -1
+        # give 0; power_reduction rejects the same photon numbers
+        with pytest.raises(ValueError, match="^n_c must be >= 0$"):
+            core.excited_fraction(np.array([1e3, n_c]), n_crit)

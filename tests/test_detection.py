@@ -14,7 +14,6 @@ from rydcav import (
     mcp_relative_precision,
     mcp_signal,
     p_fraction_from_ratio,
-    phase_change_precision,
     phase_change_sigma,
     phase_precision,
     simulate_phase_shot_batch,
@@ -54,36 +53,40 @@ class TestSnrAndPhasePrecision:
 
 
 class TestPhaseChangePrecision:
+    """:func:`phase_change_sigma` without a floor at R = 1e4 (1/sqrt(R) = 0.01)."""
+
+    R = 1e4
+
+    def sigma(self, phase, alpha):
+        probe = ProbeConfig(n_c=self.R * 23.0 / (KAPPA_OUT * 6.2e-6), tau_i=6.2e-6, alpha=alpha)
+        return phase_change_sigma(probe.n_c, phase, KAPPA_OUT, probe, NoiseChain(n_noise=23.0))
+
     def test_reference_limit(self):
-        r = 1e4
-        assert phase_change_precision(r, 0.0, KAPPA, 1e12) == pytest.approx(
-            phase_precision(r), rel=1e-6
-        )
+        assert self.sigma(0.0, 1e12) == pytest.approx(phase_precision(self.R), rel=1e-6)
 
     def test_alpha4(self):
-        r = 1e4
-        assert phase_change_precision(r, 0.0, KAPPA, 4.0) == pytest.approx(
-            phase_precision(r) * np.sqrt(1.25)
-        )
+        assert self.sigma(0.0, 4.0) == pytest.approx(phase_precision(self.R) * np.sqrt(1.25))
 
     def test_pulled_resonance(self):
-        r = 1e4
-        assert phase_change_precision(r, KAPPA / 2, KAPPA, 4.0) == pytest.approx(
-            1.5 * phase_precision(r)
-        )
+        # 2 chi / kappa = 1: the phase is -45 deg and the signal window's
+        # variance doubles, (2 + 1/4) / R
+        phase = core.cavity_phase(KAPPA / 2, KAPPA)
+        assert self.sigma(phase, 4.0) == pytest.approx(1.5 * phase_precision(self.R))
+
+    @pytest.mark.parametrize("r", [0.0, 5.0])
+    def test_low_snr_rejected(self, r):
+        probe = ProbeConfig(n_c=r * 23.0 / (KAPPA_OUT * 6.2e-6), tau_i=6.2e-6, alpha=4.0)
+        with pytest.raises(SnrValidityError):
+            phase_change_sigma(probe.n_c, 0.0, KAPPA_OUT, probe, NoiseChain(n_noise=23.0))
 
 
 def test_phase_change_sigma_adds_floor_in_quadrature(probe):
-    n_c, chi = np.geomspace(1e3, 1e6, 5), TWO_PI * 5e3
-    r = snr(n_c, KAPPA_OUT, probe.tau_i, 23.0)
-    bare = phase_change_precision(r, chi, KAPPA, probe.alpha)
+    n_c = np.geomspace(1e3, 1e6, 5)
+    phase = core.cavity_phase(TWO_PI * 5e3, KAPPA)
+    bare = phase_change_sigma(n_c, phase, KAPPA_OUT, probe, NoiseChain(n_noise=23.0))
     floored = NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3)
-    np.testing.assert_allclose(
-        phase_change_sigma(n_c, chi, KAPPA, KAPPA_OUT, probe, floored),
-        np.hypot(bare, 9.88e-3), rtol=1e-14)
-    np.testing.assert_allclose(
-        phase_change_sigma(n_c, chi, KAPPA, KAPPA_OUT, probe, NoiseChain(n_noise=23.0)),
-        bare, rtol=1e-15)
+    np.testing.assert_allclose(phase_change_sigma(n_c, phase, KAPPA_OUT, probe, floored),
+                               np.hypot(bare, 9.88e-3), rtol=1e-14)
 
 
 class TestAtomNumberPrecision:
@@ -91,6 +94,14 @@ class TestAtomNumberPrecision:
         s = atom_number_precision(KAPPA, TWO_PI * 12.9e3, 23, KAPPA_OUT, 6.2e-6, 4.0,
                                   5.9e4, 4.4e4)
         assert s == pytest.approx(37.9, rel=0.01)
+        # phase_change_sigma at phase 0, propagated through N = chi / chi_1
+        # with chi_1 = g / (2 sqrt(n_crit)) reduced by the probe power, is
+        # the same expression at R in place of 2R: criterion 5b's sqrt(2)
+        probe, n_crit = ProbeConfig(n_c=5.9e4, tau_i=6.2e-6, alpha=4.0), 4.4e4
+        sigma = phase_change_sigma(probe.n_c, 0.0, KAPPA_OUT, probe, NoiseChain(n_noise=23.0))
+        propagated = (sigma * KAPPA * core.power_reduction(probe.n_c, n_crit)
+                      * np.sqrt(n_crit) / (TWO_PI * 12.9e3))
+        assert propagated == pytest.approx(np.sqrt(2) * s, rel=1e-12)
 
     def test_high_power_floor(self):
         floor = atom_number_precision(KAPPA, TWO_PI * 12.9e3, 23, KAPPA_OUT, 6.2e-6,
@@ -195,8 +206,8 @@ class TestSimulatePhaseShot:
                                   reference_window=(15e-6, 39.8e-6))
             for _ in range(shots)
         ])
-        r = snr(probe.n_c, KAPPA_OUT, probe.tau_i, noise.n_noise)
-        expect = np.degrees(phase_change_precision(r, chi, KAPPA, probe.alpha))
+        expect = np.degrees(phase_change_sigma(probe.n_c, core.cavity_phase(chi, KAPPA),
+                                               KAPPA_OUT, probe, noise))
         assert np.std(out, ddof=1) == pytest.approx(expect, rel=0.05)
 
     def test_unbiased(self, probe, noise):
@@ -223,19 +234,19 @@ class TestSimulatePhaseShot:
 
 
 class TestNoiseModel:
-    """The per-sample simulator, the batch sampler and the closed form are
-    one phase-noise model: at the operating point (500 atoms on one
-    effective transition, n_c = 5.9e4) their sigma_dphi agree."""
+    """The per-sample simulator, the batch sampler and :func:`phase_change_sigma`
+    are one phase-noise model: their sigma_dphi agree at the operating point
+    (500 atoms on one effective transition, n_c = 5.9e4) and on a strongly
+    pulled resonance."""
 
-    def test_three_sigmas_agree_at_operating_point(self, probe, noise):
-        g, n_crit = TWO_PI * 12.9e3, 4.4e4
-        chi = core.power_dependent_shift(500 * g / (2.0 * np.sqrt(n_crit)), probe.n_c, n_crit)
+    @staticmethod
+    def assert_three_sigmas_agree(chi, probe, noise, seed):
         dt = 5e-8
         trace = _steady_trace(chi, dt=dt)
         # windows of exactly tau_i / dt and alpha tau_i / dt samples
         signal = (-dt / 2, probe.tau_i - dt / 2)
         reference = (15e-6 - dt / 2, 15e-6 + probe.alpha * probe.tau_i - dt / 2)
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         per_sample = np.std([
             per_sample_phase_shot(trace, probe, noise, rng, KAPPA_OUT,
                                   signal_window=signal, reference_window=reference)
@@ -243,13 +254,24 @@ class TestNoiseModel:
         ], ddof=1)
         dphi = core.cavity_phase(chi, KAPPA)
         batch = np.std(simulate_phase_shot_batch(
-            np.full(200_000, dphi), np.cos(dphi), probe, noise, np.random.default_rng(12),
-            KAPPA_OUT), ddof=1)
-        r = snr(probe.n_c, KAPPA_OUT, probe.tau_i, noise.n_noise)
-        closed = np.degrees(phase_change_precision(r, chi, KAPPA, probe.alpha))
+            np.full(200_000, dphi), probe, noise, np.random.default_rng(seed + 1), KAPPA_OUT),
+            ddof=1)
+        closed = np.degrees(phase_change_sigma(probe.n_c, dphi, KAPPA_OUT, probe, noise))
         assert per_sample == pytest.approx(closed, rel=0.03)
         assert batch == pytest.approx(closed, rel=0.03)
         assert per_sample == pytest.approx(batch, rel=0.03)
+
+    def test_three_sigmas_agree_at_operating_point(self, probe, noise):
+        g, n_crit = TWO_PI * 12.9e3, 4.4e4
+        chi = 500 * g / (2.0 * np.sqrt(n_crit)) / core.power_reduction(probe.n_c, n_crit)
+        self.assert_three_sigmas_agree(chi, probe, noise, 11)
+
+    def test_three_sigmas_agree_on_a_pulled_resonance(self, probe, noise):
+        # 2 chi / kappa = 1, a phase of -45 deg: the transmitted amplitude
+        # cos(phase) doubles the signal window's variance, 1/(cos^2(phase) R)
+        # = 2/R, where the operating point (2 chi / kappa <= 0.1) moves it
+        # by at most 1 %
+        self.assert_three_sigmas_agree(KAPPA / 2, probe, noise, 13)
 
 
 class TestBatchShots:
@@ -261,11 +283,9 @@ class TestBatchShots:
         chi = KAPPA / 20
         dphi_true = -np.arctan(2 * chi / KAPPA)
         rng = np.random.default_rng(3)
-        out = simulate_phase_shot_batch(
-            np.full(200_000, dphi_true), np.cos(dphi_true), probe, noise, rng, KAPPA_OUT
-        )
-        r = snr(n_c, KAPPA_OUT, probe.tau_i, noise.n_noise)
-        expect = np.degrees(phase_change_precision(r, chi, KAPPA, probe.alpha))
+        out = simulate_phase_shot_batch(np.full(200_000, dphi_true), probe, noise, rng,
+                                        KAPPA_OUT)
+        expect = np.degrees(phase_change_sigma(n_c, dphi_true, KAPPA_OUT, probe, noise))
         assert np.std(out, ddof=1) == pytest.approx(expect, rel=0.03)
 
     def test_noise_scaling_sqrt2(self):
@@ -274,7 +294,7 @@ class TestBatchShots:
         for nn in (23.0, 46.0):
             rng = np.random.default_rng(4)
             out = simulate_phase_shot_batch(
-                np.zeros(200_000), 1.0, probe, NoiseChain(n_noise=nn), rng, KAPPA_OUT
+                np.zeros(200_000), probe, NoiseChain(n_noise=nn), rng, KAPPA_OUT
             )
             stds.append(np.std(out, ddof=1))
         assert stds[1] / stds[0] == pytest.approx(np.sqrt(2), rel=0.03)
@@ -285,7 +305,7 @@ class TestBatchShots:
         # give inf and NaN shots
         probe = ProbeConfig(n_c=n_c, tau_i=6.2e-6, alpha=4.0)
         with pytest.raises(SnrValidityError):
-            simulate_phase_shot_batch(np.zeros(4), 1.0, probe, NoiseChain(n_noise=23.0),
+            simulate_phase_shot_batch(np.zeros(4), probe, NoiseChain(n_noise=23.0),
                                       np.random.default_rng(0), KAPPA_OUT)
 
     def test_floor_adds_in_quadrature(self):
@@ -293,7 +313,7 @@ class TestBatchShots:
         floor = 0.02
         rng = np.random.default_rng(5)
         out = simulate_phase_shot_batch(
-            np.zeros(300_000), 1.0, probe,
+            np.zeros(300_000), probe,
             NoiseChain(n_noise=23.0, digitizer_phase_floor=floor), rng, KAPPA_OUT,
         )
         r = snr(probe.n_c, KAPPA_OUT, probe.tau_i, 23.0)

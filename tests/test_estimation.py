@@ -19,7 +19,7 @@ from rydcav import (
     fit_rabi_calibration,
     fit_spectroscopy,
     init_n_crit_from_half_signal,
-    phase_change_precision,
+    phase_change_sigma,
     predict_superposition_phase,
     rabi_calibration_model,
     simulate_flythrough,
@@ -551,10 +551,10 @@ class TestNoisyRecovery:
             dphi, sig = [], []
             for nc in n_c:
                 chi = chi0 / np.sqrt(1 + nc / n_crit)
-                r = snr(nc, cavity.kappa_out, probe.tau_i, noise.n_noise)
-                s = np.degrees(phase_change_precision(r, chi, kappa, probe.alpha))
+                phase = -np.arctan(2 * chi / kappa)
+                s = np.degrees(phase_change_sigma(nc, phase, cavity.kappa_out, probe, noise))
                 s /= np.sqrt(shots)
-                dphi.append(np.degrees(-np.arctan(2 * chi / kappa)) + rng.normal(0, s))
+                dphi.append(np.degrees(phase) + rng.normal(0, s))
                 sig.append(s)
             datasets.append({"n_c": n_c, "dphi_deg": np.array(dphi),
                              "sigma_deg": np.array(sig)})

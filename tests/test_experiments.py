@@ -25,7 +25,7 @@ from rydcav import (
     run_single_shot_campaign,
     trueness_ledger,
 )
-from rydcav import detection, estimation, experiments
+from rydcav import core, detection, estimation, experiments
 from rydcav.configio import load_scenario
 from rydcav.experiments import (BLOCK_SIZE, _campaign_block, block_rng,
                                 precision_vs_photon_number)
@@ -290,6 +290,46 @@ class TestPowerSweep:
             run_power_sweep(sc)
         sc.n_crit = 26.0
         assert run_power_sweep(sc)["n_crit_true"] == 26.0
+
+
+def parent_phase_and_sigma(sc, chi0, n_c):
+    """The phase and sigma_dphi of the power sweep and the precision curve as
+    they were written before the phase map took the power reduction: the
+    shift reduced first, chi = chi0 / sqrt(1 + n_c/n_crit), then
+    -arctan(2 chi/kappa), and sqrt((1 + (2 chi/kappa)^2 + 1/alpha)/R + floor^2)."""
+    chi = chi0 / np.sqrt(1.0 + n_c / sc.n_crit)
+    r = detection.snr(n_c, sc.cavity.kappa_out, sc.probe.tau_i, sc.noise.n_noise)
+    sigma = 1.0 / np.sqrt(r) * np.sqrt(1.0 + (2.0 * chi / sc.kappa) ** 2 + 1.0 / sc.probe.alpha)
+    return (-np.arctan(2.0 * chi / sc.kappa),
+            np.sqrt(sigma ** 2 + sc.noise.digitizer_phase_floor ** 2))
+
+
+def test_reduced_phase_and_window_sigmas_keep_the_parent_forms(config_dir):
+    # on the packaged power and campaign grids the phase map with the power
+    # reduction inside and the two window sigmas of detection give the
+    # former forms' phase, sigma_dphi and sigma_N to 4 ulp, and the packaged
+    # `fit power` (seed 14) its n_crit, 44005.4299955932, to 1e-9
+    power = load_scenario(config_dir / "power.json")
+    chi1, _ = experiments.effective_chi_per_atom(power)
+    sweep = run_power_sweep(power)
+    for ds in sweep["datasets"]:
+        phase, sigma = parent_phase_and_sigma(power, chi1 * ds["n_atoms"], sweep["n_c"])
+        np.testing.assert_array_max_ulp(ds["dphi_true_deg"], np.degrees(phase), maxulp=4)
+        np.testing.assert_array_max_ulp(ds["sigma_deg"],
+                                        np.degrees(sigma / np.sqrt(power.shots)), maxulp=4)
+    campaign = load_scenario(config_dir / "campaign.json")
+    chi1, n_crit = experiments.effective_chi_per_atom(campaign)
+    curve = precision_vs_photon_number(campaign)
+    red = np.sqrt(1.0 + curve["n_c"] / n_crit)
+    phase, sigma = parent_phase_and_sigma(campaign, chi1 * experiments.N_REF, curve["n_c"])
+    np.testing.assert_array_max_ulp(
+        core.cavity_phase(chi1 * experiments.N_REF, campaign.kappa, red), phase, maxulp=4)
+    np.testing.assert_array_max_ulp(curve["sigma_dphi_rad"], sigma, maxulp=4)
+    np.testing.assert_array_max_ulp(curve["sigma_n"],
+                                    sigma * campaign.kappa * red / (2.0 * chi1), maxulp=4)
+    datasets = run_power_sweep(dataclasses.replace(power, master_seed=14))["datasets"]
+    fit = estimation.fit_power_dependence(datasets, power.kappa)
+    assert fit["n_crit"] == pytest.approx(44005.4299955932, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
