@@ -103,7 +103,6 @@ SCENARIO = (
     ("systematic_offset", "systematic_offset", "num"),
     ("g_eff_hz", "g_eff", "hz"),
     ("n_crit", "n_crit", "num"),
-    ("two_transitions", "two_transitions", "bool"),
     ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num"),
     ("pointlike_uncertainty", "pointlike_uncertainty", "num"),
     ("interaction_spacing_m", "interaction_spacing", "num"),

@@ -317,15 +317,15 @@ def spectroscopy_spectrum(
     return p0 + pp * (1.0 - t_plus) + pm * (1.0 - t_minus) + s * (t_plus + t_minus)
 
 
-def find_line_centers(freqs, spectrum, n_lines=2):
-    """Largest local maxima with parabolic refinement; initializer for the
+def find_line_centers(freqs, spectrum):
+    """The two largest local maxima with parabolic refinement; initializer for the
     spectroscopy fit."""
     freqs = np.asarray(freqs, dtype=float)
     y = np.asarray(spectrum, dtype=float)
     interior = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1
-    if interior.size < n_lines:
+    if interior.size < 2:
         raise UnidentifiableError("not enough spectral peaks found")
-    best = interior[np.argsort(y[interior])[::-1][:n_lines]]
+    best = interior[np.argsort(y[interior])[::-1][:2]]
     centers = []
     for i in sorted(best):
         y0, y1, y2 = y[i - 1], y[i], y[i + 1]
@@ -357,7 +357,7 @@ def fit_spectroscopy(freqs, spectra, prep_ratios, sigma=None) -> FitResult:
     y = np.concatenate([np.asarray(sp, dtype=float) for sp in spectra])
 
     base = spectra[prep_ratios.index(0.0)]
-    f_minus0, f_plus0 = sorted(find_line_centers(freqs, base, 2))
+    f_minus0, f_plus0 = sorted(find_line_centers(freqs, base))
 
     def model(params):
         out = [

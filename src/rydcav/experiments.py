@@ -8,6 +8,7 @@ block ``b`` of a campaign draws from a counter-based Philox stream keyed by
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,7 +77,6 @@ class Scenario:
     systematic_offset: float = 0.0
     g_eff: float | None = None  # None: cavity.g_max
     n_crit: float | None = None  # required by power sweeps and campaigns
-    two_transitions: bool = False
     detuning_rel_uncertainty: float | None = None  # required by trueness budgets
     pointlike_uncertainty: float | None = None  # required by trueness budgets
     interaction_spacing: float | None = None  # required by trueness budgets, m
@@ -101,8 +101,8 @@ class Scenario:
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`),
         with no negative atom number among the sweep values of the types
         in :data:`ATOM_SWEEPS`; a campaign also needs two shots for its
-        standard deviations, and a sensitivity or Rabi run, which reads the
-        resonant-probe phase, a zero probe detuning."""
+        standard deviations, and a sensitivity, power, Rabi or campaign run,
+        which reads the resonant-probe phase, a zero probe detuning."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
             value = getattr(self, key)
             if value is None or np.size(value) == 0:
@@ -117,7 +117,8 @@ class Scenario:
         if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
             raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "
                              f"got {self.shots}")
-        if scenario_type in ("sensitivity", "rabi") and self.probe.delta_m != 0:
+        resonant = ("sensitivity", "power", "rabi", "campaign")
+        if scenario_type in resonant and self.probe.delta_m != 0:
             raise ValueError(f"probe.delta_m: must be 0 for type {scenario_type!r}, "
                              f"which reads the resonant-probe phase")
 
@@ -309,11 +310,12 @@ def run_sensitivity_sweep(scenario: Scenario) -> dict:
 def effective_chi_per_atom(scenario: Scenario):
     """Low-power per-atom dispersive shift used by power sweeps and campaigns.
 
-    g_eff^2 a_s (:func:`rydcav.core.population_coefficients`) of one s atom at
-    the time-averaged coupling, with the detuning Delta = 2 g sqrt(n_crit) back-solved from
-    n_crit (the inverse of :func:`rydcav.core.critical_photon_number`) and
-    either a second transition |delta_plus - delta_minus| further away or
-    none (infinite detuning).  Its validity rule rejects n_crit <= 25.
+    g_eff^2 a_s (:func:`rydcav.core.population_coefficients`) of one s atom, g_eff the
+    configured effective coupling (g_max when unset; not the trace model's, ROADMAP
+    item 13), with Delta = 2 g_eff sqrt(n_crit) back-solved from n_crit (the inverse of
+    :func:`rydcav.core.critical_photon_number`) and the second transition
+    |delta_plus - delta_minus| further away: a single transition is a far second one.
+    Its validity rule rejects n_crit <= 25.
     """
     g_eff = scenario.cavity.g_max if scenario.g_eff is None else scenario.g_eff
     n_crit = scenario.n_crit
@@ -321,8 +323,8 @@ def effective_chi_per_atom(scenario: Scenario):
         raise ValueError("n_crit is not set")
     delta_eff = 2.0 * g_eff * np.sqrt(n_crit)
     dp, dm = scenario.transitions.delta_plus, scenario.transitions.delta_minus
-    second = -(delta_eff + abs(dp - dm)) if scenario.two_transitions else -np.inf
-    a_s, _ = core.population_coefficients(EnsembleState(n_atoms=1.0), g_eff, -delta_eff, second)
+    a_s, _ = core.population_coefficients(EnsembleState(n_atoms=1.0), g_eff, -delta_eff,
+                                          -(delta_eff + abs(dp - dm)))
     return float(np.square(g_eff) * a_s), float(n_crit)
 
 
@@ -492,14 +494,20 @@ def run_single_shot_campaign(scenario: Scenario, threads: int = 1) -> dict:
 
 
 def precision_vs_photon_number(scenario: Scenario):
-    """Analytic sigma_dphi and sigma_N versus photon number at
-    :data:`N_REF` atoms, with the digitizer floor included."""
+    """Analytic sigma_dphi and sigma_N versus photon number at :data:`N_REF`
+    atoms, with the digitizer floor included; NaN where R <= 10 breaks the SNR
+    rule of :func:`rydcav.detection.phase_change_sigma`.  sigma_N takes the
+    small-angle slope kappa r / (2 chi_1), r = sqrt(1 + n_c/n_crit); the campaign's
+    estimator has that slope over cos^2(phi), 1.1 % more at the packaged operating point."""
     chi1, n_crit = effective_chi_per_atom(scenario)
     kappa = scenario.kappa
     n_c = np.geomspace(1e3, 1e6, 31)
     red = core.power_reduction(n_c, n_crit)
-    sigma_dphi = detection.phase_change_sigma(n_c, core.cavity_phase(chi1 * N_REF, kappa, red),
-                                              scenario.cavity.kappa_out, scenario.probe,
-                                              scenario.noise)
+    phase = core.cavity_phase(chi1 * N_REF, kappa, red)
+    sigma_dphi = np.full(n_c.shape, np.nan)
+    for i in range(n_c.size):
+        with suppress(detection.SnrValidityError):
+            sigma_dphi[i] = detection.phase_change_sigma(
+                n_c[i], phase[i], scenario.cavity.kappa_out, scenario.probe, scenario.noise)
     sigma_n = sigma_dphi * kappa * red / (2.0 * chi1)
     return {"n_c": n_c, "sigma_dphi_rad": sigma_dphi, "sigma_n": sigma_n}

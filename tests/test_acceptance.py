@@ -59,7 +59,7 @@ from rydcav.configio import load_scenario
 from rydcav.estimation import UnidentifiableError  # noqa: F401  (re-export check)
 
 from conftest import CONFIG_DIR
-from test_experiments import compute_blocks_last_first
+from test_experiments import ONE_TRANSITION, TRANSITIONS, compute_blocks_last_first
 
 TWO_PI = 2.0 * np.pi
 KAPPA = TWO_PI * 236e3
@@ -79,12 +79,12 @@ def reference_cavity():
     )
 
 
-def campaign_scenario(shots, two_transitions, floor, seed=14, n_c=5.9e4):
+def campaign_scenario(shots, floor, seed=14, n_c=5.9e4, transitions=TRANSITIONS):
     return Scenario(
         name="acceptance-campaign",
         cavity=reference_cavity(),
         ensemble=EnsembleState(n_atoms=500),
-        transitions=TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6),
+        transitions=transitions,
         probe=ProbeConfig(n_c=n_c, tau_i=6.2e-6, alpha=4.0),
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
         mcp=McpModel(),
@@ -93,7 +93,6 @@ def campaign_scenario(shots, two_transitions, floor, seed=14, n_c=5.9e4):
         master_seed=seed,
         n_crit=4.4e4,
         g_eff=TWO_PI * 12.9e3,
-        two_transitions=two_transitions,
     )
 
 
@@ -265,7 +264,7 @@ def test_criterion_5b_single_shot_vs_closed_form():
     while the published closed form divides R by 2 under the root (a phase
     variance of beta / (2R)); the simulation lands sqrt(2) above it.
     """
-    sc = campaign_scenario(shots=20_000, two_transitions=False, floor=0.0)
+    sc = campaign_scenario(shots=20_000, floor=0.0, transitions=ONE_TRANSITION)
     out = run_single_shot_campaign(sc)
     sim = out["per_setting"][0]["sigma_n_cavity"]
     closed = atom_number_precision(
@@ -285,7 +284,7 @@ def test_criterion_5c_operating_point_precision_band():
     """With the digitizer floor and both transitions included, the
     single-shot atom-number scatter at the operating point lies in
     [40, 90] atoms."""
-    sc = campaign_scenario(shots=20_000, two_transitions=True, floor=9.88e-3)
+    sc = campaign_scenario(shots=20_000, floor=9.88e-3)
     out = run_single_shot_campaign(sc)
     sim = out["per_setting"][0]["sigma_n_cavity"]
     ok = 40.0 <= sim <= 90.0
@@ -296,7 +295,7 @@ def test_criterion_5c_operating_point_precision_band():
 def test_criterion_6_relative_precision_cavity_vs_mcp():
     """At 500 atoms the cavity estimate reaches 13 +/- 3 % relative
     single-shot precision and the MCP reference 4.65 % within 5 %."""
-    sc = campaign_scenario(shots=100_000, two_transitions=True, floor=9.88e-3)
+    sc = campaign_scenario(shots=100_000, floor=9.88e-3)
     out = run_single_shot_campaign(sc)
     cav_rel = out["per_setting"][0]["sigma_n_rel_cavity"]
     mcp_rel = out["per_setting"][0]["sigma_n_rel_mcp"]

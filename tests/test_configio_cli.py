@@ -329,14 +329,21 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     dead = [f"{section}.{row[0]}" for section, row in keys
             if not any(moves(section, row, command, cfg) for command, cfg in PROBE_ORDER)]
     assert dead == []
-    assert len(keys) == 43
+    assert len(keys) == 42
 
 
 def test_readme_documents_every_task():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M)
     assert sorted(rows) == sorted(cli.TASKS)
+    # the example block runs each task once, one command line per task
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    commands = [re.fullmatch(r"rydcav (\w+) +--config (\S+) +--out \S+", line).groups()
+                for line in lines]
+    pairs = [(command, json.loads((root / cfg).read_text())["scenario"]["type"])
+             for command, cfg in commands]
+    assert sorted(pairs) == sorted(cli.TASKS)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +513,7 @@ class TestCli:
         (("noise",), 5, "noise"),
         # the former flags object: its keys are scenario keys
         (("scenario", "flags"), [1, 2], "scenario.flags"),
-        (("scenario", "two_transitions"), "false", "scenario.two_transitions"),
+        (("scenario", "transit_decay"), "false", "scenario.transit_decay"),
         (("scenario", "photon_grid"), "abc", "scenario.photon_grid"),
         (("scenario", "n_crit"), "4e4", "scenario.n_crit"),
         (("scenario", "sweep_values"), ["200"], "scenario.sweep_values[0]"),
@@ -580,6 +587,22 @@ class TestCli:
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_campaign_runs_where_only_the_curve_breaks_the_snr_rule(self, tmp_path, config_dir):
+        # n_noise = 600: R = 574 at the operating point, 9.7 at the curve's
+        # n_c = 1e3, whose row is NaN; the other 30 rows are finite
+        raw = json.loads((config_dir / "campaign.json").read_text())
+        raw["noise"]["n_noise"] = 600
+        raw["scenario"]["shots"] = 2
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "precision_vs_photon_number.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 31
+        assert [math.isnan(float(row["sigma_n"])) for row in rows] == [True] + 30 * [False]
+        assert rows[0]["sigma_dphi_rad"] == "nan"
 
     def test_closed_bound_ends_load(self, tmp_path, config_dir, capsys):
         # the closed end of each interval loads, and so does n_c = 0; a run
@@ -719,20 +742,24 @@ class TestCli:
             in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config, runner", [
-        ("sensitivity", experiments.run_sensitivity_sweep),
-        ("rabi", experiments.run_rabi_scenario),
+    @pytest.mark.parametrize("command, config, runner", [
+        ("simulate", "sensitivity", experiments.run_sensitivity_sweep),
+        ("simulate", "rabi", experiments.run_rabi_scenario),
+        ("simulate", "power", experiments.run_power_sweep),
+        ("fit", "power", experiments.run_power_sweep),
+        ("campaign", "campaign", lambda sc: next(experiments.campaign_blocks(sc, []))),
     ])
     def test_probe_detuning_rejected_for_resonant_readouts(self, tmp_path, config_dir, capsys,
-                                                           config, runner):
-        # a sensitivity or Rabi run reads the resonant-probe phase: a probe
-        # detuning, which it would ignore, is rejected by the CLI and by the runner
+                                                           command, config, runner):
+        # a sensitivity, power, Rabi or campaign run reads the resonant-probe
+        # phase: a probe detuning, which it would ignore, is rejected by the CLI
+        # and by the runner
         raw = json.loads((config_dir / f"{config}.json").read_text())
         raw["probe"]["delta_m_hz"] = 1e3
         cfg = tmp_path / f"{config}.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: probe.delta_m_hz: must be 0 for type '{config}'" \
             in capsys.readouterr().err
         assert not out.exists()

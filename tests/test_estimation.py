@@ -711,13 +711,13 @@ class TestFindLineCenters:
     def test_two_gaussians(self):
         f = np.linspace(-10, 10, 801)
         y = np.exp(-0.5 * ((f + 4) / 0.8) ** 2) + 0.7 * np.exp(-0.5 * ((f - 3) / 0.8) ** 2)
-        lo, hi = sorted(find_line_centers(f, y, 2))
+        lo, hi = sorted(find_line_centers(f, y))
         assert lo == pytest.approx(-4.0, abs=0.02)
         assert hi == pytest.approx(3.0, abs=0.02)
 
     def test_flat_raises(self):
         with pytest.raises(UnidentifiableError):
-            find_line_centers(np.linspace(0, 1, 50), np.zeros(50), 2)
+            find_line_centers(np.linspace(0, 1, 50), np.zeros(50))
 
 
 class TestPredictSuperpositionPhase:

@@ -31,6 +31,9 @@ from rydcav.experiments import (BLOCK_SIZE, _campaign_block, block_rng,
                                 precision_vs_photon_number)
 
 TWO_PI = 2.0 * np.pi
+TRANSITIONS = TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6)
+# one transition: a second one 1e24 Hz beyond the first, too far away to add to chi_1
+ONE_TRANSITION = TransitionSet(-TWO_PI * 8e6, -TWO_PI * 8e6 - TWO_PI * 1e24)
 
 
 def make_scenario(cavity, n_atoms=261, shots=1000, **kw):
@@ -38,7 +41,7 @@ def make_scenario(cavity, n_atoms=261, shots=1000, **kw):
         name="test",
         cavity=cavity,
         ensemble=EnsembleState(n_atoms=n_atoms),
-        transitions=TransitionSet(-TWO_PI * 8e6, -TWO_PI * 26e6),
+        transitions=TRANSITIONS,
         probe=ProbeConfig(n_c=5.9e4, tau_i=6.2e-6, alpha=4.0),
         noise=NoiseChain(n_noise=23.0),
         mcp=McpModel(),
@@ -254,7 +257,7 @@ class TestPowerSweep:
             cavity,
             sweep_values=[200, 400, 600],
             shots=500,
-            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
+            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
         )
         out = run_power_sweep(sc)
         below = out["n_c"] <= out["n_crit_true"]
@@ -281,11 +284,10 @@ class TestPowerSweep:
         with pytest.raises(ValueError, match="^n_crit is not set$"):
             experiments.effective_chi_per_atom(make_scenario(cavity, sweep_values=[200]))
 
-    @pytest.mark.parametrize("two_transitions", [False, True])
-    def test_n_crit_at_most_25_violates_dispersive_limit(self, cavity, two_transitions):
+    @pytest.mark.parametrize("transitions", [ONE_TRANSITION, TRANSITIONS])
+    def test_n_crit_at_most_25_violates_dispersive_limit(self, cavity, transitions):
         # Delta = 2 g sqrt(n_crit) <= 10 g sqrt(1) for one atom
-        sc = make_scenario(cavity, sweep_values=[200],
-                           n_crit=25.0, two_transitions=two_transitions)
+        sc = make_scenario(cavity, sweep_values=[200], n_crit=25.0, transitions=transitions)
         with pytest.raises(DispersiveValidityError, match="delta_plus"):
             run_power_sweep(sc)
         sc.n_crit = 26.0
@@ -357,7 +359,7 @@ def campaign_scenario(cavity, shots, seed=14, sweep=(500,)):
         sweep_values=list(sweep),
         master_seed=seed,
         noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=9.88e-3),
-        n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=True,
+        n_crit=4.4e4, g_eff=TWO_PI * 12.9e3,
     )
 
 
@@ -531,14 +533,15 @@ class TestCampaign:
         assert one == pytest.approx(0.45 * shots, rel=0.05) and many == 0
         assert all(entry["shots_ratio_clipped"] > 0 for entry in out["per_setting"])
 
-    @pytest.mark.parametrize("two_transitions, floor", [(False, 0.0), (True, 9.88e-3)])
-    def test_sigma_n_matches_propagated_noise_model(self, cavity, two_transitions, floor):
+    @pytest.mark.parametrize("transitions, floor",
+                             [(ONE_TRANSITION, 0.0), (TRANSITIONS, 9.88e-3)])
+    def test_sigma_n_matches_propagated_noise_model(self, cavity, transitions, floor):
         # the criterion 5b (one transition, no floor) and 5c scenarios: the
         # simulated scatter is the phase-noise model propagated to atoms
         sc = make_scenario(
             cavity, n_atoms=500, shots=20_000, sweep_values=[500], master_seed=14,
             noise=NoiseChain(n_noise=23.0, digitizer_phase_floor=floor),
-            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, two_transitions=two_transitions,
+            n_crit=4.4e4, g_eff=TWO_PI * 12.9e3, transitions=transitions,
         )
         sim = run_single_shot_campaign(sc)["per_setting"][0]["sigma_n_cavity"]
         curve = precision_vs_photon_number(sc)
@@ -560,3 +563,30 @@ class TestPrecisionCurve:
         curve = precision_vs_photon_number(sc)
         val = float(np.interp(5.9e4, curve["n_c"], curve["sigma_n"]))
         assert val == pytest.approx(65.0, rel=0.05)
+
+    def test_rows_below_the_snr_rule_are_nan(self, cavity):
+        # n_noise = 600 leaves the operating point at R = 574 but the curve's
+        # n_c = 1e3 at R = 9.7: that row's sigmas are NaN, the other rows are the
+        # grid's phase_change_sigma
+        sc = campaign_scenario(cavity, 100)
+        sc.noise = NoiseChain(n_noise=600.0, digitizer_phase_floor=9.88e-3)
+        curve = precision_vs_photon_number(sc)
+        assert len(curve["n_c"]) == 31
+        assert np.isnan(curve["sigma_dphi_rad"]).tolist() == [True] + 30 * [False]
+        assert np.isnan(curve["sigma_n"]).tolist() == [True] + 30 * [False]
+        chi1, n_crit = experiments.effective_chi_per_atom(sc)
+        n_c = curve["n_c"][1:]
+        phase = core.cavity_phase(chi1 * experiments.N_REF, sc.kappa,
+                                  core.power_reduction(n_c, n_crit))
+        np.testing.assert_array_equal(curve["sigma_dphi_rad"][1:], detection.phase_change_sigma(
+            n_c, phase, sc.cavity.kappa_out, sc.probe, sc.noise))
+
+
+def test_one_transition_is_a_far_second_one(config_dir):
+    # on the packaged campaign's g_eff and n_crit, a second transition 1e24 Hz
+    # beyond the first adds nothing: chi_1 is the one-transition g_eff^2/Delta_eff,
+    # bit for bit; the configured spacing gives the packaged campaign's chi_1
+    campaign = load_scenario(config_dir / "campaign.json")
+    assert experiments.effective_chi_per_atom(campaign) == (237.86321421087365, 4.4e4)
+    one = dataclasses.replace(campaign, transitions=ONE_TRANSITION)
+    assert experiments.effective_chi_per_atom(one) == (193.20272374710925, 4.4e4)
