@@ -147,9 +147,9 @@ def _fit_flythrough(scenario):
 
     rng = experiments.block_rng(scenario.master_seed, 0)
     kappa = scenario.kappa
-    trace, dphi = transmission.simulate_flythrough(
+    trace, dphi = transmission.simulate_flythrough(  # probed on resonance, delta_m = 0
         scenario.ensemble, scenario.cavity, scenario.transitions,
-        scenario.probe.delta_m, kappa, transit_decay=scenario.transit_decay,
+        0.0, kappa, transit_decay=scenario.transit_decay,
     )
     r = float(detection.snr(scenario.probe.n_c, scenario.cavity.kappa_out,
                             trace.dt, scenario.noise.n_noise))
@@ -160,7 +160,7 @@ def _fit_flythrough(scenario):
     noisy = dphi + sigma_deg * rng.standard_normal(dphi.shape)
     fit = estimation.fit_atom_number(
         [{
-            "delta_m": scenario.probe.delta_m,
+            "delta_m": 0.0,
             "times": trace.times,
             "amplitude": trace.amplitude + sigma * rng.standard_normal(dphi.shape),
             "phase": trace.unwrapped_phase + np.radians(noisy - dphi),

@@ -74,7 +74,6 @@ SECTIONS = {
         ("delta_minus_hz", "delta_minus", "hz"),
     )),
     "probe": (ProbeConfig, (
-        ("delta_m_hz", "delta_m", "hz"),
         ("n_c", "n_c", "num"),
         ("tau_i_s", "tau_i", "num"),
         ("alpha", "alpha", "num"),

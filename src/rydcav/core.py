@@ -107,9 +107,11 @@ def critical_photon_number(g, delta):
 
 
 def excited_fraction(n_c, n_crit):
-    """Residual atomic excitation of the cavity-dressed eigenstate.
+    """The residual-excitation curve of the power sweep, x / (1 + x) =
+    sin^2(arctan(sqrt(x))) with x = (n_c + 1)/n_crit; strictly increasing in n_c.
 
-    P_e = sin^2(arctan(sqrt((n_c + 1)/n_crit))); strictly increasing in n_c.
+    It is not the excitation of the cavity-dressed eigenstate,
+    (1 - 1/sqrt(1 + x))/2: it is about 4x that at low n_c and 3.4x at n_crit.
     """
     n_c = np.asarray(n_c, dtype=float)
     if not np.all(n_c >= 0):

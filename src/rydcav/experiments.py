@@ -28,7 +28,9 @@ from .transmission import simulate_flythrough, steady_transmission
 
 BLOCK_SIZE = 4096
 N_REF = 500.0  # atom number of the precision-versus-photon-number curve
-EXCITATION_SCALE = 0.038  # scale of the power sweep's residual-excitation curve
+# scale of the power sweep's residual-excitation curve, fitted so that it reads
+# 0.038 * 0.5 = 1.9% at n_crit, the paper's backaction of about 2% population transfer
+EXCITATION_SCALE = 0.038
 P_PLUS, P_MINUS = 0.61, 0.20  # p,+1 and p,-1 shares of the depolarized Rabi map
 C6_MHZ_UM6 = 36.0  # Van der Waals coefficient of the trueness item, MHz um^6
 C3_MHZ_UM3 = 2000.0  # resonant dipole-dipole coefficient, MHz um^3
@@ -101,8 +103,7 @@ class Scenario:
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`),
         with no negative atom number among the sweep values of the types
         in :data:`ATOM_SWEEPS`; a campaign also needs two shots for its
-        standard deviations, and a sensitivity, power, Rabi or campaign run,
-        which reads the resonant-probe phase, a zero probe detuning."""
+        standard deviations."""
         for key, least in REQUIRED.get(scenario_type, {}).items():
             value = getattr(self, key)
             if value is None or np.size(value) == 0:
@@ -117,10 +118,6 @@ class Scenario:
         if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
             raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "
                              f"got {self.shots}")
-        resonant = ("sensitivity", "power", "rabi", "campaign")
-        if scenario_type in resonant and self.probe.delta_m != 0:
-            raise ValueError(f"probe.delta_m: must be 0 for type {scenario_type!r}, "
-                             f"which reads the resonant-probe phase")
 
     def flag(self, name, default=None):
         # Read scenario.<name>; this accessor is kept for perfbench/run.py.

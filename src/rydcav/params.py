@@ -131,12 +131,11 @@ class TransitionSet:
 class ProbeConfig:
     """Microwave probe settings and integration windows."""
 
-    delta_m: float = 0.0
     n_c: float = 5.9e4  # 0 is valid, but fails the SNR rule of every run that reads it
     tau_i: float = 6.2e-6
     alpha: float = 4.0
 
-    BOUNDS = {"delta_m": "finite", "n_c": ">=0", "tau_i": ">0", "alpha": ">0"}
+    BOUNDS = {"n_c": ">=0", "tau_i": ">0", "alpha": ">0"}
     __post_init__ = check_bounds
 
 

@@ -516,15 +516,15 @@ class TestNoisyRecovery:
         # that end inside keep the N of central differences throughout
         fly = load_scenario(config_dir / "flythrough.json")
         empty = dataclasses.replace(fly.ensemble, n_atoms=0.0)
-        trace, _ = simulate_flythrough(empty, fly.cavity, fly.transitions, fly.probe.delta_m,
-                                       fly.kappa, transit_decay=fly.transit_decay)
+        trace, _ = simulate_flythrough(empty, fly.cavity, fly.transitions, 0.0, fly.kappa,
+                                       transit_decay=fly.transit_decay)
         inside = {0: 0.8938442061504752, 1: 0.181618157725402, 4: 0.2754610890964825,
                   8: 0.5691645598723064, 10: 0.05904096149466879, 11: 0.007980576650086795}
         on_bound = []
         for seed in range(12):
             rng = np.random.default_rng(seed)
             noise = 1e-3 * rng.standard_normal((2, trace.times.size))
-            tr = {"delta_m": fly.probe.delta_m, "times": trace.times,
+            tr = {"delta_m": 0.0, "times": trace.times,
                   "amplitude": trace.amplitude + noise[0],
                   "phase": trace.unwrapped_phase + noise[1],
                   "sigma_amp": 1e-3, "sigma_phase": 1e-3}
