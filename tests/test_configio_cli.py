@@ -552,8 +552,6 @@ class TestCli:
         (("scenario", "excitation_scale"), 0.038, "scenario.excitation_scale"),
         (("scenario", "p_plus"), 0.61, "scenario.p_plus"),
         (("scenario", "p_minus"), 0.20, "scenario.p_minus"),
-        # every readout probes the cavity on resonance
-        (("probe", "delta_m_hz"), 0.0, "probe.delta_m_hz"),
         # a list of numbers given a string
         (("scenario", "sweep_values"), "abc", "scenario.sweep_values"),
         # a config that states no scenario type, and one that is not an object
@@ -758,6 +756,34 @@ class TestCli:
         assert "config error: scenario.shots: type 'campaign' needs at least 2 shots" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    # each id names the command, the config and the runner that reads the phase
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("simulate", "sensitivity", id="simulate-sensitivity-run_sensitivity_sweep"),
+        pytest.param("simulate", "rabi", id="simulate-rabi-run_rabi_scenario"),
+        pytest.param("simulate", "power", id="simulate-power-run_power_sweep"),
+        pytest.param("fit", "power", id="fit-power-run_power_sweep"),
+        pytest.param("campaign", "campaign", id="campaign-campaign-<lambda>"),
+        pytest.param("simulate", "flythrough", id="simulate-flythrough-run_flythrough"),
+        pytest.param("fit", "flythrough", id="fit-flythrough-simulate_flythrough"),
+        pytest.param("trueness", "trueness", id="trueness-trueness-trueness_ledger"),
+    ])
+    def test_probe_detuning_rejected_for_resonant_readouts(self, tmp_path, config_dir, capsys,
+                                                           command, config):
+        # every readout probes the cavity on resonance: a probe detuning, even
+        # a zero one, is an unknown key to the CLI, and a scenario has no
+        # field to carry one to a runner
+        raw = json.loads((config_dir / f"{config}.json").read_text())
+        raw.setdefault("probe", {})["delta_m_hz"] = 0.0
+        cfg = tmp_path / f"{config}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: probe.delta_m_hz: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+        scenario = load_scenario(config_dir / f"{config}.json")
+        with pytest.raises(TypeError, match="delta_m"):
+            dataclasses.replace(scenario.probe, delta_m=TWO_PI * 1e3)
 
     @pytest.mark.parametrize("values", [[100], [100, 100.0]])
     def test_sensitivity_needs_two_distinct_values(self, tmp_path, config_dir, capsys,
