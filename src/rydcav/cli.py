@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, detection, experiments, transmission
 from .configio import (ConfigError, RunManifest, load_scenario, write_csv, write_csv_blocks,
                        write_json)
-from .params import within
+from .params import bounds, within
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -234,12 +234,14 @@ TASKS = {
     ("campaign", "campaign"): _campaign,
     ("trueness", "trueness"): _trueness,
 }
+# the tasks that draw from scenario.master_seed; only their manifests record a seed
+SEEDED = {_simulate_power, _fit_flythrough, _fit_power, _campaign}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed_bound = experiments.Scenario.BOUNDS["master_seed"]
+    seed_bound = bounds(experiments.Scenario)["master_seed"]
     if args.seed is not None and not within(args.seed, seed_bound):
         parser.error(f"--seed must be {seed_bound}, got {args.seed}")
     try:
@@ -251,7 +253,8 @@ def main(argv=None) -> int:
             types = ", ".join(t for c, t in TASKS if c == args.command)
             raise ConfigError(f"scenario.type: {scenario.type!r} has no {args.command} "
                               f"task; {args.command} runs type {types}")
-        manifest = RunManifest.start(args.command, args.config, scenario.master_seed)
+        manifest = RunManifest.start(args.command, args.config,
+                                     scenario.master_seed if task in SEEDED else None)
         files = task(scenario)
         # made after the task and removed if a write fails: a failed run leaves no new directory
         out = args.out

@@ -18,14 +18,14 @@ import hashlib
 import inspect
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import SCENARIO_TYPES, Scenario
+from .experiments import Scenario
 from .params import (
     FLOAT_MAX,
     TWO_PI,
@@ -43,69 +43,12 @@ class ConfigError(ValueError):
     """Invalid config field; the message names the offending key path."""
 
 
-# The config schema: one table per JSON section, one row per key:
-# (JSON key, field, kind).  Kinds: "num" a finite number, "hz" a frequency
-# in Hz stored as an angular rate (x 2 pi), "int" an integral number,
-# "bool", "str", "nums" a list of finite numbers, or a tuple of the allowed
-# strings.  A key's bound and default are its field's in the builder;
-# without a default it is required.
-SECTIONS = {
-    "cavity": (CavitySpec, (
-        ("frequency_hz", "omega_c", "hz"),
-        ("kappa_hz", "kappa", "hz"),
-        ("kappa_out_hz", "kappa_out", "hz"),
-        ("length_z_m", "length_z", "num"),
-        ("g_max_hz", "g_max", "hz"),
-        ("mode_antinodes", "mode_antinodes", "int"),
-        ("mode_correction", "mode_correction", "num"),
-    )),
-    "ensemble": (EnsembleState, (
-        ("n_atoms", "n_atoms", "num"),
-        ("p_s", "p_s", "num"),
-        ("p_p_plus", "p_p_plus", "num"),
-        ("p_p_minus", "p_p_minus", "num"),
-        ("sigma_z_m", "sigma_z", "num"),
-        ("sigma_x_m", "sigma_x", "num"),
-        ("velocity_m_s", "velocity", "num"),
-        ("entry_time_s", "entry_time", "num"),
-    )),
-    "transitions": (TransitionSet, (
-        ("delta_plus_hz", "delta_plus", "hz"),
-        ("delta_minus_hz", "delta_minus", "hz"),
-    )),
-    "probe": (ProbeConfig, (
-        ("n_c", "n_c", "num"),
-        ("tau_i_s", "tau_i", "num"),
-        ("alpha", "alpha", "num"),
-    )),
-    "noise": (NoiseChain, (
-        ("n_noise", "n_noise", "num"),
-        ("digitizer_phase_floor_rad", "digitizer_phase_floor", "num"),
-    )),
-    "mcp": (McpModel, (
-        ("eta", "eta", "num"),
-        ("sigma_a_rel", "sigma_a_rel", "num"),
-        ("s1_atom_vns", "s1_atom", "num"),
-        ("alpha_p", "alpha_p", "num"),
-        ("beta_s", "beta_s", "num"),
-        ("beta_p", "beta_p", "num"),
-        ("dt_md_s", "dt_md", "num"),
-    )),
-}
-SCENARIO = (
-    ("name", "name", "str"),
-    ("type", "type", SCENARIO_TYPES),
-    ("shots", "shots", "int"),
-    ("master_seed", "master_seed", "int"),
-    ("sweep_values", "sweep_values", "nums"),
-    ("transit_decay", "transit_decay", "bool"),
-    ("systematic_offset", "systematic_offset", "num"),
-    ("g_eff_hz", "g_eff", "hz"),
-    ("n_crit", "n_crit", "num"),
-    ("detuning_rel_uncertainty", "detuning_rel_uncertainty", "num"),
-    ("pointlike_uncertainty", "pointlike_uncertainty", "num"),
-    ("interaction_spacing_m", "interaction_spacing", "num"),
-)
+# The config schema: one JSON section per model class, one key per
+# ``params.setting`` field of it, whose metadata give the key, its kind and
+# its bound; a key's default is its field's in the builder, and without one
+# it is required.  The ``scenario`` section holds the settings of Scenario.
+SECTIONS = {"cavity": CavitySpec, "ensemble": EnsembleState, "transitions": TransitionSet,
+            "probe": ProbeConfig, "noise": NoiseChain, "mcp": McpModel}
 
 
 def _value(v, kind, bound, path):
@@ -130,22 +73,22 @@ def _value(v, kind, bound, path):
     return v
 
 
-def _section(raw, path, build, table):
-    """Check one JSON object against ``table`` and its builder's ``BOUNDS``,
-    and call ``build`` with the converted fields; ``_`` keys are comments."""
+def _section(raw, path, build):
+    """Check one JSON object against the settings of its builder's model
+    class, and call ``build`` with the converted fields; ``_`` keys are comments."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
-    known = {row[0] for row in table}
+    settings = {f.metadata["key"]: f for f in fields(getattr(build, "func", build)) if f.metadata}
     for key in raw:
-        if key not in known and not key.startswith("_"):
+        if key not in settings and not key.startswith("_"):
             raise ConfigError(f"{path}.{key}: unknown key")
     params = inspect.signature(build).parameters
-    bounds = getattr(build, "func", build).BOUNDS
     kw = {}
-    for key, fld, kind in table:
+    for key, fld in settings.items():
         if key in raw:
-            kw[fld] = _value(raw[key], kind, bounds.get(fld), f"{path}.{key}")
-        elif params[fld].default is inspect.Parameter.empty:
+            kw[fld.name] = _value(raw[key], fld.metadata["kind"], fld.metadata["bound"],
+                                  f"{path}.{key}")
+        elif params[fld.name].default is inspect.Parameter.empty:
             raise ConfigError(f"{path}.{key}: missing required field")
     try:
         return build(**kw)
@@ -177,19 +120,15 @@ def load_scenario(path) -> Scenario:
     for key in raw:
         if key != "scenario" and key not in SECTIONS and not key.startswith("_"):
             raise ConfigError(f"{key}: unknown section")
-    parts = {name: _section(raw.get(name, {}), name, *spec) for name, spec in SECTIONS.items()}
+    parts = {name: _section(raw.get(name, {}), name, cls) for name, cls in SECTIONS.items()}
     build = partial(Scenario, name=path.stem, **parts)
-    scenario = _section(raw.get("scenario", {}), "scenario", build, SCENARIO)
+    scenario = _section(raw.get("scenario", {}), "scenario", build)
     if scenario.type is None:
         raise ConfigError("scenario.type: missing required field")
     try:
         scenario.require(scenario.type)
-    except ValueError as exc:  # it names a field path; give the config key path
-        path, _, rest = str(exc).partition(":")
-        keys = {f"{name}.{fld}": f"{name}.{key}"
-                for name, (_, table) in {**SECTIONS, "scenario": (None, SCENARIO)}.items()
-                for key, fld, _ in table}
-        raise ConfigError(keys.get(path, path) + ":" + rest) from exc
+    except ValueError as exc:  # it names the config key
+        raise ConfigError(str(exc)) from exc
     return scenario
 
 
@@ -505,7 +444,7 @@ class RunManifest:
     command: str
     config_path: str
     config_sha256: str
-    seed: int
+    seed: int | None  # None for a run that draws nothing
     started: str
     finished: str = ""
     outputs: dict = field(default_factory=dict)  # relative path -> sha256

@@ -9,7 +9,7 @@ block ``b`` of a campaign draws from a counter-based Philox stream keyed by
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .params import (
     ProbeConfig,
     TransitionSet,
     check_bounds,
+    setting,
 )
 from .transmission import simulate_flythrough, steady_transmission
 
@@ -64,30 +65,25 @@ class Scenario:
     """Full parameter bundle for one named run, with the scenario-type
     settings read by the runners; rates in rad/s."""
 
-    name: str
+    name: str = setting("name", "str")
     cavity: CavitySpec
     ensemble: EnsembleState
     transitions: TransitionSet
     probe: ProbeConfig
     noise: NoiseChain
     mcp: McpModel
-    shots: int = 1
-    sweep_values: list = field(default_factory=list)
-    master_seed: int = 0
-    type: str | None = None
-    transit_decay: bool = True
-    systematic_offset: float = 0.0
-    g_eff: float | None = None  # None: cavity.g_max
-    n_crit: float | None = None  # required by power sweeps and campaigns
-    detuning_rel_uncertainty: float | None = None  # required by trueness budgets
-    pointlike_uncertainty: float | None = None  # required by trueness budgets
-    interaction_spacing: float | None = None  # required by trueness budgets, m
-
-    BOUNDS = {"shots": "integer >0", "sweep_values": "finite",
-              "master_seed": "integer in [0, 2**64)", "systematic_offset": "finite",
-              "g_eff": ">0", "n_crit": ">0",
-              "detuning_rel_uncertainty": ">=0", "pointlike_uncertainty": ">=0",
-              "interaction_spacing": ">0"}
+    type: str | None = setting("type", SCENARIO_TYPES, default=None)
+    shots: int = setting("shots", "int", "integer >0", 1)
+    master_seed: int = setting("master_seed", "int", "integer in [0, 2**64)", 0)
+    sweep_values: list = setting("sweep_values", "nums", "finite", default_factory=list)
+    transit_decay: bool = setting("transit_decay", "bool", default=True)
+    systematic_offset: float = setting("systematic_offset", "num", "finite", 0.0)
+    g_eff: float | None = setting("g_eff_hz", "hz", ">0", None)  # None: cavity.g_max
+    n_crit: float | None = setting("n_crit", "num", ">0", None)
+    detuning_rel_uncertainty: float | None = setting(
+        "detuning_rel_uncertainty", "num", ">=0", None)
+    pointlike_uncertainty: float | None = setting("pointlike_uncertainty", "num", ">=0", None)
+    interaction_spacing: float | None = setting("interaction_spacing_m", "num", ">0", None)
 
     def __post_init__(self):
         check_bounds(self)
@@ -103,17 +99,18 @@ class Scenario:
         every setting a run of ``scenario_type`` needs (:data:`REQUIRED`),
         with no negative atom number among the sweep values of the types
         in :data:`ATOM_SWEEPS`; a campaign also needs two shots for its
-        standard deviations."""
-        for key, least in REQUIRED.get(scenario_type, {}).items():
-            value = getattr(self, key)
+        standard deviations.  The message names the config key."""
+        keys = {f.name: f"scenario.{f.metadata['key']}" for f in fields(self) if f.metadata}
+        for name, least in REQUIRED.get(scenario_type, {}).items():
+            value, key = getattr(self, name), keys[name]
             if value is None or np.size(value) == 0:
-                raise ValueError(f"scenario.{key}: missing required field "
+                raise ValueError(f"{key}: missing required field "
                                  f"for type {scenario_type!r}")
             if len(set(np.atleast_1d(value))) < least:
-                raise ValueError(f"scenario.{key}: type {scenario_type!r} needs at least "
+                raise ValueError(f"{key}: type {scenario_type!r} needs at least "
                                  f"{least} distinct values, got {value}")
-            if key == "sweep_values" and scenario_type in ATOM_SWEEPS and np.min(value) < 0:
-                raise ValueError(f"scenario.{key}: type {scenario_type!r} sweeps atom "
+            if name == "sweep_values" and scenario_type in ATOM_SWEEPS and np.min(value) < 0:
+                raise ValueError(f"{key}: type {scenario_type!r} sweeps atom "
                                  f"numbers, which must be >= 0, got {value}")
         if scenario_type == "campaign" and self.shots < 2:  # a sample std needs two
             raise ValueError(f"scenario.shots: type 'campaign' needs at least 2 shots, "

@@ -2,12 +2,14 @@
 
 All rates and (angular) frequencies are stored in rad/s.  Configuration
 files use cyclic frequencies in Hz; the conversion happens once in
-:mod:`rydcav.configio` when a config is loaded.
+:mod:`rydcav.configio` when a config is loaded.  Each config setting is
+declared once, on its field, by :func:`setting`: its config key, its kind
+and its bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -25,8 +27,8 @@ class DispersiveValidityError(ValueError):
     """Raised when detunings are too small for the second-order expansion."""
 
 
-# Bounds by name, for the ``BOUNDS`` (field -> name) of each model class;
-# each also asks for a finite value, so NaN and inf fail all of them.
+# Bounds by name, for the ``bound`` of a :func:`setting`; each also asks
+# for a finite value, so NaN and inf fail all of them.
 _BOUNDS = {">0": lambda x: x > 0, ">=0": lambda x: x >= 0, "!=0": lambda x: x != 0,
            "finite": lambda x: True, "in (0.5, 1.5]": lambda x: 0.5 < x <= 1.5,
            "in (0, 1]": lambda x: 0 < x <= 1,
@@ -35,6 +37,22 @@ _BOUNDS = {">0": lambda x: x > 0, ">=0": lambda x: x >= 0, "!=0": lambda x: x !=
 
 
 FLOAT_MAX = float(np.finfo(float).max)  # NaN, inf and larger integers fail x <= FLOAT_MAX
+
+
+def setting(key, kind, bound=None, default=MISSING, default_factory=MISSING):
+    """A dataclass field that is a config setting: ``key`` in its config
+    section, of ``kind`` ("num" a finite number, "hz" a frequency in Hz
+    stored as an angular rate (x 2 pi), "int" an integral number, "bool",
+    "str", "nums" a list of finite numbers, or a tuple of the allowed
+    strings), held to ``bound`` (a key of ``_BOUNDS``, or None) by
+    :func:`check_bounds`; without a default it is required."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"key": key, "kind": kind, "bound": bound})
+
+
+def bounds(cls) -> dict:
+    """The bound of each bounded field of the model class ``cls``, by field name."""
+    return {f.name: f.metadata["bound"] for f in fields(cls) if f.metadata.get("bound")}
 
 
 def within(value, bound) -> bool:
@@ -46,9 +64,9 @@ def within(value, bound) -> bool:
 
 
 def check_bounds(self):
-    """Raise :class:`ParameterError`, naming the field, unless each field in
-    ``BOUNDS`` is :func:`within` its bound or None (an optional setting not given)."""
-    for name, bound in self.BOUNDS.items():
+    """Raise :class:`ParameterError`, naming the field, unless each bounded
+    field is :func:`within` its bound or None (an optional setting not given)."""
+    for name, bound in bounds(type(self)).items():
         value = getattr(self, name)
         if value is not None and not within(value, bound):
             raise ParameterError(f"{name}: must be {bound}, got {value!r}")
@@ -63,16 +81,13 @@ class CavitySpec:
     rectangular-cavity mode (about -1% in the reference setup).
     """
 
-    omega_c: float
-    kappa: float
-    kappa_out: float
-    length_z: float
-    g_max: float
-    mode_antinodes: int = 1
-    mode_correction: float = 1.0
-
-    BOUNDS = {"omega_c": ">0", "kappa": ">0", "kappa_out": ">0", "length_z": ">0", "g_max": ">0",
-              "mode_antinodes": "integer >0", "mode_correction": "in (0.5, 1.5]"}
+    omega_c: float = setting("frequency_hz", "hz", ">0")
+    kappa: float = setting("kappa_hz", "hz", ">0")
+    kappa_out: float = setting("kappa_out_hz", "hz", ">0")
+    length_z: float = setting("length_z_m", "num", ">0")
+    g_max: float = setting("g_max_hz", "hz", ">0")
+    mode_antinodes: int = setting("mode_antinodes", "int", "integer >0", 1)
+    mode_correction: float = setting("mode_correction", "num", "in (0.5, 1.5]", 1.0)
 
     def __post_init__(self):
         check_bounds(self)
@@ -96,17 +111,14 @@ class EnsembleState:
     (:data:`TAU_S` for s, :data:`TAU_P` for all p sublevels).
     """
 
-    n_atoms: float
-    p_s: float = 1.0
-    p_p_plus: float = 0.0
-    p_p_minus: float = 0.0
-    sigma_z: float = 0.0
-    sigma_x: float = 0.0
-    velocity: float = 950.0
-    entry_time: float = 0.0
-
-    BOUNDS = {"n_atoms": ">=0", "p_s": ">=0", "p_p_plus": ">=0", "p_p_minus": ">=0",
-              "sigma_z": ">=0", "sigma_x": ">=0", "velocity": ">0", "entry_time": "finite"}
+    n_atoms: float = setting("n_atoms", "num", ">=0")
+    p_s: float = setting("p_s", "num", ">=0", 1.0)
+    p_p_plus: float = setting("p_p_plus", "num", ">=0", 0.0)
+    p_p_minus: float = setting("p_p_minus", "num", ">=0", 0.0)
+    sigma_z: float = setting("sigma_z_m", "num", ">=0", 0.0)
+    sigma_x: float = setting("sigma_x_m", "num", ">=0", 0.0)
+    velocity: float = setting("velocity_m_s", "num", ">0", 950.0)
+    entry_time: float = setting("entry_time_s", "num", "finite", 0.0)
 
     def __post_init__(self):
         check_bounds(self)
@@ -120,10 +132,8 @@ class TransitionSet:
     """Detunings of the s -> p,+1 and s -> p,-1 transitions from the
     cavity, in rad/s; fixed along the transit."""
 
-    delta_plus: float
-    delta_minus: float
-
-    BOUNDS = {"delta_plus": "!=0", "delta_minus": "!=0"}
+    delta_plus: float = setting("delta_plus_hz", "hz", "!=0")
+    delta_minus: float = setting("delta_minus_hz", "hz", "!=0")
     __post_init__ = check_bounds
 
 
@@ -131,11 +141,10 @@ class TransitionSet:
 class ProbeConfig:
     """Microwave probe settings and integration windows."""
 
-    n_c: float = 5.9e4  # 0 is valid, but fails the SNR rule of every run that reads it
-    tau_i: float = 6.2e-6
-    alpha: float = 4.0
-
-    BOUNDS = {"n_c": ">=0", "tau_i": ">0", "alpha": ">0"}
+    # 0 is valid, but fails the SNR rule of every run that reads it
+    n_c: float = setting("n_c", "num", ">=0", 5.9e4)
+    tau_i: float = setting("tau_i_s", "num", ">0", 6.2e-6)
+    alpha: float = setting("alpha", "num", ">0", 4.0)
     __post_init__ = check_bounds
 
 
@@ -147,10 +156,8 @@ class NoiseChain:
     the phase precision at large photon number.
     """
 
-    n_noise: float = 23.0
-    digitizer_phase_floor: float = 0.0
-
-    BOUNDS = {"n_noise": ">0", "digitizer_phase_floor": ">=0"}
+    n_noise: float = setting("n_noise", "num", ">0", 23.0)
+    digitizer_phase_floor: float = setting("digitizer_phase_floor_rad", "num", ">=0", 0.0)
     __post_init__ = check_bounds
 
 
@@ -158,16 +165,13 @@ class NoiseChain:
 class McpModel:
     """Micro-channel-plate ionization detector model."""
 
-    eta: float = 0.55
-    sigma_a_rel: float = 0.38
-    s1_atom: float = 2.07e-2
-    alpha_p: float = 0.888
-    beta_s: float = 0.439
-    beta_p: float = 0.222
-    dt_md: float = 35.5e-6
-
-    BOUNDS = {"eta": "in (0, 1]", "sigma_a_rel": ">=0", "s1_atom": ">0",
-              "alpha_p": "in (0, 1]", "beta_s": ">0", "beta_p": ">0", "dt_md": ">=0"}
+    eta: float = setting("eta", "num", "in (0, 1]", 0.55)
+    sigma_a_rel: float = setting("sigma_a_rel", "num", ">=0", 0.38)
+    s1_atom: float = setting("s1_atom_vns", "num", ">0", 2.07e-2)
+    alpha_p: float = setting("alpha_p", "num", "in (0, 1]", 0.888)
+    beta_s: float = setting("beta_s", "num", ">0", 0.439)
+    beta_p: float = setting("beta_p", "num", ">0", 0.222)
+    dt_md: float = setting("dt_md_s", "num", ">=0", 35.5e-6)
 
     def __post_init__(self):
         check_bounds(self)

@@ -19,10 +19,9 @@ import pytest
 from rydcav import (EnsembleState, McpModel, NoiseChain, ProbeConfig, Scenario, cli,
                     experiments, fitting, pointlike_correction, run_flythrough,
                     transmission)
-from rydcav.params import TWO_PI, within
+from rydcav.experiments import SCENARIO_TYPES
+from rydcav.params import _BOUNDS, TWO_PI, bounds, within
 from rydcav.configio import (
-    SCENARIO,
-    SCENARIO_TYPES,
     SECTIONS,
     ConfigError,
     _sha256,
@@ -165,11 +164,14 @@ class TestLoadScenario:
         assert sc.sweep_values == []
 
 
-# config section -> (the model class of its keys' fields, its rows)
-SCHEMA = {"scenario": (Scenario, SCENARIO), **SECTIONS}
+# config section -> (the model class of its keys' fields, the (JSON key,
+# field, kind) row of each of its settings)
+SCHEMA = {section: (build, tuple((f.metadata["key"], f.name, f.metadata["kind"])
+                                 for f in dataclasses.fields(build) if f.metadata))
+          for section, build in {"scenario": Scenario, **SECTIONS}.items()}
 # (section, row, bound) of every key whose field has a bound
-BOUNDED = [(section, row, build.BOUNDS[row[1]]) for section, (build, table) in SCHEMA.items()
-           for row in table if row[1] in build.BOUNDS]
+BOUNDED = [(section, row, bounds(build)[row[1]]) for section, (build, table) in SCHEMA.items()
+           for row in table if row[1] in bounds(build)]
 # values just outside each bound; NaN is the one value "finite" rejects
 OUTSIDE = {">0": [0], ">=0": [-5e-324], "!=0": [0], "finite": [float("nan")],
            "in (0.5, 1.5]": [0.5, np.nextafter(1.5, 2.0).item()],
@@ -184,11 +186,22 @@ README_BOUNDS = {">0": "> 0", ">=0": "≥ 0", "!=0": "≠ 0",
 
 
 def test_config_rows_name_every_model_field():
-    # one config key per setting: the rows of each section name each field
-    # of its model class once (for Scenario, all but the six model sections)
+    # one config key per setting: every field of each section's model class
+    # is a setting (for Scenario, all but the six model sections), no two
+    # settings of a section share a key, a key ends in _hz exactly when it
+    # is a frequency in Hz, and each bound is one of params._BOUNDS, an
+    # integer one for an integer setting
     for section, (build, table) in SCHEMA.items():
         fields = {f.name for f in dataclasses.fields(build)} - set(SECTIONS)
         assert sorted(fld for _, fld, _ in table) == sorted(fields), section
+        keys = [key for key, _, _ in table]
+        assert len(set(keys)) == len(keys), section
+        for key, fld, kind in table:
+            bound = bounds(build).get(fld)
+            assert key.endswith("_hz") == (kind == "hz"), f"{section}.{key}"
+            assert bound is None or bound in _BOUNDS, f"{section}.{key}"
+            if kind == "int":
+                assert bound is not None and bound.startswith("integer"), f"{section}.{key}"
 
 
 def test_readme_documents_every_config_key():
@@ -209,14 +222,14 @@ def test_readme_documents_every_config_key():
         name: sorted(key for key, *_ in table) for name, (_build, table) in SCHEMA.items()}
     for section, (build, table) in SCHEMA.items():
         for key, fld, kind in table:
-            cell = documented[section][key]
-            if fld not in build.BOUNDS:
+            cell, bound = documented[section][key], bounds(build).get(fld)
+            if bound is None:
                 assert not re.search(r"[<>≥≠]|finite|\(", cell), f"{section}.{key}"
                 continue
             # an integer key's field has an integer bound, from Python too
-            assert (kind == "int") == build.BOUNDS[fld].startswith("integer"), f"{section}.{key}"
-            bound = README_BOUNDS.get(build.BOUNDS[fld], build.BOUNDS[fld])
-            assert cell == (f"list of {bound} numbers" if kind == "nums" else bound), \
+            assert (kind == "int") == bound.startswith("integer"), f"{section}.{key}"
+            text = README_BOUNDS.get(bound, bound)
+            assert cell == (f"list of {text} numbers" if kind == "nums" else text), \
                 f"{section}.{key}"
 
 
@@ -228,41 +241,59 @@ PROBE_ORDER = [("trueness", "trueness"), ("simulate", "power"), ("simulate", "fl
 POPULATIONS = ("p_p_plus", "p_p_minus")
 
 
-def _task_digest(command, path):
-    """SHA-256 of the outputs the CLI task for ``path`` would write, or None
-    where the CLI would exit nonzero (the config or the run is rejected)."""
+class _Moved(Exception):
+    """A streamed block differs from the baseline's block at its place."""
+
+
+def _task_digest(command, path, reference=None):
+    """SHA-256 of the outputs the CLI task for ``path`` would write, with the
+    digests of the blocks of its streamed files in order, or (None, None)
+    where the CLI would exit nonzero (the config or the run is rejected).
+    Given ``reference``, a baseline's block digests, the run stops at the
+    first streamed block that differs from the one at its place there: its
+    outputs have moved, and the digest is "moved".  A run that moves no
+    block drains them all."""
     try:
         scenario = load_scenario(path)
         task = cli.TASKS.get((command, scenario.type))
         if task is None:
-            return None
+            return None, None
         files = task(scenario)
     except ValueError:  # ConfigError and the model's own validity errors
-        return None
-    digest = hashlib.sha256()
+        return None, None
+    blocks = []
 
-    def feed(obj):
+    def feed(obj, digest):
         if isinstance(obj, dict):
             for key, value in obj.items():
                 digest.update(repr(key).encode())
-                feed(value)
+                feed(value, digest)
         elif isinstance(obj, (list, tuple)):
             digest.update(b"[")
             for value in obj:
-                feed(value)
+                feed(value, digest)
             digest.update(b"]")
         elif isinstance(obj, np.ndarray):
             digest.update(f"{obj.dtype.str}{obj.shape}".encode() + obj.tobytes())
         elif isinstance(obj, types.GeneratorType):  # a streamed file: each of its blocks
             digest.update(b"<")
             for block in obj:
-                feed(block)
+                block_digest, i = hashlib.sha256(), len(blocks)
+                feed(block, block_digest)
+                blocks.append(block_digest.digest())
+                if reference is not None and reference[i:i + 1] != blocks[i:]:
+                    raise _Moved
+                digest.update(blocks[i])
             digest.update(b">")
         else:
             digest.update(repr(obj).encode())
 
-    feed(files)
-    return digest.hexdigest()
+    digest = hashlib.sha256()
+    try:
+        feed(files, digest)
+    except _Moved:
+        return "moved", blocks
+    return digest.hexdigest(), blocks
 
 
 def _perturbations(section, key, fld, kind, raw, scenario):
@@ -297,7 +328,7 @@ def _perturbations(section, key, fld, kind, raw, scenario):
         values = [1e3 if kind == "hz" else 1e-6]
     else:
         values = [1.1 * value, 0.9 * value]
-    bound = SCHEMA[section][0].BOUNDS.get(fld)
+    bound = bounds(SCHEMA[section][0]).get(fld)
     return [{key: v} for v in values if v != value and (bound is None or within(v, bound))]
 
 
@@ -313,7 +344,7 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
     loaded = {cfg: load_scenario(config_dir / f"{cfg}.json") for cfg in raws}
     baseline = {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
                 for pair in PROBE_ORDER}
-    assert None not in baseline.values()
+    assert None not in [digest for digest, _ in baseline.values()]
     # a digest that differs between two runs of one config would count
     # every change as a moved output
     assert baseline == {pair: _task_digest(pair[0], config_dir / f"{pair[1]}.json")
@@ -327,7 +358,8 @@ def test_every_config_key_moves_an_output(config_dir, tmp_path):
             raw.setdefault(section, {}).update(change)
             path = tmp_path / f"{cfg}.json"
             path.write_text(json.dumps(raw))
-            if _task_digest(command, path) not in (None, baseline[command, cfg]):
+            digest, blocks = baseline[command, cfg]
+            if _task_digest(command, path, blocks)[0] not in (None, digest):
                 return True
         return False
 
@@ -875,6 +907,30 @@ class TestCli:
         assert manifest["command"] == "trueness"
         assert "trueness.json" in manifest["outputs"]
         assert len(manifest["config_sha256"]) == 64
+
+    def test_manifest_records_a_seed_where_the_run_draws(self, tmp_path, config_dir,
+                                                         small_campaign, capsys):
+        # each pair runs at its config seed and at the next one: the manifest
+        # records the seed exactly where that moves an output, and null for
+        # a run that draws nothing
+        seeded = []
+        for command, name in cli.TASKS:
+            config = small_campaign if command == "campaign" else config_dir / f"{name}.json"
+            seed = load_scenario(config).master_seed
+            runs = []
+            for i, argv in enumerate(([], ["--seed", str(seed + 1)])):
+                out = tmp_path / f"{command}_{name}_{i}"
+                assert run_cli([command, "--config", str(config), "--out", str(out), *argv]) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                runs.append((manifest["seed"], manifest["outputs"], capsys.readouterr().out))
+            recorded = [run[0] for run in runs]
+            if runs[0][1:] != runs[1][1:]:
+                seeded.append((command, name))
+                assert recorded == [seed, seed + 1], (command, name)
+            else:
+                assert recorded == [None, None], (command, name)
+        assert seeded == [("simulate", "power"), ("fit", "flythrough"), ("fit", "power"),
+                          ("campaign", "campaign")]
 
     def test_import_needs_numpy_only(self, tmp_path, config_dir, small_campaign):
         # A fresh interpreter per packaged pair, so that no earlier run hides a

@@ -263,20 +263,19 @@ MODELS = {
                    mcp=McpModel()),
 }
 # every bounded field of each model class
-CHECKED_FIELDS = [(cls, kwargs, name) for cls, kwargs in MODELS.items() for name in cls.BOUNDS]
+CHECKED_FIELDS = [(cls, kwargs, name) for cls, kwargs in MODELS.items()
+                  for name in params.bounds(cls)]
 
 
 def test_every_model_class_states_its_bounds():
-    # MODELS holds each class with BOUNDS, whose keys are fields; BOUNDS
-    # itself is a class attribute, so equality, asdict and replace skip it
+    # MODELS holds each class with a bounded field; each bound is stated on
+    # its field, by name, and no class keeps a BOUNDS table beside them
     bounded = {obj for module in (params, experiments) for obj in vars(module).values()
-               if isinstance(obj, type) and hasattr(obj, "BOUNDS")}
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj) and params.bounds(obj)}
     assert bounded == set(MODELS)
     for cls in MODELS:
-        names = [f.name for f in dataclasses.fields(cls)]
-        assert "BOUNDS" not in names
-        assert set(cls.BOUNDS) <= set(names)
-        assert set(cls.BOUNDS.values()) <= set(params._BOUNDS)
+        assert not hasattr(cls, "BOUNDS")
+        assert set(params.bounds(cls).values()) <= set(params._BOUNDS)
 
 
 @pytest.mark.parametrize("cls, kwargs, name", CHECKED_FIELDS,
